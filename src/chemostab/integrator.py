@@ -14,13 +14,13 @@ nonzero count is treated as a scheme defect by the acceptance suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import Equilibrium, FieldState, GridDomain, ModelParams, equilibrium
 from .diagnostics import dissipation_D, lyapunov_F
-from .helmholtz import chemical_field, get_operator
+from .helmholtz import chemical_field, face_slices, get_operator
 
 TRAJECTORY_CSV_HEADER = "t,u_min,u_max,v_min,v_max,mass,err_inf,lyapunov,dissipation"
 
@@ -130,29 +130,28 @@ def chemotactic_face_flux(
     Boundary faces are zero-flux and omitted.
     """
     fluxes = []
-    for axis in range(grid.dimension):
-        h = grid.spacing[axis]
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        v_lo, v_hi = v[tuple(lo)], v[tuple(hi)]
+    for axis, h in enumerate(grid.spacing):
+        lo, hi = face_slices(grid.dimension, axis)
+        v_lo, v_hi = v[lo], v[hi]
         drift = params.chi0 * (1.0 + 0.5 * (v_lo + v_hi)) ** (-params.beta)
         drift = drift * (v_hi - v_lo) / h
-        donor = np.where(drift > 0.0, u[tuple(lo)], u[tuple(hi)])
+        donor = np.where(drift > 0.0, u[lo], u[hi])
         fluxes.append(donor**params.m * drift)
     return fluxes
 
 
 def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
-    """Divergence of the face flux with zero boundary faces."""
+    """Divergence of the face flux with zero boundary faces.
+
+    Each face flux, over h, is added to the cell on its low side and
+    subtracted from the cell on its high side.
+    """
     div = np.zeros(grid.shape)
-    for axis in range(grid.dimension):
-        h = grid.spacing[axis]
-        pad = [(0, 0)] * grid.dimension
-        pad[axis] = (1, 1)
-        padded = np.pad(fluxes[axis], pad)
-        div += np.diff(padded, axis=axis) / h
+    for axis, (flux, h) in enumerate(zip(fluxes, grid.spacing)):
+        lo, hi = face_slices(grid.dimension, axis)
+        scaled = flux / h
+        div[lo] += scaled
+        div[hi] -= scaled
     return div
 
 
@@ -168,13 +167,9 @@ def stable_dt(state: FieldState, params: ModelParams, grid: GridDomain,
     u_max = float(state.u.max())
     limit = math.inf
     fluxes_scale = max(u_max, 0.0) ** (params.m - 1.0)
-    for axis in range(grid.dimension):
-        h = grid.spacing[axis]
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        v_lo, v_hi = state.v[tuple(lo)], state.v[tuple(hi)]
+    for axis, h in enumerate(grid.spacing):
+        lo, hi = face_slices(grid.dimension, axis)
+        v_lo, v_hi = state.v[lo], state.v[hi]
         drift = params.chi0 * (1.0 + 0.5 * (v_lo + v_hi)) ** (-params.beta)
         drift = drift * (v_hi - v_lo) / h
         if drift.size == 0:
@@ -204,8 +199,7 @@ def step(
     explicit = u + dt * (-div + params.a * u - params.b * u ** (1.0 + params.alpha))
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
     # (I - dt lap_h) u = explicit  <=>  ((1/dt) I - lap_h) u = explicit / dt.
-    op = get_operator(grid, 1.0 / dt)
-    u_new = op.solve(explicit.ravel() / dt).reshape(grid.shape)
+    u_new = get_operator(grid, 1.0 / dt).solve(explicit / dt)
 
     below = u_new < cfg.positivity_floor
     clipped = int(np.count_nonzero(below))
@@ -250,6 +244,10 @@ def run(
 ) -> Trajectory:
     """Integrate to t_end, sampling summaries every output_stride steps.
 
+    Under the fixed policy step k ends at init.time + k dt, so a run takes
+    exactly round((t_end - init.time) / dt) steps, plus one final partial
+    step when t_end is not on that lattice.
+
     In the minimal model the reference equilibrium defaults to the initial
     mass average, the constant state that mass conservation selects.
     """
@@ -273,15 +271,20 @@ def run(
 
     state = init
     _record(traj, state, buffers)
+    fixed = cfg.dt_policy == "fixed"
+    total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
     steps = 0
     t_last = state.time
-    while state.time < cfg.t_end - 1e-14 * cfg.t_end:
-        dt = cfg.dt if cfg.dt_policy == "fixed" else stable_dt(state, params, grid, cfg)
-        remaining = cfg.t_end - state.time
-        # Absorb float-accumulation residue into the final step rather than
-        # trailing a micro-step (which would also thrash the solver cache).
-        if remaining <= dt * (1.0 + 1e-9):
-            dt = remaining
+    while (steps < total) if fixed else (state.time < cfg.t_end - 1e-14 * cfg.t_end):
+        if fixed:
+            dt = cfg.dt if steps + 1 < total else last_dt
+        else:
+            dt = stable_dt(state, params, grid, cfg)
+            remaining = cfg.t_end - state.time
+            # Absorb float-accumulation residue into the final step rather than
+            # trailing a micro-step (which would also cost an operator build).
+            if remaining <= dt * (1.0 + 1e-9):
+                dt = remaining
         try:
             state, clipped = step(state, params, grid, dt, cfg)
         except BlowupDetected:
@@ -290,15 +293,32 @@ def run(
             raise
         traj.clip_count += clipped
         steps += 1
-        if steps % cfg.output_stride == 0 or state.time >= cfg.t_end - 1e-14 * cfg.t_end:
-            if state.time > t_last:
-                _record(traj, state, buffers)
-                t_last = state.time
+        if fixed:
+            # Time comes from the step counter, never from a running sum of dt.
+            state = replace(state, time=min(init.time + steps * cfg.dt, cfg.t_end))
+        if steps % cfg.output_stride == 0:
+            _record(traj, state, buffers)
+            t_last = state.time
+    if state.time > t_last:
+        _record(traj, state, buffers)
 
     traj.steps_taken = steps
     traj.final_state = state
     _finalize(traj, buffers)
     return traj
+
+
+def _fixed_steps(t0: float, cfg: StepConfig) -> tuple[int, float]:
+    """Step count and last step size of a fixed-policy run from t0 to t_end.
+
+    A span within 1e-9 dt of a multiple of dt takes exactly that many steps
+    of dt; any other span adds one final partial step that ends at t_end.
+    """
+    span = (cfg.t_end - t0) / cfg.dt
+    full = math.floor(span + 1e-9)
+    if span - full <= 1e-9:
+        return full, cfg.dt
+    return full + 1, cfg.t_end - (t0 + full * cfg.dt)
 
 
 def _finalize(traj: Trajectory, buffers: dict[str, list[float]]) -> None:

@@ -145,7 +145,7 @@ def m_star(
         raise HypothesisViolated(f"m_star needs p > 1, got {p}")
     if c_star_np is None:
         raise MissingCZConstant("m_star needs the C*_{N,p} constant")
-    c = c_star_np(p) if isinstance(c_star_np, CStarSource) else float(c_star_np(p))
+    c = float(c_star_np(p))
     return nu**p * (
         (8.0**p / p) * c * (2.0**p + mu ** (-p))
         + 2.0 ** (2.0 * p) / ((p - 1.0) * p**p)
@@ -467,7 +467,7 @@ def estimate_m0(
         if osc <= 0.0:
             continue
         f = f / osc
-        w = op.solve((nu * f).ravel()).reshape(grid.shape)
+        w = op.solve(nu * f)
         best = max(best, max_face_gradient(w, grid) * math.sqrt(mu) / nu)
     return best
 

@@ -1,14 +1,20 @@
 """Discrete Laplacian structure and the screened elliptic solve."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chemostab
 from chemostab import GridDomain, chemical_field, get_operator, solve_helmholtz
 from chemostab.helmholtz import (
+    RESIDUAL_RTOL,
     NonFiniteInput,
     SingularOperator,
+    SolverFailure,
     face_differences,
     max_face_gradient,
     neumann_laplacian,
@@ -133,6 +139,59 @@ class TestSolver:
         u = rng.uniform(0.5, 2.0, size=64)
         v = chemical_field(p, u, interval_pi)
         assert 2.0 * v.sum() == pytest.approx(3.0 * (u**1.5).sum(), rel=1e-12)
+
+
+class TestDirectSolves:
+    """Both direct solves against a dense solve of mu I - lap_h."""
+
+    GRIDS = {
+        "1d": GridDomain.interval(math.pi, 48),
+        # Unequal cells and lengths per axis: a swapped eigenvalue shows.
+        "2d": GridDomain.rectangle(1.0, 2.5, 12, 20),
+    }
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 200.0])
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_matches_dense_solve(self, name, mu, rng):
+        grid = self.GRIDS[name]
+        rhs = rng.uniform(-1.0, 2.0, size=grid.shape)
+        dense = mu * np.eye(grid.total_cells) - neumann_laplacian(grid).toarray()
+        expected = np.linalg.solve(dense, rhs.ravel()).reshape(grid.shape)
+        v = get_operator(grid, mu).solve(rhs)
+        assert v.shape == grid.shape
+        assert np.abs(v - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_raveled_rhs_returns_raveled_solution(self, rng):
+        grid = self.GRIDS["2d"]
+        rhs = rng.uniform(0.0, 1.0, size=grid.shape)
+        op = get_operator(grid, 1.0)
+        assert op.solve(rhs.ravel()).shape == (grid.total_cells,)
+        assert np.array_equal(op.solve(rhs.ravel()), op.solve(rhs).ravel())
+
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_nan_rhs_fails_the_residual_check(self, name):
+        grid = self.GRIDS[name]
+        rhs = np.ones(grid.shape)
+        rhs.flat[5] = math.nan
+        with pytest.raises(SolverFailure):
+            get_operator(grid, 1.0).solve(rhs)
+
+    def test_residual_contract_on_a_large_2d_grid(self, rng):
+        grid = GridDomain.rectangle(math.pi, math.pi, 128, 128)
+        rhs = rng.uniform(0.0, 1.0, size=grid.shape)
+        for mu in (1.0, 1e3):
+            v = get_operator(grid, mu).solve(rhs)
+            residual = mu * v.ravel() - neumann_laplacian(grid) @ v.ravel() - rhs.ravel()
+            assert np.abs(residual).max() <= RESIDUAL_RTOL * np.abs(rhs).max()
+
+    def test_import_leaves_scipy_fft_unloaded(self):
+        # scipy.fft pulls in scipy.special; only a 2D solve should pay for it.
+        src = str(Path(chemostab.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import chemostab; " \
+               "print('scipy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestFaceGradients:

@@ -17,6 +17,7 @@ from chemostab import (
     stable_dt,
     step,
 )
+from chemostab.helmholtz import RESIDUAL_RTOL, neumann_laplacian
 from chemostab.integrator import (
     TRAJECTORY_CSV_HEADER,
     DegenerateState,
@@ -72,6 +73,25 @@ class TestFlux:
         div = flux_divergence(chemotactic_face_flux(u, v, p, interval_pi), interval_pi)
         assert abs(div.sum()) < 1e-12 * np.abs(div).sum()
 
+    @pytest.mark.parametrize(
+        "grid",
+        [GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20)],
+        ids=["1d", "2d"],
+    )
+    def test_divergence_matches_padded_difference(self, grid, rng):
+        fluxes = []
+        for axis in range(grid.dimension):
+            shape = list(grid.shape)
+            shape[axis] -= 1
+            fluxes.append(rng.normal(0.0, 1.0, size=shape))
+        expected = np.zeros(grid.shape)
+        for axis, flux in enumerate(fluxes):
+            pad = [(0, 0)] * grid.dimension
+            pad[axis] = (1, 1)
+            expected += np.diff(np.pad(flux, pad), axis=axis) / grid.spacing[axis]
+        div = flux_divergence(fluxes, grid)
+        assert np.abs(div - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_upwind_takes_donor_cell(self):
         g = GridDomain.interval(1.0, 8)
         p = make_params(chi0=1.0, beta=0.0, m=2.0)
@@ -125,6 +145,26 @@ class TestRunControls:
         assert traj.times[0] == 0.0
         assert len(traj) == 41
 
+    def test_fixed_policy_takes_exactly_t_end_over_dt_steps(self, interval_pi):
+        # A running sum of 1e-3 misses 12 by more than 1e-9 dt; the step
+        # counter does not, so no trailing micro-step is taken.
+        p = make_params(chi0=0.3)
+        state = init_state(interval_pi, InitSpec.perturbation(1.0, 0.25), p)
+        cfg = StepConfig(t_end=12.0, dt=1e-3, output_stride=500)
+        traj = run(p, interval_pi, state, cfg)
+        assert traj.steps_taken == 12_000
+        k = np.arange(len(traj))
+        assert np.array_equal(traj.times, k * cfg.output_stride * cfg.dt)
+        assert traj.final_state.time == traj.times[-1]
+
+    def test_fixed_policy_ends_with_one_partial_step(self, interval_pi):
+        p = make_params()
+        state = init_state(interval_pi, InitSpec.constant(1.0), p)
+        cfg = StepConfig(t_end=0.105, dt=1e-2, output_stride=4)
+        traj = run(p, interval_pi, state, cfg)
+        assert traj.steps_taken == 11
+        assert list(traj.times) == [0.0, 4e-2, 8e-2, 0.105]
+
     def test_equilibrium_is_fixed_point(self, interval_pi):
         p = make_params(chi0=2.0)
         state = init_state(interval_pi, InitSpec.constant(1.0), p)
@@ -168,6 +208,23 @@ class TestRunControls:
         state = init_state(interval_pi, spec, p)
         traj = run(p, interval_pi, state, StepConfig(t_end=0.05, dt=1e-2))
         assert traj.eq.u_star == pytest.approx(2.0, abs=1e-13)
+
+
+class TestDiffusionSolve:
+    def test_2d_step_meets_the_residual_contract(self, rng):
+        # (I/dt - lap_h) u_new = explicit / dt, checked with the sparse stencil.
+        grid = GridDomain.rectangle(math.pi, 2.0, 24, 16)
+        p = make_params(chi0=1.5)
+        u = rng.uniform(0.5, 1.5, size=grid.shape)
+        state = init_state(grid, InitSpec.from_array(u), p)
+        dt = 5e-3
+        new, clipped = step(state, p, grid, dt, StepConfig(t_end=1.0, dt=dt))
+        assert clipped == 0
+        div = flux_divergence(chemotactic_face_flux(u, state.v, p, grid), grid)
+        rhs = (u + dt * (-div + p.a * u - p.b * u ** (1.0 + p.alpha))) / dt
+        lap_u = (neumann_laplacian(grid) @ new.u.ravel()).reshape(grid.shape)
+        residual = np.abs(new.u / dt - lap_u - rhs).max()
+        assert residual <= RESIDUAL_RTOL * np.abs(rhs).max()
 
 
 class TestStableDt:
