@@ -210,9 +210,18 @@ def equilibrium(params: ModelParams, u_star: float | None = None) -> Equilibrium
     else:
         if u_star is not None:
             raise ValueError("u_star is determined by (a/b)^(1/alpha); do not pass it")
-        u = (params.a / params.b) ** (1.0 / params.alpha)
-    v = (params.nu / params.mu) * u**params.gamma
-    return Equilibrium(u, v)
+        u = _logistic_density(params.a, params.b, params.alpha)
+    return Equilibrium(u, _signal_level(u, params.gamma, params.mu, params.nu))
+
+
+def _logistic_density(a, b, alpha):
+    """u* = (a/b)^(1/alpha) of the logistic source; elementwise over arrays."""
+    return (a / b) ** (1.0 / alpha)
+
+
+def _signal_level(u_star, gamma, mu, nu):
+    """v* = (nu/mu) u*^gamma; elementwise over arrays."""
+    return (nu / mu) * u_star**gamma
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ or pure threshold evaluation), and returns a verdict mapping with the
 claim label, the hypothesis gates that were checked, measured quantities,
 expected bounds, and a pass flag. Presets violating their own a-priori
 gates raise HypothesisNotMet; measured shortfalls only set pass = false.
+No scenario draws random numbers, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _interval(cells: int = 64) -> GridDomain:
     return GridDomain.interval(math.pi, cells)
 
 
-def scenario_persistence(seed: int = 0) -> ScenarioResult:
+def scenario_persistence() -> ScenarioResult:
     params = ModelParams(chi0=1.0, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
                          a=2.0, b=1.0, mu=1.0, nu=1.0)
     grid = _interval()
@@ -137,7 +138,7 @@ def scenario_persistence(seed: int = 0) -> ScenarioResult:
     )
 
 
-def scenario_negative_sensitivity(seed: int = 0) -> ScenarioResult:
+def scenario_negative_sensitivity() -> ScenarioResult:
     params = ModelParams(chi0=-1.0, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
                          a=1.0, b=1.0, mu=1.0, nu=1.0)
     grid = _interval()
@@ -190,7 +191,7 @@ def _dichotomy_common(chi0: float):
     return params, grid, eq, report
 
 
-def scenario_stable_dichotomy(seed: int = 0) -> ScenarioResult:
+def scenario_stable_dichotomy() -> ScenarioResult:
     params, grid, eq, report = _dichotomy_common(chi0=3.2)
     hypotheses = {"chi0_below_chi_star": params.chi0 < report.chi_star}
     _require(hypotheses, "stable-dichotomy")
@@ -225,7 +226,7 @@ def scenario_stable_dichotomy(seed: int = 0) -> ScenarioResult:
     )
 
 
-def scenario_unstable_dichotomy(seed: int = 0) -> ScenarioResult:
+def scenario_unstable_dichotomy() -> ScenarioResult:
     params, grid, eq, report = _dichotomy_common(chi0=4.8)
     hypotheses = {"chi0_above_chi_star": params.chi0 > report.chi_star}
     _require(hypotheses, "unstable-dichotomy")
@@ -256,7 +257,7 @@ def scenario_unstable_dichotomy(seed: int = 0) -> ScenarioResult:
     )
 
 
-def scenario_lyapunov_i(seed: int = 0) -> ScenarioResult:
+def scenario_lyapunov_i() -> ScenarioResult:
     params = ModelParams(chi0=1.0, **_PINNED)
     grid = _interval()
     eq = equilibrium(params)
@@ -297,7 +298,7 @@ def scenario_lyapunov_i(seed: int = 0) -> ScenarioResult:
     )
 
 
-def scenario_lyapunov_ii(seed: int = 0) -> ScenarioResult:
+def scenario_lyapunov_ii() -> ScenarioResult:
     params = ModelParams(chi0=0.3, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
                          a=1.0, b=1.0, mu=1.0, nu=1.0)
     grid = _interval()
@@ -402,7 +403,7 @@ def _rectangle_scenario(
     )
 
 
-def scenario_rectangle_iii(seed: int = 0) -> ScenarioResult:
+def scenario_rectangle_iii() -> ScenarioResult:
     params = ModelParams(chi0=0.3, **_PINNED)
     eq = equilibrium(params)
     chi_ss3 = chi_double_star(params, eq, m0=0.0)[2]
@@ -418,7 +419,7 @@ def scenario_rectangle_iii(seed: int = 0) -> ScenarioResult:
     )
 
 
-def scenario_rectangle_iv(seed: int = 0) -> ScenarioResult:
+def scenario_rectangle_iv() -> ScenarioResult:
     params = ModelParams(chi0=0.35, beta=1.0, m=1.0, alpha=2.0, gamma=1.0,
                          a=1.0, b=1.0, mu=1.0, nu=1.0)
     eq = equilibrium(params)
@@ -463,7 +464,7 @@ def _minimal_common(chi0: float, store_snapshots: bool = False):
     return params, traj, eq, chi_b, mins
 
 
-def scenario_minimal_entropy(seed: int = 0) -> ScenarioResult:
+def scenario_minimal_entropy() -> ScenarioResult:
     params, traj, eq, chi_b, mins = _minimal_common(chi0=0.3)
     hypotheses = {
         "beta_at_least_one": params.beta >= 1.0,
@@ -500,7 +501,7 @@ def scenario_minimal_entropy(seed: int = 0) -> ScenarioResult:
     )
 
 
-def scenario_minimal_akl(seed: int = 0) -> ScenarioResult:
+def scenario_minimal_akl() -> ScenarioResult:
     params, traj, eq, chi_b, mins = _minimal_common(chi0=0.3, store_snapshots=True)
     hypotheses = {
         "gamma_is_one": params.gamma == 1.0,
@@ -536,7 +537,7 @@ def scenario_minimal_akl(seed: int = 0) -> ScenarioResult:
     )
 
 
-def scenario_thresholds_only(seed: int = 0) -> ScenarioResult:
+def scenario_thresholds_only() -> ScenarioResult:
     params = ModelParams(chi0=1.0, **_PINNED)
     grid = _interval()
     eq = equilibrium(params)
@@ -569,7 +570,7 @@ def scenario_thresholds_only(seed: int = 0) -> ScenarioResult:
     )
 
 
-def scenario_sweep(seed: int = 0) -> ScenarioResult:
+def scenario_sweep() -> ScenarioResult:
     grid = _interval()
     spectrum = neumann_eigenvalues(grid, 1000)
     chi_values = (0.5, 2.0, 3.9, 4.0, 4.1, 6.0)
@@ -603,7 +604,7 @@ def scenario_sweep(seed: int = 0) -> ScenarioResult:
     )
 
 
-SCENARIOS: dict[str, Callable[[int], ScenarioResult]] = {
+SCENARIOS: dict[str, Callable[[], ScenarioResult]] = {
     "persistence": scenario_persistence,
     "negative-sensitivity": scenario_negative_sensitivity,
     "stable-dichotomy": scenario_stable_dichotomy,
@@ -619,8 +620,8 @@ SCENARIOS: dict[str, Callable[[int], ScenarioResult]] = {
 }
 
 
-def run_scenario(name: str, seed: int = 0) -> ScenarioResult:
+def run_scenario(name: str) -> ScenarioResult:
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {name!r}; choose one of: {known}")
-    return SCENARIOS[name](seed)
+    return SCENARIOS[name]()

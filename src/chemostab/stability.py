@@ -39,12 +39,12 @@ CRITICAL_BAND = 1e-12
 
 def _feedback_gain(params: ModelParams, eq: Equilibrium) -> float:
     """chi0-independent factor nu gamma u*^(m+gamma-1) / (1+v*)^beta."""
-    return (
-        params.nu
-        * params.gamma
-        * eq.u_star ** (params.m + params.gamma - 1.0)
-        / (1.0 + eq.v_star) ** params.beta
-    )
+    return _gain(params.nu, params.gamma, params.m, params.beta, eq.u_star, eq.v_star)
+
+
+def _gain(nu, gamma, m, beta, u_star, v_star):
+    """The feedback gain from raw coefficients; elementwise over arrays."""
+    return nu * gamma * u_star ** (m + gamma - 1.0) / (1.0 + v_star) ** beta
 
 
 def sigma_n(
@@ -73,9 +73,16 @@ def mode_candidates(
 ) -> np.ndarray:
     """Per-mode critical sensitivities (1+v*)^beta (lam+a alpha)(mu+lam) /
     (nu gamma u*^(m+gamma-1) lam) for the nonzero modes."""
-    lam = spectrum.as_array()[1:]
-    gain = _feedback_gain(params, eq)
-    return (lam + params.a * params.alpha) * (params.mu + lam) / (gain * lam)
+    return _candidates(
+        spectrum.as_array()[1:], params.a * params.alpha, params.mu,
+        _feedback_gain(params, eq),
+    )
+
+
+def _candidates(lam, a_alpha, mu, gain):
+    """(lam + a alpha)(mu + lam) / (gain lam) per mode. A batch of samples
+    passes its coefficients as (B, 1) columns against (B, modes) rows."""
+    return (lam + a_alpha) * (mu + lam) / (gain * lam)
 
 
 def critical_sensitivity(
@@ -90,19 +97,27 @@ def critical_sensitivity(
     certified once the trailing `tail_window` candidates are non-decreasing;
     a table too short for that certificate raises SpectrumTooShort.
     """
-    if len(spectrum) < tail_window + 2:
+    value, mode = _certified_minimum(mode_candidates(params, eq, spectrum), tail_window)
+    return float(value), int(mode)
+
+
+def _certified_minimum(candidates: np.ndarray, tail_window: int = 10):
+    """Minimum over the last axis of per-mode candidates and its 1-based mode.
+
+    Works row by row on a (B, modes) batch; SpectrumTooShort is raised if
+    the tail of any row is still decreasing.
+    """
+    modes = candidates.shape[-1]
+    if modes < tail_window + 1:
         raise SpectrumTooShort(
-            f"need at least {tail_window + 2} eigenvalues, got {len(spectrum)}"
+            f"need at least {tail_window + 2} eigenvalues, got {modes + 1}"
         )
-    candidates = mode_candidates(params, eq, spectrum)
-    tail = candidates[-tail_window:]
-    if np.any(np.diff(tail) < 0.0):
+    if np.any(np.diff(candidates[..., -tail_window:], axis=-1) < 0.0):
         raise SpectrumTooShort(
             "candidate sequence still decreasing at the end of the table; "
             "supply more eigenvalues"
         )
-    argmin = int(np.argmin(candidates))
-    return float(candidates[argmin]), argmin + 1
+    return candidates.min(axis=-1), candidates.argmin(axis=-1) + 1
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ stability thresholds chi**_1..chi**_4, and the minimal-model thresholds.
 `verify_orderings` samples hypothesis-respecting parameter tuples and
 confirms numerically that every applicable stability threshold sits below
 the critical sensitivity.
+
+The formulas are elementwise: given arrays of coefficients they evaluate a
+whole batch of samples at once, which is how `verify_orderings` uses them,
+and given floats they return the floats and records the scalar API has
+always returned.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .core import (
     GridDomain,
     ModelParams,
     SpectrumTable,
+    _logistic_density,
+    _signal_level,
     neumann_eigenvalues,
 )
 
@@ -47,46 +54,82 @@ class GammaNotOne(ValueError):
     """The signal-energy threshold of the minimal model requires gamma = 1."""
 
 
-def theta(beta: float) -> float:
+def _where(cond, then, *args, otherwise=None):
+    """Elementwise `then(*args)` where `cond` holds and `otherwise(*args)`
+    (NaN when None) elsewhere.
+
+    Each side sees only its own entries, so a formula is never evaluated
+    outside its gate: no overflow, division by zero or negative base comes
+    from entries it does not apply to. A scalar `cond` takes a plain
+    branch, so float inputs give exactly the floats of straight-line code.
+    """
+    if not isinstance(cond, np.ndarray) or cond.ndim == 0:
+        if cond:
+            return then(*args)
+        return math.nan if otherwise is None else otherwise(*args)
+    cond, *args = np.broadcast_arrays(cond, *args)
+    out = np.full(cond.shape, math.nan)
+    for side, func in ((cond, then), (~cond, otherwise)):
+        if func is not None:
+            # Integer indices gather and scatter several times faster than
+            # a boolean mask with scattered entries.
+            at = np.nonzero(side)
+            out[at] = func(*(x[at] for x in args))
+    return out
+
+
+def _plain(x):
+    """A float for scalar input, the array otherwise."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _any(mask) -> bool:
+    """True if any entry of a boolean array (or a single bool) holds."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def theta(beta):
     """Theta_beta = beta^beta (1+beta)^-(1+beta), the sharp bound for
     s / (1+s)^(1+beta) over s > 0. Theta_0 = 1 (the limit value)."""
-    if beta < 0.0:
+    if _any(beta < 0.0):
         raise HypothesisViolated(f"theta needs beta >= 0, got {beta}")
     return beta**beta * (1.0 + beta) ** (-(1.0 + beta))
 
 
-def tilde_beta(beta: float) -> float:
+def tilde_beta(beta):
     """[1 and (2 beta - 1)]_+ : clamp 2 beta - 1 into [0, 1]."""
-    return max(0.0, min(1.0, 2.0 * beta - 1.0))
+    return _plain(np.minimum(1.0, np.maximum(0.0, 2.0 * beta - 1.0)))
 
 
-def power_diff_constant(alpha: float, gamma: float) -> float:
+def power_diff_constant(alpha, gamma):
     """Constant C_{alpha,gamma} of the power-difference inequality.
 
     Valid when 2 gamma <= alpha + 1. Branches:
       (alpha+1)^2 / (4 alpha)   for 0 < alpha < 1
       1                         for alpha >= 1 and 0 < gamma <= 1
       gamma^2 / (2 gamma - 1)   for alpha >= 1 and gamma > 1
+    Raises if any entry of array input lies outside the validity region.
     """
-    if alpha <= 0.0 or gamma <= 0.0:
+    if _any(alpha <= 0.0) or _any(gamma <= 0.0):
         raise HypothesisViolated(f"need alpha, gamma > 0, got {alpha}, {gamma}")
-    if 2.0 * gamma > alpha + 1.0:
+    if _any(2.0 * gamma > alpha + 1.0):
         raise HypothesisViolated(
             f"power-difference constant needs 2 gamma <= alpha + 1, "
             f"got gamma = {gamma}, alpha = {alpha}"
         )
-    if alpha < 1.0:
-        return (alpha + 1.0) ** 2 / (4.0 * alpha)
-    if gamma <= 1.0:
-        return 1.0
-    return gamma**2 / (2.0 * gamma - 1.0)
+    steep = _where(gamma > 1.0, lambda g: g**2 / (2.0 * g - 1.0), gamma,
+                   otherwise=lambda g: 1.0)
+    return _where(
+        alpha < 1.0, lambda al, c: (al + 1.0) ** 2 / (4.0 * al), alpha, steep,
+        otherwise=lambda al, c: c,
+    )
 
 
-def chi_beta_threshold(beta: float, gamma: float, dimension: int) -> float:
+def chi_beta_threshold(beta, gamma, dimension: int):
     """Boundedness threshold 2 (2 beta - 1) / max{2, gamma N} for beta >= 1."""
-    if beta < 1.0:
+    if _any(beta < 1.0):
         raise BetaBelowOne(f"chi_beta needs beta >= 1, got {beta}")
-    return 2.0 * (2.0 * beta - 1.0) / max(2.0, gamma * dimension)
+    return _plain(2.0 * (2.0 * beta - 1.0) / np.maximum(2.0, gamma * dimension))
 
 
 @dataclass(frozen=True)
@@ -276,25 +319,43 @@ def bar_chi(params: ModelParams) -> float:
     """a / (2 mu Theta_{beta-1}) when m = 1, b / (mu Theta_{beta-1}) when m > 1."""
     if params.beta < 1.0:
         raise HypothesisViolated(f"bar chi needs beta >= 1, got {params.beta}")
-    t = theta(params.beta - 1.0)
-    if params.m == 1.0:
-        return params.a / (2.0 * params.mu * t)
-    return params.b / (params.mu * t)
+    return float(_bar_chi(params.a, params.b, params.m, params.mu, params.beta))
+
+
+def _bar_chi(a, b, m, mu, beta):
+    """bar chi from raw coefficients with beta >= 1; elementwise."""
+    return _where(
+        m == 1.0, lambda a, b, mu, t: a / (2.0 * mu * t), a, b, mu, theta(beta - 1.0),
+        otherwise=lambda a, b, mu, t: b / (mu * t),
+    )
 
 
 def v_lower_ab(params: ModelParams) -> float:
     """Eventual signal floor used by the improved thresholds."""
-    ratio = params.a / (2.0 * params.b)
-    if params.m == 1.0:
-        return (params.nu / params.mu) * ratio ** (params.gamma / params.alpha)
-    if ratio >= 1.0:
-        density_floor = 1.0
-    else:
-        # Exponent blows up as m -> 1+; powering a ratio < 1 can only
-        # underflow, which is the correct limit, never overflow.
-        expo = max(1.0 / (params.m - 1.0), 1.0 / params.alpha)
-        density_floor = ratio**expo
-    return (params.nu / params.mu) * density_floor**params.gamma
+    return float(_v_lower_ab(
+        params.a, params.b, params.m, params.alpha, params.gamma, params.mu, params.nu
+    ))
+
+
+def _v_lower_ab(a, b, m, alpha, gamma, mu, nu):
+    """v_lower_ab from raw coefficients; elementwise."""
+    ratio = a / (2.0 * b)
+    power = _where(
+        m == 1.0, lambda r, m, al, g: r ** (g / al), ratio, m, alpha, gamma,
+        otherwise=lambda r, m, al, g: _density_floor(r, m, al) ** g,
+    )
+    return (nu / mu) * power
+
+
+def _density_floor(ratio, m, alpha):
+    """Eventual density floor for m > 1: 1 when ratio >= 1, otherwise
+    ratio^max{1/(m-1), 1/alpha}. The exponent blows up as m -> 1+;
+    powering a ratio < 1 can only underflow, which is the correct limit,
+    never overflow."""
+    return _where(
+        ratio >= 1.0, lambda r, m, al: 1.0, ratio, m, alpha,
+        otherwise=lambda r, m, al: r ** np.maximum(1.0 / (m - 1.0), 1.0 / al),
+    )
 
 
 @dataclass(frozen=True)
@@ -305,6 +366,14 @@ class ThresholdEntry:
     value: float | None        # None when not evaluable; never NaN
     applicable: bool
     hypothesis: str
+
+
+_CHI_SS_ENTRIES = (
+    ("chi**_1", "m >= 1 and alpha + 1 >= 2 gamma"),
+    ("chi**_2", "m >= 1, beta >= 1, alpha + 1 >= 2 gamma"),
+    ("chi**_3", "m >= 1, gamma >= 1, alpha + 1 >= m + gamma + sign(beta) gamma"),
+    ("chi**_4", "m >= 1, beta >= 1, gamma >= 1, alpha + 1 >= m + 2 gamma"),
+)
 
 
 def chi_double_star(
@@ -318,59 +387,53 @@ def chi_double_star(
     """
     if params.minimal:
         raise HypothesisViolated("chi**_1..4 require a, b > 0")
-    a, b, m, alpha, gamma, beta = (
+    values = _chi_double_star_values(
         params.a, params.b, params.m, params.alpha, params.gamma, params.beta,
+        params.mu, params.nu, eq.u_star, eq.v_star, m0,
     )
-    mu, nu = params.mu, params.nu
-    u, v = eq.u_star, eq.v_star
+    return tuple(
+        ThresholdEntry(name, None if math.isnan(value) else float(value), bool(ok), hyp)
+        for (name, hyp), (value, ok) in zip(_CHI_SS_ENTRIES, values)
+    )
 
+
+def _chi_double_star_values(a, b, m, alpha, gamma, beta, mu, nu, u, v, m0):
+    """(value, applicable) of chi**_1..4 from raw coefficients; elementwise.
+
+    A value is NaN where it cannot be evaluated. The constants that need a
+    gate (C_{alpha,gamma}, bar chi, v_lower_ab) are evaluated only where
+    it holds, and their NaN carries through the thresholds built on them.
+    """
     two_gamma_ok = alpha + 1.0 >= 2.0 * gamma
-    c_ag = power_diff_constant(alpha, gamma) if two_gamma_ok else None
+    beta_ok = beta >= 1.0
+    c_ag = _where(two_gamma_ok, power_diff_constant, alpha, gamma)
+    bar = _where(beta_ok, _bar_chi, a, b, m, mu, beta)
+    floor = _where(beta_ok, _v_lower_ab, a, b, m, alpha, gamma, mu, nu)
     u_power = u ** (2.0 * gamma - alpha + 2.0 * m - 2.0)
+    denominator = (2.0 * m - 1.0) * nu**2 * c_ag * u_power
 
-    hyp1 = "m >= 1 and alpha + 1 >= 2 gamma"
-    if c_ag is None:
-        value1 = None
-    else:
-        value1 = math.sqrt(
-            b * 16.0 * (1.0 + tilde_beta(beta) * v) * mu
-            / ((2.0 * m - 1.0) * nu**2 * c_ag * u_power)
-        )
-    entry1 = ThresholdEntry("chi**_1", value1, two_gamma_ok, hyp1)
-
-    hyp2 = "m >= 1, beta >= 1, alpha + 1 >= 2 gamma"
-    if c_ag is None or beta < 1.0:
-        value2 = None
-    else:
-        improved = math.sqrt(
-            b * 16.0 * (1.0 + v_lower_ab(params)) ** (2.0 * beta) * mu
-            / ((2.0 * m - 1.0) * nu**2 * c_ag * u_power)
-        )
-        value2 = min(bar_chi(params), improved)
-    entry2 = ThresholdEntry("chi**_2", value2, two_gamma_ok and beta >= 1.0, hyp2)
-
-    sign_beta = 0.0 if beta == 0.0 else 1.0
-    hyp3 = "m >= 1, gamma >= 1, alpha + 1 >= m + gamma + sign(beta) gamma"
+    value1 = np.sqrt(b * 16.0 * (1.0 + tilde_beta(beta) * v) * mu / denominator)
+    improved = np.sqrt(b * 16.0 * (1.0 + floor) ** (2.0 * beta) * mu / denominator)
+    value2 = np.minimum(bar, improved)
     value3 = (a / (nu * u ** (m + gamma - 1.0))) / (2.0 + beta * v * m0**2)
-    ok3 = gamma >= 1.0 and alpha + 1.0 >= m + gamma + sign_beta * gamma
-    entry3 = ThresholdEntry("chi**_3", value3, ok3, hyp3)
+    value4 = np.minimum(bar, (1.0 + floor) ** beta * value3)
 
-    hyp4 = "m >= 1, beta >= 1, gamma >= 1, alpha + 1 >= m + 2 gamma"
-    if beta < 1.0:
-        value4 = None
-    else:
-        value4 = min(bar_chi(params), (1.0 + v_lower_ab(params)) ** beta * value3)
-    ok4 = beta >= 1.0 and gamma >= 1.0 and alpha + 1.0 >= m + 2.0 * gamma
-    entry4 = ThresholdEntry("chi**_4", value4, ok4, hyp4)
-
-    return entry1, entry2, entry3, entry4
+    ok3 = (gamma >= 1.0) & (alpha + 1.0 >= m + gamma + np.sign(beta) * gamma)
+    ok4 = beta_ok & (gamma >= 1.0) & (alpha + 1.0 >= m + 2.0 * gamma)
+    return (
+        (value1, two_gamma_ok),
+        (value2, two_gamma_ok & beta_ok),
+        (value3, ok3),
+        (value4, ok4),
+    )
 
 
-def gamma_cap_minimal(u_star: float, gamma: float, ubar0: float) -> float:
+def gamma_cap_minimal(u_star, gamma, ubar0):
     """Gamma_gamma(u*): u*^(gamma-1) ubar0 for gamma <= 1, else gamma ubar0^gamma."""
-    if gamma <= 1.0:
-        return u_star ** (gamma - 1.0) * ubar0
-    return gamma * ubar0**gamma
+    return _where(
+        gamma <= 1.0, lambda u, g, ub: u ** (g - 1.0) * ub, u_star, gamma, ubar0,
+        otherwise=lambda u, g, ub: g * ub**g,
+    )
 
 
 @dataclass(frozen=True)
@@ -411,23 +474,35 @@ def minimal_thresholds(
         raise HypothesisViolated("ubar0 and vlower0 must be positive")
     if require_akl and gamma != 1.0:
         raise GammaNotOne(f"the signal-energy threshold needs gamma = 1, got {gamma}")
-    cb = chi_beta_threshold(beta, gamma, dimension)
-    cap = gamma_cap_minimal(u_star, gamma, ubar0)
-    amplification = (1.0 + vlower0) ** beta
-    chi1 = min(cb / 2.0, math.sqrt(cb),
-               2.0 * math.sqrt(mu * lambda_star) * amplification / (nu * cap))
-    chi2 = None
-    if gamma == 1.0:
-        chi2 = min(cb / 2.0, math.sqrt(cb), mu * amplification / (nu * ubar0))
+    chi1, chi2, cb, cap = _minimal_values(
+        u_star, gamma, beta, mu, nu, lambda_star, ubar0, vlower0, dimension
+    )
     return MinimalThresholds(
-        chi_ss1_min=chi1,
-        chi_ss2_min=chi2,
-        chi_beta=cb,
-        gamma_cap=cap,
+        chi_ss1_min=float(chi1),
+        chi_ss2_min=None if math.isnan(chi2) else float(chi2),
+        chi_beta=float(cb),
+        gamma_cap=float(cap),
         ubar0=ubar0,
         vlower0=vlower0,
         inputs_source=inputs_source,
     )
+
+
+def _minimal_values(
+    u_star, gamma, beta, mu, nu, lambda_star, ubar0, vlower0, dimension
+):
+    """chi**_1_min, chi**_2_min (NaN unless gamma = 1), chi_beta and
+    Gamma_gamma(u*); elementwise."""
+    cb = chi_beta_threshold(beta, gamma, dimension)
+    cap = gamma_cap_minimal(u_star, gamma, ubar0)
+    amplification = (1.0 + vlower0) ** beta
+    floor = np.minimum(cb / 2.0, np.sqrt(cb))
+    chi1 = np.minimum(floor, 2.0 * np.sqrt(mu * lambda_star) * amplification / (nu * cap))
+    chi2 = _where(
+        gamma == 1.0, lambda f, mu, amp, nu, ub: np.minimum(f, mu * amp / (nu * ub)),
+        floor, mu, amplification, nu, ubar0,
+    )
+    return chi1, chi2, cb, cap
 
 
 def estimate_m0(
@@ -496,9 +571,14 @@ class OrderingReport:
 _ORDERING_PARTS = ("1", "2", "3", "4", "minimal-1", "minimal-2")
 
 
-def _violates(lhs: float, rhs: float) -> bool:
-    """lhs <= rhs expected; allow 1e-12 relative rounding headroom."""
+def _violates(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs <= rhs expected, elementwise; allow 1e-12 relative rounding headroom."""
     return lhs > rhs * (1.0 + 1e-12) + 1e-300
+
+
+# Tuples drawn and checked per block; a block's chi* scan holds a few
+# (ORDERING_BLOCK, spectrum_modes) arrays, a few MiB each at 200 modes.
+ORDERING_BLOCK = 1 << 12
 
 
 def verify_orderings(
@@ -510,114 +590,131 @@ def verify_orderings(
     """Sample hypothesis-respecting tuples and check threshold orderings.
 
     Non-minimal parts 1-4 check the matching chi**_i <= chi*; the minimal
-    parts additionally check chi**_min <= chi_beta <= 2 chi*. Samples that
-    fail a hypothesis gate are re-drawn, never silently checked.
-    """
-    from .stability import critical_sensitivity
+    parts additionally check chi**_min <= chi_beta <= 2 chi*. A sample
+    whose chi**_i fails its applicability gate is counted in `skipped` and
+    not checked; nothing is re-drawn, so checked + skipped = trials per
+    part. chi* is exact on the first `spectrum_modes` Neumann eigenvalues
+    of an interval of random length.
 
+    Each part draws its tuples in blocks of ORDERING_BLOCK, one rng call
+    per variable, and checks a block with array operations.
+    """
+    unknown = [part for part in parts if part not in _ORDERING_PARTS]
+    if unknown:
+        raise ValueError(
+            f"unknown ordering parts {unknown}; choose from {', '.join(_ORDERING_PARTS)}"
+        )
+    unit = neumann_eigenvalues(GridDomain.interval(math.pi, 8), spectrum_modes).as_array()
     checked = {p: 0 for p in parts}
     skipped = {p: 0 for p in parts}
     violations: list[OrderingViolation] = []
 
     for part in parts:
-        for _ in range(trials):
-            minimal = part.startswith("minimal")
-            length = float(rng.uniform(0.5, 2.0 * math.pi))
-            mu = float(10.0 ** rng.uniform(-1.0, 1.0))
-            nu = float(10.0 ** rng.uniform(-1.0, 1.0))
-            if minimal:
-                m = 1.0
-                beta = float(rng.uniform(1.0, 5.0))
-                gamma = 1.0 if part == "minimal-2" else float(10.0 ** rng.uniform(-1.0, 0.5))
-                a = b = 0.0
-                alpha = 1.0  # unused by the minimal thresholds
-                u_star = float(10.0 ** rng.uniform(-1.0, 1.0))
-            else:
-                a = float(10.0 ** rng.uniform(-1.0, 1.0))
-                b = float(10.0 ** rng.uniform(-1.0, 1.0))
-                m = float(rng.uniform(1.0, 3.0))
-                if part in ("1", "2"):
-                    gamma = float(10.0 ** rng.uniform(-1.0, 0.5))
-                    alpha = float(max(2.0 * gamma - 1.0, 0.0) + rng.uniform(0.25, 4.0))
-                    beta = float(rng.uniform(1.0, 5.0)) if part == "2" else float(
-                        rng.uniform(0.0, 5.0)
-                    )
-                elif part == "3":
-                    gamma = float(rng.uniform(1.0, 3.0))
-                    alpha = float(m + 2.0 * gamma - 1.0 + rng.uniform(0.0, 4.0))
-                    beta = float(rng.uniform(0.0, 5.0))
-                else:
-                    gamma = float(rng.uniform(1.0, 2.5))
-                    alpha = float(m + 2.0 * gamma - 1.0 + rng.uniform(0.0, 4.0))
-                    beta = float(rng.uniform(1.0, 5.0))
-                u_star = None
-
-            params = ModelParams(
-                chi0=0.0, beta=beta, m=m, alpha=alpha, gamma=gamma,
-                a=a, b=b, mu=mu, nu=nu,
-            )
-            if minimal:
-                eq = Equilibrium(u_star, (nu / mu) * u_star**gamma)
-            else:
-                from .core import equilibrium as _equilibrium
-
-                eq = _equilibrium(params)
-
-            domain = GridDomain.interval(length, 8)
-            spectrum = neumann_eigenvalues(domain, spectrum_modes)
-            chi_star, _ = critical_sensitivity(params, eq, spectrum)
-            sample = {
-                "beta": beta, "m": m, "alpha": alpha, "gamma": gamma,
-                "a": a, "b": b, "mu": mu, "nu": nu, "length": length,
-                "u_star": eq.u_star,
-            }
-
-            if minimal:
-                ubar0 = eq.u_star * float(rng.uniform(1.0, 3.0))
-                vlower0 = eq.v_star * float(rng.uniform(0.1, 1.0))
-                sample.update(ubar0=ubar0, vlower0=vlower0)
-                mins = minimal_thresholds(
-                    eq.u_star, gamma, beta, mu, nu, spectrum.lambda_star,
-                    ubar0, vlower0, dimension=1,
-                )
-                lhs = mins.chi_ss2_min if part == "minimal-2" else mins.chi_ss1_min
-                lhs_name = "chi**_2_min" if part == "minimal-2" else "chi**_1_min"
-                checked[part] += 1
-                for rhs_name, rhs in (
-                    ("chi*", chi_star),
-                    ("chi_beta", mins.chi_beta),
-                ):
-                    if _violates(lhs, rhs):
-                        violations.append(
-                            OrderingViolation(part, sample, lhs_name, lhs, rhs_name, rhs)
-                        )
-                if _violates(mins.chi_beta, 2.0 * chi_star):
-                    violations.append(
-                        OrderingViolation(
-                            part, sample, "chi_beta", mins.chi_beta, "2 chi*",
-                            2.0 * chi_star,
-                        )
-                    )
-                continue
-
-            m0 = float(rng.uniform(0.0, 3.0))
-            entries = chi_double_star(params, eq, m0=m0)
-            entry = entries[int(part) - 1]
-            if not entry.applicable or entry.value is None:
-                skipped[part] += 1
-                continue
-            sample["m0"] = m0
-            checked[part] += 1
-            if _violates(entry.value, chi_star):
-                violations.append(
+        for start in range(0, trials, ORDERING_BLOCK):
+            size = min(ORDERING_BLOCK, trials - start)
+            sample = _draw_ordering_block(part, size, rng)
+            checks, gated = _ordering_checks(part, sample, unit)
+            count = int(np.count_nonzero(gated))
+            checked[part] += count
+            skipped[part] += size - count
+            failed = [gated & _violates(lhs, rhs) for _, lhs, _, rhs in checks]
+            for i in np.flatnonzero(np.any(failed, axis=0)):
+                row = {name: float(column[i]) for name, column in sample.items()}
+                violations.extend(
                     OrderingViolation(
-                        part, sample, entry.name, entry.value, "chi*", chi_star
+                        part, row, lhs_name, float(lhs[i]), rhs_name, float(rhs[i])
                     )
+                    for (lhs_name, lhs, rhs_name, rhs), flags in zip(checks, failed)
+                    if flags[i]
                 )
 
     return OrderingReport(
         checked=checked, skipped=skipped, violations=tuple(violations)
     )
+
+
+def _draw_ordering_block(
+    part: str, size: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """`size` hypothesis-respecting tuples for one part, one column per
+    variable: the coefficients, the interval length, the equilibrium, and
+    the bounds ubar0, vlower0 (minimal parts) or the gradient-estimate
+    constant m0 (parts 1-4)."""
+
+    def log_uniform(low: float, high: float) -> np.ndarray:
+        return 10.0 ** rng.uniform(low, high, size)
+
+    length = rng.uniform(0.5, 2.0 * math.pi, size)
+    mu = log_uniform(-1.0, 1.0)
+    nu = log_uniform(-1.0, 1.0)
+    if part.startswith("minimal"):
+        ones, zeros = np.ones(size), np.zeros(size)
+        m, a, b = ones, zeros, zeros
+        alpha = ones  # unused by the minimal thresholds
+        beta = rng.uniform(1.0, 5.0, size)
+        gamma = ones if part == "minimal-2" else log_uniform(-1.0, 0.5)
+        u_star = log_uniform(-1.0, 1.0)
+    else:
+        a = log_uniform(-1.0, 1.0)
+        b = log_uniform(-1.0, 1.0)
+        m = rng.uniform(1.0, 3.0, size)
+        if part in ("1", "2"):
+            gamma = log_uniform(-1.0, 0.5)
+            alpha = np.maximum(2.0 * gamma - 1.0, 0.0) + rng.uniform(0.25, 4.0, size)
+            beta = rng.uniform(1.0 if part == "2" else 0.0, 5.0, size)
+        else:
+            gamma = rng.uniform(1.0, 3.0 if part == "3" else 2.5, size)
+            alpha = m + 2.0 * gamma - 1.0 + rng.uniform(0.0, 4.0, size)
+            beta = rng.uniform(0.0 if part == "3" else 1.0, 5.0, size)
+        u_star = _logistic_density(a, b, alpha)
+    v_star = _signal_level(u_star, gamma, mu, nu)
+    sample = {
+        "beta": beta, "m": m, "alpha": alpha, "gamma": gamma, "a": a, "b": b,
+        "mu": mu, "nu": nu, "length": length, "u_star": u_star, "v_star": v_star,
+    }
+    if part.startswith("minimal"):
+        sample["ubar0"] = u_star * rng.uniform(1.0, 3.0, size)
+        sample["vlower0"] = v_star * rng.uniform(0.1, 1.0, size)
+    else:
+        sample["m0"] = rng.uniform(0.0, 3.0, size)
+    return sample
+
+
+def _ordering_checks(part: str, sample: dict[str, np.ndarray], unit: np.ndarray):
+    """The orderings one part checks on a drawn block.
+
+    `unit` is the Neumann spectrum of [0, pi]; an interval of length L has
+    it scaled by (pi/L)^2. Returns the (lhs_name, lhs, rhs_name, rhs)
+    array checks and the mask of rows whose applicability gate holds.
+    """
+    from .stability import _candidates, _certified_minimum, _gain
+
+    s = sample
+    lam = unit[1:] * ((math.pi / s["length"]) ** 2)[:, None]
+    gain = _gain(s["nu"], s["gamma"], s["m"], s["beta"], s["u_star"], s["v_star"])
+    chi_star, _ = _certified_minimum(_candidates(
+        lam, (s["a"] * s["alpha"])[:, None], s["mu"][:, None], gain[:, None]
+    ))
+    if part.startswith("minimal"):
+        chi1, chi2, cb, _ = _minimal_values(
+            s["u_star"], s["gamma"], s["beta"], s["mu"], s["nu"], lam[:, 0],
+            s["ubar0"], s["vlower0"], dimension=1,
+        )
+        if part == "minimal-2":
+            lhs_name, lhs = "chi**_2_min", chi2
+        else:
+            lhs_name, lhs = "chi**_1_min", chi1
+        checks = [
+            (lhs_name, lhs, "chi*", chi_star),
+            (lhs_name, lhs, "chi_beta", cb),
+            ("chi_beta", cb, "2 chi*", 2.0 * chi_star),
+        ]
+        return checks, np.ones(chi_star.shape, dtype=bool)
+    value, applicable = _chi_double_star_values(
+        s["a"], s["b"], s["m"], s["alpha"], s["gamma"], s["beta"], s["mu"], s["nu"],
+        s["u_star"], s["v_star"], s["m0"],
+    )[int(part) - 1]
+    return [(f"chi**_{part}", value, "chi*", chi_star)], applicable & ~np.isnan(value)
 
 
 @dataclass(frozen=True)

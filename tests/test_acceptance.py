@@ -272,11 +272,11 @@ class TestClosedFormThresholds:
 
 
 class TestDeterminism:
-    """Same scenario, same seed: identical verdicts and trajectory bytes."""
+    """Same scenario run twice: identical verdicts and trajectory bytes."""
 
     @staticmethod
-    def _snapshot(name, seed):
-        result = run_scenario(name, seed=seed)
+    def _snapshot(name):
+        result = run_scenario(name)
         verdict = json.dumps(jsonable(result.verdict), sort_keys=True)
         series = b""
         if result.trajectory is not None:
@@ -289,11 +289,11 @@ class TestDeterminism:
         return verdict, series
 
     def test_scenario_with_trajectory_repeats_byte_identical(self):
-        first = self._snapshot("stable-dichotomy", seed=3)
-        second = self._snapshot("stable-dichotomy", seed=3)
+        first = self._snapshot("stable-dichotomy")
+        second = self._snapshot("stable-dichotomy")
         assert first == second
 
     def test_report_only_scenario_repeats_byte_identical(self):
-        first = self._snapshot("thresholds-only", seed=11)
-        second = self._snapshot("thresholds-only", seed=11)
+        first = self._snapshot("thresholds-only")
+        second = self._snapshot("thresholds-only")
         assert first == second

@@ -1,0 +1,268 @@
+"""The block-sampled inequality fuzzers against the scalar formulas.
+
+The fuzzers draw a block of trials per numpy call and evaluate it with the
+elementwise cores of the threshold formulas. These tests check that every
+drawn sample agrees with the scalar public functions, that a planted fault
+in a formula is caught (so the array program checks something), and that
+nothing overflows or divides by zero outside a formula's gate.
+"""
+
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from chemostab import diagnostics, thresholds
+from chemostab.cli import main
+from chemostab.core import (
+    GridDomain,
+    ModelParams,
+    equilibrium,
+    neumann_eigenvalues,
+)
+from chemostab.diagnostics import check_power_diff_inequality
+from chemostab.stability import critical_sensitivity
+from chemostab.thresholds import (
+    chi_double_star,
+    minimal_thresholds,
+    power_diff_constant,
+    verify_orderings,
+)
+
+PARTS = ("1", "2", "3", "4", "minimal-1", "minimal-2")
+SAMPLES = 256
+RTOL = 1e-12
+PARAM_KEYS = ("chi0", "beta", "m", "alpha", "gamma", "a", "b", "mu", "nu")
+
+
+def close(x, y):
+    return abs(x - y) <= RTOL * max(abs(x), abs(y))
+
+
+def unit_spectrum(modes=200):
+    return neumann_eigenvalues(GridDomain.interval(math.pi, 8), modes).as_array()
+
+
+def point(row):
+    """ModelParams, Equilibrium and 200-mode spectrum of one sample row."""
+    params = ModelParams(chi0=0.0, **{k: row[k] for k in PARAM_KEYS if k != "chi0"})
+    if params.minimal:
+        eq = equilibrium(params, u_star=row["u_star"])
+    else:
+        eq = equilibrium(params)
+    spectrum = neumann_eigenvalues(GridDomain.interval(row["length"], 8), 200)
+    return params, eq, spectrum
+
+
+def rows(sample):
+    size = len(sample["beta"])
+    return [{k: float(v[i]) for k, v in sample.items()} for i in range(size)]
+
+
+def drawn_block(part, seed):
+    sample = thresholds._draw_ordering_block(part, SAMPLES, np.random.default_rng(seed))
+    if not part.startswith("minimal"):
+        # Cover the m = 1 branches of bar chi and v_lower_ab as well; every
+        # gate of the part still holds with a smaller m.
+        sample["m"][::2] = 1.0
+    return sample
+
+
+class TestBlockAgreement:
+    """Per-sample agreement of the batched evaluation with the scalar API."""
+
+    @pytest.mark.parametrize("part", PARTS)
+    def test_chi_star_matches_critical_sensitivity(self, part):
+        sample = drawn_block(part, 5)
+        checks, _ = thresholds._ordering_checks(part, sample, unit_spectrum())
+        chi_star = next(rhs for _, _, name, rhs in checks if name == "chi*")
+        for i, row in enumerate(rows(sample)):
+            params, eq, spectrum = point(row)
+            assert close(float(chi_star[i]), critical_sensitivity(params, eq, spectrum)[0])
+
+    @pytest.mark.parametrize("part", ("1", "2", "3", "4"))
+    def test_all_four_entries_match_chi_double_star(self, part):
+        sample = drawn_block(part, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = thresholds._chi_double_star_values(
+                sample["a"], sample["b"], sample["m"], sample["alpha"], sample["gamma"],
+                sample["beta"], sample["mu"], sample["nu"], sample["u_star"],
+                sample["v_star"], sample["m0"],
+            )
+        for i, row in enumerate(rows(sample)):
+            params, eq, _ = point(row)
+            assert close(eq.u_star, row["u_star"]) and close(eq.v_star, row["v_star"])
+            entries = chi_double_star(params, eq, m0=row["m0"])
+            for entry, (values, flags) in zip(entries, batch):
+                assert bool(flags[i]) is entry.applicable
+                if entry.value is None:
+                    assert math.isnan(values[i])
+                else:
+                    assert close(float(values[i]), entry.value)
+
+    @pytest.mark.parametrize("part", ("1", "2", "3", "4"))
+    def test_checked_rows_are_the_applicable_entries(self, part):
+        sample = drawn_block(part, 7)
+        _, gated = thresholds._ordering_checks(part, sample, unit_spectrum())
+        for i, row in enumerate(rows(sample)):
+            params, eq, _ = point(row)
+            entry = chi_double_star(params, eq, m0=row["m0"])[int(part) - 1]
+            assert bool(gated[i]) is (entry.applicable and entry.value is not None)
+
+    @pytest.mark.parametrize("part", ("minimal-1", "minimal-2"))
+    def test_minimal_values_match_minimal_thresholds(self, part):
+        sample = drawn_block(part, 8)
+        lam_star = sample["length"] ** -2 * math.pi**2 * unit_spectrum()[1]
+        chi1, chi2, cb, cap = thresholds._minimal_values(
+            sample["u_star"], sample["gamma"], sample["beta"], sample["mu"], sample["nu"],
+            lam_star, sample["ubar0"], sample["vlower0"], 1,
+        )
+        for i, row in enumerate(rows(sample)):
+            params, eq, spectrum = point(row)
+            ref = minimal_thresholds(
+                eq.u_star, params.gamma, params.beta, params.mu, params.nu,
+                spectrum.lambda_star, row["ubar0"], row["vlower0"], 1,
+            )
+            assert close(float(chi1[i]), ref.chi_ss1_min)
+            assert close(float(cb[i]), ref.chi_beta)
+            assert close(float(cap[i]), ref.gamma_cap)
+            if ref.chi_ss2_min is None:
+                assert math.isnan(chi2[i])
+            else:
+                assert close(float(chi2[i]), ref.chi_ss2_min)
+
+    def test_power_diff_constant_elementwise(self):
+        rng = np.random.default_rng(9)
+        alpha = 10.0 ** rng.uniform(-2.0, 1.0, 1000)
+        gamma = rng.uniform(0.0, (alpha + 1.0) / 2.0)
+        batch = power_diff_constant(alpha, gamma)
+        assert all(
+            close(float(c), power_diff_constant(a, g))
+            for a, g, c in zip(alpha.tolist(), gamma.tolist(), batch)
+        )
+
+    def test_power_diff_constant_rejects_any_bad_entry(self):
+        with pytest.raises(thresholds.HypothesisViolated):
+            power_diff_constant(np.array([2.0, 1.0]), np.array([1.0, 1.2]))
+
+
+class TestPlantedFaults:
+    """A fault planted in a formula must show up as violations."""
+
+    def test_power_fuzzer_catches_halved_constant(self, monkeypatch):
+        original = thresholds.power_diff_constant
+        monkeypatch.setattr(
+            thresholds, "power_diff_constant", lambda a, g: 0.5 * original(a, g)
+        )
+        assert check_power_diff_inequality(2000, np.random.default_rng(1)) > 0
+
+    def test_power_fuzzer_checks_every_trial_of_every_block(self, monkeypatch):
+        # A negative constant makes every trial with u != u* a violation.
+        original = thresholds.power_diff_constant
+        monkeypatch.setattr(
+            thresholds, "power_diff_constant", lambda a, g: -original(a, g)
+        )
+        monkeypatch.setattr(diagnostics, "POWER_BLOCK", 100)
+        assert check_power_diff_inequality(1050, np.random.default_rng(2)) == 1050
+
+    def test_ordering_fuzzer_reports_inflated_chi_ss3(self, monkeypatch):
+        original = thresholds._chi_double_star_values
+
+        def inflated(*args):
+            entries = list(original(*args))
+            value, applicable = entries[2]
+            entries[2] = (1e3 * value, applicable)
+            return tuple(entries)
+
+        monkeypatch.setattr(thresholds, "_chi_double_star_values", inflated)
+        report = verify_orderings(40, np.random.default_rng(3), parts=("3",))
+        monkeypatch.undo()
+        assert report.violations
+        for violation in report.violations:
+            assert (violation.part, violation.lhs_name, violation.rhs_name) == (
+                "3", "chi**_3", "chi*",
+            )
+            params, eq, spectrum = point(violation.sample)
+            entry = chi_double_star(params, eq, m0=violation.sample["m0"])[2]
+            assert close(violation.lhs, 1e3 * entry.value)
+            assert close(violation.rhs, critical_sensitivity(params, eq, spectrum)[0])
+            assert violation.lhs > violation.rhs
+
+    def test_ordering_fuzzer_reports_inflated_minimal_threshold(self, monkeypatch):
+        original = thresholds._minimal_values
+
+        def inflated(*args, **kwargs):
+            chi1, chi2, cb, cap = original(*args, **kwargs)
+            return 1e3 * chi1, chi2, cb, cap
+
+        monkeypatch.setattr(thresholds, "_minimal_values", inflated)
+        report = verify_orderings(20, np.random.default_rng(4), parts=("minimal-1",))
+        monkeypatch.undo()
+        assert report.violations
+        for violation in report.violations:
+            params, eq, spectrum = point(violation.sample)
+            ref = minimal_thresholds(
+                eq.u_star, params.gamma, params.beta, params.mu, params.nu,
+                spectrum.lambda_star, violation.sample["ubar0"],
+                violation.sample["vlower0"], 1,
+            )
+            assert violation.lhs_name == "chi**_1_min"
+            assert close(violation.lhs, 1e3 * ref.chi_ss1_min)
+            rhs = {"chi*": critical_sensitivity(params, eq, spectrum)[0],
+                   "chi_beta": ref.chi_beta}[violation.rhs_name]
+            assert close(violation.rhs, rhs)
+
+    def test_skipped_comes_from_the_applicability_mask(self, monkeypatch):
+        original = thresholds._chi_double_star_values
+
+        def half_gated(*args):
+            entries = list(original(*args))
+            value, applicable = entries[0]
+            entries[0] = (value, applicable & (np.arange(value.size) % 2 == 0))
+            return tuple(entries)
+
+        monkeypatch.setattr(thresholds, "_chi_double_star_values", half_gated)
+        report = verify_orderings(41, np.random.default_rng(5), parts=("1",))
+        assert report.checked["1"] == 21
+        assert report.skipped["1"] == 20
+
+    def test_blocks_add_up_to_the_trial_count(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "ORDERING_BLOCK", 7)
+        report = verify_orderings(30, np.random.default_rng(6))
+        assert report.ok
+        for part in PARTS:
+            assert report.checked[part] + report.skipped[part] == 30
+
+    def test_unknown_part_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown ordering parts"):
+            verify_orderings(3, np.random.default_rng(0), parts=("5",))
+
+
+class TestNoFloatingPointWarnings:
+    def test_fuzzers_raise_no_runtime_warning(self):
+        rng = np.random.default_rng(11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_power_diff_inequality(100_000, rng) == 0
+            assert verify_orderings(1000, rng).ok
+
+    def test_cli_fuzz_defaults(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fuzz"])
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert code == 0
+        assert set(payload) == {
+            "power_diff_trials", "power_diff_violations", "ordering_trials_per_part",
+            "ordering_checked", "ordering_skipped", "ordering_violations",
+        }
+        assert payload["power_diff_trials"] == 100_000
+        assert payload["power_diff_violations"] == 0
+        assert payload["ordering_checked"] == {part: 1000 for part in PARTS}
+        assert payload["ordering_skipped"] == {part: 0 for part in PARTS}
+        assert payload["ordering_violations"] == []
+

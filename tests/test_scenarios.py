@@ -35,7 +35,7 @@ class TestRegistry:
 class TestRuns:
     @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
     def test_scenario_passes(self, name):
-        result = run_scenario(name, seed=0)
+        result = run_scenario(name)
         assert result.name == name
         assert VERDICT_KEYS <= set(result.verdict)
         assert result.verdict["pass"] is True, result.verdict["measured"]
