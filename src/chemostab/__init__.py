@@ -32,7 +32,7 @@ from .diagnostics import (
     persistence_metrics,
     signal_energy,
 )
-from .helmholtz import chemical_field, get_operator, solve_helmholtz
+from .helmholtz import chemical_field, get_operator
 from .integrator import BlowupDetected, StepConfig, Trajectory, run, stable_dt, step
 from .rectangle import (
     RectangleParams,
@@ -84,7 +84,6 @@ __all__ = [
     "signal_energy",
     "chemical_field",
     "get_operator",
-    "solve_helmholtz",
     "BlowupDetected",
     "StepConfig",
     "Trajectory",

@@ -45,6 +45,7 @@ from .config import (
     step_config_from_config,
 )
 from .core import (
+    PARAM_FIELDS,
     Equilibrium,
     GridDomain,
     ModelParams,
@@ -205,7 +206,9 @@ def _load_c_star(path: str | None):
 def cmd_thresholds(args) -> int:
     cfg = load_config(args.config)
     params = params_from_config(cfg)
-    grid = grid_from_config(cfg)
+    # Calibration run: empirical envelope bounds for the minimal model.
+    calibrate = params.minimal and "init.kind" in cfg and "run.t_end" in cfg
+    grid = _grid_checked(cfg) if calibrate else grid_from_config(cfg)
     eq = _equilibrium_for(cfg, grid, params)
     spectrum = neumann_eigenvalues(grid, args.n_max)
 
@@ -223,8 +226,7 @@ def cmd_thresholds(args) -> int:
 
     ubar0 = vlower0 = None
     minimal_source = "user"
-    if params.minimal and "init.kind" in cfg and "run.t_end" in cfg:
-        # Calibration run: empirical envelope bounds for the minimal model.
+    if calibrate:
         spec = init_from_config(cfg, base_u_star=eq.u_star)
         state = init_state(grid, spec, params)
         traj = run(params, grid, state, step_config_from_config(cfg), eq=eq)
@@ -281,7 +283,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     base = {key: value for key, value in cfg.items()}
     parameter = get_str(cfg, "sweep.parameter")
-    if parameter not in ("chi0", "beta", "m", "alpha", "gamma", "a", "b", "mu", "nu"):
+    if parameter not in PARAM_FIELDS:
         raise ConfigError(f"sweep.parameter must be a model coefficient, got {parameter!r}")
     values = [float(part.strip()) for part in get_str(cfg, "sweep.values").split(",")]
     grid = grid_from_config(cfg)

@@ -9,7 +9,6 @@ Recognized keys:
   init.value init.u_star init.amplitude init.mode init.path
   run.t_end run.dt run.dt_policy run.sigma_cfl run.output_stride
   run.blowup_cap run.positivity_floor run.store_snapshots
-  seed
   sweep.parameter sweep.values
 """
 
@@ -20,7 +19,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import GridDomain, InitSpec, ModelParams, validate_params
+from .core import (
+    PARAM_FIELDS,
+    GridDomain,
+    InitSpec,
+    MissingParameters,
+    ModelParams,
+    validate_params,
+)
 from .integrator import StepConfig
 
 
@@ -108,15 +114,11 @@ def get_int_list(cfg: Mapping[str, str], key: str) -> tuple[int, ...]:
 
 
 def params_from_config(cfg: Mapping[str, str]) -> ModelParams:
-    coeffs = {}
-    for name in ("chi0", "beta", "m", "alpha", "gamma", "a", "b", "mu", "nu"):
-        if name in cfg:
-            coeffs[name] = _convert(name, cfg[name], float)
-    missing = [n for n in ("chi0", "beta", "m", "alpha", "gamma", "a", "b", "mu", "nu")
-               if n not in coeffs]
-    if missing:
-        raise ConfigError(f"missing model parameters: {', '.join(missing)}")
-    return validate_params(coeffs)
+    coeffs = {name: _convert(name, cfg[name], float) for name in PARAM_FIELDS if name in cfg}
+    try:
+        return validate_params(coeffs)
+    except MissingParameters as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def grid_from_config(cfg: Mapping[str, str]) -> GridDomain:

@@ -45,7 +45,11 @@ class NonPositiveInitialData(ValueError):
     """Initial population density must have a positive infimum."""
 
 
-_PARAM_FIELDS = ("chi0", "beta", "m", "alpha", "gamma", "a", "b", "mu", "nu")
+class MissingParameters(ValueError):
+    """A coefficient mapping lacks some of the PARAM_FIELDS keys."""
+
+
+PARAM_FIELDS = ("chi0", "beta", "m", "alpha", "gamma", "a", "b", "mu", "nu")
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,10 @@ def validate_params(raw: Mapping[str, float]) -> ModelParams:
     gamma, a, b, mu, nu. Extra keys are ignored so a full config mapping
     can be passed directly.
     """
-    missing = [name for name in _PARAM_FIELDS if name not in raw]
+    missing = [name for name in PARAM_FIELDS if name not in raw]
     if missing:
-        raise ValueError(f"missing model parameters: {', '.join(missing)}")
-    return ModelParams(**{name: float(raw[name]) for name in _PARAM_FIELDS})
+        raise MissingParameters(f"missing model parameters: {', '.join(missing)}")
+    return ModelParams(**{name: float(raw[name]) for name in PARAM_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -244,6 +248,9 @@ class SpectrumTable:
             raise ValueError("eigenvalues must be sorted ascending")
         if ev[1] <= 0.0:
             raise ValueError("all eigenvalues after the first must be positive")
+        array = np.array(ev, dtype=float)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -253,7 +260,8 @@ class SpectrumTable:
         return self.eigenvalues[1]
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.eigenvalues, dtype=float)
+        """The eigenvalues as one read-only array, built on construction."""
+        return self._array
 
 
 def neumann_eigenvalues(domain: GridDomain, n_max: int) -> SpectrumTable:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Equilibrium, GridDomain, ModelParams
+from .core import GridDomain, ModelParams
 
 if TYPE_CHECKING:
     from .integrator import Trajectory
@@ -197,7 +197,6 @@ class PersistenceReport:
 def persistence_metrics(
     traj: Trajectory,
     params: ModelParams,
-    eq: Equilibrium,
     tail_fraction: float = 0.25,
     slack: float = 0.05,
 ) -> PersistenceReport:

@@ -19,7 +19,10 @@ Both solves are direct and keep no factorisation:
 1D stays tridiagonal because the transform pair rounds more than the
 elimination: a 1D DCT solve misses the residual contract at 1024 cells and
 mu = 1. Every solve checks max |(mu - lap_h) w - r| <= 1e-10 max |r| with a
-mirror-ghost stencil and raises SolverFailure otherwise, NaN included.
+mirror-ghost stencil and raises SolverFailure otherwise, NaN included; a
+non-finite right-hand side raises NonFiniteInput, a SolverFailure too.
+`HelmholtzOperator.solve` is the one entry point for both the signal and the
+diffusion solve.
 """
 
 from __future__ import annotations
@@ -40,12 +43,12 @@ class SingularOperator(ValueError):
     """The screening coefficient mu must be positive."""
 
 
-class NonFiniteInput(ValueError):
-    """Right-hand side contains NaN or infinity."""
-
-
 class SolverFailure(RuntimeError):
     """A linear solve did not reach the required residual."""
+
+
+class NonFiniteInput(SolverFailure, ValueError):
+    """Right-hand side contains NaN or infinity."""
 
 
 def neumann_laplacian_1d(n: int, h: float) -> sp.csr_matrix:
@@ -94,6 +97,8 @@ class HelmholtzOperator:
 
         Returns w in the shape of rhs. Raises SolverFailure unless the
         max-norm residual is at most 1e-10 * max |rhs|; a NaN residual fails.
+        A failed check raises NonFiniteInput when rhs holds NaN or infinity,
+        so finiteness is only looked at once the check has failed.
         """
         r = np.asarray(rhs, dtype=float).reshape(self.grid.shape)
         if self.off_diagonal is not None:
@@ -116,6 +121,8 @@ class HelmholtzOperator:
         residual = float(np.abs(res).max())
         scale = float(np.abs(r).max()) or 1.0
         if not residual <= RESIDUAL_RTOL * scale:
+            if not np.isfinite(r).all():
+                raise NonFiniteInput("right-hand side contains non-finite values")
             raise SolverFailure(
                 f"elliptic residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e} * {scale:.3e}"
             )
@@ -137,21 +144,10 @@ def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
     return HelmholtzOperator(grid, mu, diagonal, None)
 
 
-def solve_helmholtz(op: HelmholtzOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve (mu I - lap_h) v = rhs to max-norm residual 1e-10 * |rhs|_inf."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != op.grid.shape:
-        raise ValueError(f"rhs shape {rhs.shape} does not match grid {op.grid.shape}")
-    if not np.all(np.isfinite(rhs)):
-        raise NonFiniteInput("right-hand side contains non-finite values")
-    return op.solve(rhs)
-
-
 def chemical_field(params: ModelParams, u: np.ndarray, grid: GridDomain) -> np.ndarray:
     """Signal field slaved to the density: solve with rhs = nu u^gamma."""
     u = np.asarray(u, dtype=float)
-    op = get_operator(grid, params.mu)
-    return solve_helmholtz(op, params.nu * u**params.gamma)
+    return get_operator(grid, params.mu).solve(params.nu * u**params.gamma)
 
 
 @lru_cache(maxsize=None)

@@ -22,9 +22,6 @@ from .core import Equilibrium, FieldState, GridDomain, ModelParams, equilibrium
 from .diagnostics import dissipation_D, lyapunov_F
 from .helmholtz import chemical_field, face_slices, get_operator
 
-TRAJECTORY_CSV_HEADER = "t,u_min,u_max,v_min,v_max,mass,err_inf,lyapunov,dissipation"
-
-
 class BlowupDetected(RuntimeError):
     """Density exceeded the blow-up cap; the scheme does not resolve blow-up."""
 
@@ -74,6 +71,12 @@ class StepConfig:
             raise ValueError(f"positivity_floor must be >= 0, got {self.positivity_floor}")
 
 
+# The per-sample series of a Trajectory; the CSV names `times` "t".
+SERIES = ("times", "u_min", "u_max", "v_min", "v_max", "mass", "err_inf",
+          "lyapunov", "dissipation")
+TRAJECTORY_CSV_HEADER = ",".join(("t",) + SERIES[1:])
+
+
 @dataclass
 class Trajectory:
     """Per-sample summaries of one run plus the final state.
@@ -85,6 +88,7 @@ class Trajectory:
     params: ModelParams
     grid: GridDomain
     eq: Equilibrium
+    # One field per name in SERIES, in its order.
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
     u_min: np.ndarray = field(default_factory=lambda: np.empty(0))
     u_max: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -103,21 +107,24 @@ class Trajectory:
         return len(self.times)
 
     def write_csv(self, path: str) -> None:
-        columns = (
-            self.times,
-            self.u_min,
-            self.u_max,
-            self.v_min,
-            self.v_max,
-            self.mass,
-            self.err_inf,
-            self.lyapunov,
-            self.dissipation,
-        )
+        columns = [getattr(self, name) for name in SERIES]
         with open(path, "w", newline="\n") as fh:
             fh.write(TRAJECTORY_CSV_HEADER + "\n")
             for row in zip(*columns):
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def face_drift(v: np.ndarray, params: ModelParams, grid: GridDomain) -> list[np.ndarray]:
+    """Chemotactic drift chi0 (1 + v_face)^(-beta) grad(v) on interior faces,
+    one array per axis; v_face is the mean of the two cells, grad(v) their
+    difference over h. Boundary faces are zero-flux and omitted."""
+    drifts = []
+    for axis, h in enumerate(grid.spacing):
+        lo, hi = face_slices(grid.dimension, axis)
+        v_lo, v_hi = v[lo], v[hi]
+        drift = params.chi0 * (1.0 + 0.5 * (v_lo + v_hi)) ** (-params.beta)
+        drifts.append(drift * (v_hi - v_lo) / h)
+    return drifts
 
 
 def chemotactic_face_flux(
@@ -125,16 +132,12 @@ def chemotactic_face_flux(
 ) -> list[np.ndarray]:
     """Upwinded chemotactic flux on interior faces, one array per axis.
 
-    Face drift is chi0 (1 + v_face)^(-beta) grad(v); the transported
-    density u^m is taken from the donor cell selected by the drift sign.
-    Boundary faces are zero-flux and omitted.
+    The transported density u^m is taken from the donor cell selected by
+    the sign of the face drift.
     """
     fluxes = []
-    for axis, h in enumerate(grid.spacing):
+    for axis, drift in enumerate(face_drift(v, params, grid)):
         lo, hi = face_slices(grid.dimension, axis)
-        v_lo, v_hi = v[lo], v[hi]
-        drift = params.chi0 * (1.0 + 0.5 * (v_lo + v_hi)) ** (-params.beta)
-        drift = drift * (v_hi - v_lo) / h
         donor = np.where(drift > 0.0, u[lo], u[hi])
         fluxes.append(donor**params.m * drift)
     return fluxes
@@ -167,13 +170,7 @@ def stable_dt(state: FieldState, params: ModelParams, grid: GridDomain,
     u_max = float(state.u.max())
     limit = math.inf
     fluxes_scale = max(u_max, 0.0) ** (params.m - 1.0)
-    for axis, h in enumerate(grid.spacing):
-        lo, hi = face_slices(grid.dimension, axis)
-        v_lo, v_hi = state.v[lo], state.v[hi]
-        drift = params.chi0 * (1.0 + 0.5 * (v_lo + v_hi)) ** (-params.beta)
-        drift = drift * (v_hi - v_lo) / h
-        if drift.size == 0:
-            continue
+    for h, drift in zip(grid.spacing, face_drift(state.v, params, grid)):
         speed = float(np.abs(drift).max()) * fluxes_scale
         if not math.isfinite(speed):
             raise DegenerateState("chemotactic drift is non-finite")
@@ -214,23 +211,22 @@ def step(
     return FieldState(time=state.time + dt, u=u_new, v=v_new), clipped
 
 
-def _record(traj: Trajectory, state: FieldState, buffers: dict[str, list[float]]) -> None:
+def _record(traj: Trajectory, state: FieldState, rows: list[tuple[float, ...]]) -> None:
+    """Append one sample, its values in SERIES order, to rows."""
     u, v = state.u, state.v
-    buffers["times"].append(state.time)
-    buffers["u_min"].append(float(u.min()))
-    buffers["u_max"].append(float(u.max()))
-    buffers["v_min"].append(float(v.min()))
-    buffers["v_max"].append(float(v.max()))
-    buffers["mass"].append(float(u.sum()) * traj.grid.cell_volume)
-    buffers["err_inf"].append(float(np.abs(u - traj.eq.u_star).max()))
-    if float(u.min()) > 0.0:
-        lyap = lyapunov_F(u, traj.eq.u_star, traj.params.m, traj.grid.cell_volume)
-    else:
-        lyap = math.nan
-    buffers["lyapunov"].append(lyap)
-    buffers["dissipation"].append(
-        dissipation_D(u, traj.eq.u_star, traj.params.alpha, traj.grid.cell_volume)
-    )
+    u_star, vol = traj.eq.u_star, traj.grid.cell_volume
+    u_min = float(u.min())
+    rows.append((
+        state.time,
+        u_min,
+        float(u.max()),
+        float(v.min()),
+        float(v.max()),
+        float(u.sum()) * vol,
+        float(np.abs(u - u_star).max()),
+        lyapunov_F(u, u_star, traj.params.m, vol) if u_min > 0.0 else math.nan,
+        dissipation_D(u, u_star, traj.params.alpha, vol),
+    ))
     if traj.snapshots is not None:
         traj.snapshots.append(state)
 
@@ -252,25 +248,18 @@ def run(
     mass average, the constant state that mass conservation selects.
     """
     if eq is None:
+        u_star = None
         if params.minimal:
             u_star = float(init.u.sum()) * grid.cell_volume / grid.volume
-            eq = Equilibrium(u_star, (params.nu / params.mu) * u_star**params.gamma)
-        else:
-            eq = equilibrium(params)
+        eq = equilibrium(params, u_star=u_star)
 
     traj = Trajectory(params=params, grid=grid, eq=eq)
     if cfg.store_snapshots:
         traj.snapshots = []
-    buffers: dict[str, list[float]] = {
-        name: []
-        for name in (
-            "times", "u_min", "u_max", "v_min", "v_max",
-            "mass", "err_inf", "lyapunov", "dissipation",
-        )
-    }
+    rows: list[tuple[float, ...]] = []
 
     state = init
-    _record(traj, state, buffers)
+    _record(traj, state, rows)
     fixed = cfg.dt_policy == "fixed"
     total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
     steps = 0
@@ -289,7 +278,7 @@ def run(
             state, clipped = step(state, params, grid, dt, cfg)
         except BlowupDetected:
             traj.final_state = state
-            _finalize(traj, buffers)
+            _finalize(traj, rows)
             raise
         traj.clip_count += clipped
         steps += 1
@@ -297,14 +286,14 @@ def run(
             # Time comes from the step counter, never from a running sum of dt.
             state = replace(state, time=min(init.time + steps * cfg.dt, cfg.t_end))
         if steps % cfg.output_stride == 0:
-            _record(traj, state, buffers)
+            _record(traj, state, rows)
             t_last = state.time
     if state.time > t_last:
-        _record(traj, state, buffers)
+        _record(traj, state, rows)
 
     traj.steps_taken = steps
     traj.final_state = state
-    _finalize(traj, buffers)
+    _finalize(traj, rows)
     return traj
 
 
@@ -321,6 +310,7 @@ def _fixed_steps(t0: float, cfg: StepConfig) -> tuple[int, float]:
     return full + 1, cfg.t_end - (t0 + full * cfg.dt)
 
 
-def _finalize(traj: Trajectory, buffers: dict[str, list[float]]) -> None:
-    for name, values in buffers.items():
-        setattr(traj, name, np.asarray(values, dtype=float))
+def _finalize(traj: Trajectory, rows: list[tuple[float, ...]]) -> None:
+    columns = np.array(rows, dtype=float).T.copy()
+    for name, column in zip(SERIES, columns):
+        setattr(traj, name, column)

@@ -115,7 +115,7 @@ def scenario_persistence() -> ScenarioResult:
     init = init_state(grid, InitSpec.perturbation(eq.u_star, 0.5, 1), params)
     cfg = StepConfig(t_end=20.0, dt=1e-2, dt_policy="cfl", output_stride=10)
     traj = run(params, grid, init, cfg, eq=eq)
-    report = persistence_metrics(traj, params, eq)
+    report = persistence_metrics(traj, params)
     measured = {
         "tail_inf_u": report.tail_inf_u,
         "tail_inf_v": report.tail_inf_v,

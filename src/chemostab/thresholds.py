@@ -180,9 +180,7 @@ def c_star_from_table(pairs: Sequence[tuple[float, float]]) -> CStarSource:
     return CStarSource(func=lookup, nonrigorous=False, description="user table")
 
 
-def m_star(
-    dimension: int, p: float, mu: float, nu: float, c_star_np: CStarSource | None
-) -> float:
+def m_star(p: float, mu: float, nu: float, c_star_np: CStarSource | None) -> float:
     """nu^p [ (8^p / p) C*_{N,p} (2^p + mu^-p) + 2^(2p) / ((p-1) p^p) ]."""
     if p <= 1.0:
         raise HypothesisViolated(f"m_star needs p > 1, got {p}")
@@ -231,7 +229,7 @@ def k_star(
             raise HypothesisViolated(
                 f"K* evaluation needs (q + alpha) / gamma > 1, got p = {p}"
             )
-        values.append(m_star(dimension, p, mu, nu, c_star_np) ** (gamma / (q + alpha)))
+        values.append(m_star(p, mu, nu, c_star_np) ** (gamma / (q + alpha)))
     converged = abs(values[-1] - values[-2]) <= 1e-3 * abs(values[-2])
     return KStarResult(
         value=values[-1], q_star=q_star, converged=converged, ladder=tuple(values)

@@ -29,7 +29,7 @@ from chemostab import (
 )
 from chemostab.cli import jsonable
 from chemostab.diagnostics import check_power_diff_inequality
-from chemostab.helmholtz import get_operator, solve_helmholtz
+from chemostab.helmholtz import get_operator
 from chemostab.rectangle import (
     contraction_tail,
     integrate_rectangle,
@@ -206,7 +206,7 @@ class TestPersistenceFloors:
         state = init_state(grid, spec, params)
         traj = run(params, grid, state, StepConfig(t_end=10.0, dt=1e-3), eq=eq)
 
-        report = persistence_metrics(traj, params, eq, slack=0.05)
+        report = persistence_metrics(traj, params, slack=0.05)
         assert report.bound_case == "m=1"
         assert report.u_bound == pytest.approx(1.0)
         assert report.tail_inf_u >= report.u_bound * 0.95
@@ -235,7 +235,7 @@ class TestEllipticSolver:
             grid = GridDomain.interval(math.pi, cells)
             x = grid.centers(0)
             op = get_operator(grid, mu=1.0)
-            v = solve_helmholtz(op, 2.0 * np.cos(x))
+            v = op.solve(2.0 * np.cos(x))
             errors[cells] = float(np.abs(v - np.cos(x)).max())
         ratio = errors[128] / errors[256]
         assert 3.5 <= ratio <= 4.5
@@ -247,7 +247,7 @@ class TestEllipticSolver:
         for _ in range(100):
             low = rng.uniform(0.0, 1.0, grid.total_cells)
             high = low + rng.uniform(0.0, 1.0, grid.total_cells)
-            gap = solve_helmholtz(op, high) - solve_helmholtz(op, low)
+            gap = op.solve(high) - op.solve(low)
             assert float(gap.min()) >= -1e-12
 
 

@@ -269,6 +269,16 @@ class TestAnalysisCommands:
         assert payload["minimal"]["inputs_source"] == "empirical"
         assert payload["minimal"]["ubar0"] >= 1.0
 
+    def test_thresholds_calibration_grid_budget_enforced(self, tmp_path, capsys):
+        text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
+        text = text.replace("init.amplitude = 0.01", "init.amplitude = 0.1\ninit.u_star = 1.0")
+        text = text.replace("domain.cells = 64", f"domain.cells = {(1 << 20) + 1}")
+        cfg = write_cfg(tmp_path, text=text)
+        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "GridTooLarge"
+
     def test_rectangle_command(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, chi0=0.3)
         csv = str(tmp_path / "rect.csv")

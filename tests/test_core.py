@@ -206,6 +206,15 @@ class TestSpectrum:
             [0.0, 0.25, 1.0, 1.0, 1.25], rel=1e-13
         )
 
+    def test_as_array_is_one_read_only_array(self):
+        table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 3)
+        first = table.as_array()
+        assert table.as_array() is first
+        assert not first.flags.writeable
+        assert first.tolist() == [0.0, 1.0, 4.0, 9.0]
+        with pytest.raises(ValueError):
+            first[1] = 2.0
+
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
             neumann_eigenvalues(GridDomain.interval(1.0, 8), 0)

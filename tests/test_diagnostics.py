@@ -142,7 +142,7 @@ class TestPersistence:
     def test_linear_case_bound_oracle(self):
         # (a - chi0 mu Theta_0) / b = (2 - 1) / 1 = 1.
         p = make_params(a=2.0, b=1.0, beta=1.0)
-        report = persistence_metrics(_make_traj(p, 0.98, 0.97), p, equilibrium(p))
+        report = persistence_metrics(_make_traj(p, 0.98, 0.97), p)
         assert report.bound_case == "m=1"
         assert report.u_bound == pytest.approx(1.0, rel=1e-14)
         assert report.v_bound == pytest.approx(1.0, rel=1e-14)
@@ -152,20 +152,20 @@ class TestPersistence:
 
     def test_tail_infimum_respects_slack(self):
         p = make_params(a=2.0, b=1.0, beta=1.0)
-        report = persistence_metrics(_make_traj(p, 0.90, 0.97), p, equilibrium(p))
+        report = persistence_metrics(_make_traj(p, 0.90, 0.97), p)
         assert not report.u_bound_met  # 0.90 < 0.95
         assert not report.all_met
 
     def test_superlinear_case_bound(self):
         # min{1, (a / (b + chi0 mu Theta_0))^max{1/(m-1), 1/alpha}} = 1.
         p = make_params(a=2.0, b=1.0, m=2.0, beta=1.0)
-        report = persistence_metrics(_make_traj(p, 0.99, 0.98), p, equilibrium(p))
+        report = persistence_metrics(_make_traj(p, 0.99, 0.98), p)
         assert report.bound_case == "m>1"
         assert report.u_bound == pytest.approx(1.0, rel=1e-14)
 
     def test_low_saturation_has_no_theorem_bound(self):
         p = make_params(a=2.0, b=1.0, beta=0.5)
-        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p, equilibrium(p))
+        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p)
         assert report.u_bound is None
         assert "beta" in report.hypothesis_failure
         assert report.generic_v_met  # the generic signal bound still applies
@@ -173,23 +173,22 @@ class TestPersistence:
     def test_oversized_sensitivity_fails_gate(self):
         # chi0 past a / (mu Theta_0) voids the eventual bound.
         p = make_params(a=2.0, b=1.0, beta=1.0, chi0=3.0)
-        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p, equilibrium(p))
+        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p)
         assert report.u_bound is None
         assert "chi0" in report.hypothesis_failure
 
     def test_negative_sensitivity_fails_gate(self):
         p = make_params(a=2.0, b=1.0, beta=1.0, chi0=-1.0)
-        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p, equilibrium(p))
+        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p)
         assert report.u_bound is None
 
     def test_minimal_model_has_no_bound(self):
         p = make_params(a=0.0, b=0.0)
-        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p,
-                                     equilibrium(p, u_star=1.0))
+        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p)
         assert report.u_bound is None
         assert "a = b = 0" in report.hypothesis_failure
 
     def test_short_trajectory_rejected(self):
         p = make_params(a=2.0, b=1.0, beta=1.0)
         with pytest.raises(ValueError, match="tail"):
-            persistence_metrics(_make_traj(p, 0.9, 0.9, n=3), p, equilibrium(p))
+            persistence_metrics(_make_traj(p, 0.9, 0.9, n=3), p)

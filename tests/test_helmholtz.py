@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chemostab
-from chemostab import GridDomain, chemical_field, get_operator, solve_helmholtz
+from chemostab import GridDomain, chemical_field, get_operator
 from chemostab.helmholtz import (
     RESIDUAL_RTOL,
     NonFiniteInput,
@@ -70,7 +70,7 @@ class TestSolver:
     def test_constant_solution_exact(self, interval_pi):
         op = get_operator(interval_pi, 3.0)
         rhs = np.full(64, 6.0)
-        v = solve_helmholtz(op, rhs)
+        v = op.solve(rhs)
         assert v == pytest.approx(np.full(64, 2.0), abs=1e-12)
 
     def test_discrete_eigenvector_solved_exactly(self):
@@ -79,7 +79,7 @@ class TestSolver:
         op = get_operator(g, mu)
         w = np.cos(2.0 * g.centers())
         lam = discrete_eigenvalue(2, math.pi, 64)
-        v = solve_helmholtz(op, (mu + lam) * w)
+        v = op.solve((mu + lam) * w)
         assert v == pytest.approx(w, abs=1e-10)
 
     def test_manufactured_cosine_second_order(self):
@@ -90,7 +90,7 @@ class TestSolver:
             g = GridDomain.interval(math.pi, cells)
             op = get_operator(g, 1.0)
             x = g.centers()
-            v = solve_helmholtz(op, 2.0 * np.cos(x))
+            v = op.solve(2.0 * np.cos(x))
             errors[cells] = float(np.abs(v - np.cos(x)).max())
         assert errors[256] < 1e-4
         assert 3.5 < errors[128] / errors[256] < 4.5
@@ -102,7 +102,7 @@ class TestSolver:
         xx, yy = g.meshgrid()
         w = np.cos(xx) * np.cos(2.0 * yy)
         lam = discrete_eigenvalue(1, math.pi, 24) + discrete_eigenvalue(2, math.pi, 24)
-        v = solve_helmholtz(op, (mu + lam) * w)
+        v = op.solve((mu + lam) * w)
         assert v == pytest.approx(w, abs=1e-8)
 
     def test_comparison_principle_random_pairs(self, rng):
@@ -111,27 +111,27 @@ class TestSolver:
         for _ in range(20):
             f2 = rng.uniform(0.0, 1.0, size=48)
             f1 = f2 + rng.uniform(0.0, 1.0, size=48)
-            v1 = solve_helmholtz(op, f1)
-            v2 = solve_helmholtz(op, f2)
+            v1 = op.solve(f1)
+            v2 = op.solve(f2)
             assert float((v1 - v2).min()) >= -1e-12
 
     def test_positivity(self, rng):
         g = GridDomain.interval(2.0, 32)
         op = get_operator(g, 0.7)
-        v = solve_helmholtz(op, rng.uniform(0.1, 1.0, size=32))
+        v = op.solve(rng.uniform(0.1, 1.0, size=32))
         assert v.min() > 0.0
 
     def test_shape_mismatch_rejected(self, interval_pi):
         op = get_operator(interval_pi, 1.0)
         with pytest.raises(ValueError, match="shape"):
-            solve_helmholtz(op, np.ones(32))
+            op.solve(np.ones(32))
 
     def test_non_finite_rhs_rejected(self, interval_pi):
         op = get_operator(interval_pi, 1.0)
         rhs = np.ones(64)
         rhs[3] = math.nan
         with pytest.raises(NonFiniteInput):
-            solve_helmholtz(op, rhs)
+            op.solve(rhs)
 
     def test_chemical_field_mean_identity(self, interval_pi, rng):
         # Summing the discrete equation: mu sum(v) = nu sum(u^gamma).
@@ -170,11 +170,23 @@ class TestDirectSolves:
 
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_nan_rhs_fails_the_residual_check(self, name):
+        # NaN and infinities fail the check and are reported as NonFiniteInput,
+        # which every handler of SolverFailure or ValueError still catches.
         grid = self.GRIDS[name]
-        rhs = np.ones(grid.shape)
-        rhs.flat[5] = math.nan
-        with pytest.raises(SolverFailure):
-            get_operator(grid, 1.0).solve(rhs)
+        for value in (math.nan, math.inf, -math.inf):
+            rhs = np.ones(grid.shape)
+            rhs.flat[5] = value
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput) as info:
+                get_operator(grid, 1.0).solve(rhs)
+            assert isinstance(info.value, SolverFailure)
+            assert isinstance(info.value, ValueError)
+
+    def test_finite_rhs_failing_the_check_is_a_plain_solver_failure(self, monkeypatch, rng):
+        monkeypatch.setattr(chemostab.helmholtz, "RESIDUAL_RTOL", 0.0)
+        grid = self.GRIDS["1d"]
+        with pytest.raises(SolverFailure) as info:
+            get_operator(grid, 1.0).solve(rng.uniform(0.0, 1.0, size=grid.shape))
+        assert not isinstance(info.value, NonFiniteInput)
 
     def test_residual_contract_on_a_large_2d_grid(self, rng):
         grid = GridDomain.rectangle(math.pi, math.pi, 128, 128)

@@ -7,6 +7,7 @@ import pytest
 
 from chemostab import (
     BlowupDetected,
+    FieldState,
     GridDomain,
     InitSpec,
     StepConfig,
@@ -17,11 +18,12 @@ from chemostab import (
     stable_dt,
     step,
 )
-from chemostab.helmholtz import RESIDUAL_RTOL, neumann_laplacian
+from chemostab.helmholtz import RESIDUAL_RTOL, NonFiniteInput, face_slices, neumann_laplacian
 from chemostab.integrator import (
     TRAJECTORY_CSV_HEADER,
     DegenerateState,
     chemotactic_face_flux,
+    face_drift,
     flux_divergence,
 )
 from conftest import make_params
@@ -100,6 +102,31 @@ class TestFlux:
         (flux,) = chemotactic_face_flux(u, v, p, g)
         drift = (v[1:] - v[:-1]) / g.spacing[0] * (1.0 + 0.5 * (v[1:] + v[:-1])) ** 0
         assert flux == pytest.approx(u[:-1] ** 2 * drift, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20)],
+        ids=["1d", "2d"],
+    )
+    def test_flux_and_stable_dt_are_built_from_face_drift(self, grid, rng):
+        p = make_params(chi0=1.7, beta=1.5, m=2.0, a=0.0, b=0.0)
+        u = rng.uniform(0.5, 2.0, size=grid.shape)
+        v = rng.uniform(0.1, 1.0, size=grid.shape)
+        drifts = face_drift(v, p, grid)
+        fluxes = chemotactic_face_flux(u, v, p, grid)
+        for axis, (flux, drift) in enumerate(zip(fluxes, drifts)):
+            lo, hi = face_slices(grid.dimension, axis)
+            grad = np.diff(v, axis=axis) / grid.spacing[axis]
+            expected = p.chi0 * (1.0 + 0.5 * (v[lo] + v[hi])) ** -p.beta * grad
+            assert drift == pytest.approx(expected, rel=1e-13)
+            donor = np.where(drift > 0.0, u[lo], u[hi])
+            assert np.array_equal(flux, donor**p.m * drift)
+        # No reaction limit (a = b = 0) and a loose cap: the advective limit binds.
+        cfg = StepConfig(t_end=1.0, dt=10.0, dt_policy="cfl")
+        scale = float(u.max()) ** (p.m - 1.0)
+        limit = min(h / (float(np.abs(drift).max()) * scale)
+                    for h, drift in zip(grid.spacing, drifts))
+        assert stable_dt(FieldState(0.0, u, v), p, grid, cfg) == cfg.sigma_cfl * limit
 
 
 class TestMassAndReaction:
@@ -226,6 +253,15 @@ class TestDiffusionSolve:
         residual = np.abs(new.u / dt - lap_u - rhs).max()
         assert residual <= RESIDUAL_RTOL * np.abs(rhs).max()
 
+    def test_non_finite_explicit_stage_raises_non_finite_input(self, interval_pi):
+        p = make_params()
+        state = init_state(interval_pi, InitSpec.constant(1.0), p)
+        u = state.u.copy()
+        u[10] = 1e200  # b u^(1 + alpha) overflows, so the explicit stage holds -inf
+        cfg = StepConfig(t_end=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
+            step(FieldState(0.0, u, state.v), p, interval_pi, 1e-3, cfg)
+
 
 class TestStableDt:
     def test_no_drift_no_reaction_returns_cap(self, interval_pi):
@@ -246,8 +282,6 @@ class TestStableDt:
         bad = init_state(interval_pi, InitSpec.constant(1.0), p)
         u = bad.u.copy()
         u[0] = math.inf
-        from chemostab import FieldState
-
         cfg = StepConfig(t_end=1.0, dt=1e-3, dt_policy="cfl")
         with pytest.raises(DegenerateState):
             stable_dt(FieldState(0.0, u, bad.v), p, interval_pi, cfg)

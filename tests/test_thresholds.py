@@ -126,13 +126,13 @@ class TestChiBeta:
 class TestRegularityConstants:
     def test_m_star_oracle(self):
         # 32 * 1 * (4 + 1) + 16 / 4 = 164 at N=1, p=2, mu=nu=1, C*=1.
-        assert m_star(1, 2.0, 1.0, 1.0, default_c_star_stub()) == 164.0
+        assert m_star(2.0, 1.0, 1.0, default_c_star_stub()) == 164.0
 
     def test_m_star_gates(self):
         with pytest.raises(HypothesisViolated):
-            m_star(1, 1.0, 1.0, 1.0, default_c_star_stub())
+            m_star(1.0, 1.0, 1.0, default_c_star_stub())
         with pytest.raises(MissingCZConstant):
-            m_star(1, 2.0, 1.0, 1.0, None)
+            m_star(2.0, 1.0, 1.0, None)
 
     def test_stub_is_flagged(self):
         stub = default_c_star_stub()
