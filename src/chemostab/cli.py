@@ -40,8 +40,8 @@ from .config import (
     get_str,
     grid_from_config,
     init_from_config,
-    load_config,
     params_from_config,
+    read_config,
     step_config_from_config,
 )
 from .core import (
@@ -133,7 +133,7 @@ def _equilibrium_for(cfg, grid: GridDomain, params: ModelParams) -> Equilibrium:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = read_config(args.config)
     params = params_from_config(cfg)
     grid = _grid_checked(cfg)
     eq = _equilibrium_for(cfg, grid, params)
@@ -168,7 +168,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cfg = load_config(args.config)
+    cfg = read_config(args.config)
     params = params_from_config(cfg)
     grid = grid_from_config(cfg)
     eq = _equilibrium_for(cfg, grid, params)
@@ -204,7 +204,7 @@ def _load_c_star(path: str | None):
 
 
 def cmd_thresholds(args) -> int:
-    cfg = load_config(args.config)
+    cfg = read_config(args.config)
     params = params_from_config(cfg)
     # Calibration run: empirical envelope bounds for the minimal model.
     calibrate = params.minimal and "init.kind" in cfg and "run.t_end" in cfg
@@ -244,7 +244,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_rectangle(args) -> int:
-    cfg = load_config(args.config)
+    cfg = read_config(args.config)
     params = params_from_config(cfg)
     eq = equilibrium(params)
     rp = normalize(params, eq, m0=args.m0, mode=args.mode)
@@ -280,7 +280,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    cfg = read_config(args.config)
     base = {key: value for key, value in cfg.items()}
     parameter = get_str(cfg, "sweep.parameter")
     if parameter not in PARAM_FIELDS:

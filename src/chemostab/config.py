@@ -1,15 +1,9 @@
 """Plain-text run configuration: `key = value` lines with dotted keys.
 
 Blank lines and `#` comments are ignored. Lists are comma-separated.
-Recognized keys:
-
-  chi0 beta m alpha gamma a b mu nu        model coefficients
-  domain.dimension domain.lengths domain.cells
-  init.kind (constant | perturbation | array)
-  init.value init.u_star init.amplitude init.mode init.path
-  run.t_end run.dt run.dt_policy run.sigma_cfl run.output_stride
-  run.blowup_cap run.positivity_floor run.store_snapshots
-  sweep.parameter sweep.values
+`CONFIG_KEYS` below lists the recognized keys; `read_config`, which every
+`--config` command uses, rejects any other, so a misspelt key is an error
+rather than a silent default.
 """
 
 from __future__ import annotations
@@ -34,6 +28,23 @@ class ConfigError(ValueError):
     """Malformed or incomplete configuration."""
 
 
+# run.* keys and the types they parse as; their defaults live in StepConfig.
+RUN_KEYS = {
+    "t_end": float, "dt": float, "dt_policy": str, "sigma_cfl": float,
+    "output_stride": int, "blowup_cap": float, "positivity_floor": float,
+    "store_snapshots": bool,
+}
+
+CONFIG_KEYS = frozenset(
+    PARAM_FIELDS  # model coefficients
+    + ("domain.dimension", "domain.lengths", "domain.cells")
+    # init.kind is constant, perturbation or array
+    + ("init.kind", "init.value", "init.u_star", "init.amplitude", "init.mode", "init.path")
+    + tuple(f"run.{name}" for name in RUN_KEYS)
+    + ("sweep.parameter", "sweep.values")
+)
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -55,6 +66,15 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str | Path) -> dict[str, str]:
     return parse_config_text(Path(path).read_text())
+
+
+def read_config(path: str | Path) -> dict[str, str]:
+    """`load_config`, raising ConfigError on a key outside CONFIG_KEYS."""
+    cfg = load_config(path)
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    return cfg
 
 
 def _convert(key: str, value: str, kind: type) -> float | int | str | bool:
@@ -158,18 +178,15 @@ def init_from_config(cfg: Mapping[str, str], base_u_star: float | None = None) -
 
 
 def step_config_from_config(cfg: Mapping[str, str]) -> StepConfig:
+    """StepConfig from the run.* keys present; run.t_end is required."""
+    if "run.t_end" not in cfg:
+        raise ConfigError("missing required key 'run.t_end'")
+    given = {
+        name: _convert(f"run.{name}", cfg[f"run.{name}"], kind)
+        for name, kind in RUN_KEYS.items()
+        if f"run.{name}" in cfg
+    }
     try:
-        return StepConfig(
-            t_end=get_float(cfg, "run.t_end"),
-            dt=get_float(cfg, "run.dt", 1e-3),
-            dt_policy=get_str(cfg, "run.dt_policy", "fixed"),
-            sigma_cfl=get_float(cfg, "run.sigma_cfl", 0.9),
-            output_stride=get_int(cfg, "run.output_stride", 10),
-            blowup_cap=get_float(cfg, "run.blowup_cap", 1e6),
-            positivity_floor=get_float(cfg, "run.positivity_floor", 0.0),
-            store_snapshots=get_bool(cfg, "run.store_snapshots", False),
-        )
+        return StepConfig(**given)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc

@@ -76,11 +76,11 @@ def signal_energy(
     The gradient uses the same interior face differences as the elliptic
     stencil; boundary faces contribute zero.
     """
-    from .helmholtz import face_differences
+    from .helmholtz import face_gradients
 
     w = np.asarray(v, dtype=float) - v_star
     energy = mu * float((w**2).sum()) * grid.cell_volume
-    for g in face_differences(w, grid):
+    for g in face_gradients(w, grid):
         energy += float((g**2).sum()) * grid.cell_volume
     return energy
 

@@ -18,11 +18,16 @@ Both solves are direct and keep no factorisation:
 
 1D stays tridiagonal because the transform pair rounds more than the
 elimination: a 1D DCT solve misses the residual contract at 1024 cells and
-mu = 1. Every solve checks max |(mu - lap_h) w - r| <= 1e-10 max |r| with a
-mirror-ghost stencil and raises SolverFailure otherwise, NaN included; a
-non-finite right-hand side raises NonFiniteInput, a SolverFailure too.
-`HelmholtzOperator.solve` is the one entry point for both the signal and the
-diffusion solve.
+mu = 1. Every solve checks max |(mu - lap_h) w - r| <= 1e-10 max |r| with
+the mirror-ghost stencil `add_laplacian` and raises SolverFailure otherwise,
+NaN included; a non-finite right-hand side raises NonFiniteInput, a
+SolverFailure too. `HelmholtzOperator.solve` is the one entry point for both
+the signal and the diffusion solve.
+
+`add_laplacian` is the one written form of lap_h: the residual check, the
+dense matrix of the stability check (`laplacian` on unit fields) and
+`face_gradients` all index faces through `face_slices`. The 1D bands and the
+2D DCT eigenvalues are lap_h in the forms that `dptsv` and the DCT take.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dptsv
 
 from .core import GridDomain, ModelParams
@@ -49,27 +53,6 @@ class SolverFailure(RuntimeError):
 
 class NonFiniteInput(SolverFailure, ValueError):
     """Right-hand side contains NaN or infinity."""
-
-
-def neumann_laplacian_1d(n: int, h: float) -> sp.csr_matrix:
-    """Second-order cell-centered Laplacian with mirror ghost cells."""
-    main = np.full(n, -2.0)
-    main[0] = -1.0
-    main[-1] = -1.0
-    off = np.ones(n - 1)
-    lap = sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
-    return lap * (1.0 / h**2)
-
-
-def neumann_laplacian(grid: GridDomain) -> sp.csr_matrix:
-    """Discrete Neumann Laplacian on the grid, acting on raveled fields."""
-    if grid.dimension == 1:
-        return neumann_laplacian_1d(grid.cells[0], grid.spacing[0])
-    nx, ny = grid.cells
-    hx, hy = grid.spacing
-    lx = neumann_laplacian_1d(nx, hx)
-    ly = neumann_laplacian_1d(ny, hy)
-    return (sp.kron(lx, sp.identity(ny)) + sp.kron(sp.identity(nx), ly)).tocsr()
 
 
 def _dct_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -110,14 +93,9 @@ class HelmholtzOperator:
 
             modes = fft.dctn(r, type=2, norm="ortho") / self.diagonal
             w = fft.idctn(modes, type=2, norm="ortho")
-        # (mu - lap_h) w - r by the mirror-ghost stencil, accumulated in place;
-        # face differences come first, so neighbouring values cancel exactly.
-        res = self.mu * w - r
-        for axis, h in enumerate(self.grid.spacing):
-            low, high = face_slices(self.grid.dimension, axis)
-            flux = (w[high] - w[low]) / h**2
-            res[low] -= flux
-            res[high] += flux
+        # r - (mu - lap_h) w, the negated residual, accumulated in place.
+        res = r - self.mu * w
+        add_laplacian(res, w, self.grid)
         residual = float(np.abs(res).max())
         scale = float(np.abs(r).max()) or 1.0
         if not residual <= RESIDUAL_RTOL * scale:
@@ -161,24 +139,38 @@ def face_slices(dimension: int, axis: int) -> tuple[tuple[slice, ...], tuple[sli
     return tuple(low), tuple(high)
 
 
-def face_differences(w: np.ndarray, grid: GridDomain) -> list[np.ndarray]:
-    """Interior-face gradients (w_right - w_left) / h along each axis.
+def add_laplacian(out: np.ndarray, w: np.ndarray, grid: GridDomain) -> None:
+    """Add lap_h w into `out` in place, by the mirror-ghost stencil.
+
+    Each interior face difference over h^2 goes into its low cell and out of
+    its high cell; boundary faces carry none. Face differences come first, so
+    neighbouring values cancel exactly. Axes after the grid's are carried
+    along, so one call applies lap_h to a stack of fields.
+    """
+    for axis, h in enumerate(grid.spacing):
+        low, high = face_slices(grid.dimension, axis)
+        flux = (w[high] - w[low]) / h**2
+        out[low] += flux
+        out[high] -= flux
+
+
+def laplacian(w: np.ndarray, grid: GridDomain) -> np.ndarray:
+    """lap_h w in a new array shaped like w (grid axes first)."""
+    w = np.asarray(w, dtype=float)
+    out = np.zeros_like(w)
+    add_laplacian(out, w, grid)
+    return out
+
+
+def face_gradients(w: np.ndarray, grid: GridDomain) -> list[np.ndarray]:
+    """Interior-face gradients (w_high - w_low) / h, one array per axis.
 
     Boundary faces carry zero gradient under the mirror-ghost convention
     and are omitted.
     """
     w = np.asarray(w, dtype=float)
     grads = []
-    for axis in range(grid.dimension):
-        h = grid.spacing[axis]
-        grads.append(np.diff(w, axis=axis) / h)
+    for axis, h in enumerate(grid.spacing):
+        low, high = face_slices(grid.dimension, axis)
+        grads.append((w[high] - w[low]) / h)
     return grads
-
-
-def max_face_gradient(w: np.ndarray, grid: GridDomain) -> float:
-    """Largest face-gradient magnitude over all axes."""
-    best = 0.0
-    for g in face_differences(w, grid):
-        if g.size:
-            best = max(best, float(np.abs(g).max()))
-    return best

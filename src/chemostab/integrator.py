@@ -107,7 +107,11 @@ class Trajectory:
         return len(self.times)
 
     def write_csv(self, path: str) -> None:
+        """One row per sample; raises ValueError if the series differ in length."""
         columns = [getattr(self, name) for name in SERIES]
+        lengths = {name: len(column) for name, column in zip(SERIES, columns)}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"trajectory series differ in length: {lengths}")
         with open(path, "w", newline="\n") as fh:
             fh.write(TRAJECTORY_CSV_HEADER + "\n")
             for row in zip(*columns):

@@ -227,7 +227,7 @@ def contraction_tail(rect: RectangleTrajectory) -> tuple[float, float, bool]:
     """Final distance of (ubar, ulow) from (1, 1) and log-gap monotonicity."""
     final = max(abs(rect.ubar[-1] - 1.0), abs(rect.ulow[-1] - 1.0))
     gap = rect.log_gap()
-    increase = float(np.max(np.diff(gap))) if len(gap) > 1 else 0.0
+    increase = float(np.max(gap[1:] - gap[:-1])) if len(gap) > 1 else 0.0
     monotone = increase <= ORDER_TOL
     return float(final), increase, monotone
 

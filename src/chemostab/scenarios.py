@@ -82,7 +82,7 @@ def _max_tolerated_increase(values: np.ndarray, tol_scale: float = 1e-8) -> floa
     values = np.asarray(values, dtype=float)
     if len(values) < 2:
         return 0.0
-    diffs = np.diff(values)
+    diffs = values[1:] - values[:-1]
     allowance = tol_scale * (1.0 + np.abs(values[:-1]))
     return float(np.max(diffs - allowance))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Equilibrium, GridDomain, ModelParams, SpectrumTable
-from .helmholtz import neumann_laplacian
+from .helmholtz import laplacian
 
 
 class SpectrumTooShort(ValueError):
@@ -112,7 +112,8 @@ def _certified_minimum(candidates: np.ndarray, tail_window: int = 10):
         raise SpectrumTooShort(
             f"need at least {tail_window + 2} eigenvalues, got {modes + 1}"
         )
-    if np.any(np.diff(candidates[..., -tail_window:], axis=-1) < 0.0):
+    tail = candidates[..., -tail_window:]
+    if np.any(tail[..., 1:] < tail[..., :-1]):
         raise SpectrumTooShort(
             "candidate sequence still decreasing at the end of the table; "
             "supply more eigenvalues"
@@ -159,6 +160,21 @@ def classify_equilibrium(
     )
 
 
+def dense_laplacian(grid: GridDomain) -> np.ndarray:
+    """lap_h as a dense (n, n) matrix: the stencil applied to every unit field.
+
+    Raises EigsolverFailure before any n^2 allocation when the grid has more
+    than DENSE_EIG_CELL_LIMIT cells.
+    """
+    n = grid.total_cells
+    if n > DENSE_EIG_CELL_LIMIT:
+        raise EigsolverFailure(
+            f"{n} cells exceeds the dense eigendecomposition limit "
+            f"{DENSE_EIG_CELL_LIMIT}"
+        )
+    return laplacian(np.eye(n).reshape(*grid.shape, n), grid).reshape(n, n)
+
+
 def linearized_matrix(
     params: ModelParams, eq: Equilibrium, grid: GridDomain
 ) -> np.ndarray:
@@ -170,13 +186,11 @@ def linearized_matrix(
     A is a rational function of the symmetric lap_h, hence symmetric with
     the same eigenvectors.
     """
-    n = grid.total_cells
-    if n > DENSE_EIG_CELL_LIMIT:
-        raise EigsolverFailure(
-            f"{n} cells exceeds the dense eigendecomposition limit "
-            f"{DENSE_EIG_CELL_LIMIT}"
-        )
-    lap = neumann_laplacian(grid).toarray()
+    return _linearization(params, eq, dense_laplacian(grid))
+
+
+def _linearization(params: ModelParams, eq: Equilibrium, lap: np.ndarray) -> np.ndarray:
+    n = lap.shape[0]
     coupling = params.chi0 * _feedback_gain(params, eq)
     helm_inv = np.linalg.inv(params.mu * np.eye(n) - lap)
     a = (
@@ -214,8 +228,8 @@ def discrete_spectrum_check(
     n = grid.total_cells
     if n_modes < 1 or n_modes >= n:
         raise ValueError(f"n_modes must be in [1, {n - 1}], got {n_modes}")
-    lap = neumann_laplacian(grid).toarray()
-    a = linearized_matrix(params, eq, grid)
+    lap = dense_laplacian(grid)
+    a = _linearization(params, eq, lap)
     try:
         lam_h, vecs = np.linalg.eigh(-0.5 * (lap + lap.T))
         eig_a = np.linalg.eigvalsh(a)

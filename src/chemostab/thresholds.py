@@ -519,7 +519,7 @@ def estimate_m0(
     the estimate is the running maximum. It can only under-shoot the true
     constant.
     """
-    from .helmholtz import get_operator, max_face_gradient
+    from .helmholtz import face_gradients, get_operator
 
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
@@ -541,7 +541,8 @@ def estimate_m0(
             continue
         f = f / osc
         w = op.solve(nu * f)
-        best = max(best, max_face_gradient(w, grid) * math.sqrt(mu) / nu)
+        steepest = max(float(np.abs(g).max()) for g in face_gradients(w, grid))
+        best = max(best, steepest * math.sqrt(mu) / nu)
     return best
 
 

@@ -23,6 +23,7 @@ from chemostab.config import (
     step_config_from_config,
 )
 from chemostab.core import Equilibrium
+from chemostab.integrator import StepConfig
 from conftest import REFERENCE, make_params
 
 BASE_CFG = """
@@ -163,6 +164,12 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="missing"):
             step_config_from_config({})
 
+    def test_step_config_defaults_come_from_step_config(self):
+        assert step_config_from_config({"run.t_end": "2.5"}) == StepConfig(t_end=2.5)
+        cfg = step_config_from_config({"run.t_end": "1", "run.dt_policy": "cfl",
+                                       "run.store_snapshots": "yes"})
+        assert cfg == StepConfig(t_end=1.0, dt_policy="cfl", store_snapshots=True)
+
 
 class TestJsonable:
     def test_infinities_become_strings(self):
@@ -218,6 +225,18 @@ class TestSimulateCommand:
         code, payload, error = run_cli(capsys, "simulate", "--config", cfg)
         assert code == 2
         assert error["error"] == "GridTooLarge"
+
+    @pytest.mark.parametrize("command", ["simulate", "stability", "thresholds",
+                                         "rectangle", "sweep"])
+    def test_misspelt_keys_rejected(self, tmp_path, capsys, command):
+        text = BASE_CFG.format(**REFERENCE) + "run.dt_polcy = cfl\nrun.output_strid = 5\n"
+        cfg = write_cfg(tmp_path, text=text)
+        code, payload, error = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "ConfigError"
+        assert "'run.dt_polcy'" in error["message"]
+        assert "'run.output_strid'" in error["message"]
 
     def test_missing_config_file(self, capsys):
         code, payload, error = run_cli(capsys, "simulate", "--config", "/no/such.cfg")

@@ -15,11 +15,10 @@ from chemostab.helmholtz import (
     NonFiniteInput,
     SingularOperator,
     SolverFailure,
-    face_differences,
-    max_face_gradient,
-    neumann_laplacian,
-    neumann_laplacian_1d,
+    face_gradients,
+    laplacian,
 )
+from chemostab.stability import dense_laplacian
 from conftest import make_params
 
 
@@ -29,29 +28,51 @@ def discrete_eigenvalue(n: int, length: float, cells: int) -> float:
     return (4.0 / h**2) * math.sin(n * math.pi * h / (2.0 * length)) ** 2
 
 
+def tridiagonal_laplacian(n: int, h: float) -> np.ndarray:
+    """The mirror-ghost 1D Laplacian written out as a dense matrix."""
+    lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+           + np.diag(np.ones(n - 1), -1))
+    lap[0, 0] = lap[-1, -1] = -1.0
+    return lap / h**2
+
+
 class TestLaplacian:
     def test_row_sums_vanish(self):
-        lap = neumann_laplacian_1d(16, 0.25).toarray()
+        lap = dense_laplacian(GridDomain.interval(4.0, 16))
         assert np.abs(lap.sum(axis=1)).max() < 1e-12
 
     def test_symmetry(self):
-        lap = neumann_laplacian_1d(16, 0.25).toarray()
+        lap = dense_laplacian(GridDomain.interval(4.0, 16))
         assert np.abs(lap - lap.T).max() == 0.0
 
     def test_constant_in_kernel_2d(self):
         g = GridDomain.rectangle(1.0, 2.0, 8, 12)
-        lap = neumann_laplacian(g)
-        ones = np.ones(g.total_cells)
-        assert np.abs(lap @ ones).max() < 1e-12
+        assert np.abs(laplacian(np.ones(g.shape), g)).max() < 1e-12
 
     def test_cosine_is_exact_eigenvector(self):
         # cos(n pi x / L) sampled at cell centers diagonalizes the stencil.
         g = GridDomain.interval(math.pi, 32)
-        lap = neumann_laplacian(g)
         for n in (1, 3, 7):
             w = np.cos(n * g.centers())
             lam = discrete_eigenvalue(n, math.pi, 32)
-            assert lap @ w == pytest.approx(-lam * w, abs=1e-10)
+            assert laplacian(w, g) == pytest.approx(-lam * w, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridDomain.interval(4.0, 16), GridDomain.rectangle(1.0, 2.5, 12, 20)],
+        ids=["1d", "2d"],
+    )
+    def test_dense_matrix_is_the_kronecker_sum_of_tridiagonals(self, grid):
+        # An independent form of lap_h: the stencil's matrix on unit fields
+        # against the tridiagonal matrices, combined as lx (x) I + I (x) ly.
+        mats = [tridiagonal_laplacian(n, h) for n, h in zip(grid.cells, grid.spacing)]
+        if grid.dimension == 1:
+            (expected,) = mats
+        else:
+            (nx, ny), (lx, ly) = grid.cells, mats
+            expected = np.kron(lx, np.eye(ny)) + np.kron(np.eye(nx), ly)
+        lap = dense_laplacian(grid)
+        assert np.abs(lap - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestSolver:
@@ -155,7 +176,7 @@ class TestDirectSolves:
     def test_matches_dense_solve(self, name, mu, rng):
         grid = self.GRIDS[name]
         rhs = rng.uniform(-1.0, 2.0, size=grid.shape)
-        dense = mu * np.eye(grid.total_cells) - neumann_laplacian(grid).toarray()
+        dense = mu * np.eye(grid.total_cells) - dense_laplacian(grid)
         expected = np.linalg.solve(dense, rhs.ravel()).reshape(grid.shape)
         v = get_operator(grid, mu).solve(rhs)
         assert v.shape == grid.shape
@@ -193,32 +214,36 @@ class TestDirectSolves:
         rhs = rng.uniform(0.0, 1.0, size=grid.shape)
         for mu in (1.0, 1e3):
             v = get_operator(grid, mu).solve(rhs)
-            residual = mu * v.ravel() - neumann_laplacian(grid) @ v.ravel() - rhs.ravel()
+            # The stencil on the field: a dense 16,384^2 matrix would take 2 GiB.
+            residual = mu * v - laplacian(v, grid) - rhs
             assert np.abs(residual).max() <= RESIDUAL_RTOL * np.abs(rhs).max()
 
-    def test_import_leaves_scipy_fft_unloaded(self):
+    @pytest.mark.parametrize("module", ["scipy.fft", "scipy.sparse"])
+    def test_import_leaves_module_unloaded(self, module):
         # scipy.fft pulls in scipy.special; only a 2D solve should pay for it.
+        # No code path needs scipy.sparse.
         src = str(Path(chemostab.__file__).resolve().parents[1])
         code = f"import sys; sys.path.insert(0, {src!r}); import chemostab; " \
-               "print('scipy.fft' in sys.modules)"
+               f"print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
 
 
 class TestFaceGradients:
-    def test_face_differences_shapes(self):
+    def test_face_gradients_shapes(self):
         g = GridDomain.rectangle(1.0, 1.0, 8, 10)
         w = np.arange(80, dtype=float).reshape(8, 10)
-        gx, gy = face_differences(w, g)
+        gx, gy = face_gradients(w, g)
         assert gx.shape == (7, 10)
         assert gy.shape == (8, 9)
 
     def test_linear_profile_gradient(self):
         g = GridDomain.interval(1.0, 10)
         w = 3.0 * g.centers()
-        (gx,) = face_differences(w, g)
+        (gx,) = face_gradients(w, g)
         assert gx == pytest.approx(np.full(9, 3.0), rel=1e-12)
 
-    def test_max_face_gradient_constant_is_zero(self, interval_pi):
-        assert max_face_gradient(np.ones(64), interval_pi) == 0.0
+    def test_constant_has_zero_face_gradients(self, interval_pi):
+        (g,) = face_gradients(np.ones(64), interval_pi)
+        assert np.abs(g).max() == 0.0

@@ -18,7 +18,7 @@ from chemostab import (
     stable_dt,
     step,
 )
-from chemostab.helmholtz import RESIDUAL_RTOL, NonFiniteInput, face_slices, neumann_laplacian
+from chemostab.helmholtz import RESIDUAL_RTOL, NonFiniteInput, face_slices, laplacian
 from chemostab.integrator import (
     TRAJECTORY_CSV_HEADER,
     DegenerateState,
@@ -239,7 +239,7 @@ class TestRunControls:
 
 class TestDiffusionSolve:
     def test_2d_step_meets_the_residual_contract(self, rng):
-        # (I/dt - lap_h) u_new = explicit / dt, checked with the sparse stencil.
+        # (I/dt - lap_h) u_new = explicit / dt, checked with the stencil.
         grid = GridDomain.rectangle(math.pi, 2.0, 24, 16)
         p = make_params(chi0=1.5)
         u = rng.uniform(0.5, 1.5, size=grid.shape)
@@ -249,7 +249,7 @@ class TestDiffusionSolve:
         assert clipped == 0
         div = flux_divergence(chemotactic_face_flux(u, state.v, p, grid), grid)
         rhs = (u + dt * (-div + p.a * u - p.b * u ** (1.0 + p.alpha))) / dt
-        lap_u = (neumann_laplacian(grid) @ new.u.ravel()).reshape(grid.shape)
+        lap_u = laplacian(new.u, grid)
         residual = np.abs(new.u / dt - lap_u - rhs).max()
         assert residual <= RESIDUAL_RTOL * np.abs(rhs).max()
 
@@ -307,6 +307,15 @@ class TestTrajectoryOutput:
         assert lines[0] == TRAJECTORY_CSV_HEADER
         assert len(lines) == len(traj) + 1
         assert len(lines[1].split(",")) == 9
+
+    def test_csv_rejects_series_of_different_lengths(self, interval_pi, tmp_path):
+        p = make_params()
+        traj = Trajectory(p, interval_pi, equilibrium(p),
+                          times=np.linspace(0.0, 1.0, 5), u_min=np.ones(5))
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="'times': 5.*'u_max': 0"):
+            traj.write_csv(str(path))
+        assert not path.exists()
 
     def test_summaries_match_final_state(self, interval_pi):
         p = make_params(chi0=2.0, beta=1.0)

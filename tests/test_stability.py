@@ -18,7 +18,10 @@ from chemostab import (
     sigma_n,
     sigma_zero,
 )
+from chemostab import stability
+from chemostab.helmholtz import laplacian
 from chemostab.stability import (
+    DENSE_EIG_CELL_LIMIT,
     EigsolverFailure,
     SpectrumTooShort,
     linearized_matrix,
@@ -186,6 +189,28 @@ class TestDiscreteOperator:
         big = GridDomain.rectangle(1.0, 1.0, 128, 128)
         with pytest.raises(EigsolverFailure):
             linearized_matrix(make_params(), reference_eq, big)
+
+    def test_cell_limit_checked_before_any_dense_build(self, reference_eq, monkeypatch):
+        def no_dense_build(*args):
+            raise AssertionError("dense Laplacian built on an over-limit grid")
+
+        monkeypatch.setattr(stability, "laplacian", no_dense_build)
+        big = GridDomain.interval(math.pi, DENSE_EIG_CELL_LIMIT + 1)
+        with pytest.raises(EigsolverFailure):
+            discrete_spectrum_check(make_params(), reference_eq, big, n_modes=5)
+        with pytest.raises(EigsolverFailure):
+            linearized_matrix(make_params(), reference_eq, big)
+
+    def test_dense_laplacian_built_once_per_check(self, reference_eq, interval_pi, monkeypatch):
+        calls = []
+
+        def counted(w, grid):
+            calls.append(grid)
+            return laplacian(w, grid)
+
+        monkeypatch.setattr(stability, "laplacian", counted)
+        discrete_spectrum_check(make_params(chi0=3.0), reference_eq, interval_pi, n_modes=5)
+        assert calls == [interval_pi]
 
     def test_rates_match_dispersion_on_grid(self, reference_eq, interval_pi):
         p = make_params(chi0=3.0)
