@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -149,7 +150,10 @@ class GridDomain:
     def rectangle(cls, lx: float, ly: float, nx: int, ny: int) -> GridDomain:
         return cls(2, (lx, ly), (nx, ny))
 
-    @property
+    # Computed on first use and kept on the instance: the time-stepping loop
+    # reads them several times per step. They are not fields, so equality and
+    # hashing still see only (dimension, lengths, cells).
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.cells))
 
@@ -157,7 +161,7 @@ class GridDomain:
     def volume(self) -> float:
         return math.prod(self.lengths)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return math.prod(self.spacing)
 

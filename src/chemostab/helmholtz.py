@@ -96,8 +96,10 @@ class HelmholtzOperator:
         # r - (mu - lap_h) w, the negated residual, accumulated in place.
         res = r - self.mu * w
         add_laplacian(res, w, self.grid)
-        residual = float(np.abs(res).max())
-        scale = float(np.abs(r).max()) or 1.0
+        # Max-norms by the ufunc reduction itself (ndarray.max wraps it in
+        # Python); NaN propagates through both.
+        residual = float(np.maximum.reduce(np.abs(res, out=res), axis=None))
+        scale = float(np.maximum.reduce(np.abs(r), axis=None)) or 1.0
         if not residual <= RESIDUAL_RTOL * scale:
             if not np.isfinite(r).all():
                 raise NonFiniteInput("right-hand side contains non-finite values")
@@ -125,7 +127,9 @@ def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
 def chemical_field(params: ModelParams, u: np.ndarray, grid: GridDomain) -> np.ndarray:
     """Signal field slaved to the density: solve with rhs = nu u^gamma."""
     u = np.asarray(u, dtype=float)
-    return get_operator(grid, params.mu).solve(params.nu * u**params.gamma)
+    # With gamma = 1, u**gamma is u itself and is skipped.
+    source = u if params.gamma == 1.0 else u**params.gamma
+    return get_operator(grid, params.mu).solve(params.nu * source)
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +154,11 @@ def add_laplacian(out: np.ndarray, w: np.ndarray, grid: GridDomain) -> None:
     for axis, h in enumerate(grid.spacing):
         low, high = face_slices(grid.dimension, axis)
         flux = (w[high] - w[low]) / h**2
-        out[low] += flux
-        out[high] -= flux
+        # In place on views: `out[low] += flux` would also copy the view
+        # back onto itself.
+        low_cells, high_cells = out[low], out[high]
+        low_cells += flux
+        high_cells -= flux
 
 
 def laplacian(w: np.ndarray, grid: GridDomain) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Parameter validation, equilibria, grids, spectra, and initial data."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from chemostab.core import (
     NonPositiveCoefficient,
     NonPositiveInitialData,
 )
+from chemostab.helmholtz import get_operator
 from conftest import REFERENCE, make_params
 
 
@@ -179,6 +181,39 @@ class TestGridDomain:
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError):
             GridDomain.interval(0.0, 8)
+
+    def test_fields_are_the_grid_description(self):
+        names = tuple(f.name for f in dataclasses.fields(GridDomain))
+        assert names == ("dimension", "lengths", "cells")
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: GridDomain.interval(math.pi, 64),
+         lambda: GridDomain.rectangle(1.0, 2.5, 12, 20),
+         lambda: GridDomain(2, [1, 2.5], [12.0, 20.0])],
+        ids=["1d", "2d", "2d-coerced"],
+    )
+    def test_equal_grids_share_equality_hash_and_operator(self, build):
+        first, second = build(), build()
+        assert first.cell_volume > 0.0  # caches spacing and cell_volume on one grid only
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert get_operator(first, 0.7) is get_operator(second, 0.7)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20),
+         GridDomain.rectangle(0.3, 7.0, 33, 17)],
+        ids=["1d", "2d", "2d-uneven"],
+    )
+    def test_spacing_and_cell_volume(self, grid):
+        expected = tuple(L / n for L, n in zip(grid.lengths, grid.cells))
+        assert grid.spacing == expected
+        assert grid.spacing is grid.spacing  # computed once per grid
+        assert grid.cell_volume == math.prod(expected)
+        resized = dataclasses.replace(grid, cells=tuple(2 * n for n in grid.cells))
+        assert resized.spacing == tuple(h / 2 for h in expected)
 
 
 class TestSpectrum:

@@ -104,23 +104,27 @@ class TestFlux:
         assert flux == pytest.approx(u[:-1] ** 2 * drift, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "grid",
-        [GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20)],
-        ids=["1d", "2d"],
+        "grid, beta, m",
+        [(grid, beta, m)
+         for beta, m in [(1.5, 2.0), (0.5, 1.0), (0.0, 1.0)]
+         for grid in (GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20))],
+        ids=["1d", "2d", "1d-beta0.5-m1", "2d-beta0.5-m1", "1d-beta0-m1", "2d-beta0-m1"],
     )
-    def test_flux_and_stable_dt_are_built_from_face_drift(self, grid, rng):
-        p = make_params(chi0=1.7, beta=1.5, m=2.0, a=0.0, b=0.0)
+    def test_flux_and_stable_dt_are_built_from_face_drift(self, grid, beta, m, rng):
+        p = make_params(chi0=1.7, beta=beta, m=m, a=0.0, b=0.0)
         u = rng.uniform(0.5, 2.0, size=grid.shape)
         v = rng.uniform(0.1, 1.0, size=grid.shape)
         drifts = face_drift(v, p, grid)
         fluxes = chemotactic_face_flux(u, v, p, grid)
         for axis, (flux, drift) in enumerate(zip(fluxes, drifts)):
             lo, hi = face_slices(grid.dimension, axis)
-            grad = np.diff(v, axis=axis) / grid.spacing[axis]
-            expected = p.chi0 * (1.0 + 0.5 * (v[lo] + v[hi])) ** -p.beta * grad
-            assert drift == pytest.approx(expected, rel=1e-13)
+            v_lo, v_hi, h = v[lo], v[hi], grid.spacing[axis]
+            # The full expression, every factor evaluated even when it is 1:
+            # skipping a unit factor must not move a bit.
+            expected = p.chi0 * (1 + 0.5 * (v_lo + v_hi)) ** (-p.beta) * (v_hi - v_lo) / h
+            assert drift.tobytes() == expected.tobytes()
             donor = np.where(drift > 0.0, u[lo], u[hi])
-            assert np.array_equal(flux, donor**p.m * drift)
+            assert flux.tobytes() == (donor**p.m * drift).tobytes()
         # No reaction limit (a = b = 0) and a loose cap: the advective limit binds.
         cfg = StepConfig(t_end=1.0, dt=10.0, dt_policy="cfl")
         scale = float(u.max()) ** (p.m - 1.0)

@@ -19,6 +19,7 @@ from chemostab import (
     verify_sandwich,
 )
 from chemostab.rectangle import (
+    ORDER_TOL,
     MinimalModelUnsupported,
     OrderViolation,
     TimeGridMismatch,
@@ -135,6 +136,80 @@ class TestIntegration:
             integrate_rectangle(rp, 1.2, 0.8, tau_end=0.0)
         with pytest.raises(ValueError):
             integrate_rectangle(rp, 1.2, 0.8, tau_end=1.0, dt=-1e-3)
+
+
+def array_rk4(rp, ubar0, ulow0, tau_end, dt):
+    """The RK4 loop that integrate_rectangle once ran: (ubar, ulow) as a
+    length-2 array through rectangle_rhs. The reference for the float loop."""
+    n_steps = max(1, int(round(tau_end / dt)))
+    tau = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    ubar = np.empty(n_steps + 1)
+    ulow = np.empty(n_steps + 1)
+    state = np.array([float(ubar0), float(ulow0)])
+    ubar[0], ulow[0] = state
+    for i in range(n_steps):
+        k1 = rectangle_rhs(state, rp)
+        k2 = rectangle_rhs(state + 0.5 * dt * k1, rp)
+        k3 = rectangle_rhs(state + 0.5 * dt * k2, rp)
+        k4 = rectangle_rhs(state + dt * k3, rp)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(state)):
+            raise OrderViolation(f"non-finite state at tau = {tau[i + 1]}")
+        if state[1] <= 0.0 or state[1] > 1.0 + ORDER_TOL or state[0] < 1.0 - ORDER_TOL:
+            raise OrderViolation(
+                f"ordering ulow <= 1 <= ubar broke at tau = {tau[i + 1]}: "
+                f"({state[0]}, {state[1]})"
+            )
+        ubar[i + 1], ulow[i + 1] = state
+    return ubar, ulow
+
+
+class TestFloatLoopMatchesArrayLoop:
+    """integrate_rectangle advances two floats; it must round exactly as
+    the array loop over rectangle_rhs does."""
+
+    def test_plain_pair_is_byte_identical(self, reference_eq):
+        rp = normalize(make_params(chi0=0.3), reference_eq, m0=0.0)
+        traj = integrate_rectangle(rp, 1.25, 0.75, tau_end=12.0, dt=1e-3)
+        ubar, ulow = array_rk4(rp, 1.25, 0.75, 12.0, 1e-3)
+        assert traj.ubar.tobytes() == ubar.tobytes()
+        assert traj.ulow.tobytes() == ulow.tobytes()
+
+    def test_signal_floor_pair_is_byte_identical(self):
+        p = make_params(chi0=0.05, beta=1.0, m=1.5, alpha=2.0, gamma=1.5)
+        rp = normalize(p, equilibrium(p), m0=1.0, mode="signal-floor")
+        assert rp.quad > 0.0 and rp.kappa < rp.kappa0
+        traj = integrate_rectangle(rp, 1.3, 0.6, tau_end=12.0, dt=1e-3)
+        ubar, ulow = array_rk4(rp, 1.3, 0.6, 12.0, 1e-3)
+        assert traj.ubar.tobytes() == ubar.tobytes()
+        assert traj.ulow.tobytes() == ulow.tobytes()
+
+    @pytest.mark.parametrize(
+        "overrides, pair, dt",
+        [
+            # the ordering breaks with a finite state
+            ({"chi0": 5.0}, (1.25, 0.75), 1e-3),
+            # a stage value turns negative under fractional powers: NaN in
+            # numpy, complex for floats
+            ({"chi0": 3.0, "beta": 1.0, "m": 2.5, "gamma": 1.5, "alpha": 0.5},
+             (3.0, 0.2), 1e-2),
+            # complex powers that overflow
+            ({"chi0": 20.0, "beta": 1.0, "m": 3.5, "gamma": 2.5, "alpha": 0.5},
+             (50.0, 0.2), 5e-2),
+            # float powers that overflow: inf in numpy, OverflowError for floats
+            ({"chi0": 5.0}, (1e100, 0.5), 1e-3),
+        ],
+        ids=["ordering", "negative-stage", "complex-overflow", "float-overflow"],
+    )
+    def test_broken_order_raises_at_the_same_tau(self, overrides, pair, dt):
+        p = make_params(**overrides)
+        rp = normalize(p, equilibrium(p), m0=1.0, mode="signal-floor")
+        with np.errstate(all="ignore"), pytest.raises(OrderViolation) as reference:
+            array_rk4(rp, *pair, 40.0, dt)
+        with pytest.raises(OrderViolation) as excinfo:
+            integrate_rectangle(rp, *pair, tau_end=40.0, dt=dt)
+        # The message names tau, and the state when it is finite.
+        assert str(excinfo.value) == str(reference.value)
 
 
 class TestSandwich:
