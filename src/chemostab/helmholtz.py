@@ -7,10 +7,13 @@ mu = 1/dt. The mirror-ghost Laplacian has zero row sums, so mu I - lap_h
 is a symmetric M-matrix: constants are reproduced exactly and the discrete
 comparison principle holds.
 
-Both solves are direct and keep no factorisation:
+Both solves are direct, and the 1D solve keeps its factorisation:
 
-- 1D: mu I - lap_h is a symmetric positive-definite tridiagonal matrix,
-  solved in O(n) by LAPACK's `dptsv`.
+- 1D: mu I - lap_h is a symmetric positive-definite tridiagonal matrix.
+  `get_operator` factors it once as L D L^T with LAPACK's `dpttrf`, and
+  each solve is the O(n) substitution `dpttrs`. That is what `dptsv` does
+  on every call, so the solution is bitwise the same; the factors live on
+  the operator that `get_operator`'s cache holds, and nowhere else.
 - 2D: the mirror-ghost Laplacian is diagonal in the type-II DCT basis,
   with eigenvalues (4/h^2) sin^2(k pi / 2n) per axis (G. Strang, "The
   Discrete Cosine Transform", SIAM Review 41, 1999), so the solve is one
@@ -27,7 +30,7 @@ the signal and the diffusion solve.
 `add_laplacian` is the one written form of lap_h: the residual check, the
 dense matrix of the stability check (`laplacian` on unit fields) and
 `face_gradients` all index faces through `face_slices`. The 1D bands and the
-2D DCT eigenvalues are lap_h in the forms that `dptsv` and the DCT take.
+2D DCT eigenvalues are lap_h in the forms that `dpttrf` and the DCT take.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .core import GridDomain, ModelParams
 
@@ -64,10 +67,11 @@ def _dct_eigenvalues(n: int, h: float) -> np.ndarray:
 class HelmholtzOperator:
     """(mu I - lap_h) for one (grid, mu) pair, solved directly.
 
-    In 1D `diagonal` and `off_diagonal` are the tridiagonal matrix; in 2D
-    `diagonal` holds its eigenvalues mu + lambda_x + lambda_y in the DCT-II
-    basis and `off_diagonal` is None. Immutable and shareable; `solve`
-    allocates its own output.
+    In 1D `diagonal` and `off_diagonal` hold the L D L^T factors of the
+    tridiagonal matrix, as `dpttrf` returns them: D, and the subdiagonal of
+    the unit bidiagonal L. In 2D `diagonal` holds the matrix's eigenvalues
+    mu + lambda_x + lambda_y in the DCT-II basis and `off_diagonal` is None.
+    Immutable and shareable; `solve` allocates its own output.
     """
 
     grid: GridDomain
@@ -85,9 +89,9 @@ class HelmholtzOperator:
         """
         r = np.asarray(rhs, dtype=float).reshape(self.grid.shape)
         if self.off_diagonal is not None:
-            _, _, w, info = dptsv(self.diagonal, self.off_diagonal, r)
-            if info != 0:
-                raise SolverFailure(f"tridiagonal solve failed with info={info}")
+            # info is nonzero only for an illegal argument, which leaves w
+            # unsolved; the residual check below then fails.
+            w, _ = dpttrs(self.diagonal, self.off_diagonal, r)
         else:
             from scipy import fft  # imports scipy.special; only 2D grids pay for it
 
@@ -111,14 +115,23 @@ class HelmholtzOperator:
 
 @lru_cache(maxsize=64)
 def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
-    """Build (or fetch a cached) operator; a build is one O(n) array fill."""
+    """Build (or fetch a cached) operator.
+
+    A 1D build fills the tridiagonal bands and factors them with `dpttrf`,
+    both O(n); it raises SolverFailure if the factorisation fails. A 2D
+    build fills the DCT eigenvalues. The cache is the only store of
+    operators and factors.
+    """
     if not np.isfinite(mu) or mu <= 0.0:
         raise SingularOperator(f"mu must be positive, got {mu}")
     if grid.dimension == 1:
         n, h = grid.cells[0], grid.spacing[0]
         diagonal = np.full(n, mu + 2.0 / h**2)
         diagonal[[0, -1]] = mu + 1.0 / h**2
-        return HelmholtzOperator(grid, mu, diagonal, np.full(n - 1, -1.0 / h**2))
+        factor_d, factor_e, info = dpttrf(diagonal, np.full(n - 1, -1.0 / h**2))
+        if info != 0:
+            raise SolverFailure(f"tridiagonal factorisation failed with info={info}")
+        return HelmholtzOperator(grid, mu, factor_d, factor_e)
     (nx, ny), (hx, hy) = grid.cells, grid.spacing
     diagonal = mu + _dct_eigenvalues(nx, hx)[:, None] + _dct_eigenvalues(ny, hy)[None, :]
     return HelmholtzOperator(grid, mu, diagonal, None)

@@ -140,15 +140,19 @@ def face_drift(v: np.ndarray, params: ModelParams, grid: GridDomain) -> list[np.
 
 
 def chemotactic_face_flux(
-    u: np.ndarray, v: np.ndarray, params: ModelParams, grid: GridDomain
+    u: np.ndarray, v: np.ndarray, params: ModelParams, grid: GridDomain,
+    drifts: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Upwinded chemotactic flux on interior faces, one array per axis.
 
     The transported density u^m is taken from the donor cell selected by
-    the sign of the face drift.
+    the sign of the face drift. `drifts` is face_drift(v, params, grid) when
+    the caller already has it; it is computed here otherwise.
     """
+    if drifts is None:
+        drifts = face_drift(v, params, grid)
     fluxes = []
-    for axis, drift in enumerate(face_drift(v, params, grid)):
+    for axis, drift in enumerate(drifts):
         lo, hi = face_slices(grid.dimension, axis)
         donor = np.where(drift > 0.0, u[lo], u[hi])
         # With m = 1, donor**m is donor itself and is skipped.
@@ -173,19 +177,29 @@ def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
 
 
 def stable_dt(state: FieldState, params: ModelParams, grid: GridDomain,
-              cfg: StepConfig) -> float:
+              cfg: StepConfig, drifts: list[np.ndarray] | None = None) -> float:
     """Largest step respecting the advective CFL and reaction limits.
 
     Diffusion is implicit and imposes no limit. Returns sigma_cfl times
-    the binding limit, capped at cfg.dt.
+    the binding limit, capped at cfg.dt. `drifts` is
+    face_drift(state.v, params, grid) when the caller already has it.
+
+    Raises DegenerateState for a non-finite state, read off the reductions
+    the bound takes anyway: NaN or +inf in u shows in max(u), -inf in
+    min(u). NaN or an infinity in v makes the drift speed non-finite, since
+    every cell touches an interior face and even chi0 = 0 times an infinite
+    difference is NaN; so does a drift that overflows.
     """
-    if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))):
-        raise DegenerateState("state contains non-finite values")
-    u_max = float(state.u.max())
+    u_max = float(np.maximum.reduce(state.u, axis=None))
+    u_min = float(np.minimum.reduce(state.u, axis=None))
+    if not (math.isfinite(u_max) and math.isfinite(u_min)):
+        raise DegenerateState("density contains non-finite values")
+    if drifts is None:
+        drifts = face_drift(state.v, params, grid)
     limit = math.inf
     fluxes_scale = max(u_max, 0.0) ** (params.m - 1.0)
-    for h, drift in zip(grid.spacing, face_drift(state.v, params, grid)):
-        speed = float(np.abs(drift).max()) * fluxes_scale
+    for h, drift in zip(grid.spacing, drifts):
+        speed = float(np.maximum.reduce(np.abs(drift), axis=None)) * fluxes_scale
         if not math.isfinite(speed):
             raise DegenerateState("chemotactic drift is non-finite")
         if speed > 0.0:
@@ -203,10 +217,15 @@ def step(
     grid: GridDomain,
     dt: float,
     cfg: StepConfig,
+    drifts: list[np.ndarray] | None = None,
 ) -> tuple[FieldState, int]:
-    """One IMEX step; returns the new state and the positivity clip count."""
+    """One IMEX step; returns the new state and the positivity clip count.
+
+    `drifts` is face_drift(state.v, params, grid) when the caller already
+    has it; it is computed here otherwise.
+    """
     u, v = state.u, state.v
-    div = flux_divergence(chemotactic_face_flux(u, v, params, grid), grid)
+    div = flux_divergence(chemotactic_face_flux(u, v, params, grid, drifts=drifts), grid)
     explicit = u + dt * (-div + params.a * u - params.b * u ** (1.0 + params.alpha))
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
     # (I - dt lap_h) u = explicit  <=>  ((1/dt) I - lap_h) u = explicit / dt.
@@ -284,15 +303,18 @@ def run(
     while (steps < total) if fixed else (state.time < cfg.t_end - 1e-14 * cfg.t_end):
         if fixed:
             dt = cfg.dt if steps + 1 < total else last_dt
+            drifts = None
         else:
-            dt = stable_dt(state, params, grid, cfg)
+            # One drift per step serves both the step bound and the flux.
+            drifts = face_drift(state.v, params, grid)
+            dt = stable_dt(state, params, grid, cfg, drifts=drifts)
             remaining = cfg.t_end - state.time
             # Absorb float-accumulation residue into the final step rather than
             # trailing a micro-step (which would also cost an operator build).
             if remaining <= dt * (1.0 + 1e-9):
                 dt = remaining
         try:
-            state, clipped = step(state, params, grid, dt, cfg)
+            state, clipped = step(state, params, grid, dt, cfg, drifts=drifts)
         except BlowupDetected:
             traj.final_state = state
             _finalize(traj, rows)

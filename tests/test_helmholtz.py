@@ -7,9 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dptsv
 
 import chemostab
-from chemostab import GridDomain, chemical_field, get_operator
+from chemostab import (
+    GridDomain,
+    InitSpec,
+    StepConfig,
+    chemical_field,
+    get_operator,
+    init_state,
+    run,
+)
 from chemostab.helmholtz import (
     RESIDUAL_RTOL,
     NonFiniteInput,
@@ -228,6 +237,52 @@ class TestDirectSolves:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestFactoredSolve:
+    """The 1D operator is factored once by `dpttrf`; each solve substitutes."""
+
+    @pytest.mark.parametrize("cells", [8, 64, 512])
+    # The last mu is 1/dt, the diffusion operator of a step of dt = 7e-3.
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 200.0, 1e3, 1.0 / 7e-3])
+    def test_solve_is_bitwise_dptsv_on_the_bands(self, cells, mu, rng):
+        # dptsv factors the unfactored bands and substitutes in one call:
+        # the reference this operator's solve must reproduce byte for byte.
+        grid = GridDomain.interval(math.pi, cells)
+        h = grid.spacing[0]
+        diagonal = np.full(cells, mu + 2.0 / h**2)
+        diagonal[[0, -1]] = mu + 1.0 / h**2
+        off_diagonal = np.full(cells - 1, -1.0 / h**2)
+        for rhs in (rng.uniform(-1.0, 2.0, size=cells), 1.0 + 0.5 * np.cos(grid.centers())):
+            _, _, expected, info = dptsv(diagonal, off_diagonal, rhs)
+            assert info == 0
+            assert get_operator(grid, mu).solve(rhs).tobytes() == expected.tobytes()
+
+    def test_each_operator_is_factored_once_per_run(self, monkeypatch):
+        calls = []
+        factor = chemostab.helmholtz.dpttrf
+
+        def counting_dpttrf(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(chemostab.helmholtz, "dpttrf", counting_dpttrf)
+        get_operator.cache_clear()
+        grid = GridDomain.interval(math.pi, 64)
+        p = make_params(chi0=2.0)
+        state = init_state(grid, InitSpec.perturbation(1.0, 0.1), p)
+        traj = run(p, grid, state, StepConfig(t_end=0.2, dt=1e-3))
+        assert traj.steps_taken == 200
+        # Once for the signal operator (mu = 1), once for diffusion (1/dt).
+        assert len(calls) == 2
+        assert get_operator.cache_info().misses == 2
+
+    def test_failed_factorisation_raises_at_build(self, monkeypatch):
+        monkeypatch.setattr(chemostab.helmholtz, "dpttrf",
+                            lambda d, e: (d, e, 3))
+        get_operator.cache_clear()
+        with pytest.raises(SolverFailure, match="info=3"):
+            get_operator(GridDomain.interval(math.pi, 64), 1.0)
 
 
 class TestFaceGradients:

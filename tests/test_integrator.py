@@ -18,6 +18,7 @@ from chemostab import (
     stable_dt,
     step,
 )
+import chemostab
 from chemostab.helmholtz import RESIDUAL_RTOL, NonFiniteInput, face_slices, laplacian
 from chemostab.integrator import (
     TRAJECTORY_CSV_HEADER,
@@ -281,6 +282,32 @@ class TestStableDt:
         cfg = StepConfig(t_end=1.0, dt=1.0, dt_policy="cfl")
         assert stable_dt(state, p, interval_pi, cfg) == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-drift", "given-drift"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("name", ["u", "v"])
+    @pytest.mark.parametrize("chi0, beta, m",
+                             [(0.0, 0.0, 1.0), (0.0, 1.5, 2.0), (2.0, 1.5, 1.0), (2.0, 0.0, 2.0)])
+    @pytest.mark.parametrize(
+        "grid",
+        [GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20)],
+        ids=["1d", "2d"],
+    )
+    def test_any_non_finite_cell_is_degenerate(self, grid, chi0, beta, m, name, value, shared):
+        # stable_dt reads finiteness off the reductions of its bound: max and
+        # min of u, and the drift speed for v. Each cell is tried, corners and
+        # edges included, with chi0 = 0 (no drift) and a saturating beta.
+        p = make_params(chi0=chi0, beta=beta, m=m)
+        state = init_state(grid, InitSpec.constant(1.0), p)
+        cfg = StepConfig(t_end=1.0, dt=1e-3, dt_policy="cfl")
+        for cell in range(grid.total_cells):
+            fields = {"u": state.u.copy(), "v": state.v.copy()}
+            fields[name].flat[cell] = value
+            bad = FieldState(0.0, fields["u"], fields["v"])
+            with np.errstate(invalid="ignore", over="ignore"), \
+                    pytest.raises(DegenerateState):
+                drifts = face_drift(bad.v, p, grid) if shared else None
+                stable_dt(bad, p, grid, cfg, drifts=drifts)
+
     def test_degenerate_state_rejected(self, interval_pi):
         p = make_params()
         bad = init_state(interval_pi, InitSpec.constant(1.0), p)
@@ -297,6 +324,63 @@ class TestStableDt:
         cfg = StepConfig(t_end=0.5, dt=1e-2, dt_policy="cfl")
         traj = run(p, interval_pi, state, cfg)
         assert traj.times[-1] == pytest.approx(0.5, abs=1e-12)
+
+
+class TestDriftOncePerStep:
+    GRIDS = {
+        "1d": (GridDomain.interval(math.pi, 64), 1),
+        "2d": (GridDomain.rectangle(math.pi, 2.0, 16, 12), (1, 1)),
+    }
+
+    @staticmethod
+    def separate_bound_and_step(state, p, grid, cfg):
+        """Every state of a `cfl` run made the way it was before the drift
+        was shared: stable_dt on the state, then step, each computing its
+        own drift."""
+        states = [state]
+        while state.time < cfg.t_end - 1e-14 * cfg.t_end:
+            dt = stable_dt(state, p, grid, cfg)
+            remaining = cfg.t_end - state.time
+            if remaining <= dt * (1.0 + 1e-9):
+                dt = remaining
+            state, _ = step(state, p, grid, dt, cfg)
+            states.append(state)
+        return states
+
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_cfl_run_computes_one_drift_per_step(self, name, monkeypatch):
+        grid, mode = self.GRIDS[name]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5)
+        init = init_state(grid, InitSpec.perturbation(1.0, 0.3, mode), p)
+        cfg = StepConfig(t_end=0.3, dt=2e-2, dt_policy="cfl", output_stride=3,
+                         store_snapshots=True)
+        expected = self.separate_bound_and_step(init, p, grid, cfg)
+
+        calls = []
+        drift = chemostab.integrator.face_drift
+
+        def counting_face_drift(*args, **kwargs):
+            calls.append(args)
+            return drift(*args, **kwargs)
+
+        monkeypatch.setattr(chemostab.integrator, "face_drift", counting_face_drift)
+        traj = run(p, grid, init, cfg)
+        steps = len(expected) - 1
+        assert traj.steps_taken == steps
+        assert len(calls) == steps
+        # The advective limit binds, so the step size does vary.
+        assert len({b.time - a.time for a, b in zip(expected, expected[1:])}) > 2
+
+        sampled = list(range(0, steps + 1, cfg.output_stride))
+        if sampled[-1] != steps:
+            sampled.append(steps)
+        assert len(traj.snapshots) == len(sampled)
+        for got, k in zip(traj.snapshots, sampled):
+            assert got.time == expected[k].time
+            assert got.u.tobytes() == expected[k].u.tobytes()
+            assert got.v.tobytes() == expected[k].v.tobytes()
+        assert traj.u_max.tobytes() == np.array([expected[k].u.max() for k in sampled]).tobytes()
+        assert traj.final_state.u.tobytes() == expected[-1].u.tobytes()
 
 
 class TestTrajectoryOutput:
