@@ -60,7 +60,7 @@ class ModelParams:
     `chi0` may take any sign (attraction when positive, repulsion when
     negative). The remaining coefficients are constrained on construction:
     mu, nu, alpha, gamma > 0; beta >= 0; m >= 1; and either a, b > 0 or
-    a = b = 0.
+    a = b = 0. Every coefficient must be finite.
     """
 
     chi0: float
@@ -84,6 +84,10 @@ class ModelParams:
             raise NonPositiveCoefficient(f"beta must be >= 0, got {self.beta}")
         if self.m < 1.0 or not math.isfinite(self.m):
             raise MIsBelowOne(f"m must be >= 1, got {self.m}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise NonPositiveCoefficient(
+                f"source coefficients must be finite, got a={self.a}, b={self.b}"
+            )
         if self.a < 0.0 or self.b < 0.0:
             raise NonPositiveCoefficient(
                 f"source coefficients must be >= 0, got a={self.a}, b={self.b}"
@@ -187,15 +191,19 @@ class GridDomain:
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Spatially constant steady state (u*, v*) with v* = (nu/mu) u*^gamma."""
+    """Spatially constant steady state (u*, v*) with v* = (nu/mu) u*^gamma.
+
+    Both values must be positive and finite.
+    """
 
     u_star: float
     v_star: float
 
     def __post_init__(self) -> None:
-        if self.u_star <= 0.0 or self.v_star <= 0.0:
+        # Written so that NaN, which fails every comparison, fails too.
+        if not (0.0 < self.u_star < math.inf and 0.0 < self.v_star < math.inf):
             raise ValueError(
-                f"equilibrium must be positive, got ({self.u_star}, {self.v_star})"
+                f"equilibrium must be positive and finite, got ({self.u_star}, {self.v_star})"
             )
 
 

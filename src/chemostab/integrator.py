@@ -47,7 +47,9 @@ class StepConfig:
 
     `dt` is the fixed step under the "fixed" policy and the hard cap under
     the "cfl" policy, where each step also respects the advective and
-    reaction limits scaled by `sigma_cfl`.
+    reaction limits scaled by `sigma_cfl`. `t_end`, `dt` and
+    `positivity_floor` must be finite; `blowup_cap` may be infinite (no cap)
+    but not NaN.
     """
 
     t_end: float
@@ -60,20 +62,24 @@ class StepConfig:
     store_snapshots: bool = False
 
     def __post_init__(self) -> None:
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        # NaN fails every comparison, so finiteness is tested by name.
+        if not math.isfinite(self.t_end) or self.t_end <= 0.0:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not math.isfinite(self.dt) or self.dt <= 0.0:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt_policy not in ("fixed", "cfl"):
             raise ValueError(f"dt_policy must be 'fixed' or 'cfl', got {self.dt_policy}")
         if not 0.0 < self.sigma_cfl <= 1.0:
             raise ValueError(f"sigma_cfl must be in (0, 1], got {self.sigma_cfl}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        if self.blowup_cap <= 0.0:
+        # An infinite cap is no cap; a NaN cap would silently be none too.
+        if not self.blowup_cap > 0.0:
             raise ValueError(f"blowup_cap must be positive, got {self.blowup_cap}")
-        if self.positivity_floor < 0.0:
-            raise ValueError(f"positivity_floor must be >= 0, got {self.positivity_floor}")
+        if not math.isfinite(self.positivity_floor) or self.positivity_floor < 0.0:
+            raise ValueError(
+                f"positivity_floor must be >= 0 and finite, got {self.positivity_floor}"
+            )
 
 
 # The per-sample series of a Trajectory; the CSV names `times` "t".
@@ -226,10 +232,22 @@ def step(
     """
     u, v = state.u, state.v
     div = flux_divergence(chemotactic_face_flux(u, v, params, grid, drifts=drifts), grid)
-    explicit = u + dt * (-div + params.a * u - params.b * u ** (1.0 + params.alpha))
+    # The explicit stage u + dt (a u - div - b u^(1+alpha)), over dt, built in
+    # place on div's buffer. Each operation rounds as in the written form
+    # (u + dt * (-div + a u - b u^(1+alpha))) / dt, since x + (-y) is x - y
+    # and + and * commute in IEEE arithmetic, so every bit is the same. A
+    # factor a or b of exactly 1 is skipped.
+    stage = np.subtract(u if params.a == 1.0 else params.a * u, div, out=div)
+    sink = u ** (1.0 + params.alpha)
+    if params.b != 1.0:
+        sink *= params.b
+    stage -= sink
+    stage *= dt
+    stage += u
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
     # (I - dt lap_h) u = explicit  <=>  ((1/dt) I - lap_h) u = explicit / dt.
-    u_new = get_operator(grid, 1.0 / dt).solve(explicit / dt)
+    stage /= dt
+    u_new = get_operator(grid, 1.0 / dt).solve(stage)
 
     # One reduction decides whether any cell needs clipping. A NaN cell makes
     # the minimum NaN, so nothing is clipped, and BlowupDetected follows.

@@ -238,6 +238,21 @@ class TestSimulateCommand:
         assert "'run.dt_polcy'" in error["message"]
         assert "'run.output_strid'" in error["message"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("t_end", "nan"), ("t_end", "inf"), ("dt", "nan"), ("dt", "inf"),
+        ("positivity_floor", "nan"), ("positivity_floor", "inf"), ("blowup_cap", "nan"),
+    ])
+    def test_non_finite_run_keys_rejected(self, tmp_path, capsys, key, value):
+        text = BASE_CFG.format(**REFERENCE)
+        text = "\n".join(line for line in text.splitlines()
+                         if not line.startswith(f"run.{key} "))
+        cfg = write_cfg(tmp_path, text=text + f"\nrun.{key} = {value}\n")
+        code, payload, error = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "ConfigError"
+        assert key in error["message"]
+
     def test_missing_config_file(self, capsys):
         code, payload, error = run_cli(capsys, "simulate", "--config", "/no/such.cfg")
         assert code == 2

@@ -63,6 +63,14 @@ class TestModelParams:
         with pytest.raises(NonPositiveCoefficient):
             make_params(a=-1.0, b=1.0)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, math.nan), (math.inf, 1.0), (1.0, math.inf),
+                                      (math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_source_rejected(self, a, b):
+        # a = b = nan once passed and gave the equilibrium (nan, nan); a = inf
+        # gave u* = inf.
+        with pytest.raises(NonPositiveCoefficient, match="finite"):
+            make_params(a=a, b=b)
+
     def test_minimal_flag(self):
         assert make_params(a=0.0, b=0.0).minimal
         assert not make_params().minimal
@@ -118,6 +126,17 @@ class TestEquilibrium:
             Equilibrium(-1.0, 1.0)
         with pytest.raises(ValueError):
             Equilibrium(1.0, 0.0)
+
+    @pytest.mark.parametrize("u_star, v_star", [(math.nan, 1.0), (1.0, math.nan),
+                                                (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_equilibrium_rejected(self, u_star, v_star):
+        with pytest.raises(ValueError, match="finite"):
+            Equilibrium(u_star, v_star)
+
+    @pytest.mark.parametrize("u_star", [math.nan, math.inf])
+    def test_minimal_non_finite_u_star_rejected(self, u_star):
+        with pytest.raises(ValueError):
+            equilibrium(make_params(a=0.0, b=0.0), u_star=u_star)
 
     @given(
         a=st.floats(0.1, 10.0),

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dptsv
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dptsv, dpttrf
 
 import chemostab
 from chemostab import (
@@ -24,6 +27,7 @@ from chemostab.helmholtz import (
     NonFiniteInput,
     SingularOperator,
     SolverFailure,
+    add_laplacian,
     face_gradients,
     laplacian,
 )
@@ -86,10 +90,9 @@ class TestLaplacian:
 
 class TestSolver:
     def test_mu_must_be_positive(self, interval_pi):
-        with pytest.raises(SingularOperator):
-            get_operator(interval_pi, 0.0)
-        with pytest.raises(SingularOperator):
-            get_operator(interval_pi, -2.0)
+        for mu in (0.0, -2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(SingularOperator):
+                get_operator(interval_pi, mu)
 
     def test_operator_cache_returns_same_object(self, interval_pi):
         a = get_operator(interval_pi, 1.0)
@@ -277,12 +280,164 @@ class TestFactoredSolve:
         assert len(calls) == 2
         assert get_operator.cache_info().misses == 2
 
+    @pytest.mark.parametrize("cells", [8, 64, 1024])
+    @pytest.mark.parametrize("mu", [1e-2, 1.0, 1e3, 1.0 / 7e-3])
+    def test_factors_are_bitwise_those_of_the_written_bands(self, cells, mu):
+        # The bands built with a fancy-indexed end-cell write and factored on
+        # copies, as before the build wrote the end cells as scalars and let
+        # dpttrf overwrite its input.
+        get_operator.cache_clear()
+        grid = GridDomain.interval(math.pi, cells)
+        h = grid.spacing[0]
+        diagonal = np.full(cells, mu + 2.0 / h**2)
+        diagonal[[0, -1]] = mu + 1.0 / h**2
+        factor_d, factor_e, info = dpttrf(diagonal, np.full(cells - 1, -1.0 / h**2))
+        assert info == 0
+        op = get_operator(grid, mu)
+        assert op.diagonal.tobytes() == factor_d.tobytes()
+        assert op.off_diagonal.tobytes() == factor_e.tobytes()
+
     def test_failed_factorisation_raises_at_build(self, monkeypatch):
         monkeypatch.setattr(chemostab.helmholtz, "dpttrf",
-                            lambda d, e: (d, e, 3))
+                            lambda d, e, **overwrite: (d, e, 3))
         get_operator.cache_clear()
         with pytest.raises(SolverFailure, match="info=3"):
             get_operator(GridDomain.interval(math.pi, 64), 1.0)
+
+
+def solve_with_dense(op, r):
+    """(mu I - lap_h)^-1 r by a dense LU solve, independent of `solve`."""
+    dense = op.mu * np.eye(op.grid.total_cells) - dense_laplacian(op.grid)
+    return np.linalg.solve(dense, r.ravel()).reshape(op.grid.shape)
+
+
+def reference_certificate(op, r, w):
+    """The residual check as two full reductions: None when (r, w) passes,
+    else the type and message of the exception `solve` must raise."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = r - op.mu * w
+        add_laplacian(res, w, op.grid)
+    residual = float(np.abs(res).max())
+    scale = float(np.abs(r).max()) or 1.0
+    if residual <= chemostab.helmholtz.RESIDUAL_RTOL * scale:
+        return None
+    if not np.isfinite(r).all():
+        return NonFiniteInput, "right-hand side contains non-finite values"
+    return SolverFailure, (f"elliptic residual {residual:.3e} exceeds "
+                           f"{chemostab.helmholtz.RESIDUAL_RTOL:.1e} * {scale:.3e}")
+
+
+def solve_with(op, r, w):
+    """op.solve(r) with the direct solve made to return w: the outcome of
+    the certificate on (r, w), as (None, solution) or (type, message)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if op.grid.dimension == 1:
+            mp.setattr(chemostab.helmholtz, "dpttrs", lambda d, e, b: (w.copy(), 0))
+        else:
+            mp.setattr(scipy.fft, "idctn", lambda *args, **kwargs: w.copy())
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                return None, op.solve(r)
+        except SolverFailure as exc:
+            return type(exc), str(exc)
+
+
+class TestResidualCertificate:
+    """`solve` accepts on one cell's bound first; its decision must be that of
+    the check with max |r|, for every (r, w)."""
+
+    GRIDS = [GridDomain.interval(math.pi, 8), GridDomain.interval(2.0, 64),
+             GridDomain.rectangle(1.0, 2.5, 8, 12), GridDomain.rectangle(math.pi, 1.0, 16, 9)]
+
+    @given(
+        grid=st.sampled_from(GRIDS),
+        mu=st.sampled_from([1e-2, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+        # Relative noise on the exact solve: 0, or 1e-18 up to 1e-6, which
+        # puts the residual on either side of the bound.
+        noise=st.one_of(st.just(0.0), st.floats(-18.0, -6.0).map(lambda e: 10.0**e)),
+        # Or noise scaled so that the residual lands near `ratio` times the
+        # full bound, where a wrong one-cell bound would show.
+        ratio=st.one_of(st.none(), st.floats(0.25, 4.0)),
+        # Scale of the first cell against the others: the one-cell bound is
+        # then too small to accept, and max |r| decides.
+        first=st.sampled_from([1.0, 1e-3, 1e-9, 0.0, -1.0, 1e3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decision_equals_the_two_reduction_check(self, grid, mu, seed, noise, ratio,
+                                                     first):
+        rng = np.random.default_rng(seed)
+        op = get_operator(grid, mu)
+        r = rng.uniform(-1.0, 2.0, size=grid.shape)
+        r.flat[0] *= first
+        exact = solve_with_dense(op, r)
+        delta = exact * rng.uniform(-1.0, 1.0, size=grid.shape)
+        if ratio is not None:
+            image = np.abs(op.mu * delta - laplacian(delta, grid)).max()
+            noise = ratio * RESIDUAL_RTOL * np.abs(r).max() / image
+        w = exact + noise * delta
+        outcome, value = solve_with(op, r, w)
+        expected = reference_certificate(op, r, w)
+        if expected is None:
+            assert outcome is None
+            assert value.tobytes() == w.tobytes()
+        else:
+            assert (outcome, value) == expected
+
+    @pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2]], ids=["1d", "2d"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", [0, -1], ids=["first", "last"])
+    def test_non_finite_cell_raises_non_finite_input(self, grid, value, cell):
+        r = np.ones(grid.shape)
+        r.flat[cell] = value
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(NonFiniteInput, match="non-finite values"):
+            get_operator(grid, 1.0).solve(r)
+
+    @pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2]], ids=["1d", "2d"])
+    @pytest.mark.parametrize("first_w", [1.0, math.inf], ids=["inf-residual", "nan-residual"])
+    def test_infinite_first_cell_leaves_the_decision_to_the_full_check(self, grid, first_w):
+        # The one-cell bound is infinite here, so it must not accept; the
+        # full check decides, as it did before there was a one-cell bound.
+        op = get_operator(grid, 1.0)
+        r = np.ones(grid.shape)
+        r.flat[0] = math.inf
+        w = np.ones(grid.shape)
+        w.flat[0] = first_w
+        outcome, value = solve_with(op, r, w)
+        expected = reference_certificate(op, r, w)
+        if expected is None:
+            assert outcome is None and value.tobytes() == w.tobytes()
+        else:
+            assert (outcome, value) == expected
+
+    @pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2]], ids=["1d", "2d"])
+    def test_zero_first_cell_with_other_cells_nonzero(self, grid, rng):
+        r = rng.uniform(0.5, 2.0, size=grid.shape)
+        r.flat[0] = 0.0
+        op = get_operator(grid, 1.0)
+        w = op.solve(r)
+        assert reference_certificate(op, r, w) is None
+        residual = np.abs(op.mu * w - laplacian(w, grid) - r).max()
+        assert residual <= RESIDUAL_RTOL * np.abs(r).max()
+
+    @pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2]], ids=["1d", "2d"])
+    def test_all_zero_rhs_solves_to_zero(self, grid):
+        w = get_operator(grid, 1.0).solve(np.zeros(grid.shape))
+        assert not np.any(w)
+
+    @pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2]], ids=["1d", "2d"])
+    def test_zero_tolerance_decides_as_the_full_check(self, grid, monkeypatch, rng):
+        monkeypatch.setattr(chemostab.helmholtz, "RESIDUAL_RTOL", 0.0)
+        op = get_operator(grid, 1.0)
+        # A zero residual meets a zero bound on both tests.
+        assert not np.any(op.solve(np.zeros(grid.shape)))
+        r = rng.uniform(0.0, 1.0, size=grid.shape)
+        w = solve_with_dense(op, r)
+        outcome, message = solve_with(op, r, w)
+        assert outcome is SolverFailure
+        assert "exceeds 0.0e+00" in message
+        assert (outcome, message) == reference_certificate(op, r, w)
 
 
 class TestFaceGradients:

@@ -59,6 +59,25 @@ class TestStepConfig:
         with pytest.raises(ValueError):
             StepConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("t_end", math.nan), ("t_end", math.inf),
+            ("dt", math.nan), ("dt", math.inf),
+            ("positivity_floor", math.nan), ("positivity_floor", math.inf),
+            ("blowup_cap", math.nan),
+        ],
+    )
+    def test_non_finite_values_rejected(self, name, value):
+        # Each once got through: a NaN t_end or dt made run die with an
+        # untyped error, an infinite dt took no step, a NaN cap or floor
+        # turned blow-up detection or clipping off.
+        with pytest.raises(ValueError, match=name):
+            StepConfig(**{"t_end": 1.0, name: value})
+
+    def test_infinite_blowup_cap_means_no_cap(self):
+        assert StepConfig(t_end=1.0, blowup_cap=math.inf).blowup_cap == math.inf
+
 
 class TestFlux:
     def test_zero_for_flat_signal(self, interval_pi, rng):
@@ -324,6 +343,51 @@ class TestStableDt:
         cfg = StepConfig(t_end=0.5, dt=1e-2, dt_policy="cfl")
         traj = run(p, interval_pi, state, cfg)
         assert traj.times[-1] == pytest.approx(0.5, abs=1e-12)
+
+
+class TestExplicitStageInPlace:
+    """`step` builds its explicit stage in place; every bit must be that of
+    the written form (u + dt (-div + a u - b u^(1+alpha))) / dt."""
+
+    @pytest.mark.parametrize("a, b, alpha", [(1.0, 1.0, 1.0), (2.0, 0.5, 1.5),
+                                             (0.0, 0.0, 1.0), (1.0, 3.0, 2.0)])
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    @pytest.mark.parametrize("grid", [GridDomain.interval(math.pi, 64),
+                                      GridDomain.rectangle(math.pi, 2.0, 16, 12)],
+                             ids=["1d", "2d"])
+    # A large step too: at dt = 1e-3 the last bits of the source term are
+    # lost in u + dt (...), at dt = 0.2 they show in the stage.
+    @pytest.mark.parametrize("dt", [1e-3, 0.2])
+    def test_stage_and_state_bitwise_the_written_form(self, grid, a, b, alpha, nu, dt,
+                                                      monkeypatch, rng):
+        p = make_params(chi0=2.5, beta=0.5, a=a, b=b, alpha=alpha, nu=nu)
+        u = rng.uniform(0.0, 2.0, size=grid.shape)
+        u[rng.uniform(size=grid.shape) < 0.25] = 0.0  # zero cells: signed zeros
+        state = FieldState(time=0.0, u=u, v=chemostab.chemical_field(p, u, grid))
+        u_bytes = u.tobytes()
+
+        div = flux_divergence(chemotactic_face_flux(u, state.v, p, grid), grid)
+        stage = (u + dt * (-div + p.a * u - p.b * u ** (1.0 + p.alpha))) / dt
+        u_new = chemostab.get_operator(grid, 1.0 / dt).solve(stage)
+        below = u_new < 0.0
+        u_new = np.where(below, 0.0, u_new)
+        v_new = chemostab.get_operator(grid, p.mu).solve(p.nu * u_new ** p.gamma)
+
+        rhs = []
+        solve = chemostab.helmholtz.HelmholtzOperator.solve
+
+        def recording_solve(op, r):
+            rhs.append(np.array(r, copy=True))
+            return solve(op, r)
+
+        monkeypatch.setattr(chemostab.helmholtz.HelmholtzOperator, "solve", recording_solve)
+        new, clipped = step(state, p, grid, dt, StepConfig(t_end=1.0, dt=dt))
+        assert clipped == np.count_nonzero(below)
+        assert rhs[0].tobytes() == stage.tobytes()
+        assert new.u.tobytes() == u_new.tobytes()
+        assert new.v.tobytes() == v_new.tobytes()
+        # The in-place stage leaves the state it started from untouched.
+        assert state.u.tobytes() == u_bytes
 
 
 class TestDriftOncePerStep:
