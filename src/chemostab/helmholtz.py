@@ -21,19 +21,32 @@ Both solves are direct, and the 1D solve keeps its factorisation:
 
 1D stays tridiagonal because the transform pair rounds more than the
 elimination: a 1D DCT solve misses the residual contract at 1024 cells and
-mu = 1. Every solve checks max |(mu - lap_h) w - r| <= 1e-10 max |r| with
-the mirror-ghost stencil `add_laplacian` and raises SolverFailure otherwise,
-NaN included; a non-finite right-hand side raises NonFiniteInput, a
-SolverFailure too. `HelmholtzOperator.solve` is the one entry point for both
-the signal and the diffusion solve.
+mu = 1. Every solve is certified by `certify`: max |(mu - lap_h) w - r| <=
+1e-10 max |r| with the mirror-ghost stencil `add_laplacian`, else
+SolverFailure, NaN included; a non-finite right-hand side raises
+NonFiniteInput, a SolverFailure too. `HelmholtzOperator.solve` is the one
+entry point for both the signal and the diffusion solve.
 
-The check certifies with one reduction when it can. It first tests the
-residual against 1e-10 |r_0|, r_0 being the first cell: since |r_0| is at
-most max |r| and a rounded product keeps that order, a residual within this
-bound is within the full one. Only a residual that it does not accept pays
-for the reduction max |r| and the full test, which then decides exactly as
-before; so the accept-or-raise decision and its message never change, and
-on a good solve the check costs one reduction instead of two.
+`certify` checks a stack of solves in one pass, one solve per column, and
+each column on its own: its residual against its own max |r|, so a large
+column cannot mask a small one. It first tests a residual against
+1e-10 |r_0|, r_0 the column's first cell: since |r_0| is at most max |r|
+and a rounded product keeps that order, a residual within this bound is
+within the full one. Only a residual that it does not accept pays for the
+reduction max |r| and the full test, which then decides exactly as the full
+test alone; so every accept-or-raise decision and message is that of the
+full test, and the first failing column, in order, raises.
+
+When the check runs: `solve` certifies at once, unless it is handed a
+`SolveBlock`. `integrator.run` hands one to every solve of its steps on
+grids of at most 256 cells, where the check's numpy dispatch, not its
+arithmetic, is the cost of a solve; the block copies each solve in and
+certifies up to 8192 cells of them in one stacked pass (128 solves on 64
+cells). The run certifies the block before it records a sample, before it
+returns, before it re-raises any error of a step, and whenever the block is
+full, so nothing built on an uncertified solve leaves the run, and a
+failing solve raises what it would have raised at once. The solutions are
+those of the direct solve either way: only the time of the check moves.
 
 `add_laplacian` is the one written form of lap_h: the residual check, the
 dense matrix of the stability check (`laplacian` on unit fields) and
@@ -53,6 +66,12 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .core import GridDomain, ModelParams
 
 RESIDUAL_RTOL = 1e-10
+
+# Block sizes of `solve_block`, measured on 1D grids of 64 to 1024 cells and
+# 2D grids of 8 x 12 and 12 x 20 on the 2-vCPU x86-64 machine described in
+# perfbench/README.md.
+BLOCK_CELLS = 1 << 13
+BLOCK_MIN_SOLVES = 32
 
 
 class SingularOperator(ValueError):
@@ -88,18 +107,15 @@ class HelmholtzOperator:
     diagonal: np.ndarray
     off_diagonal: np.ndarray | None
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, block: SolveBlock | None = None) -> np.ndarray:
         """Solve (mu I - lap_h) w = rhs for a raveled or grid-shaped rhs.
 
-        Returns w in the shape of rhs. Raises SolverFailure unless the
-        max-norm residual is at most 1e-10 * max |rhs|; a NaN residual fails.
-        A failed check raises NonFiniteInput when rhs holds NaN or infinity,
-        so finiteness is only looked at once the check has failed.
-
-        The check accepts first on 1e-10 * |rhs_0|, rhs_0 the first cell:
-        that bound is at most the full one, so what it accepts the full test
-        accepts too. Anything else goes to the full test, so the decision
-        is the same and a good solve takes one reduction, not two.
+        Returns w in the shape of rhs, certified by `certify` at once:
+        SolverFailure unless the max-norm residual is at most
+        1e-10 * max |rhs| (a NaN residual fails), NonFiniteInput when that
+        check fails and rhs holds NaN or infinity. With a `block` the check
+        waits in the block instead, and w is only certified once the block
+        is; `integrator.run` does this on small grids.
         """
         rhs = np.asarray(rhs, dtype=float)
         shape = self.grid.shape
@@ -108,32 +124,104 @@ class HelmholtzOperator:
         r = rhs if rhs.shape == shape else rhs.reshape(shape)
         if self.off_diagonal is not None:
             # info is nonzero only for an illegal argument, which leaves w
-            # unsolved; the residual check below then fails.
+            # unsolved; the residual check then fails.
             w, _ = dpttrs(self.diagonal, self.off_diagonal, r)
         else:
             from scipy import fft  # imports scipy.special; only 2D grids pay for it
 
             modes = fft.dctn(r, type=2, norm="ortho") / self.diagonal
             w = fft.idctn(modes, type=2, norm="ortho")
-        # r - (mu - lap_h) w, the negated residual, accumulated in one buffer.
-        res = self.mu * w
-        np.subtract(r, res, out=res)
-        add_laplacian(res, w, self.grid)
-        # Max-norms by the ufunc reduction itself (ndarray.max wraps it in
-        # Python); NaN propagates through both.
-        residual = float(np.maximum.reduce(np.abs(res, out=res), axis=None))
+        if block is None:
+            certify(self.grid, self.mu, r[..., None], w[..., None])
+        else:
+            block.add(self.mu, r, w)
+        return w if r is rhs else w.reshape(rhs.shape)
+
+
+def certify(grid: GridDomain, mu, rhs: np.ndarray, solutions: np.ndarray) -> None:
+    """Certify solves (mu_k I - lap_h) w_k = r_k, stacked as columns.
+
+    `rhs` and `solutions` have the grid axes first and one trailing axis
+    of solves; `mu` is a float or one value per solve. Column k is accepted
+    when max |r_k - (mu_k - lap_h) w_k| <= 1e-10 max |r_k| (or 1e-10 when
+    r_k is all zero); a NaN residual fails. The first column, in order,
+    that is not accepted raises NonFiniteInput when r_k holds NaN or
+    infinity, SolverFailure otherwise.
+
+    Each column is first tested against 1e-10 |r_k0|, r_k0 its first cell:
+    that bound is at most the full one, so what it accepts the full test
+    accepts too. Only a column it does not accept pays for max |r_k|.
+    """
+    # r - (mu - lap_h) w, the negated residual, accumulated in one buffer.
+    res = mu * solutions
+    np.subtract(rhs, res, out=res)
+    add_laplacian(res, solutions, grid)
+    # Max-norms by the ufunc reduction itself (ndarray.max wraps it in
+    # Python); NaN propagates through it.
+    residuals = np.maximum.reduce(np.abs(res, out=res), axis=tuple(range(grid.dimension)))
+    firsts = rhs[(0,) * grid.dimension]
+    for k, (residual, first) in enumerate(zip(residuals.tolist(), firsts.tolist())):
         # An infinite one-cell bound (an infinite first cell) accepts nothing
         # by itself: the full test decides.
-        quick = RESIDUAL_RTOL * abs(r.item(0))
-        if not (residual <= quick and math.isfinite(quick)):
-            scale = float(np.maximum.reduce(np.abs(r), axis=None)) or 1.0
-            if not residual <= RESIDUAL_RTOL * scale:
-                if not np.isfinite(r).all():
-                    raise NonFiniteInput("right-hand side contains non-finite values")
-                raise SolverFailure(
-                    f"elliptic residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e} * {scale:.3e}"
-                )
-        return w if r is rhs else w.reshape(rhs.shape)
+        quick = RESIDUAL_RTOL * abs(first)
+        if residual <= quick and math.isfinite(quick):
+            continue
+        r = rhs[..., k]
+        scale = float(np.maximum.reduce(np.abs(r), axis=None)) or 1.0
+        if not residual <= RESIDUAL_RTOL * scale:
+            if not np.isfinite(r).all():
+                raise NonFiniteInput("right-hand side contains non-finite values")
+            raise SolverFailure(
+                f"elliptic residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e} * {scale:.3e}"
+            )
+
+
+class SolveBlock:
+    """Solves on one grid whose certificates wait for one stacked pass.
+
+    `add` copies a solve into the next slot of the stack; `flush` certifies
+    the filled slots with `certify`, in the order they were added, and
+    empties the block, also when it raises. A full block flushes itself.
+    """
+
+    def __init__(self, grid: GridDomain, capacity: int):
+        self.grid = grid
+        self.capacity = capacity
+        # Stack-major: each solve is one contiguous slot.
+        self.rhs = np.empty((capacity, *grid.shape))
+        self.solutions = np.empty((capacity, *grid.shape))
+        self.mu = np.empty(capacity)
+        self.count = 0
+
+    def add(self, mu: float, rhs: np.ndarray, w: np.ndarray) -> None:
+        k = self.count
+        self.rhs[k] = rhs
+        self.solutions[k] = w
+        self.mu[k] = mu
+        self.count = k + 1
+        if self.count == self.capacity:
+            self.flush()
+
+    def flush(self) -> None:
+        count, self.count = self.count, 0
+        if count:
+            # Columns with the grid axes first, as add_laplacian takes them.
+            # moveaxis, not .T: on a 2D grid .T would also swap x and y.
+            certify(self.grid, self.mu[:count], np.moveaxis(self.rhs[:count], 0, -1),
+                    np.moveaxis(self.solutions[:count], 0, -1))
+
+
+def solve_block(grid: GridDomain) -> SolveBlock | None:
+    """The block `integrator.run` collects its solves in, or None where
+    each solve is certified at once.
+
+    A block holds BLOCK_CELLS cells per stacked array (64 KiB), so a flush
+    works in cache. Where that leaves room for fewer than BLOCK_MIN_SOLVES
+    solves (grids above 256 cells) a check's arithmetic outweighs its
+    dispatch and stacking gains nothing, so each solve is certified at once.
+    """
+    capacity = BLOCK_CELLS // grid.total_cells
+    return SolveBlock(grid, capacity) if capacity >= BLOCK_MIN_SOLVES else None
 
 
 @lru_cache(maxsize=64)
@@ -162,15 +250,19 @@ def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
     return HelmholtzOperator(grid, mu, diagonal, None)
 
 
-def chemical_field(params: ModelParams, u: np.ndarray, grid: GridDomain) -> np.ndarray:
-    """Signal field slaved to the density: solve with rhs = nu u^gamma."""
+def chemical_field(params: ModelParams, u: np.ndarray, grid: GridDomain,
+                   block: SolveBlock | None = None) -> np.ndarray:
+    """Signal field slaved to the density: solve with rhs = nu u^gamma.
+
+    Certified at once, or in `block` when one is given (see `solve`).
+    """
     u = np.asarray(u, dtype=float)
     # With gamma = 1, u**gamma is u itself, and with nu = 1, nu * source is
     # source itself; both are skipped. `solve` only reads its rhs.
     source = u if params.gamma == 1.0 else u**params.gamma
     if params.nu != 1.0:
         source = params.nu * source
-    return get_operator(grid, params.mu).solve(source)
+    return get_operator(grid, params.mu).solve(source, block=block)
 
 
 @lru_cache(maxsize=None)

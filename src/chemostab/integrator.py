@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Equilibrium, FieldState, GridDomain, ModelParams, equilibrium
 from .diagnostics import dissipation_D, lyapunov_F
-from .helmholtz import chemical_field, face_slices, get_operator
+from .helmholtz import SolveBlock, chemical_field, face_slices, get_operator, solve_block
 
 class BlowupDetected(RuntimeError):
     """Density exceeded the blow-up cap; the scheme does not resolve blow-up."""
@@ -48,8 +48,8 @@ class StepConfig:
     `dt` is the fixed step under the "fixed" policy and the hard cap under
     the "cfl" policy, where each step also respects the advective and
     reaction limits scaled by `sigma_cfl`. `t_end`, `dt` and
-    `positivity_floor` must be finite; `blowup_cap` may be infinite (no cap)
-    but not NaN.
+    `positivity_floor` must be finite, and so must the step count t_end / dt
+    under "fixed"; `blowup_cap` may be infinite (no cap) but not NaN.
     """
 
     t_end: float
@@ -69,6 +69,13 @@ class StepConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt_policy not in ("fixed", "cfl"):
             raise ValueError(f"dt_policy must be 'fixed' or 'cfl', got {self.dt_policy}")
+        # Under "fixed" a run takes about t_end / dt steps; under "cfl" dt is
+        # only a cap.
+        if self.dt_policy == "fixed" and not math.isfinite(self.t_end / self.dt):
+            raise ValueError(
+                f"t_end / dt must be finite under the fixed policy, got "
+                f"t_end = {self.t_end}, dt = {self.dt}"
+            )
         if not 0.0 < self.sigma_cfl <= 1.0:
             raise ValueError(f"sigma_cfl must be in (0, 1], got {self.sigma_cfl}")
         if self.output_stride < 1:
@@ -224,11 +231,13 @@ def step(
     dt: float,
     cfg: StepConfig,
     drifts: list[np.ndarray] | None = None,
+    block: SolveBlock | None = None,
 ) -> tuple[FieldState, int]:
     """One IMEX step; returns the new state and the positivity clip count.
 
     `drifts` is face_drift(state.v, params, grid) when the caller already
-    has it; it is computed here otherwise.
+    has it; it is computed here otherwise. The step's two solves are
+    certified at once, or in `block` when one is given (see `run`).
     """
     u, v = state.u, state.v
     div = flux_divergence(chemotactic_face_flux(u, v, params, grid, drifts=drifts), grid)
@@ -247,7 +256,7 @@ def step(
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
     # (I - dt lap_h) u = explicit  <=>  ((1/dt) I - lap_h) u = explicit / dt.
     stage /= dt
-    u_new = get_operator(grid, 1.0 / dt).solve(stage)
+    u_new = get_operator(grid, 1.0 / dt).solve(stage, block=block)
 
     # One reduction decides whether any cell needs clipping. A NaN cell makes
     # the minimum NaN, so nothing is clipped, and BlowupDetected follows.
@@ -261,7 +270,7 @@ def step(
     if not math.isfinite(max_u) or max_u > cfg.blowup_cap:
         raise BlowupDetected(state.time + dt, max_u, cfg.blowup_cap)
 
-    v_new = chemical_field(params, u_new, grid)
+    v_new = chemical_field(params, u_new, grid, block=block)
     return FieldState(time=state.time + dt, u=u_new, v=v_new), clipped
 
 
@@ -300,6 +309,15 @@ def run(
 
     In the minimal model the reference equilibrium defaults to the initial
     mass average, the constant state that mass conservation selects.
+
+    On grids where `helmholtz.solve_block` gives a block, the elliptic
+    solves of successive steps are certified together in it: before each
+    sample is recorded, before the run returns, before any error of a step
+    is re-raised, and whenever the block is full. So no sample, returned
+    state or error is built on an uncertified solve, and a failing solve
+    raises the NonFiniteInput or SolverFailure that certifying it at once
+    would have raised, in its place. Elsewhere each solve is certified at
+    once. The floats are the same either way.
     """
     if eq is None:
         u_star = None
@@ -314,28 +332,35 @@ def run(
 
     state = init
     _record(traj, state, rows)
+    block = solve_block(grid)
+    certify = block.flush if block is not None else _certified
     fixed = cfg.dt_policy == "fixed"
     total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
     steps = 0
     t_last = state.time
     while (steps < total) if fixed else (state.time < cfg.t_end - 1e-14 * cfg.t_end):
-        if fixed:
-            dt = cfg.dt if steps + 1 < total else last_dt
-            drifts = None
-        else:
-            # One drift per step serves both the step bound and the flux.
-            drifts = face_drift(state.v, params, grid)
-            dt = stable_dt(state, params, grid, cfg, drifts=drifts)
-            remaining = cfg.t_end - state.time
-            # Absorb float-accumulation residue into the final step rather than
-            # trailing a micro-step (which would also cost an operator build).
-            if remaining <= dt * (1.0 + 1e-9):
-                dt = remaining
         try:
-            state, clipped = step(state, params, grid, dt, cfg, drifts=drifts)
-        except BlowupDetected:
-            traj.final_state = state
-            _finalize(traj, rows)
+            if fixed:
+                dt = cfg.dt if steps + 1 < total else last_dt
+                drifts = None
+            else:
+                # One drift per step serves both the step bound and the flux.
+                drifts = face_drift(state.v, params, grid)
+                dt = stable_dt(state, params, grid, cfg, drifts=drifts)
+                remaining = cfg.t_end - state.time
+                # Absorb float-accumulation residue into the final step rather
+                # than trailing a micro-step (which would also cost an operator
+                # build).
+                if remaining <= dt * (1.0 + 1e-9):
+                    dt = remaining
+            state, clipped = step(state, params, grid, dt, cfg, drifts=drifts, block=block)
+        except Exception as exc:
+            # A pending solve that fails its check raises instead: certified
+            # at once, it would have stopped the run before this error.
+            certify()
+            if isinstance(exc, BlowupDetected):
+                traj.final_state = state
+                _finalize(traj, rows)
             raise
         traj.clip_count += clipped
         steps += 1
@@ -345,8 +370,10 @@ def run(
             # set in place rather than by building the state a second time.
             object.__setattr__(state, "time", min(init.time + steps * cfg.dt, cfg.t_end))
         if steps % cfg.output_stride == 0:
+            certify()
             _record(traj, state, rows)
             t_last = state.time
+    certify()
     if state.time > t_last:
         _record(traj, state, rows)
 
@@ -354,6 +381,10 @@ def run(
     traj.final_state = state
     _finalize(traj, rows)
     return traj
+
+
+def _certified() -> None:
+    """Nothing waits for a check where each solve is certified at once."""
 
 
 def _fixed_steps(t0: float, cfg: StepConfig) -> tuple[int, float]:

@@ -253,6 +253,18 @@ class TestSimulateCommand:
         assert error["error"] == "ConfigError"
         assert key in error["message"]
 
+    @pytest.mark.parametrize("t_end, dt", [("1.0", "5e-324"), ("1e300", "1e-300")])
+    def test_overflowing_fixed_step_count_rejected(self, tmp_path, capsys, t_end, dt):
+        text = BASE_CFG.format(**REFERENCE)
+        text = "\n".join(line for line in text.splitlines()
+                         if not line.startswith(("run.t_end ", "run.dt ", "run.dt_policy ")))
+        cfg = write_cfg(tmp_path, text=text + f"\nrun.t_end = {t_end}\nrun.dt = {dt}\n")
+        code, payload, error = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "ConfigError"
+        assert "t_end / dt" in error["message"]
+
     def test_missing_config_file(self, capsys):
         code, payload, error = run_cli(capsys, "simulate", "--config", "/no/such.cfg")
         assert code == 2

@@ -23,13 +23,17 @@ from chemostab import (
     run,
 )
 from chemostab.helmholtz import (
+    BLOCK_CELLS,
+    BLOCK_MIN_SOLVES,
     RESIDUAL_RTOL,
     NonFiniteInput,
     SingularOperator,
+    SolveBlock,
     SolverFailure,
     add_laplacian,
     face_gradients,
     laplacian,
+    solve_block,
 )
 from chemostab.stability import dense_laplacian
 from conftest import make_params
@@ -342,40 +346,52 @@ def solve_with(op, r, w):
             return type(exc), str(exc)
 
 
+CERTIFICATE_GRIDS = [GridDomain.interval(math.pi, 8), GridDomain.interval(2.0, 64),
+                     GridDomain.rectangle(1.0, 2.5, 8, 12),
+                     GridDomain.rectangle(math.pi, 1.0, 16, 9)]
+
+# One (r, w) pair near the certificate's bounds, drawn by certificate_case.
+CERTIFICATE_CASE = dict(
+    grid=st.sampled_from(CERTIFICATE_GRIDS),
+    mu=st.sampled_from([1e-2, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+    # Relative noise on the exact solve: 0, or 1e-18 up to 1e-6, which
+    # puts the residual on either side of the bound.
+    noise=st.one_of(st.just(0.0), st.floats(-18.0, -6.0).map(lambda e: 10.0**e)),
+    # Or noise scaled so that the residual lands near `ratio` times the
+    # full bound, where a wrong one-cell bound would show.
+    ratio=st.one_of(st.none(), st.floats(0.25, 4.0)),
+    # Scale of the first cell against the others: the one-cell bound is
+    # then too small to accept, and max |r| decides.
+    first=st.sampled_from([1.0, 1e-3, 1e-9, 0.0, -1.0, 1e3]),
+)
+
+
+def certificate_case(grid, mu, seed, noise, ratio, first):
+    """(op, r, w, rng): a dense solve of r perturbed as CERTIFICATE_CASE draws."""
+    rng = np.random.default_rng(seed)
+    op = get_operator(grid, mu)
+    r = rng.uniform(-1.0, 2.0, size=grid.shape)
+    r.flat[0] *= first
+    exact = solve_with_dense(op, r)
+    delta = exact * rng.uniform(-1.0, 1.0, size=grid.shape)
+    if ratio is not None:
+        image = np.abs(op.mu * delta - laplacian(delta, grid)).max()
+        noise = ratio * RESIDUAL_RTOL * np.abs(r).max() / image
+    return op, r, exact + noise * delta, rng
+
+
 class TestResidualCertificate:
     """`solve` accepts on one cell's bound first; its decision must be that of
     the check with max |r|, for every (r, w)."""
 
-    GRIDS = [GridDomain.interval(math.pi, 8), GridDomain.interval(2.0, 64),
-             GridDomain.rectangle(1.0, 2.5, 8, 12), GridDomain.rectangle(math.pi, 1.0, 16, 9)]
+    GRIDS = CERTIFICATE_GRIDS
 
-    @given(
-        grid=st.sampled_from(GRIDS),
-        mu=st.sampled_from([1e-2, 1.0, 1e3]),
-        seed=st.integers(0, 2**32 - 1),
-        # Relative noise on the exact solve: 0, or 1e-18 up to 1e-6, which
-        # puts the residual on either side of the bound.
-        noise=st.one_of(st.just(0.0), st.floats(-18.0, -6.0).map(lambda e: 10.0**e)),
-        # Or noise scaled so that the residual lands near `ratio` times the
-        # full bound, where a wrong one-cell bound would show.
-        ratio=st.one_of(st.none(), st.floats(0.25, 4.0)),
-        # Scale of the first cell against the others: the one-cell bound is
-        # then too small to accept, and max |r| decides.
-        first=st.sampled_from([1.0, 1e-3, 1e-9, 0.0, -1.0, 1e3]),
-    )
+    @given(**CERTIFICATE_CASE)
     @settings(max_examples=300, deadline=None)
     def test_decision_equals_the_two_reduction_check(self, grid, mu, seed, noise, ratio,
                                                      first):
-        rng = np.random.default_rng(seed)
-        op = get_operator(grid, mu)
-        r = rng.uniform(-1.0, 2.0, size=grid.shape)
-        r.flat[0] *= first
-        exact = solve_with_dense(op, r)
-        delta = exact * rng.uniform(-1.0, 1.0, size=grid.shape)
-        if ratio is not None:
-            image = np.abs(op.mu * delta - laplacian(delta, grid)).max()
-            noise = ratio * RESIDUAL_RTOL * np.abs(r).max() / image
-        w = exact + noise * delta
+        op, r, w, _ = certificate_case(grid, mu, seed, noise, ratio, first)
         outcome, value = solve_with(op, r, w)
         expected = reference_certificate(op, r, w)
         if expected is None:
@@ -438,6 +454,106 @@ class TestResidualCertificate:
         assert outcome is SolverFailure
         assert "exceeds 0.0e+00" in message
         assert (outcome, message) == reference_certificate(op, r, w)
+
+
+def certify_in_block(grid, entries, capacity):
+    """Add (mu, r, w) entries to a SolveBlock of `capacity` and flush it: the
+    outcome, None or the (type, message) of the exception it raised."""
+    block = SolveBlock(grid, capacity)
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            for mu, r, w in entries:
+                block.add(mu, r, w)
+            block.flush()
+    except SolverFailure as exc:
+        return type(exc), str(exc)
+    finally:
+        assert block.count == 0
+    return None
+
+
+class TestSolveBlock:
+    """A block certifies its solves in one stacked pass; each solve must get
+    the decision, exception type and message it gets alone, and the first
+    failing solve, in order, raises."""
+
+    GRIDS = CERTIFICATE_GRIDS
+
+    @pytest.mark.parametrize("grid", [GridDomain.interval(math.pi, 64),
+                                      GridDomain.interval(1.0, 256),
+                                      GridDomain.rectangle(1.0, 2.5, 8, 12),
+                                      GridDomain.rectangle(1.0, 2.5, 12, 20)],
+                             ids=["64", "256", "8x12", "12x20"])
+    def test_small_grids_get_a_block(self, grid):
+        block = solve_block(grid)
+        assert block.capacity == BLOCK_CELLS // grid.total_cells >= BLOCK_MIN_SOLVES
+        assert block.rhs.shape == block.solutions.shape == (block.capacity, *grid.shape)
+
+    @pytest.mark.parametrize("grid", [GridDomain.interval(1.0, 257),
+                                      GridDomain.interval(math.pi, 1024),
+                                      GridDomain.rectangle(math.pi, math.pi, 128, 128)],
+                             ids=["257", "1024", "128x128"])
+    def test_large_grids_certify_each_solve_at_once(self, grid):
+        assert solve_block(grid) is None
+
+    @given(**CERTIFICATE_CASE, capacity=st.integers(1, 24), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_case_decides_in_a_block_as_alone(self, grid, mu, seed, noise, ratio, first,
+                                                  capacity, data):
+        # The cases of TestResidualCertificate, each at a random position in a
+        # block of good solves with mixed mu; the block is full (it flushes
+        # itself) or not (flushed by hand).
+        op, r, w, rng = certificate_case(grid, mu, seed, noise, ratio, first)
+        alone = reference_certificate(op, r, w)
+        assert solve_with(op, r, w)[0] is (None if alone is None else alone[0])
+
+        count = data.draw(st.integers(1, capacity), label="count")
+        position = data.draw(st.integers(0, count - 1), label="position")
+        entries = []
+        for _ in range(count - 1):
+            good = get_operator(grid, float(rng.choice([1e-2, 1.0, 1e3])))
+            rhs = rng.uniform(-1.0, 2.0, size=grid.shape)
+            entries.append((good.mu, rhs, good.solve(rhs)))
+        entries.insert(position, (op.mu, r, w))
+        assert certify_in_block(grid, entries, capacity) == alone
+
+    @pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2]], ids=["1d", "2d"])
+    def test_the_first_failing_solve_raises(self, grid, rng):
+        op = get_operator(grid, 1.0)
+        entries = []
+        for _ in range(8):
+            r = rng.uniform(0.5, 2.0, size=grid.shape)
+            entries.append((op.mu, r, op.solve(r)))
+        nan_rhs = np.ones(grid.shape)
+        nan_rhs.flat[3] = math.nan
+        non_finite = (op.mu, nan_rhs, np.ones(grid.shape))
+        r = entries[5][1]
+        wrong = (op.mu, r, entries[5][2] * (1.0 + 1e-6))
+        failure = reference_certificate(op, r, wrong[2])
+        assert failure[0] is SolverFailure
+        first_nan = entries[:2] + [non_finite] + entries[2:4] + [wrong] + entries[4:]
+        assert certify_in_block(grid, first_nan, 16) == (
+            NonFiniteInput, "right-hand side contains non-finite values")
+        first_wrong = entries[:2] + [wrong] + entries[2:4] + [non_finite] + entries[4:]
+        assert certify_in_block(grid, first_wrong, 16) == failure
+        # A full block raises from `add`, at the solve that fills it.
+        assert certify_in_block(grid, first_wrong, 3) == failure
+
+    def test_a_2d_block_keeps_the_grid_axes_in_order(self, rng):
+        # Unequal spacings: with the grid axes swapped the stencil is wrong.
+        grid = GridDomain.rectangle(1.0, 2.5, 12, 12)
+        entries = []
+        for mu in (1e-2, 1.0, 1e3):
+            op = get_operator(grid, mu)
+            r = rng.uniform(0.5, 2.0, size=grid.shape)
+            entries.append((mu, r, op.solve(r)))
+        assert certify_in_block(grid, entries, 4) is None
+        mu, r, w = entries[1]
+        swapped = [entries[0], (mu, r, solve_with_dense(get_operator(grid, mu), r.T).T),
+                   entries[2]]
+        outcome = certify_in_block(grid, swapped, 4)
+        assert outcome == reference_certificate(get_operator(grid, mu), r, swapped[1][2])
+        assert outcome[0] is SolverFailure
 
 
 class TestFaceGradients:

@@ -1,9 +1,11 @@
 """Time stepping: conservation, reaction accuracy, caps, and sampling."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from chemostab import (
     BlowupDetected,
@@ -19,7 +21,14 @@ from chemostab import (
     step,
 )
 import chemostab
-from chemostab.helmholtz import RESIDUAL_RTOL, NonFiniteInput, face_slices, laplacian
+from chemostab.helmholtz import (
+    RESIDUAL_RTOL,
+    NonFiniteInput,
+    SolverFailure,
+    face_slices,
+    laplacian,
+    solve_block,
+)
 from chemostab.integrator import (
     TRAJECTORY_CSV_HEADER,
     DegenerateState,
@@ -74,6 +83,14 @@ class TestStepConfig:
         # turned blow-up detection or clipping off.
         with pytest.raises(ValueError, match=name):
             StepConfig(**{"t_end": 1.0, name: value})
+
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 5e-324), (1e300, 1e-300)])
+    def test_fixed_step_count_must_be_finite(self, t_end, dt):
+        # t_end / dt overflows: run used to die with OverflowError before the
+        # first step. Under cfl, dt is only a cap, so the same values stand.
+        with pytest.raises(ValueError, match="t_end / dt"):
+            StepConfig(t_end=t_end, dt=dt)
+        assert StepConfig(t_end=t_end, dt=dt, dt_policy="cfl").dt == dt
 
     def test_infinite_blowup_cap_means_no_cap(self):
         assert StepConfig(t_end=1.0, blowup_cap=math.inf).blowup_cap == math.inf
@@ -376,7 +393,7 @@ class TestExplicitStageInPlace:
         rhs = []
         solve = chemostab.helmholtz.HelmholtzOperator.solve
 
-        def recording_solve(op, r):
+        def recording_solve(op, r, block=None):
             rhs.append(np.array(r, copy=True))
             return solve(op, r)
 
@@ -445,6 +462,216 @@ class TestDriftOncePerStep:
             assert got.v.tobytes() == expected[k].v.tobytes()
         assert traj.u_max.tobytes() == np.array([expected[k].u.max() for k in sampled]).tobytes()
         assert traj.final_state.u.tobytes() == expected[-1].u.tobytes()
+
+
+@contextmanager
+def corrupted_solve(grid, index, fault):
+    """The index-th direct solve (from 0) returns fault(w) instead of w;
+    yields the list of the numbers of the solves made so far."""
+    made = []
+    if grid.dimension == 1:
+        owner, name = chemostab.helmholtz, "dpttrs"
+    else:
+        owner, name = scipy.fft, "idctn"
+    inner = getattr(owner, name)
+
+    def solve(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        w = out[0] if grid.dimension == 1 else out
+        if len(made) == index:
+            w = fault(w)
+        made.append(len(made))
+        return (w, out[1]) if grid.dimension == 1 else w
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, solve)
+        yield made
+
+
+def scaled(w):
+    return w * (1.0 + 1e-6)
+
+
+def with_nan(w):
+    w = w.copy()
+    w.flat[w.size // 2] = math.nan
+    return w
+
+
+def outcome(call):
+    """None, or the type and message of what call() raised."""
+    try:
+        with np.errstate(all="ignore"):
+            call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def per_solve(call):
+    """call() with every solve of a run certified at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chemostab.integrator, "solve_block", lambda grid: None)
+        return call()
+
+
+class TestSolvesCertifiedInBlocks:
+    """On small grids `run` certifies its solves in blocks. Floats, samples
+    and every exception must be those of certifying each solve at once."""
+
+    # Grid, mode of the initial perturbation and output stride; the stride
+    # is long enough that blocks fill between samples.
+    GRIDS = {
+        "1d": (GridDomain.interval(math.pi, 64), 1, 100),
+        "8x12": (GridDomain.rectangle(math.pi, 2.0, 8, 12), (1, 1), 60),
+        "12x20": (GridDomain.rectangle(math.pi, 2.0, 12, 20), (1, 1), 25),
+    }
+    # 330 steps under fixed: the last one is not on the sample lattice.
+    POLICIES = {
+        "fixed": dict(t_end=0.33, dt=1e-3),
+        "cfl": dict(t_end=0.33, dt=1e-3, dt_policy="cfl"),
+    }
+
+    def case(self, name, policy, **overrides):
+        grid, mode, stride = self.GRIDS[name]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5)
+        init = init_state(grid, InitSpec.perturbation(1.0, 0.3, mode), p)
+        cfg = StepConfig(output_stride=stride, store_snapshots=True,
+                         **{**self.POLICIES[policy], **overrides})
+        return p, grid, init, cfg
+
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("name", ["1d", "8x12", "12x20"])
+    def test_trajectory_is_bitwise_that_of_per_solve_certificates(self, name, policy):
+        p, grid, init, cfg = self.case(name, policy)
+        assert solve_block(grid) is not None
+        got = run(p, grid, init, cfg)
+        expected = per_solve(lambda: run(p, grid, init, cfg))
+        # More solves than one block holds, so blocks fill and flush.
+        assert 2 * got.steps_taken > 2 * solve_block(grid).capacity
+        assert got.steps_taken == expected.steps_taken
+        assert got.clip_count == expected.clip_count
+        for series in chemostab.integrator.SERIES:
+            assert getattr(got, series).tobytes() == getattr(expected, series).tobytes()
+        assert len(got.snapshots) == len(expected.snapshots)
+        for a, b in zip(got.snapshots + [got.final_state],
+                        expected.snapshots + [expected.final_state]):
+            assert a.time == b.time
+            assert a.u.tobytes() == b.u.tobytes()
+            assert a.v.tobytes() == b.v.tobytes()
+
+    @pytest.mark.parametrize("fault", [scaled, with_nan], ids=["wrong", "nan"])
+    @pytest.mark.parametrize("where", ["block-first", "block-middle", "block-last",
+                                       "next-block-first", "before-sample",
+                                       "after-sample", "run-last"])
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("name", ["1d", "8x12", "12x20"])
+    def test_a_failing_solve_raises_as_if_certified_at_once(self, name, policy, where, fault):
+        p, grid, init, cfg = self.case(name, policy)
+        capacity = solve_block(grid).capacity
+        solves = 2 * run(p, grid, init, cfg).steps_taken
+        index = {
+            "block-first": 0, "block-middle": capacity // 2, "block-last": capacity - 1,
+            "next-block-first": capacity,
+            # The signal solve of the step that is sampled, and the next one.
+            "before-sample": 2 * cfg.output_stride - 1, "after-sample": 2 * cfg.output_stride,
+            "run-last": solves - 1,
+        }[where]
+        assert index < solves
+        with corrupted_solve(grid, index, fault):
+            got = outcome(lambda: run(p, grid, init, cfg))
+        with corrupted_solve(grid, index, fault):
+            expected = outcome(lambda: per_solve(lambda: run(p, grid, init, cfg)))
+        assert expected[0] is SolverFailure
+        assert got == expected
+
+    @pytest.mark.parametrize("fault", [scaled, with_nan], ids=["wrong", "nan"])
+    @pytest.mark.parametrize("back", [1, 2, 3], ids=["diffusion", "signal", "earlier"])
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("name", ["1d", "8x12"])
+    def test_a_failing_solve_before_a_blowup_raises_first(self, name, policy, back, fault):
+        # Logistic growth from 0.9 crosses the cap at 0.95 after about 150
+        # steps; the step that crosses it makes its diffusion solve only.
+        grid = self.GRIDS[name][0]
+        p = make_params(chi0=0.0)
+        init = init_state(grid, InitSpec.constant(0.9), p)
+        cfg = StepConfig(t_end=5.0, dt=5e-3, dt_policy=policy, blowup_cap=0.95,
+                         output_stride=1000)
+        with corrupted_solve(grid, -1, None) as made:  # counts, corrupts nothing
+            assert outcome(lambda: run(p, grid, init, cfg))[0] is BlowupDetected
+        assert len(made) > solve_block(grid).capacity
+        index = len(made) - back
+        with corrupted_solve(grid, index, fault):
+            got = outcome(lambda: run(p, grid, init, cfg))
+        with corrupted_solve(grid, index, fault):
+            expected = outcome(lambda: per_solve(lambda: run(p, grid, init, cfg)))
+        assert expected[0] is SolverFailure
+        assert got == expected
+
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    def test_stable_dt_error_after_a_failing_solve_raises_the_solver_failure(self, policy):
+        # A NaN signal field makes the next cfl step's bound raise
+        # DegenerateState; under fixed, the next step blows up.
+        p, grid, init, cfg = self.case("1d", policy)
+        with corrupted_solve(grid, 3, with_nan):
+            got = outcome(lambda: run(p, grid, init, cfg))
+        with corrupted_solve(grid, 3, with_nan):
+            expected = outcome(lambda: per_solve(lambda: run(p, grid, init, cfg)))
+        assert expected[0] is SolverFailure
+        assert got == expected
+
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    def test_samples_and_the_result_see_only_certified_solves(self, policy, monkeypatch):
+        p, grid, init, cfg = self.case("1d", policy)
+        blocks, pending = [], []
+
+        def recording_block(grid):
+            blocks.append(solve_block(grid))
+            return blocks[-1]
+
+        record = chemostab.integrator._record
+
+        def checking_record(traj, state, rows):
+            pending.append(blocks[0].count if blocks else 0)
+            return record(traj, state, rows)
+
+        monkeypatch.setattr(chemostab.integrator, "solve_block", recording_block)
+        monkeypatch.setattr(chemostab.integrator, "_record", checking_record)
+        traj = run(p, grid, init, cfg)
+        assert traj.steps_taken % cfg.output_stride != 0
+        assert len(pending) == len(traj) > 2
+        assert pending == [0] * len(pending)
+        assert blocks[0].count == 0
+
+    def test_a_64_cell_run_makes_far_fewer_passes_than_solves(self, monkeypatch):
+        grid = GridDomain.interval(math.pi, 64)
+        p = make_params(chi0=0.3)
+        init = init_state(grid, InitSpec.perturbation(1.0, 0.25, 1), p)
+        cfg = StepConfig(t_end=1.0, dt=1e-3, output_stride=100)
+        passes = []
+        certify = chemostab.helmholtz.certify
+
+        def counting_certify(grid, mu, rhs, solutions):
+            passes.append(rhs.shape[-1])
+            return certify(grid, mu, rhs, solutions)
+
+        monkeypatch.setattr(chemostab.helmholtz, "certify", counting_certify)
+        traj = run(p, grid, init, cfg)
+        assert sum(passes) == 2 * traj.steps_taken == 2000
+        # Each 100-step sample interval holds 200 solves: a full block, then
+        # the rest at the sample.
+        capacity = solve_block(grid).capacity
+        assert len(passes) == 10 * math.ceil(200 / capacity) <= 2000 // 64
+
+    def test_direct_calls_certify_at_once(self, interval_pi):
+        p = make_params()
+        state = init_state(interval_pi, InitSpec.constant(1.0), p)
+        cfg = StepConfig(t_end=1.0)
+        with corrupted_solve(interval_pi, 0, scaled):
+            assert outcome(lambda: step(state, p, interval_pi, 1e-3, cfg))[0] is SolverFailure
+        with corrupted_solve(interval_pi, 1, scaled) as made:
+            assert outcome(lambda: step(state, p, interval_pi, 1e-3, cfg))[0] is SolverFailure
+        assert len(made) == 2
 
 
 class TestTrajectoryOutput:
