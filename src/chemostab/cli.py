@@ -37,6 +37,7 @@ import numpy as np
 from .config import (
     ConfigError,
     get_float,
+    get_float_list,
     get_str,
     grid_from_config,
     init_from_config,
@@ -51,6 +52,8 @@ from .core import (
     ModelParams,
     equilibrium,
     init_state,
+    initial_density,
+    mass_average,
     neumann_eigenvalues,
 )
 from .diagnostics import check_power_diff_inequality
@@ -117,18 +120,16 @@ def _grid_checked(cfg) -> GridDomain:
     return grid
 
 
-def _minimal_u_star(cfg, grid: GridDomain, params: ModelParams) -> float:
+def _minimal_u_star(cfg, grid: GridDomain) -> float:
     """Mass level fixing the minimal model's equilibrium."""
     if "init.u_star" in cfg:
         return get_float(cfg, "init.u_star")
-    spec = init_from_config(cfg)
-    state = init_state(grid, spec, params)
-    return float(state.u.sum()) * grid.cell_volume / grid.volume
+    return mass_average(initial_density(grid, init_from_config(cfg)), grid)
 
 
 def _equilibrium_for(cfg, grid: GridDomain, params: ModelParams) -> Equilibrium:
     if params.minimal:
-        return equilibrium(params, u_star=_minimal_u_star(cfg, grid, params))
+        return equilibrium(params, u_star=_minimal_u_star(cfg, grid))
     return equilibrium(params)
 
 
@@ -285,7 +286,7 @@ def cmd_sweep(args) -> int:
     parameter = get_str(cfg, "sweep.parameter")
     if parameter not in PARAM_FIELDS:
         raise ConfigError(f"sweep.parameter must be a model coefficient, got {parameter!r}")
-    values = [float(part.strip()) for part in get_str(cfg, "sweep.values").split(",")]
+    values = get_float_list(cfg, "sweep.values")
     grid = grid_from_config(cfg)
     spectrum = neumann_eigenvalues(grid, args.n_max)
     rows = []

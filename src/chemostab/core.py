@@ -358,6 +358,24 @@ class InitSpec:
         return cls(kind="array", array=np.asarray(array, dtype=float))
 
 
+def mass_average(u: np.ndarray, grid: GridDomain) -> float:
+    """Mass of a cell field over the domain volume: its spatial mean."""
+    return float(u.sum()) * grid.cell_volume / grid.volume
+
+
+def initial_density(domain: GridDomain, spec: InitSpec) -> np.ndarray:
+    """The t = 0 density of `spec`; raises NonPositiveInitialData unless it
+    is finite and strictly positive."""
+    u = _build_initial_u(domain, spec)
+    if not np.all(np.isfinite(u)):
+        raise NonPositiveInitialData("initial density contains non-finite values")
+    if float(u.min()) <= 0.0:
+        raise NonPositiveInitialData(
+            f"initial density must be strictly positive, min is {u.min()}"
+        )
+    return u
+
+
 def _build_initial_u(domain: GridDomain, spec: InitSpec) -> np.ndarray:
     if spec.kind == "constant":
         if spec.value is None:
@@ -391,12 +409,6 @@ def init_state(domain: GridDomain, spec: InitSpec, params: ModelParams) -> Field
     """Construct the t = 0 state: positive u plus its slaved signal field."""
     from .helmholtz import chemical_field
 
-    u = _build_initial_u(domain, spec)
-    if not np.all(np.isfinite(u)):
-        raise NonPositiveInitialData("initial density contains non-finite values")
-    if float(u.min()) <= 0.0:
-        raise NonPositiveInitialData(
-            f"initial density must be strictly positive, min is {u.min()}"
-        )
+    u = initial_density(domain, spec)
     v = chemical_field(params, u, domain)
     return FieldState(time=0.0, u=u, v=v)

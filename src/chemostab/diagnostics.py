@@ -135,9 +135,7 @@ def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> DecayFit:
 POWER_BLOCK = 1 << 16
 
 
-def check_power_diff_inequality(
-    trials: int, rng: np.random.Generator, rtol: float = 1e-12
-) -> int:
+def check_power_diff_inequality(trials: int, rng: np.random.Generator) -> int:
     """Fuzz the power-difference inequality; returns the violation count.
 
     For every u, u* > 0 and exponents with 2 gamma <= alpha + 1,
@@ -147,9 +145,10 @@ def check_power_diff_inequality(
 
     Samples are drawn log-uniformly with u, u* in (1e-3, 1e3); pairs with
     u = u* are not checked. Trials are drawn in blocks of POWER_BLOCK, one
-    rng call per variable, and each block is checked with array operations.
+    rng call per variable, and each block is checked with array operations
+    and the rounding headroom of `thresholds._violates`.
     """
-    from .thresholds import power_diff_constant
+    from .thresholds import _violates, power_diff_constant
 
     violations = 0
     for start in range(0, trials, POWER_BLOCK):
@@ -164,7 +163,7 @@ def check_power_diff_inequality(
         rhs = c * u_star ** (2.0 * gamma - alpha - 1.0) * (u - u_star) * (
             u**alpha - u_star**alpha
         )
-        violated = (lhs > rhs * (1.0 + rtol) + 1e-300) & (u != u_star)
+        violated = _violates(lhs, rhs) & (u != u_star)
         violations += int(np.count_nonzero(violated))
     return violations
 
@@ -194,11 +193,13 @@ class PersistenceReport:
         return all(checks)
 
 
+# Share of the samples, at the end of a run, whose infima persistence_metrics
+# compares against the eventual bounds.
+PERSISTENCE_TAIL = 0.25
+
+
 def persistence_metrics(
-    traj: Trajectory,
-    params: ModelParams,
-    tail_fraction: float = 0.25,
-    slack: float = 0.05,
+    traj: Trajectory, params: ModelParams, slack: float = 0.05
 ) -> PersistenceReport:
     """Compare tail infima of u and v against the eventual lower bounds.
 
@@ -209,12 +210,12 @@ def persistence_metrics(
     (nu/mu) (tail inf u)^gamma is checked in every case. Bounds carry a
     multiplicative slack because the proofs are asymptotic statements.
     """
-    from .thresholds import theta
+    from .thresholds import _density_floor, theta
 
     n = len(traj.times)
     if n < 4:
         raise ValueError("trajectory too short for a tail window")
-    start = max(0, n - max(1, int(math.ceil(tail_fraction * n))))
+    start = max(0, n - max(1, int(math.ceil(PERSISTENCE_TAIL * n))))
     tail_inf_u = float(traj.u_min[start:].min())
     tail_inf_v = float(traj.v_min[start:].min())
 
@@ -247,8 +248,7 @@ def persistence_metrics(
             ratio = params.a / (
                 params.b + params.chi0 * params.mu * theta(params.beta - 1.0)
             )
-            expo = max(1.0 / (params.m - 1.0), 1.0 / params.alpha)
-            u_bound = min(1.0, ratio**expo)
+            u_bound = float(_density_floor(ratio, params.m, params.alpha))
     if u_bound is not None:
         v_bound = (params.nu / params.mu) * u_bound**params.gamma
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Equilibrium, FieldState, GridDomain, ModelParams, equilibrium
+from .core import Equilibrium, FieldState, GridDomain, ModelParams, equilibrium, mass_average
 from .diagnostics import dissipation_D, lyapunov_F
 from .helmholtz import SolveBlock, chemical_field, face_slices, get_operator, solve_block
 
@@ -320,9 +320,7 @@ def run(
     once. The floats are the same either way.
     """
     if eq is None:
-        u_star = None
-        if params.minimal:
-            u_star = float(init.u.sum()) * grid.cell_volume / grid.volume
+        u_star = mass_average(init.u, grid) if params.minimal else None
         eq = equilibrium(params, u_star=u_star)
 
     traj = Trajectory(params=params, grid=grid, eq=eq)
@@ -354,13 +352,10 @@ def run(
                 if remaining <= dt * (1.0 + 1e-9):
                     dt = remaining
             state, clipped = step(state, params, grid, dt, cfg, drifts=drifts, block=block)
-        except Exception as exc:
+        except Exception:
             # A pending solve that fails its check raises instead: certified
             # at once, it would have stopped the run before this error.
             certify()
-            if isinstance(exc, BlowupDetected):
-                traj.final_state = state
-                _finalize(traj, rows)
             raise
         traj.clip_count += clipped
         steps += 1
@@ -379,7 +374,9 @@ def run(
 
     traj.steps_taken = steps
     traj.final_state = state
-    _finalize(traj, rows)
+    columns = np.array(rows, dtype=float).T.copy()
+    for name, column in zip(SERIES, columns):
+        setattr(traj, name, column)
     return traj
 
 
@@ -398,9 +395,3 @@ def _fixed_steps(t0: float, cfg: StepConfig) -> tuple[int, float]:
     if span - full <= 1e-9:
         return full, cfg.dt
     return full + 1, cfg.t_end - (t0 + full * cfg.dt)
-
-
-def _finalize(traj: Trajectory, rows: list[tuple[float, ...]]) -> None:
-    columns = np.array(rows, dtype=float).T.copy()
-    for name, column in zip(SERIES, columns):
-        setattr(traj, name, column)

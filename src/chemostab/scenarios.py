@@ -7,6 +7,11 @@ claim label, the hypothesis gates that were checked, measured quantities,
 expected bounds, and a pass flag. Presets violating their own a-priori
 gates raise HypothesisNotMet; measured shortfalls only set pass = false.
 No scenario draws random numbers, so repeated runs are byte-identical.
+
+`pass` is computed from the named entries of `expected` (see `_meets`), so
+each checked bound is written once, in the verdict that reports it. The
+few checks that do not fit its naming, such as the rectangle's sandwich,
+are written out where a scenario computes `ok`, from the values it reports.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    Equilibrium,
     GridDomain,
     InitSpec,
     ModelParams,
@@ -59,8 +63,9 @@ class ScenarioResult:
     rectangle: RectangleTrajectory | None = None
 
 
-def _verdict(name, theorem, hypotheses, measured, expected, ok) -> dict:
-    return {
+def _result(name, theorem, hypotheses, measured, expected, ok,
+            trajectory=None, rectangle=None) -> ScenarioResult:
+    verdict = {
         "scenario": name,
         "theorem": theorem,
         "hypotheses_checked": hypotheses,
@@ -68,6 +73,22 @@ def _verdict(name, theorem, hypotheses, measured, expected, ok) -> dict:
         "expected": expected,
         "pass": bool(ok),
     }
+    return ScenarioResult(name, verdict, trajectory, rectangle)
+
+
+def _meets(measured: dict, expected: dict, *keys: str) -> bool:
+    """Whether the named entries of `expected` hold for `measured`:
+    `<stem>_max` bounds measured[stem] from above, `<stem>_min` from below,
+    and any other key must equal measured[key]. NaN meets no bound."""
+
+    def holds(key: str) -> bool:
+        if key.endswith("_max"):
+            return measured[key[:-4]] <= expected[key]
+        if key.endswith("_min"):
+            return measured[key[:-4]] >= expected[key]
+        return measured[key] == expected[key]
+
+    return all(holds(key) for key in keys)
 
 
 def _require(hypotheses: dict[str, bool], name: str) -> None:
@@ -115,7 +136,8 @@ def scenario_persistence() -> ScenarioResult:
     init = init_state(grid, InitSpec.perturbation(eq.u_star, 0.5, 1), params)
     cfg = StepConfig(t_end=20.0, dt=1e-2, dt_policy="cfl", output_stride=10)
     traj = run(params, grid, init, cfg, eq=eq)
-    report = persistence_metrics(traj, params)
+    slack = 0.05
+    report = persistence_metrics(traj, params, slack=slack)
     measured = {
         "tail_inf_u": report.tail_inf_u,
         "tail_inf_v": report.tail_inf_v,
@@ -124,17 +146,11 @@ def scenario_persistence() -> ScenarioResult:
     expected = {
         "u_floor": report.u_bound,
         "v_floor": report.v_bound,
-        "slack": 0.05,
+        "slack": slack,
     }
-    ok = report.all_met
-    return ScenarioResult(
-        "persistence",
-        _verdict(
-            "persistence",
-            "eventual density floor under weakly saturated sensitivity",
-            hypotheses, measured, expected, ok,
-        ),
-        trajectory=traj,
+    return _result(
+        "persistence", "eventual density floor under weakly saturated sensitivity",
+        hypotheses, measured, expected, report.all_met, trajectory=traj,
     )
 
 
@@ -166,19 +182,11 @@ def scenario_negative_sensitivity() -> ScenarioResult:
         "peak_monotonicity_excess_max": 0.0,
         "stability_verdict": "stable",
     }
-    ok = (
-        measured["final_error"] <= expected["final_error_max"]
-        and peak_excess <= 0.0
-        and verdict == "stable"
-    )
-    return ScenarioResult(
-        "negative-sensitivity",
-        _verdict(
-            "negative-sensitivity",
-            "monotone spatial maximum under repulsive sensitivity",
-            hypotheses, measured, expected, ok,
-        ),
-        trajectory=traj,
+    ok = _meets(measured, expected, "final_error_max",
+                "peak_monotonicity_excess_max", "stability_verdict")
+    return _result(
+        "negative-sensitivity", "monotone spatial maximum under repulsive sensitivity",
+        hypotheses, measured, expected, ok, trajectory=traj,
     )
 
 
@@ -214,15 +222,10 @@ def scenario_stable_dichotomy() -> ScenarioResult:
         "stability_verdict": "stable",
         "chi_star": 4.0,
     }
-    ok = rate_error <= 0.20 and report.verdict == "stable"
-    return ScenarioResult(
-        "stable-dichotomy",
-        _verdict(
-            "stable-dichotomy",
-            "exponential mode decay below the critical sensitivity",
-            hypotheses, measured, expected, ok,
-        ),
-        trajectory=traj,
+    ok = _meets(measured, expected, "relative_rate_error_max", "stability_verdict")
+    return _result(
+        "stable-dichotomy", "exponential mode decay below the critical sensitivity",
+        hypotheses, measured, expected, ok, trajectory=traj,
     )
 
 
@@ -245,15 +248,10 @@ def scenario_unstable_dichotomy() -> ScenarioResult:
         "stability_verdict": "unstable",
         "chi_star": 4.0,
     }
-    ok = growth >= 10.0 and report.verdict == "unstable"
-    return ScenarioResult(
-        "unstable-dichotomy",
-        _verdict(
-            "unstable-dichotomy",
-            "perturbation amplification above the critical sensitivity",
-            hypotheses, measured, expected, ok,
-        ),
-        trajectory=traj,
+    ok = _meets(measured, expected, "amplification_min", "stability_verdict")
+    return _result(
+        "unstable-dichotomy", "perturbation amplification above the critical sensitivity",
+        hypotheses, measured, expected, ok, trajectory=traj,
     )
 
 
@@ -261,8 +259,7 @@ def scenario_lyapunov_i() -> ScenarioResult:
     params = ModelParams(chi0=1.0, **_PINNED)
     grid = _interval()
     eq = equilibrium(params)
-    entries = chi_double_star(params, eq, m0=0.0)
-    chi_ss1 = entries[0]
+    chi_ss1 = chi_double_star(params, eq, m0=0.0)[0]
     hypotheses = {
         "power_balance": chi_ss1.applicable,
         "chi0_below_chi_ss1": chi_ss1.value is not None and params.chi0 < chi_ss1.value,
@@ -286,15 +283,11 @@ def scenario_lyapunov_i() -> ScenarioResult:
         "monotonicity_excess_max": 0.0,
         "dissipation_budget_max": 1.10 * budget_rhs,
     }
-    ok = excess <= 0.0 and budget_lhs <= 1.10 * budget_rhs
-    return ScenarioResult(
+    ok = _meets(measured, expected, "monotonicity_excess_max", "dissipation_budget_max")
+    return _result(
         "lyapunov-i",
-        _verdict(
-            "lyapunov-i",
-            "energy descent and dissipation budget below the first smallness threshold",
-            hypotheses, measured, expected, ok,
-        ),
-        trajectory=traj,
+        "energy descent and dissipation budget below the first smallness threshold",
+        hypotheses, measured, expected, ok, trajectory=traj,
     )
 
 
@@ -303,8 +296,7 @@ def scenario_lyapunov_ii() -> ScenarioResult:
                          a=1.0, b=1.0, mu=1.0, nu=1.0)
     grid = _interval()
     eq = equilibrium(params)
-    entries = chi_double_star(params, eq, m0=0.0)
-    chi_ss2 = entries[1]
+    chi_ss2 = chi_double_star(params, eq, m0=0.0)[1]
     hypotheses = {
         "beta_at_least_one": params.beta >= 1.0,
         "power_balance": chi_ss2.applicable,
@@ -326,15 +318,10 @@ def scenario_lyapunov_ii() -> ScenarioResult:
         "tail_monotonicity_excess_max": 0.0,
         "final_error_max": 1e-6,
     }
-    ok = tail_excess <= 0.0 and measured["final_error"] <= 1e-6
-    return ScenarioResult(
-        "lyapunov-ii",
-        _verdict(
-            "lyapunov-ii",
-            "eventual energy descent below the saturation-improved threshold",
-            hypotheses, measured, expected, ok,
-        ),
-        trajectory=traj,
+    ok = _meets(measured, expected, "tail_monotonicity_excess_max", "final_error_max")
+    return _result(
+        "lyapunov-ii", "eventual energy descent below the saturation-improved threshold",
+        hypotheses, measured, expected, ok, trajectory=traj,
     )
 
 
@@ -386,21 +373,16 @@ def _rectangle_scenario(
     }
     ok = (
         sandwich.ok
-        and final_gap <= 1e-6
         and gap_monotone
-        and rp.contraction
+        and _meets(measured, expected, "envelope_final_gap_max", "contraction")
     )
     if check_v_floor is not None:
         v_min_run = float(np.min(traj.v_min))
         measured["signal_minimum"] = v_min_run
         expected["signal_floor"] = check_v_floor
         ok = ok and v_min_run >= check_v_floor
-    return ScenarioResult(
-        name,
-        _verdict(name, theorem, hypotheses, measured, expected, ok),
-        trajectory=traj,
-        rectangle=rect,
-    )
+    return _result(name, theorem, hypotheses, measured, expected, ok,
+                   trajectory=traj, rectangle=rect)
 
 
 def scenario_rectangle_iii() -> ScenarioResult:
@@ -408,13 +390,9 @@ def scenario_rectangle_iii() -> ScenarioResult:
     eq = equilibrium(params)
     chi_ss3 = chi_double_star(params, eq, m0=0.0)[2]
     return _rectangle_scenario(
-        "rectangle-iii",
-        "envelope contraction of the extremal comparison pair",
-        params,
-        m0=0.0,
-        mode="plain",
-        chi_gate_name="chi0_below_chi_ss3",
-        chi_gate_value=chi_ss3.value,
+        "rectangle-iii", "envelope contraction of the extremal comparison pair",
+        params, m0=0.0, mode="plain",
+        chi_gate_name="chi0_below_chi_ss3", chi_gate_value=chi_ss3.value,
         extra_hypotheses={"power_balance": chi_ss3.applicable},
     )
 
@@ -424,16 +402,11 @@ def scenario_rectangle_iv() -> ScenarioResult:
                          a=1.0, b=1.0, mu=1.0, nu=1.0)
     eq = equilibrium(params)
     m0 = 1.0  # illustrative gradient-estimate constant, fixed for determinism
-    entries = chi_double_star(params, eq, m0=m0)
-    chi_ss4 = entries[3]
+    chi_ss4 = chi_double_star(params, eq, m0=m0)[3]
     return _rectangle_scenario(
-        "rectangle-iv",
-        "envelope contraction with signal-floor gain on the sensitivity",
-        params,
-        m0=m0,
-        mode="signal-floor",
-        chi_gate_name="chi0_below_chi_ss4",
-        chi_gate_value=chi_ss4.value,
+        "rectangle-iv", "envelope contraction with signal-floor gain on the sensitivity",
+        params, m0=m0, mode="signal-floor",
+        chi_gate_name="chi0_below_chi_ss4", chi_gate_value=chi_ss4.value,
         extra_hypotheses={
             "beta_at_least_one": params.beta >= 1.0,
             "power_balance": chi_ss4.applicable,
@@ -485,19 +458,11 @@ def scenario_minimal_entropy() -> ScenarioResult:
         "final_error_max": 1e-6,
         "mass_drift_max": 1e-8,
     }
-    ok = (
-        excess <= 0.0
-        and measured["final_error"] <= 1e-6
-        and measured["mass_drift"] <= 1e-8
-    )
-    return ScenarioResult(
-        "minimal-entropy",
-        _verdict(
-            "minimal-entropy",
-            "entropy descent for the mass-conserving model",
-            hypotheses, measured, expected, ok,
-        ),
-        trajectory=traj,
+    ok = _meets(measured, expected, "entropy_monotonicity_excess_max",
+                "final_error_max", "mass_drift_max")
+    return _result(
+        "minimal-entropy", "entropy descent for the mass-conserving model",
+        hypotheses, measured, expected, ok, trajectory=traj,
     )
 
 
@@ -522,18 +487,11 @@ def scenario_minimal_akl() -> ScenarioResult:
         "signal_energy_monotonicity_excess": excess,
         "chi_ss2_min": mins.chi_ss2_min,
     }
-    expected = {
-        "signal_energy_monotonicity_excess_max": 0.0,
-    }
-    ok = excess <= 0.0
-    return ScenarioResult(
-        "minimal-akl",
-        _verdict(
-            "minimal-akl",
-            "signal-energy descent for the mass-conserving model",
-            hypotheses, measured, expected, ok,
-        ),
-        trajectory=traj,
+    expected = {"signal_energy_monotonicity_excess_max": 0.0}
+    ok = _meets(measured, expected, "signal_energy_monotonicity_excess_max")
+    return _result(
+        "minimal-akl", "signal-energy descent for the mass-conserving model",
+        hypotheses, measured, expected, ok, trajectory=traj,
     )
 
 
@@ -556,51 +514,32 @@ def scenario_thresholds_only() -> ScenarioResult:
     expected = {key: pair[1] for key, pair in checks.items()}
     expected["argmin_mode"] = 1
     expected["tolerance"] = tol
-    ok = report.argmin_mode == 1 and all(
+    ok = _meets(measured, expected, "argmin_mode") and all(
         value is not None and abs(value - target) <= tol
         for value, target in checks.values()
     )
-    return ScenarioResult(
-        "thresholds-only",
-        _verdict(
-            "thresholds-only",
-            "closed-form threshold evaluation at an exactly representable point",
-            {"logistic_source": not params.minimal}, measured, expected, ok,
-        ),
+    return _result(
+        "thresholds-only", "closed-form threshold evaluation at an exactly representable point",
+        {"logistic_source": not params.minimal}, measured, expected, ok,
     )
 
 
 def scenario_sweep() -> ScenarioResult:
     grid = _interval()
     spectrum = neumann_eigenvalues(grid, 1000)
-    chi_values = (0.5, 2.0, 3.9, 4.0, 4.1, 6.0)
-    expected_verdicts = ["stable", "stable", "stable", "critical",
-                         "unstable", "unstable"]
     rows = []
-    verdicts = []
-    for chi0 in chi_values:
+    for chi0 in (0.5, 2.0, 3.9, 4.0, 4.1, 6.0):
         params = ModelParams(chi0=chi0, **_PINNED)
-        eq = equilibrium(params)
-        report = classify_equilibrium(params, eq, spectrum)
-        verdicts.append(report.verdict)
-        rows.append(
-            {
-                "chi0": chi0,
-                "verdict": report.verdict,
-                "chi_star": report.chi_star,
-                "sigma_max": report.sigma_max,
-            }
-        )
-    measured = {"verdicts": verdicts, "rows": rows}
-    expected = {"verdicts": expected_verdicts}
-    ok = verdicts == expected_verdicts
-    return ScenarioResult(
-        "sweep",
-        _verdict(
-            "sweep",
-            "stability verdicts across a sensitivity sweep",
-            {"logistic_source": True}, measured, expected, ok,
-        ),
+        report = classify_equilibrium(params, equilibrium(params), spectrum)
+        rows.append({"chi0": chi0, "verdict": report.verdict,
+                     "chi_star": report.chi_star, "sigma_max": report.sigma_max})
+    measured = {"verdicts": [row["verdict"] for row in rows], "rows": rows}
+    expected = {"verdicts": ["stable", "stable", "stable", "critical",
+                             "unstable", "unstable"]}
+    return _result(
+        "sweep", "stability verdicts across a sensitivity sweep",
+        {"logistic_source": True}, measured, expected,
+        _meets(measured, expected, "verdicts"),
     )
 
 

@@ -85,34 +85,36 @@ def _candidates(lam, a_alpha, mu, gain):
     return (lam + a_alpha) * (mu + lam) / (gain * lam)
 
 
+# Trailing per-mode candidates that must be non-decreasing before the
+# minimum over a spectrum table is taken as chi*.
+TAIL_WINDOW = 10
+
+
 def critical_sensitivity(
-    params: ModelParams,
-    eq: Equilibrium,
-    spectrum: SpectrumTable,
-    tail_window: int = 10,
+    params: ModelParams, eq: Equilibrium, spectrum: SpectrumTable
 ) -> tuple[float, int]:
     """Exact instability threshold chi* and the mode index attaining it.
 
     The per-mode candidates eventually increase in lam, so the infimum is
-    certified once the trailing `tail_window` candidates are non-decreasing;
+    certified once the trailing TAIL_WINDOW candidates are non-decreasing;
     a table too short for that certificate raises SpectrumTooShort.
     """
-    value, mode = _certified_minimum(mode_candidates(params, eq, spectrum), tail_window)
+    value, mode = _certified_minimum(mode_candidates(params, eq, spectrum))
     return float(value), int(mode)
 
 
-def _certified_minimum(candidates: np.ndarray, tail_window: int = 10):
+def _certified_minimum(candidates: np.ndarray):
     """Minimum over the last axis of per-mode candidates and its 1-based mode.
 
     Works row by row on a (B, modes) batch; SpectrumTooShort is raised if
     the tail of any row is still decreasing.
     """
     modes = candidates.shape[-1]
-    if modes < tail_window + 1:
+    if modes < TAIL_WINDOW + 1:
         raise SpectrumTooShort(
-            f"need at least {tail_window + 2} eigenvalues, got {modes + 1}"
+            f"need at least {TAIL_WINDOW + 2} eigenvalues, got {modes + 1}"
         )
-    tail = candidates[..., -tail_window:]
+    tail = candidates[..., -TAIL_WINDOW:]
     if np.any(tail[..., 1:] < tail[..., :-1]):
         raise SpectrumTooShort(
             "candidate sequence still decreasing at the end of the table; "

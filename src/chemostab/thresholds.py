@@ -203,6 +203,10 @@ class KStarResult:
     ladder: tuple[float, ...]
 
 
+# Offsets eps of the ladder q = q* + eps on which k_star evaluates K*.
+K_STAR_LADDER = (1e-2, 1e-3, 1e-4)
+
+
 def k_star(
     dimension: int,
     alpha: float,
@@ -210,19 +214,18 @@ def k_star(
     mu: float,
     nu: float,
     c_star_np: CStarSource | None,
-    epsilons: Sequence[float] = (1e-2, 1e-3, 1e-4),
 ) -> KStarResult:
     """Approximate K* = liminf over q -> q*+ of M*(N, (q+alpha)/gamma)^(gamma/(q+alpha)).
 
-    Evaluates the bracketed expression at q = q* + eps on the epsilon
-    ladder; the result carries a convergence flag (relative difference of
+    Evaluates the bracketed expression at q = q* + eps on K_STAR_LADDER;
+    the result carries a convergence flag (relative difference of
     the last two rungs within 1e-3) rather than raising on slow decay.
     """
     if c_star_np is None:
         raise MissingCZConstant("k_star needs the C*_{N,p} constant")
     q_star = max(1.0, dimension * alpha / 2.0)
     values = []
-    for eps in epsilons:
+    for eps in K_STAR_LADDER:
         q = q_star + eps
         p = (q + alpha) / gamma
         if p <= 1.0:
@@ -503,13 +506,16 @@ def _minimal_values(
     return chi1, chi2, cb, cap
 
 
+# Cosine modes per axis of each random field estimate_m0 draws.
+M0_MODES = 8
+
+
 def estimate_m0(
     grid: GridDomain,
     mu: float,
     nu: float,
     sample_count: int,
     rng: np.random.Generator | None = None,
-    n_modes: int = 8,
 ) -> float:
     """Empirical lower bound for the Neumann gradient-estimate constant.
 
@@ -532,7 +538,7 @@ def estimate_m0(
             x = grid.centers(axis)
             shape = [1] * grid.dimension
             shape[axis] = -1
-            for j in range(1, n_modes + 1):
+            for j in range(1, M0_MODES + 1):
                 coeff = rng.normal(0.0, 1.0 / j**2)
                 wave = np.cos(j * math.pi * x / grid.lengths[axis])
                 f = f + coeff * wave.reshape(shape)
@@ -576,15 +582,16 @@ def _violates(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 # Tuples drawn and checked per block; a block's chi* scan holds a few
-# (ORDERING_BLOCK, spectrum_modes) arrays, a few MiB each at 200 modes.
+# (ORDERING_BLOCK, ORDERING_MODES) arrays, a few MiB each.
 ORDERING_BLOCK = 1 << 12
+# Neumann modes of the interval on which verify_orderings computes chi*.
+ORDERING_MODES = 200
 
 
 def verify_orderings(
     trials: int,
     rng: np.random.Generator,
     parts: Sequence[str] = _ORDERING_PARTS,
-    spectrum_modes: int = 200,
 ) -> OrderingReport:
     """Sample hypothesis-respecting tuples and check threshold orderings.
 
@@ -592,7 +599,7 @@ def verify_orderings(
     parts additionally check chi**_min <= chi_beta <= 2 chi*. A sample
     whose chi**_i fails its applicability gate is counted in `skipped` and
     not checked; nothing is re-drawn, so checked + skipped = trials per
-    part. chi* is exact on the first `spectrum_modes` Neumann eigenvalues
+    part. chi* is exact on the first ORDERING_MODES Neumann eigenvalues
     of an interval of random length.
 
     Each part draws its tuples in blocks of ORDERING_BLOCK, one rng call
@@ -603,7 +610,7 @@ def verify_orderings(
         raise ValueError(
             f"unknown ordering parts {unknown}; choose from {', '.join(_ORDERING_PARTS)}"
         )
-    unit = neumann_eigenvalues(GridDomain.interval(math.pi, 8), spectrum_modes).as_array()
+    unit = neumann_eigenvalues(GridDomain.interval(math.pi, 8), ORDERING_MODES).as_array()
     checked = {p: 0 for p in parts}
     skipped = {p: 0 for p in parts}
     violations: list[OrderingViolation] = []

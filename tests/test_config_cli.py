@@ -351,6 +351,59 @@ class TestAnalysisCommands:
         assert code == 2
         assert error["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("values", ["1, abc", "1,,2"])
+    def test_sweep_rejects_malformed_values(self, tmp_path, capsys, values):
+        text = BASE_CFG.format(**REFERENCE) + f"sweep.parameter = chi0\nsweep.values = {values}\n"
+        cfg = write_cfg(tmp_path, text=text)
+        code, payload, error = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "ConfigError"
+        assert "'sweep.values'" in error["message"]
+
+
+MINIMAL_CONSTANT_CFG = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0}).replace(
+    "init.kind = perturbation", "init.kind = constant"
+).replace("init.amplitude = 0.01", "init.value = 1.5").replace(
+    "run.t_end = 0.2", "run.t_end = 0.01"
+)
+
+
+class TestMinimalModelSolves:
+    """The minimal model's mass average needs the density only: the CLI
+    makes no elliptic solve for it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import chemostab.helmholtz
+
+        count = []
+        solve = chemostab.helmholtz.HelmholtzOperator.solve
+
+        def counting_solve(op, r, block=None):
+            count.append(1)
+            return solve(op, r, block)
+
+        monkeypatch.setattr(chemostab.helmholtz.HelmholtzOperator, "solve", counting_solve)
+        return count
+
+    def test_simulate_solves_once_per_state(self, tmp_path, capsys, solves):
+        cfg = write_cfg(tmp_path, text=MINIMAL_CONSTANT_CFG)
+        code, payload, _ = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 0
+        assert payload["steps"] == 10
+        # One signal solve for the initial state, then one diffusion and
+        # one signal solve per step.
+        assert len(solves) == 1 + 2 * 10
+
+    def test_sweep_makes_no_solve(self, tmp_path, capsys, solves):
+        text = MINIMAL_CONSTANT_CFG + "sweep.parameter = chi0\nsweep.values = 0.5, 1, 2\n"
+        cfg = write_cfg(tmp_path, text=text)
+        code, payload, _ = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        assert len(payload["rows"]) == 3
+        assert solves == []
+
 
 class TestScenarioAndFuzzCommands:
     def test_scenario_exit_zero_on_pass(self, capsys, tmp_path):

@@ -163,6 +163,23 @@ class TestPersistence:
         assert report.bound_case == "m>1"
         assert report.u_bound == pytest.approx(1.0, rel=1e-14)
 
+    def test_superlinear_floor_near_one_does_not_overflow(self):
+        # ratio = 2 / 1.1 > 1 and the exponent 1/(m - 1) = 1e6: powering the
+        # ratio first overflows, yet the floor is min{1, ...} = 1.
+        p = make_params(a=2.0, b=1.0, m=1.0 + 1e-6, beta=1.0, chi0=0.1)
+        report = persistence_metrics(_make_traj(p, 0.99, 0.98), p)
+        assert report.bound_case == "m>1"
+        assert report.u_bound == 1.0
+        assert type(report.u_bound) is float
+        assert report.v_bound == 1.0
+
+    def test_superlinear_floor_below_one(self):
+        # ratio = 1 / 2 < 1 with exponent max{1/(m-1), 1/alpha} = 2.
+        p = make_params(a=1.0, b=1.0, m=1.5, alpha=1.0, beta=1.0, chi0=1.0)
+        report = persistence_metrics(_make_traj(p, 0.99, 0.98), p)
+        assert report.bound_case == "m>1"
+        assert report.u_bound == 0.25
+
     def test_low_saturation_has_no_theorem_bound(self):
         p = make_params(a=2.0, b=1.0, beta=0.5)
         report = persistence_metrics(_make_traj(p, 0.9, 0.9), p)
