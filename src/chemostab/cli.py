@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
         "u_min": float(traj.u_min[-1]),
         "u_max": float(traj.u_max[-1]),
         "err_inf": float(traj.err_inf[-1]),
-        "mass_drift": float(np.max(np.abs(traj.mass - traj.mass[0])) / traj.mass[0]),
+        "mass_drift": traj.mass_drift,
         "positivity_clips": traj.clip_count,
         "csv": args.csv,
     })

@@ -17,7 +17,8 @@ Both solves are direct, and the 1D solve keeps its factorisation:
 - 2D: the mirror-ghost Laplacian is diagonal in the type-II DCT basis,
   with eigenvalues (4/h^2) sin^2(k pi / 2n) per axis (G. Strang, "The
   Discrete Cosine Transform", SIAM Review 41, 1999), so the solve is one
-  forward transform, a division and one inverse transform.
+  forward transform, a division and one inverse transform; the division
+  and the inverse transform work in the modes' own buffer.
 
 1D stays tridiagonal because the transform pair rounds more than the
 elimination: a 1D DCT solve misses the residual contract at 1024 cells and
@@ -27,15 +28,16 @@ SolverFailure, NaN included; a non-finite right-hand side raises
 NonFiniteInput, a SolverFailure too. `HelmholtzOperator.solve` is the one
 entry point for both the signal and the diffusion solve.
 
-`certify` checks a stack of solves in one pass, one solve per column, and
-each column on its own: its residual against its own max |r|, so a large
-column cannot mask a small one. It first tests a residual against
-1e-10 |r_0|, r_0 the column's first cell: since |r_0| is at most max |r|
-and a rounded product keeps that order, a residual within this bound is
-within the full one. Only a residual that it does not accept pays for the
-reduction max |r| and the full test, which then decides exactly as the full
-test alone; so every accept-or-raise decision and message is that of the
-full test, and the first failing column, in order, raises.
+`certify` checks one grid-shaped solve, or a stack of solves in one pass,
+one solve per column, and each column on its own: its residual against its
+own max |r|, so a large column cannot mask a small one. One decision serves
+both. It first tests a residual against 1e-10 |r_0|, r_0 the solve's first
+cell: since |r_0| is at most max |r| and a rounded product keeps that
+order, a residual within this bound is within the full one. Only a
+residual that it does not accept pays for the reduction max |r| and the
+full test, which then decides exactly as the full test alone; so every
+accept-or-raise decision and message is that of the full test, and the
+first failing column, in order, raises.
 
 When the check runs: `solve` certifies at once, unless it is handed a
 `SolveBlock`. `integrator.run` hands one to every solve of its steps on
@@ -48,10 +50,16 @@ full, so nothing built on an uncertified solve leaves the run, and a
 failing solve raises what it would have raised at once. The solutions are
 those of the direct solve either way: only the time of the check moves.
 
-`add_laplacian` is the one written form of lap_h: the residual check, the
-dense matrix of the stability check (`laplacian` on unit fields) and
-`face_gradients` all index faces through `face_slices`. The 1D bands and the
-2D DCT eigenvalues are lap_h in the forms that `dpttrf` and the DCT take.
+`add_laplacian` is the one written form of lap_h, behind the residual
+check, `laplacian` and the dense matrix of the stability check (`laplacian`
+on unit fields). It works on the field with its grid axes merged into one:
+along axis a the two cells of a face lie S_a = prod(cells[a+1:]) apart, so
+each axis is one shifted difference, a contiguous sweep even along the last
+axis of a 2D grid. The pairs S_a apart that straddle a row end are no faces
+and are set to 0 before they are added, which changes no float that the
+check or `laplacian` can show (see `add_laplacian`). `face_gradients`
+indexes faces through `face_slices`. The 1D bands and the 2D DCT
+eigenvalues are lap_h in the forms that `dpttrf` and the DCT take.
 """
 
 from __future__ import annotations
@@ -129,44 +137,54 @@ class HelmholtzOperator:
         else:
             from scipy import fft  # imports scipy.special; only 2D grids pay for it
 
-            modes = fft.dctn(r, type=2, norm="ortho") / self.diagonal
-            w = fft.idctn(modes, type=2, norm="ortho")
+            # The modes are the solve's own: divided and inverse-transformed
+            # where they lie.
+            modes = fft.dctn(r, type=2, norm="ortho")
+            modes /= self.diagonal
+            w = fft.idctn(modes, type=2, norm="ortho", overwrite_x=True)
         if block is None:
-            certify(self.grid, self.mu, r[..., None], w[..., None])
+            certify(self.grid, self.mu, r, w)
         else:
             block.add(self.mu, r, w)
         return w if r is rhs else w.reshape(rhs.shape)
 
 
 def certify(grid: GridDomain, mu, rhs: np.ndarray, solutions: np.ndarray) -> None:
-    """Certify solves (mu_k I - lap_h) w_k = r_k, stacked as columns.
+    """Certify one solve (mu I - lap_h) w = r, or a stack of them as columns.
 
-    `rhs` and `solutions` have the grid axes first and one trailing axis
-    of solves; `mu` is a float or one value per solve. Column k is accepted
+    For one solve `rhs` and `solutions` are grid-shaped and `mu` is a float.
+    For a stack they have the grid axes first and one trailing axis of
+    solves, and `mu` is a float or one value per solve. Solve k is accepted
     when max |r_k - (mu_k - lap_h) w_k| <= 1e-10 max |r_k| (or 1e-10 when
-    r_k is all zero); a NaN residual fails. The first column, in order,
-    that is not accepted raises NonFiniteInput when r_k holds NaN or
-    infinity, SolverFailure otherwise.
+    r_k is all zero); a NaN residual fails. The first solve, in order, that
+    is not accepted raises NonFiniteInput when r_k holds NaN or infinity,
+    SolverFailure otherwise.
 
-    Each column is first tested against 1e-10 |r_k0|, r_k0 its first cell:
+    Each solve is first tested against 1e-10 |r_k0|, r_k0 its first cell:
     that bound is at most the full one, so what it accepts the full test
-    accepts too. Only a column it does not accept pays for max |r_k|.
+    accepts too. Only a solve it does not accept pays for max |r_k|.
     """
     # r - (mu - lap_h) w, the negated residual, accumulated in one buffer.
     res = mu * solutions
     np.subtract(rhs, res, out=res)
     add_laplacian(res, solutions, grid)
+    np.abs(res, out=res)
     # Max-norms by the ufunc reduction itself (ndarray.max wraps it in
-    # Python); NaN propagates through it.
-    residuals = np.maximum.reduce(np.abs(res, out=res), axis=tuple(range(grid.dimension)))
-    firsts = rhs[(0,) * grid.dimension]
-    for k, (residual, first) in enumerate(zip(residuals.tolist(), firsts.tolist())):
+    # Python); NaN propagates through it. One solve needs no stacking: one
+    # reduction, and its first cell read directly.
+    stacked = rhs.ndim > grid.dimension
+    if stacked:
+        residuals = np.maximum.reduce(res, axis=tuple(range(grid.dimension))).tolist()
+        firsts = rhs[(0,) * grid.dimension].tolist()
+    else:
+        residuals, firsts = (float(np.maximum.reduce(res, axis=None)),), (rhs.item(0),)
+    for k, (residual, first) in enumerate(zip(residuals, firsts)):
         # An infinite one-cell bound (an infinite first cell) accepts nothing
         # by itself: the full test decides.
         quick = RESIDUAL_RTOL * abs(first)
         if residual <= quick and math.isfinite(quick):
             continue
-        r = rhs[..., k]
+        r = rhs[..., k] if stacked else rhs
         scale = float(np.maximum.reduce(np.abs(r), axis=None)) or 1.0
         if not residual <= RESIDUAL_RTOL * scale:
             if not np.isfinite(r).all():
@@ -283,21 +301,46 @@ def add_laplacian(out: np.ndarray, w: np.ndarray, grid: GridDomain) -> None:
     its high cell; boundary faces carry none. Face differences come first, so
     neighbouring values cancel exactly. Axes after the grid's are carried
     along, so one call applies lap_h to a stack of fields.
+
+    The passes run on the fields with their grid axes merged into one. Along
+    axis a the two cells of a face lie S_a = prod(cells[a+1:]) apart, so
+    the face differences of an axis are one shifted difference over the
+    merged axis, a contiguous sweep on every axis. The pairs S_a apart that
+    straddle the end of a row along axis a (none along the first axis) are
+    no faces: their differences are set to 0 before they are added, and
+    adding or subtracting that 0 changes no float, except that an exact
+    -0.0 in `out` at a row end can become +0.0. Neither `certify`, which
+    takes |.|, nor `laplacian`, which starts from +0.0, can show that.
     """
-    for axis, h in enumerate(grid.spacing):
-        low, high = face_slices(grid.dimension, axis)
-        flux = (w[high] - w[low]) / h**2
-        # In place on views: `out[low] += flux` would also copy the view
-        # back onto itself.
-        low_cells, high_cells = out[low], out[high]
-        low_cells += flux
-        high_cells -= flux
+    flat_out, flat_w = out, w
+    if grid.dimension > 1:
+        merged = (grid.total_cells, *w.shape[grid.dimension:])
+        flat_out, flat_w = out.reshape(merged), w.reshape(merged)
+    total = stride = len(flat_out)
+    for n, h in zip(grid.cells, grid.spacing):
+        stride //= n
+        faces = flat_w[stride:] - flat_w[:-stride]
+        if n * stride < total:
+            # Pair (i, i + stride) straddles a row end when i lies in the
+            # last `stride` cells of a run of n * stride cells.
+            faces[(n - 1) * stride:].reshape(-1, n * stride, *faces.shape[1:])[:, :stride] = 0.0
+        faces /= h**2
+        # In place on views: `out[:-stride] += faces` would also copy the
+        # view back onto itself.
+        low_cells, high_cells = flat_out[:-stride], flat_out[stride:]
+        low_cells += faces
+        high_cells -= faces
+    if flat_out is not out and not np.may_share_memory(flat_out, out):
+        # The grid axes of `out` do not merge in place (a Fortran-ordered
+        # field does not), so the reshape copied: write the copy back.
+        out[...] = flat_out.reshape(out.shape)
 
 
 def laplacian(w: np.ndarray, grid: GridDomain) -> np.ndarray:
     """lap_h w in a new array shaped like w (grid axes first)."""
     w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
+    # C order whatever the layout of w, so that the grid axes merge in place.
+    out = np.zeros(w.shape)
     add_laplacian(out, w, grid)
     return out
 

@@ -124,6 +124,12 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
+    @property
+    def mass_drift(self) -> float:
+        """max_k |mass_k - mass_0| / mass_0, the relative mass drift of the
+        run; the minimal model conserves mass, so there it should be ~0."""
+        return float(np.max(np.abs(self.mass - self.mass[0])) / self.mass[0])
+
     def write_csv(self, path: str) -> None:
         """One row per sample; raises ValueError if the series differ in length."""
         columns = [getattr(self, name) for name in SERIES]
@@ -278,15 +284,18 @@ def _record(traj: Trajectory, state: FieldState, rows: list[tuple[float, ...]]) 
     """Append one sample, its values in SERIES order, to rows."""
     u, v = state.u, state.v
     u_star, vol = traj.eq.u_star, traj.grid.cell_volume
-    u_min = float(u.min())
+    u_min, u_max = float(u.min()), float(u.max())
     rows.append((
         state.time,
         u_min,
-        float(u.max()),
+        u_max,
         float(v.min()),
         float(v.max()),
         float(u.sum()) * vol,
-        float(np.abs(u - u_star).max()),
+        # max |u - u*| from the extrema: x -> fl(x - u*) is monotone under
+        # round-to-nearest, so the largest |fl(u_i - u*)| is at u_max or
+        # u_min, bit for bit; NaN in u makes both extrema NaN.
+        max(abs(u_max - u_star), abs(u_min - u_star)),
         lyapunov_F(u, u_star, traj.params.m, vol) if u_min > 0.0 else math.nan,
         dissipation_D(u, u_star, traj.params.alpha, vol),
     ))

@@ -108,10 +108,6 @@ def _max_tolerated_increase(values: np.ndarray, tol_scale: float = 1e-8) -> floa
     return float(np.max(diffs - allowance))
 
 
-def _mass_drift(traj: Trajectory) -> float:
-    return float(np.max(np.abs(traj.mass - traj.mass[0])) / traj.mass[0])
-
-
 # Parameter set whose thresholds are exact in floating point:
 # u* = v* = 1, chi* = 4 at the first mode, chi**_1 = 4, chi**_3 = 1/2.
 _PINNED = dict(beta=0.0, m=1.0, alpha=1.0, gamma=1.0, a=1.0, b=1.0, mu=1.0, nu=1.0)
@@ -450,7 +446,7 @@ def scenario_minimal_entropy() -> ScenarioResult:
     measured = {
         "entropy_monotonicity_excess": excess,
         "final_error": float(traj.err_inf[-1]),
-        "mass_drift": _mass_drift(traj),
+        "mass_drift": traj.mass_drift,
         "chi_ss1_min": mins.chi_ss1_min,
     }
     expected = {

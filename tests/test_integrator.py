@@ -6,9 +6,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemostab import (
     BlowupDetected,
+    Equilibrium,
     FieldState,
     GridDomain,
     InitSpec,
@@ -30,8 +33,10 @@ from chemostab.helmholtz import (
     solve_block,
 )
 from chemostab.integrator import (
+    SERIES,
     TRAJECTORY_CSV_HEADER,
     DegenerateState,
+    _record,
     chemotactic_face_flux,
     face_drift,
     flux_divergence,
@@ -706,3 +711,33 @@ class TestTrajectoryOutput:
         assert traj.u_max[-1] == pytest.approx(float(u.max()), rel=1e-15)
         assert traj.err_inf[-1] == pytest.approx(float(np.abs(u - 1.0).max()))
         assert isinstance(traj, Trajectory)
+
+    @given(seed=st.integers(0, 2**32 - 1), where=st.sampled_from(["below", "inside", "above"]),
+           scale=st.floats(-8.0, 8.0), nan=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_err_inf_is_bitwise_the_max_over_the_field(self, seed, where, scale, nan):
+        # _record takes max |u - u*| from the extrema; the field's own
+        # reduction is the reference, byte for byte.
+        rng = np.random.default_rng(seed)
+        grid = GridDomain.interval(1.0, 16)
+        u = 10.0**scale * rng.uniform(0.5, 2.0, size=16)
+        if nan:
+            u[rng.integers(16)] = math.nan
+        lo, hi = np.nanmin(u), np.nanmax(u)
+        u_star = float({"below": lo * rng.uniform(1e-3, 1.0),
+                        "inside": rng.choice([lo, hi, rng.uniform(lo, hi)]),
+                        "above": hi * rng.uniform(1.0, 1e3)}[where])
+        traj = Trajectory(make_params(), grid, Equilibrium(u_star, 1.0))
+        rows = []
+        with np.errstate(invalid="ignore"):
+            _record(traj, FieldState(0.0, u, np.ones(16)), rows)
+            expected = float(np.abs(u - u_star).max())
+        recorded = rows[0][SERIES.index("err_inf")]
+        assert type(recorded) is float
+        assert np.float64(recorded).tobytes() == np.float64(expected).tobytes()
+
+    def test_mass_drift_is_the_largest_relative_change_of_mass(self, interval_pi):
+        p = make_params()
+        traj = Trajectory(p, interval_pi, equilibrium(p), mass=np.array([2.0, 2.5, 1.0, 2.0]))
+        assert traj.mass_drift == 0.5
+        assert type(traj.mass_drift) is float
