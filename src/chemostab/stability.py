@@ -109,18 +109,69 @@ def _certified_minimum(candidates: np.ndarray):
     Works row by row on a (B, modes) batch; SpectrumTooShort is raised if
     the tail of any row is still decreasing.
     """
-    modes = candidates.shape[-1]
+    _require_length(candidates.shape[-1])
+    _certify_tail(candidates[..., -TAIL_WINDOW:])
+    return candidates.min(axis=-1), candidates.argmin(axis=-1) + 1
+
+
+def _require_length(modes: int) -> None:
+    """Raise SpectrumTooShort if `modes` nonzero modes cannot hold a tail."""
     if modes < TAIL_WINDOW + 1:
         raise SpectrumTooShort(
             f"need at least {TAIL_WINDOW + 2} eigenvalues, got {modes + 1}"
         )
-    tail = candidates[..., -TAIL_WINDOW:]
+
+
+def _certify_tail(tail: np.ndarray) -> None:
+    """Raise SpectrumTooShort if any row of the trailing candidates decreases."""
     if np.any(tail[..., 1:] < tail[..., :-1]):
         raise SpectrumTooShort(
             "candidate sequence still decreasing at the end of the table; "
             "supply more eigenvalues"
         )
-    return candidates.min(axis=-1), candidates.argmin(axis=-1) + 1
+
+
+def _bracketed_minimum(unit, scale, a_alpha, mu, gain):
+    """chi* and its mode for a batch of 1D rows, from the modes around
+    lam0 = sqrt(a alpha mu): the same floats as
+
+        _certified_minimum(_candidates(unit[1:] * scale[:, None], ...))
+
+    with the (B,) coefficients as columns, without the (B, modes) array.
+    `unit` is a Neumann table n^2 (n = 0, 1, ...) of [0, pi] and `scale`
+    the per-row factor (pi/L)^2.
+
+    Why the window is exact: the candidate (lam + a alpha + mu + a alpha
+    mu / lam) / gain is convex in lam > 0 with its minimum at lam0, so over
+    the modes it is least at one of the two that bracket lam0, and it
+    decreases strictly before them and increases strictly after. The
+    search puts the bracket at k-1, k with unit[k-1] < lam0 / scale <=
+    unit[k]; the window k-2 .. k+1, shifted to stay in the table, holds
+    it, and holds it still when rounding puts the search one index off.
+    Adjacent n^2 differ by at least 1% up to n = 200, so every candidate
+    outside the window exceeds one inside it by at least about 5e-3
+    relative over the ordering fuzzer's draw ranges (a grid over them,
+    with the search taken one index off either way), far above rounding:
+    the float minimum and its first index are those of the full scan.
+    Tables with near-equal eigenvalues (2D ones, where 25 = 5^2 + 0^2 =
+    3^2 + 4^2) have no such gap; critical_sensitivity scans those.
+
+    The tail certificate is the scan's: each row's last TAIL_WINDOW
+    candidates, with SpectrumTooShort raised in the same cases.
+    """
+    modes = unit.size - 1
+    _require_length(modes)
+    scale = scale[:, None]
+    a_alpha, mu, gain = a_alpha[:, None], mu[:, None], gain[:, None]
+    _certify_tail(_candidates(unit[-TAIL_WINDOW:] * scale, a_alpha, mu, gain))
+    bracket = np.searchsorted(unit, np.sqrt(a_alpha * mu) / scale)
+    at = np.clip(bracket - 2, 1, modes - 3) + np.arange(4)
+    window = _candidates(unit[at] * scale, a_alpha, mu, gain)
+    pick = window.argmin(axis=1)[:, None]
+    return (
+        np.take_along_axis(window, pick, axis=1)[:, 0],
+        np.take_along_axis(at, pick, axis=1)[:, 0],
+    )
 
 
 @dataclass(frozen=True)

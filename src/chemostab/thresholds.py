@@ -581,8 +581,8 @@ def _violates(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lhs > rhs * (1.0 + 1e-12) + 1e-300
 
 
-# Tuples drawn and checked per block; a block's chi* scan holds a few
-# (ORDERING_BLOCK, ORDERING_MODES) arrays, a few MiB each.
+# Tuples drawn and checked per block; a block's chi* holds one
+# (ORDERING_BLOCK, TAIL_WINDOW) and a few (ORDERING_BLOCK, 4) arrays.
 ORDERING_BLOCK = 1 << 12
 # Neumann modes of the interval on which verify_orderings computes chi*.
 ORDERING_MODES = 200
@@ -690,20 +690,23 @@ def _ordering_checks(part: str, sample: dict[str, np.ndarray], unit: np.ndarray)
     """The orderings one part checks on a drawn block.
 
     `unit` is the Neumann spectrum of [0, pi]; an interval of length L has
-    it scaled by (pi/L)^2. Returns the (lhs_name, lhs, rhs_name, rhs)
-    array checks and the mask of rows whose applicability gate holds.
+    it scaled by (pi/L)^2. chi* is the minimum over the modes of the
+    per-mode candidate, which is convex in lam with its minimum at
+    lam0 = sqrt(a alpha mu); the table's eigenvalues lie at least 1% apart,
+    so the minimum is found among the four modes around lam0, with the
+    same floats as a scan of the whole table (see _bracketed_minimum).
+    Returns the (lhs_name, lhs, rhs_name, rhs) array checks and the mask
+    of rows whose applicability gate holds.
     """
-    from .stability import _candidates, _certified_minimum, _gain
+    from .stability import _bracketed_minimum, _gain
 
     s = sample
-    lam = unit[1:] * ((math.pi / s["length"]) ** 2)[:, None]
+    scale = (math.pi / s["length"]) ** 2
     gain = _gain(s["nu"], s["gamma"], s["m"], s["beta"], s["u_star"], s["v_star"])
-    chi_star, _ = _certified_minimum(_candidates(
-        lam, (s["a"] * s["alpha"])[:, None], s["mu"][:, None], gain[:, None]
-    ))
+    chi_star, _ = _bracketed_minimum(unit, scale, s["a"] * s["alpha"], s["mu"], gain)
     if part.startswith("minimal"):
         chi1, chi2, cb, _ = _minimal_values(
-            s["u_star"], s["gamma"], s["beta"], s["mu"], s["nu"], lam[:, 0],
+            s["u_star"], s["gamma"], s["beta"], s["mu"], s["nu"], unit[1] * scale,
             s["ubar0"], s["vlower0"], dimension=1,
         )
         if part == "minimal-2":

@@ -2,9 +2,11 @@
 
 The fuzzers draw a block of trials per numpy call and evaluate it with the
 elementwise cores of the threshold formulas. These tests check that every
-drawn sample agrees with the scalar public functions, that a planted fault
-in a formula is caught (so the array program checks something), and that
-nothing overflows or divides by zero outside a formula's gate.
+drawn sample agrees with the scalar public functions, that chi* from the
+modes around its minimum is the full scan's, float for float, that a
+planted fault in a formula is caught (so the array program checks
+something), and that nothing overflows or divides by zero outside a
+formula's gate.
 """
 
 import json
@@ -13,8 +15,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chemostab import diagnostics, thresholds
+from chemostab import diagnostics, stability, thresholds
 from chemostab.cli import main
 from chemostab.core import (
     GridDomain,
@@ -23,7 +27,14 @@ from chemostab.core import (
     neumann_eigenvalues,
 )
 from chemostab.diagnostics import check_power_diff_inequality
-from chemostab.stability import critical_sensitivity
+from chemostab.stability import (
+    TAIL_WINDOW,
+    SpectrumTooShort,
+    _bracketed_minimum,
+    _candidates,
+    _certified_minimum,
+    critical_sensitivity,
+)
 from chemostab.thresholds import (
     chi_double_star,
     minimal_thresholds,
@@ -147,6 +158,113 @@ class TestBlockAgreement:
     def test_power_diff_constant_rejects_any_bad_entry(self):
         with pytest.raises(thresholds.HypothesisViolated):
             power_diff_constant(np.array([2.0, 1.0]), np.array([1.0, 1.2]))
+
+
+def scanned_minimum(unit, scale, a_alpha, mu, gain):
+    """chi* and its mode over every nonzero mode of the table."""
+    return _certified_minimum(_candidates(
+        unit[1:] * scale[:, None], a_alpha[:, None], mu[:, None], gain[:, None]
+    ))
+
+
+def outcome(chi_star, unit, *columns):
+    """The value bytes and modes of a chi* batch, or its SpectrumTooShort message."""
+    try:
+        value, mode = chi_star(unit, *(np.asarray(c, dtype=float) for c in columns))
+    except SpectrumTooShort as exc:
+        return str(exc)
+    return value.tobytes(), mode.tolist()
+
+
+def assert_window_matches_scan(unit, *columns):
+    expected = outcome(scanned_minimum, unit, *columns)
+    assert outcome(_bracketed_minimum, unit, *columns) == expected
+    return expected
+
+
+# One row of _bracketed_minimum's input: the scale (pi/L)^2 of an interval
+# in the ordering fuzzer's length range, a alpha (0 in the minimal parts,
+# up to about 120 in parts 3 and 4), mu and the gain.
+ROW = st.tuples(
+    st.floats(0.5, 2.0 * math.pi).map(lambda length: (math.pi / length) ** 2),
+    st.one_of(st.just(0.0), st.floats(0.02, 130.0)),
+    st.floats(0.1, 10.0),
+    st.floats(1e-6, 1e6),
+)
+
+
+class TestBracketedMinimum:
+    """chi* from the modes around lam0 = sqrt(a alpha mu) against the full scan."""
+
+    @given(part=st.sampled_from(PARTS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scan_on_drawn_blocks(self, part, seed):
+        s = thresholds._draw_ordering_block(part, 64, np.random.default_rng(seed))
+        gain = stability._gain(
+            s["nu"], s["gamma"], s["m"], s["beta"], s["u_star"], s["v_star"]
+        )
+        assert_window_matches_scan(
+            unit_spectrum(), (math.pi / s["length"]) ** 2, s["a"] * s["alpha"],
+            s["mu"], gain,
+        )
+
+    @given(
+        rows=st.lists(ROW, min_size=1, max_size=8),
+        modes=st.integers(TAIL_WINDOW + 1, 200),
+    )
+    @example(rows=[(1.0, 0.0, 1.0, 1.0)], modes=200)
+    @example(rows=[(1.0, 1.0, 1.0, 1.0)], modes=200)
+    @example(rows=[(39.47, 130.0, 10.0, 1e-6), (0.25, 0.02, 0.1, 1e6)], modes=200)
+    @example(rows=[(0.25, 130.0, 10.0, 1.0)], modes=TAIL_WINDOW + 1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan_across_the_draw_ranges(self, rows, modes):
+        assert_window_matches_scan(unit_spectrum()[: modes + 1], *zip(*rows))
+
+    def test_no_decay_takes_the_first_mode(self):
+        # a alpha = 0: the candidate (lam + mu) / gain increases in lam.
+        _, mode = assert_window_matches_scan(
+            unit_spectrum(), [1.0, 0.25, 39.0], [0.0] * 3, [0.1, 1.0, 10.0], [1.0] * 3,
+        )
+        assert mode == [1, 1, 1]
+
+    def test_reference_row(self):
+        # L = pi, a alpha = mu = gain = 1: lam0 = lam1 = 1 and chi* = 4.
+        value, mode = assert_window_matches_scan(unit_spectrum(), *[[1.0]] * 4)
+        assert np.frombuffer(value).tolist() == [4.0] and mode == [1]
+
+    @pytest.mark.parametrize("n", [185, 189.5, 190.5, 191, 191.5, 195, 200, 200.5])
+    def test_lam0_among_the_last_modes(self, n):
+        # The tail holds modes 191..200; lam0 = n^2 past mode 191 leaves it
+        # decreasing, so both forms raise, and at 191 or below both return.
+        expected = assert_window_matches_scan(
+            unit_spectrum(), [1.0, 0.3], [n**2, 1.0], [n**2, 1.0], [1.0, 2.0],
+        )
+        assert isinstance(expected, str) is (n > 191)
+
+    def test_lam0_beyond_the_table_raises_the_scan_message(self):
+        message = assert_window_matches_scan(
+            unit_spectrum(), [1.0, 1.0], [1.0, 250.0**2], [1.0, 250.0**2], [1.0, 1.0],
+        )
+        assert message.startswith("candidate sequence still decreasing")
+
+    @pytest.mark.parametrize("size", [2, TAIL_WINDOW, TAIL_WINDOW + 1])
+    def test_short_table_raises_the_scan_message(self, size):
+        message = assert_window_matches_scan(unit_spectrum()[:size], *[[1.0]] * 4)
+        assert message == f"need at least {TAIL_WINDOW + 2} eigenvalues, got {size}"
+
+    @pytest.mark.parametrize("trials", (1, 200, 4096, 4097))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("flag_every_row", (False, True))
+    def test_reports_match_the_scan(self, monkeypatch, trials, seed, flag_every_row):
+        if flag_every_row:
+            # Every checked row becomes a violation carrying its chi*.
+            monkeypatch.setattr(
+                thresholds, "_violates", lambda lhs, rhs: np.ones(lhs.shape, bool)
+            )
+        report = verify_orderings(trials, np.random.default_rng(seed))
+        monkeypatch.setattr(stability, "_bracketed_minimum", scanned_minimum)
+        assert verify_orderings(trials, np.random.default_rng(seed)) == report
+        assert bool(report.violations) is flag_every_row
 
 
 class TestPlantedFaults:
