@@ -53,7 +53,7 @@ from .thresholds import (
     chi_ab_beta,
     chi_beta_threshold,
     chi_double_star,
-    estimate_m0,
+    gradient_constant,
     k_star,
     m_star,
     minimal_thresholds,
@@ -105,7 +105,7 @@ __all__ = [
     "chi_ab_beta",
     "chi_beta_threshold",
     "chi_double_star",
-    "estimate_m0",
+    "gradient_constant",
     "k_star",
     "m_star",
     "minimal_thresholds",

@@ -2,8 +2,8 @@
 
     chemostab simulate  --config FILE [--csv PATH]
     chemostab stability --config FILE [--n-max N] [--discrete-check] [--modes K]
-    chemostab thresholds --config FILE [--m0 X | --estimate-m0 N]
-                         [--c-star-table FILE] [--n-max N] [--seed S]
+    chemostab thresholds --config FILE [--m0 X | --discrete-m0]
+                         [--c-star-table FILE] [--stub-c-star] [--n-max N]
     chemostab rectangle --config FILE [--m0 X] [--mode plain|signal-floor]
                         [--tau-end T] [--ode-dt DT] [--ubar0 X] [--ulow0 X]
                         [--csv PATH]
@@ -13,7 +13,7 @@
 
 `fuzz` draws its trials in blocks, one generator call per variable, and
 checks each block with array operations: about 0.1 us per power-difference
-trial and 3-5 us per ordering tuple (2-vCPU Xeon), and memory stays bounded
+trial and about 3 us per ordering tuple (2-vCPU Xeon), and memory stays bounded
 at any trial count. The block draws use the generator differently from the
 former one-trial-at-a-time loops, so a given --seed draws different samples
 than before; the violation and skip counts are unchanged.
@@ -60,11 +60,11 @@ from .diagnostics import check_power_diff_inequality
 from .integrator import BlowupDetected, run
 from .rectangle import integrate_rectangle, normalize
 from .scenarios import SCENARIOS, run_scenario
-from .stability import classify_equilibrium, discrete_spectrum_check
+from .stability import DENSE_EIG_CELL_LIMIT, classify_equilibrium, discrete_spectrum_check
 from .thresholds import (
     c_star_from_table,
     default_c_star_stub,
-    estimate_m0,
+    gradient_constant,
     threshold_report,
     verify_orderings,
 )
@@ -213,13 +213,10 @@ def cmd_thresholds(args) -> int:
     eq = _equilibrium_for(cfg, grid, params)
     spectrum = neumann_eigenvalues(grid, args.n_max)
 
-    if args.estimate_m0:
-        rng = np.random.default_rng(args.seed)
-        m0 = estimate_m0(grid, params.mu, params.nu, args.estimate_m0, rng)
-        m0_source = "empirical"
+    if args.discrete_m0:
+        m0, m0_source = gradient_constant(grid, params.mu), "discrete"
     else:
-        m0 = args.m0
-        m0_source = "user"
+        m0, m0_source = args.m0, "user"
 
     c_star = _load_c_star(args.c_star_table)
     if c_star is None and args.stub_c_star:
@@ -346,15 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr = sub.add_parser("thresholds", help="evaluate all closed-form thresholds")
     p_thr.add_argument("--config", required=True)
     p_thr.add_argument("--n-max", type=int, default=1000)
-    p_thr.add_argument("--m0", type=float, default=0.0,
-                       help="gradient-estimate constant of the domain")
-    p_thr.add_argument("--estimate-m0", type=int, default=0, metavar="SAMPLES",
-                       help="estimate m0 empirically from random fields")
+    m0_choice = p_thr.add_mutually_exclusive_group()
+    m0_choice.add_argument("--m0", type=float, default=0.0,
+                           help="gradient-estimate constant of the domain")
+    m0_choice.add_argument("--discrete-m0", action="store_true",
+                           help="use the grid's exact discrete constant "
+                                f"(dense solve, at most {DENSE_EIG_CELL_LIMIT} cells)")
     p_thr.add_argument("--c-star-table", default=None,
                        help="CSV of p,C* rows for the regularity constant")
     p_thr.add_argument("--stub-c-star", action="store_true",
                        help="use the nonrigorous C* = 1 placeholder")
-    p_thr.add_argument("--seed", type=int, default=0)
     p_thr.set_defaults(func=cmd_thresholds)
 
     p_rect = sub.add_parser("rectangle", help="integrate the comparison ODE pair")

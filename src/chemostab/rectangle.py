@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Equilibrium, ModelParams
 from .integrator import Trajectory
-from .thresholds import v_lower_ab
+from .thresholds import require_m0, v_lower_ab
 
 
 class MinimalModelUnsupported(ValueError):
@@ -72,8 +72,7 @@ def normalize(
         )
     if mode not in ("plain", "signal-floor"):
         raise ValueError(f"unknown mode {mode!r}")
-    if m0 < 0.0:
-        raise ValueError(f"m0 must be >= 0, got {m0}")
+    require_m0(m0)
     kappa0 = (
         params.chi0
         * params.nu
@@ -149,10 +148,14 @@ def integrate_rectangle(
     """Classical fourth-order Runge-Kutta on a fixed normalized-time grid.
 
     Raises OrderViolation when ulow <= 1 <= ubar (or positivity) fails
-    beyond rounding tolerance, including on the initial pair.
+    beyond rounding tolerance, including on the initial pair, and
+    ValueError unless tau_end, dt and tau_end / dt are positive and finite.
     """
-    if tau_end <= 0.0 or dt <= 0.0:
-        raise ValueError("tau_end and dt must be positive")
+    # NaN fails every comparison; tau_end / dt is finite only if tau_end is.
+    if not (tau_end > 0.0 and math.inf > dt > 0.0 and math.isfinite(tau_end / dt)):
+        raise ValueError(
+            f"tau_end, dt and tau_end / dt must be positive and finite, got {tau_end}, {dt}"
+        )
     if not (0.0 < ulow0 <= 1.0 + ORDER_TOL and ubar0 >= 1.0 - ORDER_TOL):
         raise OrderViolation(
             f"initial pair must satisfy 0 < ulow <= 1 <= ubar, "

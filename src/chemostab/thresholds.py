@@ -382,12 +382,13 @@ def chi_double_star(
 ) -> tuple[ThresholdEntry, ThresholdEntry, ThresholdEntry, ThresholdEntry]:
     """The four explicit global-stability thresholds with applicability flags.
 
-    `m0` is the Neumann gradient-estimate constant of the domain (user
-    value or empirical estimate); it only enters entries 3 and 4, and only
-    when beta > 0.
+    `m0` is the Neumann gradient-estimate constant of the domain (a user
+    value or `gradient_constant`); it only enters entries 3 and 4, and only
+    when beta > 0. HypothesisViolated unless it is finite and >= 0.
     """
     if params.minimal:
         raise HypothesisViolated("chi**_1..4 require a, b > 0")
+    require_m0(m0)
     values = _chi_double_star_values(
         params.a, params.b, params.m, params.alpha, params.gamma, params.beta,
         params.mu, params.nu, eq.u_star, eq.v_star, m0,
@@ -396,6 +397,13 @@ def chi_double_star(
         ThresholdEntry(name, None if math.isnan(value) else float(value), bool(ok), hyp)
         for (name, hyp), (value, ok) in zip(_CHI_SS_ENTRIES, values)
     )
+
+
+def require_m0(m0: float) -> None:
+    """HypothesisViolated unless the gradient-estimate constant m0 is finite
+    and >= 0; NaN fails every comparison, so finiteness is tested by name."""
+    if not (math.isfinite(m0) and m0 >= 0.0):
+        raise HypothesisViolated(f"m0 must be finite and >= 0, got {m0}")
 
 
 def _chi_double_star_values(a, b, m, alpha, gamma, beta, mu, nu, u, v, m0):
@@ -506,50 +514,37 @@ def _minimal_values(
     return chi1, chi2, cb, cap
 
 
-# Cosine modes per axis of each random field estimate_m0 draws.
-M0_MODES = 8
+def gradient_constant(grid: GridDomain, mu: float) -> float:
+    """The exact Neumann gradient-estimate constant M0 of the grid.
 
+    M0_h is the least constant with |grad_h w|_inf <= M0_h (nu/sqrt(mu)) osc(f)
+    for every w solving (mu I - lap_h) w = nu f, so nu cancels out. The
+    gradient at one interior face is a row of grad_h (mu I - lap_h)^-1
+    applied to f; the row annihilates constants, so its supremum over
+    osc(f) <= 1 is the sum of its positive entries, half its l1 norm, and
 
-def estimate_m0(
-    grid: GridDomain,
-    mu: float,
-    nu: float,
-    sample_count: int,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Empirical lower bound for the Neumann gradient-estimate constant.
+        M0_h = sqrt(mu) max over interior faces of |row|_1 / 2.
 
-    For w solving (mu I - lap_h) w = nu f with smooth random f of unit
-    oscillation, the constant satisfies |grad w|_inf <= M0 (nu/sqrt(mu)) osc(f),
-    so each sample yields the certificate |grad_h w|_inf sqrt(mu) / nu and
-    the estimate is the running maximum. It can only under-shoot the true
-    constant.
+    The inverse comes from one dense solve against `dense_laplacian`, which
+    raises EigsolverFailure above DENSE_EIG_CELL_LIMIT cells, and each of
+    its columns is certified by `certify` like any other elliptic solve.
     """
-    from .helmholtz import face_gradients, get_operator
+    from .helmholtz import SingularOperator, certify, face_gradients
+    from .stability import dense_laplacian
 
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    op = get_operator(grid, mu)
-    best = 0.0
-    for _ in range(sample_count):
-        f = np.zeros(grid.shape)
-        for axis in range(grid.dimension):
-            x = grid.centers(axis)
-            shape = [1] * grid.dimension
-            shape[axis] = -1
-            for j in range(1, M0_MODES + 1):
-                coeff = rng.normal(0.0, 1.0 / j**2)
-                wave = np.cos(j * math.pi * x / grid.lengths[axis])
-                f = f + coeff * wave.reshape(shape)
-        osc = float(f.max() - f.min())
-        if osc <= 0.0:
-            continue
-        f = f / osc
-        w = op.solve(nu * f)
-        steepest = max(float(np.abs(g).max()) for g in face_gradients(w, grid))
-        best = max(best, steepest * math.sqrt(mu) / nu)
-    return best
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise SingularOperator(f"mu must be positive, got {mu}")
+    n = grid.total_cells
+    matrix = dense_laplacian(grid)
+    matrix *= -1.0
+    matrix.flat[:: n + 1] += mu
+    units = np.eye(n)
+    # Column j solves (mu I - lap_h) w = e_j; the grid axes come first.
+    stack = (*grid.shape, n)
+    inverse = np.linalg.solve(matrix, units).reshape(stack)
+    certify(grid, mu, units.reshape(stack), inverse)
+    rows = face_gradients(inverse, grid)
+    return math.sqrt(mu) * max(0.5 * float(np.abs(r).sum(axis=-1).max()) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -736,7 +731,7 @@ class AuxConstants:
     v_lower_ab: float | None
     bar_chi: float | None
     m0: float
-    m0_source: str              # "user" or "empirical"
+    m0_source: str              # "user" or "discrete" (gradient_constant)
     lambda_star: float
     c_star: CStarSource | None
     k_star: KStarResult | None
@@ -750,6 +745,8 @@ def build_aux_constants(
     m0_source: str,
     c_star: CStarSource | None,
 ) -> AuxConstants:
+    # Every report carries m0, the minimal model's too, where nothing reads it.
+    require_m0(m0)
     try:
         c_ag = power_diff_constant(params.alpha, params.gamma)
     except HypothesisViolated:

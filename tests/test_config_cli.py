@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chemostab import GridDomain, gradient_constant
 from chemostab.cli import jsonable, main
 from chemostab.config import (
     ConfigError,
@@ -24,6 +25,7 @@ from chemostab.config import (
 )
 from chemostab.core import Equilibrium
 from chemostab.integrator import StepConfig
+from chemostab.stability import DENSE_EIG_CELL_LIMIT
 from conftest import REFERENCE, make_params
 
 BASE_CFG = """
@@ -324,6 +326,60 @@ class TestAnalysisCommands:
         assert code == 2
         assert payload is None
         assert error["error"] == "GridTooLarge"
+
+    def test_thresholds_discrete_m0(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, beta=1.0)
+        code, payload, _ = run_cli(capsys, "thresholds", "--config", cfg, "--discrete-m0")
+        assert code == 0
+        assert payload["aux"]["m0_source"] == "discrete"
+        expected = gradient_constant(GridDomain.interval(math.pi, 64), 1.0)
+        assert payload["aux"]["m0"] == expected
+        # chi**_3 = a / (nu u*^(m+gamma-1)) / (2 + beta v* m0^2), u* = v* = 1.
+        assert payload["chi_ss"][2]["value"] == pytest.approx(1.0 / (2.0 + expected**2))
+
+    def test_thresholds_m0_sources_are_exclusive(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", "--config", cfg, "--m0", "1.0", "--discrete-m0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_thresholds_discrete_m0_cell_limit(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, text=BASE_CFG.format(**REFERENCE).replace(
+            "domain.cells = 64", f"domain.cells = {DENSE_EIG_CELL_LIMIT + 1}"))
+        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg, "--discrete-m0")
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "EigsolverFailure"
+
+    @pytest.mark.parametrize("command", ["thresholds", "rectangle"])
+    @pytest.mark.parametrize("m0", ["-1", "nan", "inf"])
+    def test_m0_must_be_finite_and_nonnegative(self, tmp_path, capsys, command, m0):
+        cfg = write_cfg(tmp_path, beta=1.0, chi0=0.3)
+        code, payload, error = run_cli(capsys, command, "--config", cfg, "--m0", m0)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "HypothesisViolated"
+
+    def test_minimal_thresholds_check_m0(self, tmp_path, capsys):
+        text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
+        cfg = write_cfg(tmp_path, text=text + "init.u_star = 1.0\n")
+        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg, "--m0", "nan")
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "HypothesisViolated"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau-end", "inf"), ("--tau-end", "nan"), ("--tau-end", "0"),
+        ("--ode-dt", "nan"), ("--ode-dt", "0"),
+    ])
+    def test_rectangle_time_grid_must_be_finite(self, tmp_path, capsys, flag, value):
+        cfg = write_cfg(tmp_path, chi0=0.3)
+        code, payload, error = run_cli(capsys, "rectangle", "--config", cfg, flag, value)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "ValueError"
+        assert "finite" in error["message"]
 
     def test_rectangle_command(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, chi0=0.3)

@@ -66,8 +66,9 @@ class TestNormalize:
     def test_input_validation(self, reference_eq):
         with pytest.raises(ValueError, match="mode"):
             normalize(make_params(), reference_eq, m0=0.0, mode="fancy")
-        with pytest.raises(ValueError, match="m0"):
-            normalize(make_params(), reference_eq, m0=-1.0)
+        for m0 in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="m0"):
+                normalize(make_params(), reference_eq, m0=m0)
 
 
 class TestRhs:
@@ -121,6 +122,16 @@ class TestIntegration:
             integrate_rectangle(rp, ubar0=1.2, ulow0=1.5, tau_end=1.0)
         with pytest.raises(OrderViolation):
             integrate_rectangle(rp, ubar0=1.2, ulow0=-0.1, tau_end=1.0)
+
+    @pytest.mark.parametrize(
+        "tau_end, dt",
+        [(math.inf, 1e-3), (math.nan, 1e-3), (0.0, 1e-3), (-1.0, 1e-3),
+         (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1e300, 1e-300)],
+    )
+    def test_time_grid_must_be_finite(self, reference_eq, tau_end, dt):
+        rp = normalize(make_params(chi0=0.3), reference_eq, m0=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_rectangle(rp, 1.25, 0.75, tau_end=tau_end, dt=dt)
 
     def test_noncontractive_coupling_breaks_order(self, reference_eq):
         # Far outside the contraction region the upper branch runs away

@@ -13,7 +13,8 @@ from chemostab import (
     chi_beta_threshold,
     chi_double_star,
     equilibrium,
-    estimate_m0,
+    get_operator,
+    gradient_constant,
     k_star,
     m_star,
     minimal_thresholds,
@@ -23,6 +24,8 @@ from chemostab import (
     threshold_report,
     verify_orderings,
 )
+from chemostab.helmholtz import SingularOperator, SolverFailure, certify, face_gradients
+from chemostab.stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure, dense_laplacian
 from chemostab.thresholds import (
     BetaBelowOne,
     GammaNotOne,
@@ -308,6 +311,19 @@ class TestChiDoubleStar:
         b = chi_double_star(make_params(), reference_eq, m0=5.0)[2].value
         assert a == b
 
+    @pytest.mark.parametrize("m0", [-1.0, math.nan, math.inf])
+    def test_m0_must_be_finite_and_nonnegative(self, reference_eq, m0):
+        # -1 would be squared into a valid-looking chi**_3; NaN would give
+        # null values flagged applicable.
+        with pytest.raises(HypothesisViolated, match="m0"):
+            chi_double_star(make_params(beta=1.0), reference_eq, m0=m0)
+
+    def test_report_checks_m0_for_the_minimal_model(self, spectrum_pi):
+        # Nothing reads m0 there, but the report would carry a bare NaN.
+        p = make_params(a=0.0, b=0.0)
+        with pytest.raises(HypothesisViolated, match="m0"):
+            threshold_report(p, equilibrium(p, u_star=1.0), spectrum_pi, 1, m0=math.nan)
+
 
 class TestMinimalThresholds:
     def test_cap_branches(self):
@@ -360,27 +376,98 @@ class TestMinimalThresholds:
             )
 
 
-class TestEstimateM0:
-    def test_deterministic_and_positive(self, interval_pi):
-        a = estimate_m0(interval_pi, 1.0, 1.0, 10, np.random.default_rng(3))
-        b = estimate_m0(interval_pi, 1.0, 1.0, 10, np.random.default_rng(3))
-        assert a == b
-        assert a > 0.0
+def _extremal_row(grid, mu):
+    """(axis, face index, row) of the face row of grad_h (mu I - lap_h)^-1
+    with the largest l1 norm, from an inverse taken independently of
+    gradient_constant."""
+    n = grid.total_cells
+    inverse = np.linalg.inv(mu * np.eye(n) - dense_laplacian(grid))
+    best = None
+    for axis, rows in enumerate(face_gradients(inverse.reshape(*grid.shape, n), grid)):
+        norms = np.abs(rows).sum(axis=-1)
+        face = np.unravel_index(np.argmax(norms), norms.shape)
+        if best is None or norms[face] > best[0]:
+            best = (norms[face], axis, face, rows[face])
+    return best[1:]
 
-    def test_running_max_grows_with_samples(self, interval_pi):
-        few = estimate_m0(interval_pi, 1.0, 1.0, 3, np.random.default_rng(7))
-        many = estimate_m0(interval_pi, 1.0, 1.0, 30, np.random.default_rng(7))
-        assert many >= few
 
-    def test_nu_invariance(self, interval_pi):
-        # The certificate divides out nu, so the estimate cannot depend on it.
-        a = estimate_m0(interval_pi, 2.0, 1.0, 5, np.random.default_rng(11))
-        b = estimate_m0(interval_pi, 2.0, 3.0, 5, np.random.default_rng(11))
-        assert a == pytest.approx(b, rel=1e-10)
+M0_GRIDS = (
+    GridDomain.interval(math.pi, 64),
+    GridDomain.interval(2.3, 16),
+    GridDomain.rectangle(1.0, 2.5, 8, 12),
+)
+RECTANGLE_24X36 = GridDomain.rectangle(math.pi, 1.5 * math.pi, 24, 36)
 
-    def test_sample_count_validated(self, interval_pi):
-        with pytest.raises(ValueError):
-            estimate_m0(interval_pi, 1.0, 1.0, 0)
+
+class TestGradientConstant:
+    @pytest.mark.parametrize(
+        "grid, expected",
+        # mu = 1. On [0, pi] the values converge at O(h^2).
+        [(GridDomain.interval(math.pi, 32), 0.457975),
+         (GridDomain.interval(math.pi, 64), 0.458426),
+         (GridDomain.interval(math.pi, 128), 0.458539),
+         (GridDomain.interval(math.pi, 256), 0.458567),
+         (RECTANGLE_24X36, 0.490019)],
+    )
+    def test_values(self, grid, expected):
+        assert gradient_constant(grid, 1.0) == pytest.approx(expected, abs=1e-5)
+
+    @given(
+        grid=st.sampled_from(M0_GRIDS),
+        mu=st.floats(0.1, 10.0),
+        nu=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+        indicator=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bound_holds(self, grid, mu, nu, seed, indicator):
+        # |grad_h w|_inf sqrt(mu) / nu <= M0_h osc(f) for (mu I - lap_h) w = nu f.
+        f = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape)
+        if indicator:
+            f = (f > 0.0).astype(float)
+        w = get_operator(grid, mu).solve(nu * f)
+        steepest = max(float(np.abs(g).max()) for g in face_gradients(w, grid))
+        osc = float(f.max() - f.min())
+        assert steepest * math.sqrt(mu) / nu <= gradient_constant(grid, mu) * osc * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("grid", (*M0_GRIDS, RECTANGLE_24X36))
+    @pytest.mark.parametrize("mu", [0.1, 1.0, 10.0])
+    def test_bound_is_attained(self, grid, mu):
+        # The indicator of the extremal row's positive entries has osc 1 and
+        # reaches the bound at that row's face.
+        axis, face, row = _extremal_row(grid, mu)
+        f = (row > 0.0).astype(float).reshape(grid.shape)
+        w = get_operator(grid, mu).solve(f)
+        reached = abs(face_gradients(w, grid)[axis][face]) * math.sqrt(mu)
+        assert reached == pytest.approx(gradient_constant(grid, mu), rel=1e-12)
+
+    def test_every_solve_is_certified(self, monkeypatch):
+        grid = GridDomain.rectangle(1.0, 2.5, 8, 12)
+        stacks = []
+
+        def spy(grid_, mu, rhs, solutions):
+            stacks.append((rhs.shape, solutions.shape))
+            certify(grid_, mu, rhs, solutions)
+
+        monkeypatch.setattr("chemostab.helmholtz.certify", spy)
+        gradient_constant(grid, 1.0)
+        assert stacks == [((8, 12, 96), (8, 12, 96))]
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # A wrong inverse must not pass: the certificate sees the columns.
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1.001 * np.linalg.inv(a) @ b)
+        with pytest.raises(SolverFailure):
+            gradient_constant(GridDomain.interval(math.pi, 16), 1.0)
+
+    def test_dense_cell_limit(self):
+        grid = GridDomain.interval(math.pi, DENSE_EIG_CELL_LIMIT + 1)
+        with pytest.raises(EigsolverFailure):
+            gradient_constant(grid, 1.0)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+    def test_mu_must_be_positive(self, interval_pi, mu):
+        with pytest.raises(SingularOperator):
+            gradient_constant(interval_pi, mu)
 
 
 class TestOrderings:
