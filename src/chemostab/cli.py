@@ -65,6 +65,7 @@ from .thresholds import (
     c_star_from_table,
     default_c_star_stub,
     gradient_constant,
+    require_m0,
     threshold_report,
     verify_orderings,
 )
@@ -217,6 +218,8 @@ def cmd_thresholds(args) -> int:
         m0, m0_source = gradient_constant(grid, params.mu), "discrete"
     else:
         m0, m0_source = args.m0, "user"
+    # Checked before the calibration run, which a bad m0 would only waste.
+    require_m0(m0)
 
     c_star = _load_c_star(args.c_star_table)
     if c_star is None and args.stub_c_star:

@@ -145,6 +145,12 @@ class GridDomain:
         for n in self.cells:
             if n < 8:
                 raise ValueError(f"need at least 8 cells per axis, got {self.cells}")
+        # `helmholtz.get_operator`'s cache hashes the grid on every lookup, two
+        # per step; the fields are frozen, so their hash is taken once.
+        object.__setattr__(self, "_hash", hash((self.dimension, self.lengths, self.cells)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def interval(cls, length: float, cells: int) -> GridDomain:

@@ -195,26 +195,25 @@ def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
     return div
 
 
-def stable_dt(state: FieldState, params: ModelParams, grid: GridDomain,
-              cfg: StepConfig, drifts: list[np.ndarray] | None = None) -> float:
+def stable_dt(u_min: float, u_max: float, drifts: list[np.ndarray], params: ModelParams,
+              grid: GridDomain, cfg: StepConfig) -> float:
     """Largest step respecting the advective CFL and reaction limits.
 
     Diffusion is implicit and imposes no limit. Returns sigma_cfl times
-    the binding limit, capped at cfg.dt. `drifts` is
-    face_drift(state.v, params, grid) when the caller already has it.
+    the binding limit, capped at cfg.dt. The bound is taken at the
+    extrema u_min, u_max of the density, as float(np.minimum.reduce(u)) and
+    float(np.maximum.reduce(u)) give them, and at the face drifts
+    face_drift(v, params, grid). `run` reduces the initial state once, and
+    after that carries the extrema that each `step` returns.
 
-    Raises DegenerateState for a non-finite state, read off the reductions
-    the bound takes anyway: NaN or +inf in u shows in max(u), -inf in
-    min(u). NaN or an infinity in v makes the drift speed non-finite, since
-    every cell touches an interior face and even chi0 = 0 times an infinite
+    Raises DegenerateState for a non-finite state, read off the values the
+    bound takes anyway: NaN or +inf in u shows in u_max, -inf in u_min.
+    NaN or an infinity in v makes the drift speed non-finite, since every
+    cell touches an interior face and even chi0 = 0 times an infinite
     difference is NaN; so does a drift that overflows.
     """
-    u_max = float(np.maximum.reduce(state.u, axis=None))
-    u_min = float(np.minimum.reduce(state.u, axis=None))
     if not (math.isfinite(u_max) and math.isfinite(u_min)):
         raise DegenerateState("density contains non-finite values")
-    if drifts is None:
-        drifts = face_drift(state.v, params, grid)
     limit = math.inf
     fluxes_scale = max(u_max, 0.0) ** (params.m - 1.0)
     for h, drift in zip(grid.spacing, drifts):
@@ -231,21 +230,26 @@ def stable_dt(state: FieldState, params: ModelParams, grid: GridDomain,
 
 
 def step(
-    state: FieldState,
+    u: np.ndarray,
+    v: np.ndarray,
+    time: float,
     params: ModelParams,
     grid: GridDomain,
     dt: float,
     cfg: StepConfig,
     drifts: list[np.ndarray] | None = None,
     block: SolveBlock | None = None,
-) -> tuple[FieldState, int]:
-    """One IMEX step; returns the new state and the positivity clip count.
+) -> tuple[np.ndarray, np.ndarray, int, float, float]:
+    """One IMEX step from the fields u, v at `time`.
 
-    `drifts` is face_drift(state.v, params, grid) when the caller already
-    has it; it is computed here otherwise. The step's two solves are
+    Returns the new fields u, v, the positivity clip count, and the
+    extrema min(u) and max(u) of the new density, which are finite. Raises
+    BlowupDetected, at time + dt, when max(u) is not finite or above the cap.
+
+    `drifts` is face_drift(v, params, grid) when the caller already has
+    it; it is computed here otherwise. The step's two solves are
     certified at once, or in `block` when one is given (see `run`).
     """
-    u, v = state.u, state.v
     div = flux_divergence(chemotactic_face_flux(u, v, params, grid, drifts=drifts), grid)
     # The explicit stage u + dt (a u - div - b u^(1+alpha)), over dt, built in
     # place on div's buffer. Each operation rounds as in the written form
@@ -267,17 +271,19 @@ def step(
     # One reduction decides whether any cell needs clipping. A NaN cell makes
     # the minimum NaN, so nothing is clipped, and BlowupDetected follows.
     clipped = 0
-    if np.minimum.reduce(u_new, axis=None) < cfg.positivity_floor:
+    u_min = float(np.minimum.reduce(u_new, axis=None))
+    if u_min < cfg.positivity_floor:
         below = u_new < cfg.positivity_floor
         clipped = int(np.count_nonzero(below))
         u_new = np.where(below, cfg.positivity_floor, u_new)
+        u_min = float(np.minimum.reduce(u_new, axis=None))
 
-    max_u = float(np.maximum.reduce(u_new, axis=None))
-    if not math.isfinite(max_u) or max_u > cfg.blowup_cap:
-        raise BlowupDetected(state.time + dt, max_u, cfg.blowup_cap)
+    u_max = float(np.maximum.reduce(u_new, axis=None))
+    if not math.isfinite(u_max) or u_max > cfg.blowup_cap:
+        raise BlowupDetected(time + dt, u_max, cfg.blowup_cap)
 
     v_new = chemical_field(params, u_new, grid, block=block)
-    return FieldState(time=state.time + dt, u=u_new, v=v_new), clipped
+    return u_new, v_new, clipped, u_min, u_max
 
 
 def _record(traj: Trajectory, state: FieldState, rows: list[tuple[float, ...]]) -> None:
@@ -319,6 +325,14 @@ def run(
     In the minimal model the reference equilibrium defaults to the initial
     mass average, the constant state that mass conservation selects.
 
+    The loop steps the bare fields u, v and works out once what does not
+    change from step to step. A FieldState is built only for a state that
+    leaves the run: a sample, a snapshot or the final state. Under the cfl
+    policy the step bound takes the u extrema that the previous step's clip
+    and blow-up checks reduced, and the initial state's, reduced once. The
+    floats, counts and errors are those of a loop that builds a FieldState
+    on every step and reduces u afresh for every bound.
+
     On grids where `helmholtz.solve_block` gives a block, the elliptic
     solves of successive steps are certified together in it: before each
     sample is recorded, before the run returns, before any error of a step
@@ -343,24 +357,32 @@ def run(
     certify = block.flush if block is not None else _certified
     fixed = cfg.dt_policy == "fixed"
     total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
+    t_stop = cfg.t_end - 1e-14 * cfg.t_end
+    u, v, time = init.u, init.v, init.time
+    if not fixed:
+        # The extrema for the cfl bound: the initial state's, then those that
+        # each step's clip and blow-up checks reduce.
+        u_min = float(np.minimum.reduce(u, axis=None))
+        u_max = float(np.maximum.reduce(u, axis=None))
     steps = 0
-    t_last = state.time
-    while (steps < total) if fixed else (state.time < cfg.t_end - 1e-14 * cfg.t_end):
+    t_last = time
+    while (steps < total) if fixed else (time < t_stop):
         try:
             if fixed:
                 dt = cfg.dt if steps + 1 < total else last_dt
                 drifts = None
             else:
                 # One drift per step serves both the step bound and the flux.
-                drifts = face_drift(state.v, params, grid)
-                dt = stable_dt(state, params, grid, cfg, drifts=drifts)
-                remaining = cfg.t_end - state.time
+                drifts = face_drift(v, params, grid)
+                dt = stable_dt(u_min, u_max, drifts, params, grid, cfg)
+                remaining = cfg.t_end - time
                 # Absorb float-accumulation residue into the final step rather
                 # than trailing a micro-step (which would also cost an operator
                 # build).
                 if remaining <= dt * (1.0 + 1e-9):
                     dt = remaining
-            state, clipped = step(state, params, grid, dt, cfg, drifts=drifts, block=block)
+            u, v, clipped, u_min, u_max = step(u, v, time, params, grid, dt, cfg,
+                                               drifts=drifts, block=block)
         except Exception:
             # A pending solve that fails its check raises instead: certified
             # at once, it would have stopped the run before this error.
@@ -368,18 +390,19 @@ def run(
             raise
         traj.clip_count += clipped
         steps += 1
-        if fixed:
-            # Time comes from the step counter, never from a running sum of dt.
-            # The state is fresh from step and not yet shared, so its time is
-            # set in place rather than by building the state a second time.
-            object.__setattr__(state, "time", min(init.time + steps * cfg.dt, cfg.t_end))
+        # Under fixed, time comes from the step counter, never from a running
+        # sum of dt.
+        time = min(init.time + steps * cfg.dt, cfg.t_end) if fixed else time + dt
         if steps % cfg.output_stride == 0:
             certify()
+            state = FieldState(time=time, u=u, v=v)
             _record(traj, state, rows)
-            t_last = state.time
+            t_last = time
     certify()
-    if state.time > t_last:
-        _record(traj, state, rows)
+    if steps % cfg.output_stride:
+        state = FieldState(time=time, u=u, v=v)
+        if time > t_last:
+            _record(traj, state, rows)
 
     traj.steps_taken = steps
     traj.final_state = state

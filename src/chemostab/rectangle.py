@@ -38,6 +38,18 @@ class TimeGridMismatch(ValueError):
     """PDE sample times do not land on the comparison-system time grid."""
 
 
+class TooManySteps(ValueError):
+    """tau_end / dt asks for more RK4 steps than STEP_LIMIT."""
+
+
+# The most RK4 steps one integration takes. The pair, its time grid and the
+# float lists peak at 88 bytes a step, and a step takes 4.6 us (2-vCPU
+# x86-64), so the limit holds an integration near 90 MB and 5 s. It is 22
+# times rectangle-iv's 45,000 steps (tau_end 45 at dt 1e-3), the longest
+# integration the package itself asks for.
+STEP_LIMIT = 1_000_000
+
+
 @dataclass(frozen=True)
 class RectangleParams:
     """Normalized coefficients of the comparison ODE pair."""
@@ -148,20 +160,27 @@ def integrate_rectangle(
     """Classical fourth-order Runge-Kutta on a fixed normalized-time grid.
 
     Raises OrderViolation when ulow <= 1 <= ubar (or positivity) fails
-    beyond rounding tolerance, including on the initial pair, and
-    ValueError unless tau_end, dt and tau_end / dt are positive and finite.
+    beyond rounding tolerance, including on the initial pair, ValueError
+    unless tau_end, dt and tau_end / dt are positive and finite, and
+    TooManySteps, before anything is allocated, when the step count
+    round(tau_end / dt) exceeds STEP_LIMIT.
     """
     # NaN fails every comparison; tau_end / dt is finite only if tau_end is.
     if not (tau_end > 0.0 and math.inf > dt > 0.0 and math.isfinite(tau_end / dt)):
         raise ValueError(
             f"tau_end, dt and tau_end / dt must be positive and finite, got {tau_end}, {dt}"
         )
+    n_steps = max(1, int(round(tau_end / dt)))
+    if n_steps > STEP_LIMIT:
+        raise TooManySteps(
+            f"tau_end / dt = {tau_end} / {dt} asks for {n_steps} steps, "
+            f"more than the limit {STEP_LIMIT}"
+        )
     if not (0.0 < ulow0 <= 1.0 + ORDER_TOL and ubar0 >= 1.0 - ORDER_TOL):
         raise OrderViolation(
             f"initial pair must satisfy 0 < ulow <= 1 <= ubar, "
             f"got ({ubar0}, {ulow0})"
         )
-    n_steps = max(1, int(round(tau_end / dt)))
     tau = np.linspace(0.0, n_steps * dt, n_steps + 1)
     # The pair advances as two Python floats: each operation rounds as its
     # elementwise form on a length-2 numpy array does, at a fraction of the

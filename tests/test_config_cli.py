@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import chemostab.cli
 from chemostab import GridDomain, gradient_constant
 from chemostab.cli import jsonable, main
 from chemostab.config import (
@@ -368,6 +369,30 @@ class TestAnalysisCommands:
         assert code == 2
         assert payload is None
         assert error["error"] == "HypothesisViolated"
+
+    def test_minimal_thresholds_check_m0_before_the_calibration_run(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # The config asks for a calibration run, which a bad m0 must not start.
+        text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
+        cfg = write_cfg(tmp_path, text=text + "init.u_star = 1.0\n")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the calibration run started")
+
+        monkeypatch.setattr(chemostab.cli, "run", no_run)
+        for m0 in ("nan", "-1", "inf"):
+            code, payload, error = run_cli(capsys, "thresholds", "--config", cfg, "--m0", m0)
+            assert code == 2
+            assert payload is None
+            assert error["error"] == "HypothesisViolated"
+
+    def test_rectangle_step_count_is_bounded(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, chi0=0.3)
+        code, payload, error = run_cli(capsys, "rectangle", "--config", cfg, "--tau-end", "1e15")
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "TooManySteps"
+        assert "1000000000000000000 steps" in error["message"]
 
     @pytest.mark.parametrize("flag, value", [
         ("--tau-end", "inf"), ("--tau-end", "nan"), ("--tau-end", "0"),

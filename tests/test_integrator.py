@@ -2,6 +2,7 @@
 
 import math
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from chemostab import (
     step,
 )
 import chemostab
+from chemostab.core import mass_average
 from chemostab.helmholtz import (
     RESIDUAL_RTOL,
     NonFiniteInput,
@@ -36,12 +38,19 @@ from chemostab.integrator import (
     SERIES,
     TRAJECTORY_CSV_HEADER,
     DegenerateState,
+    _fixed_steps,
     _record,
     chemotactic_face_flux,
     face_drift,
     flux_divergence,
 )
 from conftest import make_params
+
+
+def bound_at(state, p, grid, cfg):
+    """stable_dt at a state: its u extrema and its drift computed afresh."""
+    return stable_dt(float(state.u.min()), float(state.u.max()), face_drift(state.v, p, grid),
+                     p, grid, cfg)
 
 
 def logistic_exact(u0: float, t: float) -> float:
@@ -172,7 +181,7 @@ class TestFlux:
         scale = float(u.max()) ** (p.m - 1.0)
         limit = min(h / (float(np.abs(drift).max()) * scale)
                     for h, drift in zip(grid.spacing, drifts))
-        assert stable_dt(FieldState(0.0, u, v), p, grid, cfg) == cfg.sigma_cfl * limit
+        assert bound_at(FieldState(0.0, u, v), p, grid, cfg) == cfg.sigma_cfl * limit
 
 
 class TestMassAndReaction:
@@ -181,9 +190,9 @@ class TestMassAndReaction:
         u = rng.uniform(0.5, 2.0, size=64)
         state = init_state(interval_pi, InitSpec.from_array(u), p)
         cfg = StepConfig(t_end=1.0, dt=1e-3)
-        new, clipped = step(state, p, interval_pi, 1e-3, cfg)
+        u_new, _, clipped, _, _ = step(state.u, state.v, state.time, p, interval_pi, 1e-3, cfg)
         assert clipped == 0
-        assert new.u.sum() == pytest.approx(u.sum(), rel=1e-13)
+        assert u_new.sum() == pytest.approx(u.sum(), rel=1e-13)
 
     def test_constant_run_tracks_logistic(self, interval_pi):
         p = make_params(chi0=0.0)
@@ -291,12 +300,13 @@ class TestDiffusionSolve:
         u = rng.uniform(0.5, 1.5, size=grid.shape)
         state = init_state(grid, InitSpec.from_array(u), p)
         dt = 5e-3
-        new, clipped = step(state, p, grid, dt, StepConfig(t_end=1.0, dt=dt))
+        u_new, _, clipped, _, _ = step(state.u, state.v, state.time, p, grid, dt,
+                                       StepConfig(t_end=1.0, dt=dt))
         assert clipped == 0
         div = flux_divergence(chemotactic_face_flux(u, state.v, p, grid), grid)
         rhs = (u + dt * (-div + p.a * u - p.b * u ** (1.0 + p.alpha))) / dt
-        lap_u = laplacian(new.u, grid)
-        residual = np.abs(new.u / dt - lap_u - rhs).max()
+        lap_u = laplacian(u_new, grid)
+        residual = np.abs(u_new / dt - lap_u - rhs).max()
         assert residual <= RESIDUAL_RTOL * np.abs(rhs).max()
 
     def test_non_finite_explicit_stage_raises_non_finite_input(self, interval_pi):
@@ -306,7 +316,7 @@ class TestDiffusionSolve:
         u[10] = 1e200  # b u^(1 + alpha) overflows, so the explicit stage holds -inf
         cfg = StepConfig(t_end=1.0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
-            step(FieldState(0.0, u, state.v), p, interval_pi, 1e-3, cfg)
+            step(u, state.v, 0.0, p, interval_pi, 1e-3, cfg)
 
 
 class TestStableDt:
@@ -314,16 +324,16 @@ class TestStableDt:
         p = make_params(chi0=1.0, a=0.0, b=0.0)
         state = init_state(interval_pi, InitSpec.constant(1.0), p)
         cfg = StepConfig(t_end=1.0, dt=0.05, dt_policy="cfl")
-        assert stable_dt(state, p, interval_pi, cfg) == 0.05
+        assert bound_at(state, p, interval_pi, cfg) == 0.05
 
     def test_reaction_limit(self, interval_pi):
         # a + b (1 + alpha) u^alpha = 3 at u = 1, so dt = 0.9 / 3.
         p = make_params(chi0=0.0)
         state = init_state(interval_pi, InitSpec.constant(1.0), p)
         cfg = StepConfig(t_end=1.0, dt=1.0, dt_policy="cfl")
-        assert stable_dt(state, p, interval_pi, cfg) == pytest.approx(0.3)
+        assert bound_at(state, p, interval_pi, cfg) == pytest.approx(0.3)
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["own-drift", "given-drift"])
+    @pytest.mark.parametrize("via", ["stable_dt", "run"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("name", ["u", "v"])
     @pytest.mark.parametrize("chi0, beta, m",
@@ -333,10 +343,12 @@ class TestStableDt:
         [GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20)],
         ids=["1d", "2d"],
     )
-    def test_any_non_finite_cell_is_degenerate(self, grid, chi0, beta, m, name, value, shared):
-        # stable_dt reads finiteness off the reductions of its bound: max and
-        # min of u, and the drift speed for v. Each cell is tried, corners and
+    def test_any_non_finite_cell_is_degenerate(self, grid, chi0, beta, m, name, value, via):
+        # stable_dt reads finiteness off the values of its bound: the extrema
+        # of u, and the drift speed for v. Each cell is tried, corners and
         # edges included, with chi0 = 0 (no drift) and a saturating beta.
+        # A cfl run reduces its initial state's extrema once, and must stop
+        # there too.
         p = make_params(chi0=chi0, beta=beta, m=m)
         state = init_state(grid, InitSpec.constant(1.0), p)
         cfg = StepConfig(t_end=1.0, dt=1e-3, dt_policy="cfl")
@@ -344,10 +356,12 @@ class TestStableDt:
             fields = {"u": state.u.copy(), "v": state.v.copy()}
             fields[name].flat[cell] = value
             bad = FieldState(0.0, fields["u"], fields["v"])
-            with np.errstate(invalid="ignore", over="ignore"), \
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"), \
                     pytest.raises(DegenerateState):
-                drifts = face_drift(bad.v, p, grid) if shared else None
-                stable_dt(bad, p, grid, cfg, drifts=drifts)
+                if via == "run":
+                    run(p, grid, bad, cfg)
+                else:
+                    bound_at(bad, p, grid, cfg)
 
     def test_degenerate_state_rejected(self, interval_pi):
         p = make_params()
@@ -356,7 +370,7 @@ class TestStableDt:
         u[0] = math.inf
         cfg = StepConfig(t_end=1.0, dt=1e-3, dt_policy="cfl")
         with pytest.raises(DegenerateState):
-            stable_dt(FieldState(0.0, u, bad.v), p, interval_pi, cfg)
+            bound_at(FieldState(0.0, u, bad.v), p, interval_pi, cfg)
 
     def test_cfl_run_reaches_t_end(self, interval_pi):
         p = make_params(chi0=3.0)
@@ -403,11 +417,14 @@ class TestExplicitStageInPlace:
             return solve(op, r)
 
         monkeypatch.setattr(chemostab.helmholtz.HelmholtzOperator, "solve", recording_solve)
-        new, clipped = step(state, p, grid, dt, StepConfig(t_end=1.0, dt=dt))
+        got_u, got_v, clipped, u_min, u_max = step(state.u, state.v, state.time, p, grid, dt,
+                                                   StepConfig(t_end=1.0, dt=dt))
         assert clipped == np.count_nonzero(below)
         assert rhs[0].tobytes() == stage.tobytes()
-        assert new.u.tobytes() == u_new.tobytes()
-        assert new.v.tobytes() == v_new.tobytes()
+        assert got_u.tobytes() == u_new.tobytes()
+        assert got_v.tobytes() == v_new.tobytes()
+        # The extrema that the clip and blow-up checks reduced, after the clip.
+        assert (u_min, u_max) == (float(u_new.min()), float(u_new.max()))
         # The in-place stage leaves the state it started from untouched.
         assert state.u.tobytes() == u_bytes
 
@@ -421,15 +438,16 @@ class TestDriftOncePerStep:
     @staticmethod
     def separate_bound_and_step(state, p, grid, cfg):
         """Every state of a `cfl` run made the way it was before the drift
-        was shared: stable_dt on the state, then step, each computing its
-        own drift."""
+        was shared: stable_dt on the state's own reductions and drift, then
+        step, which computes the drift again."""
         states = [state]
         while state.time < cfg.t_end - 1e-14 * cfg.t_end:
-            dt = stable_dt(state, p, grid, cfg)
+            dt = bound_at(state, p, grid, cfg)
             remaining = cfg.t_end - state.time
             if remaining <= dt * (1.0 + 1e-9):
                 dt = remaining
-            state, _ = step(state, p, grid, dt, cfg)
+            u, v, _, _, _ = step(state.u, state.v, state.time, p, grid, dt, cfg)
+            state = FieldState(state.time + dt, u, v)
             states.append(state)
         return states
 
@@ -467,6 +485,174 @@ class TestDriftOncePerStep:
             assert got.v.tobytes() == expected[k].v.tobytes()
         assert traj.u_max.tobytes() == np.array([expected[k].u.max() for k in sampled]).tobytes()
         assert traj.final_state.u.tobytes() == expected[-1].u.tobytes()
+
+
+def reference_run(p, grid, init, cfg):
+    """`run` written as a plain loop over the public `step` and `stable_dt`:
+    a FieldState every step, and the u extrema and the drift of every step
+    bound computed afresh."""
+    u_star = mass_average(init.u, grid) if p.minimal else None
+    traj = Trajectory(p, grid, equilibrium(p, u_star=u_star),
+                      snapshots=[] if cfg.store_snapshots else None)
+    rows = []
+    _record(traj, init, rows)
+    fixed = cfg.dt_policy == "fixed"
+    total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
+    state, steps, t_last = init, 0, init.time
+    while (steps < total) if fixed else (state.time < cfg.t_end - 1e-14 * cfg.t_end):
+        if fixed:
+            dt = cfg.dt if steps + 1 < total else last_dt
+        else:
+            dt = bound_at(state, p, grid, cfg)
+            if cfg.t_end - state.time <= dt * (1.0 + 1e-9):
+                dt = cfg.t_end - state.time
+        u, v, clipped, _, _ = step(state.u, state.v, state.time, p, grid, dt, cfg)
+        steps += 1
+        time = min(init.time + steps * cfg.dt, cfg.t_end) if fixed else state.time + dt
+        state = FieldState(time, u, v)
+        traj.clip_count += clipped
+        if steps % cfg.output_stride == 0:
+            _record(traj, state, rows)
+            t_last = state.time
+    if state.time > t_last:
+        _record(traj, state, rows)
+    traj.steps_taken, traj.final_state = steps, state
+    for name, column in zip(SERIES, np.array(rows, dtype=float).T):
+        setattr(traj, name, column)
+    return traj
+
+
+def run_outcome(call):
+    """Everything a run shows, as bytes where it holds floats: its series,
+    clip count, step count, snapshots and final state, or the type, message
+    and time of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            traj = call()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "time", None)
+    states = (traj.snapshots or []) + [traj.final_state]
+    return ([getattr(traj, name).tobytes() for name in SERIES], traj.clip_count,
+            traj.steps_taken, [(s.time, s.u.tobytes(), s.v.tobytes()) for s in states])
+
+
+class TestRunMatchesReferenceLoop:
+    """`run` steps bare arrays and carries the u extrema from step to step;
+    every float, count and error must be those of `reference_run`."""
+
+    GRIDS = {
+        "1d": GridDomain.interval(math.pi, 64),
+        "2d": GridDomain.rectangle(math.pi, 2.0, 16, 12),
+    }
+
+    @staticmethod
+    def rough_init(grid, p, seed, amplitude, mean=1.0):
+        """mean + amplitude (0.7 cos(pi x / L) + 0.3 noise): the first mode
+        gives the signal a gradient, the noise gives every cell its own value."""
+        x = grid.centers() if grid.dimension == 1 else grid.meshgrid()[0]
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape)
+        u0 = mean + amplitude * (0.7 * np.cos(math.pi * x / grid.lengths[0]) + 0.3 * noise)
+        return init_state(grid, InitSpec.from_array(u0), p)
+
+    @pytest.mark.parametrize("m", [1.0, 1.5])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    @given(seed=st.integers(0, 2**32 - 1), chi0=st.floats(0.5, 16.0),
+           amplitude=st.floats(0.05, 0.9), floor=st.sampled_from([0.0, 0.95]),
+           minimal=st.booleans())
+    @settings(max_examples=6, deadline=None)
+    def test_run_is_bitwise_the_reference_loop(self, name, policy, beta, m, seed, chi0,
+                                               amplitude, floor, minimal):
+        grid = self.GRIDS[name]
+        reaction = dict(a=0.0, b=0.0) if minimal else {}
+        p = make_params(chi0=chi0, beta=beta, m=m, **reaction)
+        init = self.rough_init(grid, p, seed, amplitude)
+        # 30 steps under fixed. The cfl cap is loose, so that the advective
+        # or the reaction limit binds and dt changes from step to step.
+        cfg = StepConfig(t_end=0.3, dt=1e-2 if policy == "fixed" else 5e-2, dt_policy=policy,
+                         output_stride=4, positivity_floor=floor, store_snapshots=True)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        assert run_outcome(lambda: run(p, grid, init, cfg)) == expected
+
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_clipped_steps_match(self, name, policy):
+        # A floor above most of the density clips on every step, so under
+        # cfl each bound takes the minimum reduced again after a clip.
+        grid = self.GRIDS[name]
+        p = make_params(chi0=12.0, beta=1.0, m=1.5)
+        init = self.rough_init(grid, p, 7, 0.6)
+        cfg = StepConfig(t_end=0.3, dt=1e-2 if policy == "fixed" else 5e-2, dt_policy=policy,
+                         output_stride=4, positivity_floor=1.1, store_snapshots=True)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        clip_count, steps = expected[1], expected[2]
+        assert clip_count > steps >= 6
+        assert run_outcome(lambda: run(p, grid, init, cfg)) == expected
+
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_blowup_matches(self, name, policy):
+        # Logistic growth from about 0.9 crosses the cap at 0.95 mid-run.
+        grid = self.GRIDS[name]
+        p = make_params(chi0=1.0, beta=1.0, m=1.5)
+        init = self.rough_init(grid, p, 3, 0.02, mean=0.9)
+        cfg = StepConfig(t_end=2.0, dt=1e-2, dt_policy=policy, blowup_cap=0.95)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        assert expected[0] is BlowupDetected
+        assert 0.1 < expected[2] < 1.0
+        assert run_outcome(lambda: run(p, grid, init, cfg)) == expected
+
+    def test_a_run_costs_no_extra_builds(self):
+        # Two cfl runs, the second from the first's final state, with more
+        # distinct dt than the operator cache holds: `run` must build no
+        # operator that the reference loop does not.
+        # A fast logistic source makes the reaction limit bind: dt follows
+        # max u and changes on every step.
+        grid = self.GRIDS["1d"]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5, a=20.0, b=20.0)
+        init = self.rough_init(grid, p, 5, 0.5)
+        legs = [StepConfig(t_end=t_end, dt=1.0, dt_policy="cfl", output_stride=10)
+                for t_end in (1.2, 2.4)]
+        cache = chemostab.helmholtz.get_operator
+
+        def builds(make_run):
+            cache.cache_clear()
+            state = init
+            for cfg in legs:
+                traj = make_run(p, grid, state, cfg)
+                state = traj.final_state
+            return cache.cache_info().misses, traj
+
+        expected, reference = builds(reference_run)
+        got, traj = builds(run)
+        assert expected > cache.cache_info().maxsize
+        assert traj.final_state.u.tobytes() == reference.final_state.u.tobytes()
+        assert got == expected
+
+    def test_a_cfl_run_reduces_the_density_once_per_step(self, monkeypatch):
+        # The clip check's minimum and the blow-up check's maximum serve the
+        # next step bound; only the initial state is reduced for it.
+        grid = self.GRIDS["1d"]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5)
+        init = self.rough_init(grid, p, 11, 0.3)
+        cfg = StepConfig(t_end=0.3, dt=1e-2, dt_policy="cfl", output_stride=1000)
+        reductions = []
+
+        class Counting:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def reduce(self, array, *args, **kwargs):
+                if array.shape == grid.shape:
+                    reductions.append(self.ufunc.__name__)
+                return self.ufunc.reduce(array, *args, **kwargs)
+
+        monkeypatch.setattr(chemostab.integrator, "np", SimpleNamespace(
+            **{**vars(np), "minimum": Counting(np.minimum), "maximum": Counting(np.maximum)}))
+        traj = run(p, grid, init, cfg)
+        assert traj.steps_taken > 10
+        assert reductions.count("minimum") == reductions.count("maximum") == traj.steps_taken + 1
 
 
 @contextmanager
@@ -673,9 +859,11 @@ class TestSolvesCertifiedInBlocks:
         state = init_state(interval_pi, InitSpec.constant(1.0), p)
         cfg = StepConfig(t_end=1.0)
         with corrupted_solve(interval_pi, 0, scaled):
-            assert outcome(lambda: step(state, p, interval_pi, 1e-3, cfg))[0] is SolverFailure
+            assert outcome(lambda: step(state.u, state.v, state.time, p, interval_pi, 1e-3,
+                                        cfg))[0] is SolverFailure
         with corrupted_solve(interval_pi, 1, scaled) as made:
-            assert outcome(lambda: step(state, p, interval_pi, 1e-3, cfg))[0] is SolverFailure
+            assert outcome(lambda: step(state.u, state.v, state.time, p, interval_pi, 1e-3,
+                                        cfg))[0] is SolverFailure
         assert len(made) == 2
 
 

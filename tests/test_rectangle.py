@@ -1,6 +1,7 @@
 """Comparison ODE pair: normalization, integration, and PDE containment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from chemostab import (
     run,
     verify_sandwich,
 )
+from chemostab import rectangle
 from chemostab.rectangle import (
     ORDER_TOL,
     MinimalModelUnsupported,
     OrderViolation,
     TimeGridMismatch,
+    TooManySteps,
     contraction_tail,
     rectangle_rhs,
     tau_grid_for,
@@ -132,6 +135,26 @@ class TestIntegration:
         rp = normalize(make_params(chi0=0.3), reference_eq, m0=0.0)
         with pytest.raises(ValueError, match="finite"):
             integrate_rectangle(rp, 1.25, 0.75, tau_end=tau_end, dt=dt)
+
+    def test_step_count_is_bounded_before_anything_is_allocated(self, reference_eq):
+        # 1e18 steps once went to np.linspace and died with a MemoryError.
+        rp = normalize(make_params(chi0=0.3), reference_eq, m0=0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManySteps, match="1000000000000000000 steps"):
+                integrate_rectangle(rp, 1.25, 0.75, tau_end=1e15, dt=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert issubclass(TooManySteps, ValueError)
+
+    def test_step_limit_is_inclusive(self, reference_eq, monkeypatch):
+        rp = normalize(make_params(chi0=0.3), reference_eq, m0=0.0)
+        monkeypatch.setattr(rectangle, "STEP_LIMIT", 100)
+        assert len(integrate_rectangle(rp, 1.25, 0.75, tau_end=1.0, dt=1e-2).tau) == 101
+        with pytest.raises(TooManySteps):
+            integrate_rectangle(rp, 1.25, 0.75, tau_end=1.01, dt=1e-2)
 
     def test_noncontractive_coupling_breaks_order(self, reference_eq):
         # Far outside the contraction region the upper branch runs away
