@@ -145,12 +145,6 @@ class GridDomain:
         for n in self.cells:
             if n < 8:
                 raise ValueError(f"need at least 8 cells per axis, got {self.cells}")
-        # `helmholtz.get_operator`'s cache hashes the grid on every lookup, two
-        # per step; the fields are frozen, so their hash is taken once.
-        object.__setattr__(self, "_hash", hash((self.dimension, self.lengths, self.cells)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def interval(cls, length: float, cells: int) -> GridDomain:
@@ -413,8 +407,8 @@ def _build_initial_u(domain: GridDomain, spec: InitSpec) -> np.ndarray:
 
 def init_state(domain: GridDomain, spec: InitSpec, params: ModelParams) -> FieldState:
     """Construct the t = 0 state: positive u plus its slaved signal field."""
-    from .helmholtz import chemical_field
+    from .helmholtz import chemical_field, get_operator
 
     u = initial_density(domain, spec)
-    v = chemical_field(params, u, domain)
+    v = chemical_field(params, u, get_operator(domain, params.mu))
     return FieldState(time=0.0, u=u, v=v)

@@ -13,7 +13,7 @@ Both solves are direct, and the 1D solve keeps its factorisation:
   `get_operator` factors it once as L D L^T with LAPACK's `dpttrf`, and
   each solve is the O(n) substitution `dpttrs`. That is what `dptsv` does
   on every call, so the solution is bitwise the same; the factors live on
-  the operator that `get_operator`'s cache holds, and nowhere else.
+  the operator, which its caller holds (`integrator.run`, for a whole run).
 - 2D: the mirror-ghost Laplacian is diagonal in the type-II DCT basis,
   with eigenvalues (4/h^2) sin^2(k pi / 2n) per axis (G. Strang, "The
   Discrete Cosine Transform", SIAM Review 41, 1999), so the solve is one
@@ -242,14 +242,12 @@ def solve_block(grid: GridDomain) -> SolveBlock | None:
     return SolveBlock(grid, capacity) if capacity >= BLOCK_MIN_SOLVES else None
 
 
-@lru_cache(maxsize=64)
 def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
-    """Build (or fetch a cached) operator.
+    """Build a new operator on every call; nothing is cached.
 
     A 1D build fills the tridiagonal bands and factors them with `dpttrf`,
     both O(n); it raises SolverFailure if the factorisation fails. A 2D
-    build fills the DCT eigenvalues. The cache is the only store of
-    operators and factors.
+    build fills the DCT eigenvalues.
     """
     if not math.isfinite(mu) or mu <= 0.0:
         raise SingularOperator(f"mu must be positive, got {mu}")
@@ -268,11 +266,12 @@ def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
     return HelmholtzOperator(grid, mu, diagonal, None)
 
 
-def chemical_field(params: ModelParams, u: np.ndarray, grid: GridDomain,
+def chemical_field(params: ModelParams, u: np.ndarray, signal: HelmholtzOperator,
                    block: SolveBlock | None = None) -> np.ndarray:
     """Signal field slaved to the density: solve with rhs = nu u^gamma.
 
-    Certified at once, or in `block` when one is given (see `solve`).
+    `signal` is get_operator(grid, params.mu). Certified at once, or in
+    `block` when one is given (see `solve`).
     """
     u = np.asarray(u, dtype=float)
     # With gamma = 1, u**gamma is u itself, and with nu = 1, nu * source is
@@ -280,7 +279,7 @@ def chemical_field(params: ModelParams, u: np.ndarray, grid: GridDomain,
     source = u if params.gamma == 1.0 else u**params.gamma
     if params.nu != 1.0:
         source = params.nu * source
-    return get_operator(grid, params.mu).solve(source, block=block)
+    return signal.solve(source, block=block)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import Equilibrium, FieldState, GridDomain, ModelParams, equilibrium, mass_average
 from .diagnostics import dissipation_D, lyapunov_F
-from .helmholtz import SolveBlock, chemical_field, face_slices, get_operator, solve_block
+from .helmholtz import (HelmholtzOperator, SolveBlock, chemical_field, face_slices, get_operator,
+                        solve_block)
 
 class BlowupDetected(RuntimeError):
     """Density exceeded the blow-up cap; the scheme does not resolve blow-up."""
@@ -159,17 +160,13 @@ def face_drift(v: np.ndarray, params: ModelParams, grid: GridDomain) -> list[np.
 
 
 def chemotactic_face_flux(
-    u: np.ndarray, v: np.ndarray, params: ModelParams, grid: GridDomain,
-    drifts: list[np.ndarray] | None = None,
+    u: np.ndarray, drifts: list[np.ndarray], params: ModelParams, grid: GridDomain,
 ) -> list[np.ndarray]:
     """Upwinded chemotactic flux on interior faces, one array per axis.
 
-    The transported density u^m is taken from the donor cell selected by
-    the sign of the face drift. `drifts` is face_drift(v, params, grid) when
-    the caller already has it; it is computed here otherwise.
+    `drifts` is face_drift(v, params, grid). The transported density u^m is
+    taken from the donor cell selected by the sign of the face drift.
     """
-    if drifts is None:
-        drifts = face_drift(v, params, grid)
     fluxes = []
     for axis, drift in enumerate(drifts):
         lo, hi = face_slices(grid.dimension, axis)
@@ -231,26 +228,28 @@ def stable_dt(u_min: float, u_max: float, drifts: list[np.ndarray], params: Mode
 
 def step(
     u: np.ndarray,
-    v: np.ndarray,
+    drifts: list[np.ndarray],
     time: float,
     params: ModelParams,
     grid: GridDomain,
     dt: float,
     cfg: StepConfig,
-    drifts: list[np.ndarray] | None = None,
+    diffusion: HelmholtzOperator,
+    signal: HelmholtzOperator,
     block: SolveBlock | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
-    """One IMEX step from the fields u, v at `time`.
+    """One IMEX step from the density u at `time`; `drifts` is
+    face_drift(v, params, grid) of its signal field v.
 
     Returns the new fields u, v, the positivity clip count, and the
     extrema min(u) and max(u) of the new density, which are finite. Raises
     BlowupDetected, at time + dt, when max(u) is not finite or above the cap.
 
-    `drifts` is face_drift(v, params, grid) when the caller already has
-    it; it is computed here otherwise. The step's two solves are
-    certified at once, or in `block` when one is given (see `run`).
+    `diffusion` and `signal` are get_operator(grid, 1 / dt) and
+    get_operator(grid, params.mu). The step's two solves are certified at
+    once, or in `block` when one is given (see `run`).
     """
-    div = flux_divergence(chemotactic_face_flux(u, v, params, grid, drifts=drifts), grid)
+    div = flux_divergence(chemotactic_face_flux(u, drifts, params, grid), grid)
     # The explicit stage u + dt (a u - div - b u^(1+alpha)), over dt, built in
     # place on div's buffer. Each operation rounds as in the written form
     # (u + dt * (-div + a u - b u^(1+alpha))) / dt, since x + (-y) is x - y
@@ -266,7 +265,7 @@ def step(
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
     # (I - dt lap_h) u = explicit  <=>  ((1/dt) I - lap_h) u = explicit / dt.
     stage /= dt
-    u_new = get_operator(grid, 1.0 / dt).solve(stage, block=block)
+    u_new = diffusion.solve(stage, block=block)
 
     # One reduction decides whether any cell needs clipping. A NaN cell makes
     # the minimum NaN, so nothing is clipped, and BlowupDetected follows.
@@ -282,15 +281,16 @@ def step(
     if not math.isfinite(u_max) or u_max > cfg.blowup_cap:
         raise BlowupDetected(time + dt, u_max, cfg.blowup_cap)
 
-    v_new = chemical_field(params, u_new, grid, block=block)
+    v_new = chemical_field(params, u_new, signal, block=block)
     return u_new, v_new, clipped, u_min, u_max
 
 
-def _record(traj: Trajectory, state: FieldState, rows: list[tuple[float, ...]]) -> None:
-    """Append one sample, its values in SERIES order, to rows."""
+def _record(traj: Trajectory, state: FieldState, u_min: float, u_max: float,
+            rows: list[tuple[float, ...]]) -> None:
+    """Append one sample, its values in SERIES order, to rows; u_min and
+    u_max are the extrema of state.u, which `run` already holds."""
     u, v = state.u, state.v
     u_star, vol = traj.eq.u_star, traj.grid.cell_volume
-    u_min, u_max = float(u.min()), float(u.max())
     rows.append((
         state.time,
         u_min,
@@ -327,11 +327,13 @@ def run(
 
     The loop steps the bare fields u, v and works out once what does not
     change from step to step. A FieldState is built only for a state that
-    leaves the run: a sample, a snapshot or the final state. Under the cfl
-    policy the step bound takes the u extrema that the previous step's clip
+    leaves the run: a sample, a snapshot or the final state. The signal
+    operator is built once, the diffusion operator again only when dt
+    changes. One face drift per step serves the flux and the cfl bound.
+    Samples and the bound take the u extrema that the previous step's clip
     and blow-up checks reduced, and the initial state's, reduced once. The
-    floats, counts and errors are those of a loop that builds a FieldState
-    on every step and reduces u afresh for every bound.
+    floats, counts and errors are those of a loop that builds a FieldState,
+    both operators and the drift on every step and reduces u afresh.
 
     On grids where `helmholtz.solve_block` gives a block, the elliptic
     solves of successive steps are certified together in it: before each
@@ -352,28 +354,27 @@ def run(
     rows: list[tuple[float, ...]] = []
 
     state = init
-    _record(traj, state, rows)
+    u, v, time = init.u, init.v, init.time
+    # The initial state's extrema; each step returns the next ones.
+    u_min = float(np.minimum.reduce(u, axis=None))
+    u_max = float(np.maximum.reduce(u, axis=None))
+    _record(traj, state, u_min, u_max, rows)
     block = solve_block(grid)
     certify = block.flush if block is not None else _certified
     fixed = cfg.dt_policy == "fixed"
     total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
     t_stop = cfg.t_end - 1e-14 * cfg.t_end
-    u, v, time = init.u, init.v, init.time
-    if not fixed:
-        # The extrema for the cfl bound: the initial state's, then those that
-        # each step's clip and blow-up checks reduce.
-        u_min = float(np.minimum.reduce(u, axis=None))
-        u_max = float(np.maximum.reduce(u, axis=None))
+    signal = get_operator(grid, params.mu)
+    diffusion = diffusion_dt = None
     steps = 0
     t_last = time
     while (steps < total) if fixed else (time < t_stop):
         try:
+            # One drift per step serves the flux and, under cfl, the step bound.
+            drifts = face_drift(v, params, grid)
             if fixed:
                 dt = cfg.dt if steps + 1 < total else last_dt
-                drifts = None
             else:
-                # One drift per step serves both the step bound and the flux.
-                drifts = face_drift(v, params, grid)
                 dt = stable_dt(u_min, u_max, drifts, params, grid, cfg)
                 remaining = cfg.t_end - time
                 # Absorb float-accumulation residue into the final step rather
@@ -381,8 +382,10 @@ def run(
                 # build).
                 if remaining <= dt * (1.0 + 1e-9):
                     dt = remaining
-            u, v, clipped, u_min, u_max = step(u, v, time, params, grid, dt, cfg,
-                                               drifts=drifts, block=block)
+            if dt != diffusion_dt:
+                diffusion, diffusion_dt = get_operator(grid, 1.0 / dt), dt
+            u, v, clipped, u_min, u_max = step(u, drifts, time, params, grid, dt, cfg,
+                                               diffusion, signal, block=block)
         except Exception:
             # A pending solve that fails its check raises instead: certified
             # at once, it would have stopped the run before this error.
@@ -396,13 +399,13 @@ def run(
         if steps % cfg.output_stride == 0:
             certify()
             state = FieldState(time=time, u=u, v=v)
-            _record(traj, state, rows)
+            _record(traj, state, u_min, u_max, rows)
             t_last = time
     certify()
     if steps % cfg.output_stride:
         state = FieldState(time=time, u=u, v=v)
         if time > t_last:
-            _record(traj, state, rows)
+            _record(traj, state, u_min, u_max, rows)
 
     traj.steps_taken = steps
     traj.final_state = state

@@ -26,7 +26,6 @@ from chemostab.core import (
     NonPositiveCoefficient,
     NonPositiveInitialData,
 )
-from chemostab.helmholtz import get_operator
 from conftest import REFERENCE, make_params
 
 
@@ -218,7 +217,6 @@ class TestGridDomain:
         assert first is not second
         assert first == second
         assert hash(first) == hash(second)
-        assert get_operator(first, 0.7) is get_operator(second, 0.7)
 
     @pytest.mark.parametrize(
         "grid",

@@ -178,11 +178,20 @@ class TestSolver:
             with pytest.raises(SingularOperator):
                 get_operator(interval_pi, mu)
 
-    def test_operator_cache_returns_same_object(self, interval_pi):
-        a = get_operator(interval_pi, 1.0)
-        b = get_operator(interval_pi, 1.0)
-        assert a is b
-        assert get_operator(interval_pi, 2.0) is not a
+    @pytest.mark.parametrize("grid", [GridDomain.interval(math.pi, 64),
+                                      GridDomain.rectangle(1.0, 2.5, 12, 20)],
+                             ids=["1d", "2d"])
+    def test_each_call_builds_a_new_operator_with_equal_factors(self, grid):
+        # Nothing is cached: a second build is a new operator, bitwise the first.
+        a = get_operator(grid, 1.0)
+        b = get_operator(grid, 1.0)
+        assert a is not b
+        assert a.diagonal is not b.diagonal
+        assert a.diagonal.tobytes() == b.diagonal.tobytes()
+        if grid.dimension == 1:
+            assert a.off_diagonal.tobytes() == b.off_diagonal.tobytes()
+        else:
+            assert a.off_diagonal is b.off_diagonal is None
 
     def test_constant_solution_exact(self, interval_pi):
         op = get_operator(interval_pi, 3.0)
@@ -254,7 +263,7 @@ class TestSolver:
         # Summing the discrete equation: mu sum(v) = nu sum(u^gamma).
         p = make_params(gamma=1.5, mu=2.0, nu=3.0)
         u = rng.uniform(0.5, 2.0, size=64)
-        v = chemical_field(p, u, interval_pi)
+        v = chemical_field(p, u, get_operator(interval_pi, p.mu))
         assert 2.0 * v.sum() == pytest.approx(3.0 * (u**1.5).sum(), rel=1e-12)
 
 
@@ -368,15 +377,14 @@ class TestFactoredSolve:
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(chemostab.helmholtz, "dpttrf", counting_dpttrf)
-        get_operator.cache_clear()
         grid = GridDomain.interval(math.pi, 64)
         p = make_params(chi0=2.0)
         state = init_state(grid, InitSpec.perturbation(1.0, 0.1), p)
         traj = run(p, grid, state, StepConfig(t_end=0.2, dt=1e-3))
         assert traj.steps_taken == 200
-        # Once for the signal operator (mu = 1), once for diffusion (1/dt).
-        assert len(calls) == 2
-        assert get_operator.cache_info().misses == 2
+        # Once for init_state's signal operator, and in the run once for its
+        # own signal operator (mu = 1) and once for diffusion (1/dt).
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("cells", [8, 64, 1024])
     @pytest.mark.parametrize("mu", [1e-2, 1.0, 1e3, 1.0 / 7e-3])
@@ -384,7 +392,6 @@ class TestFactoredSolve:
         # The bands built with a fancy-indexed end-cell write and factored on
         # copies, as before the build wrote the end cells as scalars and let
         # dpttrf overwrite its input.
-        get_operator.cache_clear()
         grid = GridDomain.interval(math.pi, cells)
         h = grid.spacing[0]
         diagonal = np.full(cells, mu + 2.0 / h**2)
@@ -398,7 +405,6 @@ class TestFactoredSolve:
     def test_failed_factorisation_raises_at_build(self, monkeypatch):
         monkeypatch.setattr(chemostab.helmholtz, "dpttrf",
                             lambda d, e, **overwrite: (d, e, 3))
-        get_operator.cache_clear()
         with pytest.raises(SolverFailure, match="info=3"):
             get_operator(GridDomain.interval(math.pi, 64), 1.0)
 

@@ -31,6 +31,7 @@ from chemostab.helmholtz import (
     NonFiniteInput,
     SolverFailure,
     face_slices,
+    get_operator,
     laplacian,
     solve_block,
 )
@@ -45,6 +46,18 @@ from chemostab.integrator import (
     flux_divergence,
 )
 from conftest import make_params
+
+
+def step_at(u, v, time, p, grid, dt, cfg, block=None):
+    """`step` from the fields u, v, with the drift of v and both operators
+    built afresh."""
+    return step(u, face_drift(v, p, grid), time, p, grid, dt, cfg,
+                get_operator(grid, 1.0 / dt), get_operator(grid, p.mu), block=block)
+
+
+def record(traj, state, rows):
+    """`_record` with the extrema of state.u reduced afresh."""
+    _record(traj, state, float(state.u.min()), float(state.u.max()), rows)
 
 
 def bound_at(state, p, grid, cfg):
@@ -115,7 +128,7 @@ class TestFlux:
         p = make_params(chi0=2.0)
         u = rng.uniform(0.5, 2.0, size=64)
         v = np.full(64, 0.7)
-        fluxes = chemotactic_face_flux(u, v, p, interval_pi)
+        fluxes = chemotactic_face_flux(u, face_drift(v, p, interval_pi), p, interval_pi)
         assert np.all(fluxes[0] == 0.0)
 
     def test_divergence_telescopes(self, interval_pi, rng):
@@ -123,7 +136,8 @@ class TestFlux:
         p = make_params(chi0=1.3, beta=1.0)
         u = rng.uniform(0.5, 2.0, size=64)
         v = rng.uniform(0.1, 1.0, size=64)
-        div = flux_divergence(chemotactic_face_flux(u, v, p, interval_pi), interval_pi)
+        fluxes = chemotactic_face_flux(u, face_drift(v, p, interval_pi), p, interval_pi)
+        div = flux_divergence(fluxes, interval_pi)
         assert abs(div.sum()) < 1e-12 * np.abs(div).sum()
 
     @pytest.mark.parametrize(
@@ -150,7 +164,7 @@ class TestFlux:
         p = make_params(chi0=1.0, beta=0.0, m=2.0)
         u = np.arange(1.0, 9.0)
         v = np.linspace(0.0, 1.0, 8)  # increasing, so drift > 0 everywhere
-        (flux,) = chemotactic_face_flux(u, v, p, g)
+        (flux,) = chemotactic_face_flux(u, face_drift(v, p, g), p, g)
         drift = (v[1:] - v[:-1]) / g.spacing[0] * (1.0 + 0.5 * (v[1:] + v[:-1])) ** 0
         assert flux == pytest.approx(u[:-1] ** 2 * drift, rel=1e-13)
 
@@ -166,7 +180,7 @@ class TestFlux:
         u = rng.uniform(0.5, 2.0, size=grid.shape)
         v = rng.uniform(0.1, 1.0, size=grid.shape)
         drifts = face_drift(v, p, grid)
-        fluxes = chemotactic_face_flux(u, v, p, grid)
+        fluxes = chemotactic_face_flux(u, drifts, p, grid)
         for axis, (flux, drift) in enumerate(zip(fluxes, drifts)):
             lo, hi = face_slices(grid.dimension, axis)
             v_lo, v_hi, h = v[lo], v[hi], grid.spacing[axis]
@@ -190,7 +204,7 @@ class TestMassAndReaction:
         u = rng.uniform(0.5, 2.0, size=64)
         state = init_state(interval_pi, InitSpec.from_array(u), p)
         cfg = StepConfig(t_end=1.0, dt=1e-3)
-        u_new, _, clipped, _, _ = step(state.u, state.v, state.time, p, interval_pi, 1e-3, cfg)
+        u_new, _, clipped, _, _ = step_at(state.u, state.v, state.time, p, interval_pi, 1e-3, cfg)
         assert clipped == 0
         assert u_new.sum() == pytest.approx(u.sum(), rel=1e-13)
 
@@ -300,10 +314,10 @@ class TestDiffusionSolve:
         u = rng.uniform(0.5, 1.5, size=grid.shape)
         state = init_state(grid, InitSpec.from_array(u), p)
         dt = 5e-3
-        u_new, _, clipped, _, _ = step(state.u, state.v, state.time, p, grid, dt,
-                                       StepConfig(t_end=1.0, dt=dt))
+        u_new, _, clipped, _, _ = step_at(state.u, state.v, state.time, p, grid, dt,
+                                          StepConfig(t_end=1.0, dt=dt))
         assert clipped == 0
-        div = flux_divergence(chemotactic_face_flux(u, state.v, p, grid), grid)
+        div = flux_divergence(chemotactic_face_flux(u, face_drift(state.v, p, grid), p, grid), grid)
         rhs = (u + dt * (-div + p.a * u - p.b * u ** (1.0 + p.alpha))) / dt
         lap_u = laplacian(u_new, grid)
         residual = np.abs(u_new / dt - lap_u - rhs).max()
@@ -316,7 +330,7 @@ class TestDiffusionSolve:
         u[10] = 1e200  # b u^(1 + alpha) overflows, so the explicit stage holds -inf
         cfg = StepConfig(t_end=1.0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
-            step(u, state.v, 0.0, p, interval_pi, 1e-3, cfg)
+            step_at(u, state.v, 0.0, p, interval_pi, 1e-3, cfg)
 
 
 class TestStableDt:
@@ -399,15 +413,16 @@ class TestExplicitStageInPlace:
         p = make_params(chi0=2.5, beta=0.5, a=a, b=b, alpha=alpha, nu=nu)
         u = rng.uniform(0.0, 2.0, size=grid.shape)
         u[rng.uniform(size=grid.shape) < 0.25] = 0.0  # zero cells: signed zeros
-        state = FieldState(time=0.0, u=u, v=chemostab.chemical_field(p, u, grid))
+        v = chemostab.chemical_field(p, u, get_operator(grid, p.mu))
+        state = FieldState(time=0.0, u=u, v=v)
         u_bytes = u.tobytes()
 
-        div = flux_divergence(chemotactic_face_flux(u, state.v, p, grid), grid)
+        div = flux_divergence(chemotactic_face_flux(u, face_drift(state.v, p, grid), p, grid), grid)
         stage = (u + dt * (-div + p.a * u - p.b * u ** (1.0 + p.alpha))) / dt
-        u_new = chemostab.get_operator(grid, 1.0 / dt).solve(stage)
+        u_new = get_operator(grid, 1.0 / dt).solve(stage)
         below = u_new < 0.0
         u_new = np.where(below, 0.0, u_new)
-        v_new = chemostab.get_operator(grid, p.mu).solve(p.nu * u_new ** p.gamma)
+        v_new = get_operator(grid, p.mu).solve(p.nu * u_new ** p.gamma)
 
         rhs = []
         solve = chemostab.helmholtz.HelmholtzOperator.solve
@@ -417,8 +432,8 @@ class TestExplicitStageInPlace:
             return solve(op, r)
 
         monkeypatch.setattr(chemostab.helmholtz.HelmholtzOperator, "solve", recording_solve)
-        got_u, got_v, clipped, u_min, u_max = step(state.u, state.v, state.time, p, grid, dt,
-                                                   StepConfig(t_end=1.0, dt=dt))
+        got_u, got_v, clipped, u_min, u_max = step_at(state.u, state.v, state.time, p, grid,
+                                                      dt, StepConfig(t_end=1.0, dt=dt))
         assert clipped == np.count_nonzero(below)
         assert rhs[0].tobytes() == stage.tobytes()
         assert got_u.tobytes() == u_new.tobytes()
@@ -446,7 +461,7 @@ class TestDriftOncePerStep:
             remaining = cfg.t_end - state.time
             if remaining <= dt * (1.0 + 1e-9):
                 dt = remaining
-            u, v, _, _, _ = step(state.u, state.v, state.time, p, grid, dt, cfg)
+            u, v, _, _, _ = step_at(state.u, state.v, state.time, p, grid, dt, cfg)
             state = FieldState(state.time + dt, u, v)
             states.append(state)
         return states
@@ -486,6 +501,26 @@ class TestDriftOncePerStep:
         assert traj.u_max.tobytes() == np.array([expected[k].u.max() for k in sampled]).tobytes()
         assert traj.final_state.u.tobytes() == expected[-1].u.tobytes()
 
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_fixed_run_computes_one_drift_per_step(self, name, monkeypatch):
+        grid, mode = self.GRIDS[name]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5)
+        init = init_state(grid, InitSpec.perturbation(1.0, 0.3, mode), p)
+        # 30 steps of dt and a final partial one.
+        cfg = StepConfig(t_end=0.305, dt=1e-2, output_stride=3, store_snapshots=True)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+
+        calls = []
+        drift = chemostab.integrator.face_drift
+
+        def counting_face_drift(*args, **kwargs):
+            calls.append(args)
+            return drift(*args, **kwargs)
+
+        monkeypatch.setattr(chemostab.integrator, "face_drift", counting_face_drift)
+        assert run_outcome(lambda: run(p, grid, init, cfg)) == expected
+        assert len(calls) == expected[2] == 31
+
 
 def reference_run(p, grid, init, cfg):
     """`run` written as a plain loop over the public `step` and `stable_dt`:
@@ -495,7 +530,7 @@ def reference_run(p, grid, init, cfg):
     traj = Trajectory(p, grid, equilibrium(p, u_star=u_star),
                       snapshots=[] if cfg.store_snapshots else None)
     rows = []
-    _record(traj, init, rows)
+    record(traj, init, rows)
     fixed = cfg.dt_policy == "fixed"
     total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
     state, steps, t_last = init, 0, init.time
@@ -506,20 +541,39 @@ def reference_run(p, grid, init, cfg):
             dt = bound_at(state, p, grid, cfg)
             if cfg.t_end - state.time <= dt * (1.0 + 1e-9):
                 dt = cfg.t_end - state.time
-        u, v, clipped, _, _ = step(state.u, state.v, state.time, p, grid, dt, cfg)
+        u, v, clipped, _, _ = step_at(state.u, state.v, state.time, p, grid, dt, cfg)
         steps += 1
         time = min(init.time + steps * cfg.dt, cfg.t_end) if fixed else state.time + dt
         state = FieldState(time, u, v)
         traj.clip_count += clipped
         if steps % cfg.output_stride == 0:
-            _record(traj, state, rows)
+            record(traj, state, rows)
             t_last = state.time
     if state.time > t_last:
-        _record(traj, state, rows)
+        record(traj, state, rows)
     traj.steps_taken, traj.final_state = steps, state
     for name, column in zip(SERIES, np.array(rows, dtype=float).T):
         setattr(traj, name, column)
     return traj
+
+
+def counting_builds(monkeypatch):
+    """The mu of every operator that `run` builds from now on, and the dt of
+    every step that it takes."""
+    builds, dts = [], []
+    build, inner = chemostab.integrator.get_operator, chemostab.integrator.step
+
+    def counting_get_operator(grid, mu):
+        builds.append(mu)
+        return build(grid, mu)
+
+    def recording_step(u, drifts, time, params, grid, dt, *args, **kwargs):
+        dts.append(dt)
+        return inner(u, drifts, time, params, grid, dt, *args, **kwargs)
+
+    monkeypatch.setattr(chemostab.integrator, "get_operator", counting_get_operator)
+    monkeypatch.setattr(chemostab.integrator, "step", recording_step)
+    return builds, dts
 
 
 def run_outcome(call):
@@ -603,32 +657,41 @@ class TestRunMatchesReferenceLoop:
         assert 0.1 < expected[2] < 1.0
         assert run_outcome(lambda: run(p, grid, init, cfg)) == expected
 
-    def test_a_run_costs_no_extra_builds(self):
-        # Two cfl runs, the second from the first's final state, with more
-        # distinct dt than the operator cache holds: `run` must build no
-        # operator that the reference loop does not.
-        # A fast logistic source makes the reaction limit bind: dt follows
-        # max u and changes on every step.
+    @pytest.mark.parametrize("t_end, steps", [(0.3, 30), (0.305, 31)], ids=["whole", "partial"])
+    def test_a_fixed_run_builds_two_operators_or_three(self, t_end, steps, monkeypatch):
+        # The signal operator, one diffusion operator for dt, and one more
+        # for a final partial step.
+        grid = self.GRIDS["1d"]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5, mu=2.0)
+        init = self.rough_init(grid, p, 5, 0.5)
+        cfg = StepConfig(t_end=t_end, dt=1e-2, output_stride=4, store_snapshots=True)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        builds, dts = counting_builds(monkeypatch)
+        assert run_outcome(lambda: run(p, grid, init, cfg)) == expected
+        assert len(dts) == steps
+        partial = [1.0 / dts[-1]] if steps == 31 else []
+        assert builds == [p.mu, 1.0 / cfg.dt] + partial
+
+    # With no binding cap, a fast logistic source makes the reaction limit
+    # bind: dt follows max u and changes on every step. With a cap just
+    # below that limit, the cap binds on most steps.
+    @pytest.mark.parametrize("cap", [1.0, 0.0145], ids=["varying", "capped"])
+    def test_a_run_costs_no_extra_builds(self, cap, monkeypatch):
+        # A cfl run builds the signal operator once and a diffusion operator
+        # for each step whose dt differs from the previous step's.
         grid = self.GRIDS["1d"]
         p = make_params(chi0=3.0, beta=0.5, m=1.5, a=20.0, b=20.0)
         init = self.rough_init(grid, p, 5, 0.5)
-        legs = [StepConfig(t_end=t_end, dt=1.0, dt_policy="cfl", output_stride=10)
-                for t_end in (1.2, 2.4)]
-        cache = chemostab.helmholtz.get_operator
-
-        def builds(make_run):
-            cache.cache_clear()
-            state = init
-            for cfg in legs:
-                traj = make_run(p, grid, state, cfg)
-                state = traj.final_state
-            return cache.cache_info().misses, traj
-
-        expected, reference = builds(reference_run)
-        got, traj = builds(run)
-        assert expected > cache.cache_info().maxsize
-        assert traj.final_state.u.tobytes() == reference.final_state.u.tobytes()
-        assert got == expected
+        cfg = StepConfig(t_end=1.2, dt=cap, dt_policy="cfl", output_stride=10)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        builds, dts = counting_builds(monkeypatch)
+        assert run_outcome(lambda: run(p, grid, init, cfg)) == expected
+        changed = [dt for k, dt in enumerate(dts) if k == 0 or dt != dts[k - 1]]
+        assert builds == [p.mu] + [1.0 / dt for dt in changed]
+        if cap == 1.0:
+            assert len(changed) == len(dts) > 64
+        else:
+            assert len(dts) > 10 * len(changed) > 10
 
     def test_a_cfl_run_reduces_the_density_once_per_step(self, monkeypatch):
         # The clip check's minimum and the blow-up check's maximum serve the
@@ -820,11 +883,11 @@ class TestSolvesCertifiedInBlocks:
             blocks.append(solve_block(grid))
             return blocks[-1]
 
-        record = chemostab.integrator._record
+        inner = chemostab.integrator._record
 
-        def checking_record(traj, state, rows):
+        def checking_record(*args):
             pending.append(blocks[0].count if blocks else 0)
-            return record(traj, state, rows)
+            return inner(*args)
 
         monkeypatch.setattr(chemostab.integrator, "solve_block", recording_block)
         monkeypatch.setattr(chemostab.integrator, "_record", checking_record)
@@ -859,11 +922,11 @@ class TestSolvesCertifiedInBlocks:
         state = init_state(interval_pi, InitSpec.constant(1.0), p)
         cfg = StepConfig(t_end=1.0)
         with corrupted_solve(interval_pi, 0, scaled):
-            assert outcome(lambda: step(state.u, state.v, state.time, p, interval_pi, 1e-3,
-                                        cfg))[0] is SolverFailure
+            assert outcome(lambda: step_at(state.u, state.v, state.time, p, interval_pi,
+                                           1e-3, cfg))[0] is SolverFailure
         with corrupted_solve(interval_pi, 1, scaled) as made:
-            assert outcome(lambda: step(state.u, state.v, state.time, p, interval_pi, 1e-3,
-                                        cfg))[0] is SolverFailure
+            assert outcome(lambda: step_at(state.u, state.v, state.time, p, interval_pi,
+                                           1e-3, cfg))[0] is SolverFailure
         assert len(made) == 2
 
 
@@ -918,7 +981,7 @@ class TestTrajectoryOutput:
         traj = Trajectory(make_params(), grid, Equilibrium(u_star, 1.0))
         rows = []
         with np.errstate(invalid="ignore"):
-            _record(traj, FieldState(0.0, u, np.ones(16)), rows)
+            record(traj, FieldState(0.0, u, np.ones(16)), rows)
             expected = float(np.abs(u - u_star).max())
         recorded = rows[0][SERIES.index("err_inf")]
         assert type(recorded) is float
