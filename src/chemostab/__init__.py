@@ -28,7 +28,6 @@ from .diagnostics import (
     dissipation_D,
     fit_decay_rate,
     lyapunov_F,
-    minimal_entropy,
     persistence_metrics,
     signal_energy,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "dissipation_D",
     "fit_decay_rate",
     "lyapunov_F",
-    "minimal_entropy",
     "persistence_metrics",
     "signal_energy",
     "chemical_field",

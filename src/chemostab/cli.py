@@ -14,9 +14,7 @@
 `fuzz` draws its trials in blocks, one generator call per variable, and
 checks each block with array operations: about 0.1 us per power-difference
 trial and about 3 us per ordering tuple (2-vCPU Xeon), and memory stays bounded
-at any trial count. The block draws use the generator differently from the
-former one-trial-at-a-time loops, so a given --seed draws different samples
-than before; the violation and skip counts are unchanged.
+at any trial count. A negative trial count is an error (exit 2).
 
 Exit codes: 0 success, 1 failed verdict or detected violation, 2 error.
 All reports are JSON on stdout; infinities are encoded as the strings

@@ -115,12 +115,6 @@ def get_str(cfg: Mapping[str, str], key: str, default: str | None = None) -> str
     return cfg[key]
 
 
-def get_bool(cfg: Mapping[str, str], key: str, default: bool) -> bool:
-    if key not in cfg:
-        return default
-    return _convert(key, cfg[key], bool)
-
-
 def get_float_list(cfg: Mapping[str, str], key: str) -> tuple[float, ...]:
     if key not in cfg:
         raise ConfigError(f"missing required key {key!r}")

@@ -55,11 +55,6 @@ def lyapunov_F(u: np.ndarray, u_star: float, m: float, cell_volume: float = 1.0)
     return float(h.sum()) * cell_volume
 
 
-def minimal_entropy(u: np.ndarray, u_star: float, cell_volume: float = 1.0) -> float:
-    """Relative entropy for the mass-conserving model (m = 1 functional)."""
-    return lyapunov_F(u, u_star, 1.0, cell_volume)
-
-
 def dissipation_D(
     u: np.ndarray, u_star: float, alpha: float, cell_volume: float = 1.0
 ) -> float:
@@ -146,10 +141,13 @@ def check_power_diff_inequality(trials: int, rng: np.random.Generator) -> int:
     Samples are drawn log-uniformly with u, u* in (1e-3, 1e3); pairs with
     u = u* are not checked. Trials are drawn in blocks of POWER_BLOCK, one
     rng call per variable, and each block is checked with array operations
-    and the rounding headroom of `thresholds._violates`.
+    and the rounding headroom of `thresholds._violates`. A negative trial
+    count raises ValueError; zero trials check nothing.
     """
     from .thresholds import _violates, power_diff_constant
 
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     violations = 0
     for start in range(0, trials, POWER_BLOCK):
         size = min(POWER_BLOCK, trials - start)

@@ -243,7 +243,7 @@ def solve_block(grid: GridDomain) -> SolveBlock | None:
 
 
 def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
-    """Build a new operator on every call; nothing is cached.
+    """Build a new operator for (mu I - lap_h) on `grid`.
 
     A 1D build fills the tridiagonal bands and factors them with `dpttrf`,
     both O(n); it raises SolverFailure if the factorisation fails. A 2D

@@ -180,9 +180,10 @@ def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
     """Divergence of the face flux with zero boundary faces.
 
     Each face flux, over h, is added to the cell on its low side and
-    subtracted from the cell on its high side.
+    subtracted from the cell on its high side. Axes after the grid's are
+    carried along, so one call takes the divergence of a stack of fluxes.
     """
-    div = np.zeros(grid.shape)
+    div = np.zeros(grid.shape + fluxes[0].shape[grid.dimension:])
     for axis, (flux, h) in enumerate(zip(fluxes, grid.spacing)):
         lo, hi = face_slices(grid.dimension, axis)
         scaled = flux / h

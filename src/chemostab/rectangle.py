@@ -125,12 +125,6 @@ def _pair_rates(ubar, ulow, rp: RectangleParams):
     return dbar, dlow
 
 
-def rectangle_rhs(state: np.ndarray, rp: RectangleParams) -> np.ndarray:
-    """Right-hand side of the (ubar, ulow) pair in normalized time."""
-    ubar, ulow = state
-    return np.array(_pair_rates(ubar, ulow, rp))
-
-
 ORDER_TOL = 1e-9
 
 
@@ -267,9 +261,3 @@ def contraction_tail(rect: RectangleTrajectory) -> tuple[float, float, bool]:
     increase = float(np.max(gap[1:] - gap[:-1])) if len(gap) > 1 else 0.0
     monotone = increase <= ORDER_TOL
     return float(final), increase, monotone
-
-
-def tau_grid_for(traj_times: np.ndarray, a: float, dt: float) -> float:
-    """Smallest tau_end covering a t for all PDE sample times, grid-aligned."""
-    tau_max = float(a * np.max(traj_times))
-    return math.ceil(tau_max / dt - 1e-9) * dt

@@ -10,19 +10,22 @@ like exp(sigma(lambda) t) with
                     - a alpha.
 
 The critical sensitivity chi* is the exact positive chi0 at which the
-largest sigma over the nonzero modes crosses zero. This module also checks
-that the discrete linearization matrix reproduces the dispersion relation
-on the grid's own eigenvalues.
+largest sigma over the nonzero modes crosses zero. `discrete_spectrum_check`
+ties this formula to the scheme: it linearises the code that steps
+(`integrator.face_drift`, `chemotactic_face_flux`, `flux_divergence` and
+the logistic source) at (u*, v*), and checks that the result reproduces
+sigma on the grid's own eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Equilibrium, GridDomain, ModelParams, SpectrumTable
 from .helmholtz import laplacian
+from .integrator import chemotactic_face_flux, face_drift, flux_divergence
 
 
 class SpectrumTooShort(ValueError):
@@ -228,30 +231,39 @@ def dense_laplacian(grid: GridDomain) -> np.ndarray:
     return laplacian(np.eye(n).reshape(*grid.shape, n), grid).reshape(n, n)
 
 
-def linearized_matrix(
-    params: ModelParams, eq: Equilibrium, grid: GridDomain
+def _equilibrium_jacobian(
+    params: ModelParams, eq: Equilibrium, grid: GridDomain, lap: np.ndarray
 ) -> np.ndarray:
-    """Dense matrix of the linearization about (u*, v*).
+    """Dense Jacobian at (u*, v*) of the right-hand side that `step` takes,
 
-    A = lap_h - chi0 c* nu gamma u*^(gamma-1) (mu (mu I - lap_h)^{-1} - I)
-        - a alpha I,   c* = u*^m / (1+v*)^beta.
+        G(u) = lap_h u - div_h(flux(u, v(u))) + a u - b u^(1+alpha),
+        v(u) = (mu I - lap_h)^{-1} nu u^gamma,
 
-    A is a rational function of the symmetric lap_h, hence symmetric with
-    the same eigenvectors.
+    symmetrised. `lap` is dense_laplacian(grid). The columns are the
+    responses to the unit perturbations of the cells, all carried at once
+    as a trailing axis through the stepping code's face_drift,
+    chemotactic_face_flux and flux_divergence.
     """
-    return _linearization(params, eq, dense_laplacian(grid))
-
-
-def _linearization(params: ModelParams, eq: Equilibrium, lap: np.ndarray) -> np.ndarray:
-    n = lap.shape[0]
-    coupling = params.chi0 * _feedback_gain(params, eq)
-    helm_inv = np.linalg.inv(params.mu * np.eye(n) - lap)
-    a = (
-        lap
-        - coupling * (params.mu * helm_inv - np.eye(n))
-        - params.a * params.alpha * np.eye(n)
+    n = grid.total_cells
+    # The signal response (mu I - lap_h)^{-1} nu gamma u*^(gamma-1) of each
+    # unit perturbation: one dense solve.
+    response = np.linalg.solve(
+        params.mu * np.eye(n) - lap,
+        params.nu * params.gamma * eq.u_star ** (params.gamma - 1.0) * np.eye(n),
     )
-    return 0.5 * (a + a.T)
+    # At the constant v* the derivative of (1 + v_face)^(-beta) (v_hi - v_lo) / h
+    # is (1 + v*)^(-beta) (dv_hi - dv_lo) / h, since the factor's own derivative
+    # multiplies v_hi - v_lo = 0. So face_drift with that factor folded into
+    # chi0 and beta = 0 gives the drift's derivative exactly.
+    frozen = replace(params, chi0=params.chi0 * (1.0 + eq.v_star) ** (-params.beta), beta=0.0)
+    drifts = face_drift(response.reshape(*grid.shape, n), frozen, grid)
+    # The drift at (u*, v*) is 0, so the donor choice and the derivative of
+    # the donor density drop out: the flux's derivative is u*^m times the
+    # drift's, which is the flux of the constant u*.
+    flux = chemotactic_face_flux(np.full((*grid.shape, 1), eq.u_star), drifts, params, grid)
+    jac = lap - flux_divergence(flux, grid).reshape(n, n)
+    jac += (params.a - params.b * (1.0 + params.alpha) * eq.u_star**params.alpha) * np.eye(n)
+    return 0.5 * (jac + jac.T)
 
 
 @dataclass(frozen=True)
@@ -272,17 +284,21 @@ def discrete_spectrum_check(
     grid: GridDomain,
     n_modes: int,
 ) -> DiscreteSpectrumReport:
-    """Verify the discrete linearization reproduces sigma on grid eigenvalues.
+    """Verify that the scheme's linearization reproduces sigma on the grid
+    eigenvalues.
 
-    The first check pairs modes through the shared eigenvectors of lap_h
-    (Rayleigh quotients of A); the second compares the two full spectra as
-    sorted sets, which is pairing-free.
+    The matrix A checked is `_equilibrium_jacobian`: the Jacobian at
+    (u*, v*) of the right-hand side that `integrator.step` integrates, taken
+    through the stepping code itself, so a fault in the drift, flux or
+    divergence shows here. The first check pairs modes through the
+    eigenvectors of lap_h (Rayleigh quotients of A); the second compares the
+    two full spectra as sorted sets, which is pairing-free.
     """
     n = grid.total_cells
     if n_modes < 1 or n_modes >= n:
         raise ValueError(f"n_modes must be in [1, {n - 1}], got {n_modes}")
     lap = dense_laplacian(grid)
-    a = _linearization(params, eq, lap)
+    a = _equilibrium_jacobian(params, eq, grid, lap)
     try:
         lam_h, vecs = np.linalg.eigh(-0.5 * (lap + lap.T))
         eig_a = np.linalg.eigvalsh(a)

@@ -50,10 +50,6 @@ class MissingKStar(ValueError):
     """The equality case of chi_{a,b,beta} needs a K* value."""
 
 
-class GammaNotOne(ValueError):
-    """The signal-energy threshold of the minimal model requires gamma = 1."""
-
-
 def _where(cond, then, *args, otherwise=None):
     """Elementwise `then(*args)` where `cond` holds and `otherwise(*args)`
     (NaN when None) elsewhere.
@@ -166,6 +162,9 @@ def c_star_from_table(pairs: Sequence[tuple[float, float]]) -> CStarSource:
     table = sorted((float(p), float(c)) for p, c in pairs)
     ps = np.array([p for p, _ in table])
     cs = np.array([c for _, c in table])
+    # Checked before any comparison with 0, which NaN would pass.
+    if not (np.isfinite(ps).all() and np.isfinite(cs).all()):
+        raise MissingCZConstant("C*_{N,p} table has non-finite entries")
     if np.any(cs <= 0.0):
         raise MissingCZConstant("C*_{N,p} table has non-positive entries")
 
@@ -469,20 +468,14 @@ def minimal_thresholds(
     vlower0: float,
     dimension: int,
     inputs_source: str = "user",
-    require_akl: bool = False,
 ) -> MinimalThresholds:
     """Minimal-model thresholds from the (empirical) bounds ubar0, vlower0.
 
     chi**_1 = min{chi_beta/2, sqrt(chi_beta), 2 sqrt(mu lambda_*) (1+vlower0)^beta / (nu Gamma)}
     chi**_2 = min{chi_beta/2, sqrt(chi_beta), mu (1+vlower0)^beta / (nu ubar0)}  (gamma = 1)
-
-    Set `require_akl` to insist on the second threshold; it raises
-    GammaNotOne when gamma != 1.
     """
     if ubar0 <= 0.0 or vlower0 <= 0.0:
         raise HypothesisViolated("ubar0 and vlower0 must be positive")
-    if require_akl and gamma != 1.0:
-        raise GammaNotOne(f"the signal-energy threshold needs gamma = 1, got {gamma}")
     chi1, chi2, cb, cap = _minimal_values(
         u_star, gamma, beta, mu, nu, lambda_star, ubar0, vlower0, dimension
     )
@@ -598,8 +591,11 @@ def verify_orderings(
     of an interval of random length.
 
     Each part draws its tuples in blocks of ORDERING_BLOCK, one rng call
-    per variable, and checks a block with array operations.
+    per variable, and checks a block with array operations. A negative
+    trial count raises ValueError; zero trials check nothing.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     unknown = [part for part in parts if part not in _ORDERING_PARTS]
     if unknown:
         raise ValueError(

@@ -23,6 +23,13 @@ def make_params(**overrides) -> ModelParams:
     return ModelParams(**merged)
 
 
+def tau_grid_for(traj_times: np.ndarray, a: float, dt: float) -> float:
+    """Smallest ODE end time, on the dt grid, that covers tau = a t for
+    every PDE sample time t."""
+    tau_max = float(a * np.max(traj_times))
+    return math.ceil(tau_max / dt - 1e-9) * dt
+
+
 @pytest.fixture
 def reference_params() -> ModelParams:
     return make_params()

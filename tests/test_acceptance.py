@@ -34,12 +34,11 @@ from chemostab.rectangle import (
     contraction_tail,
     integrate_rectangle,
     normalize,
-    tau_grid_for,
     verify_sandwich,
 )
 from chemostab.stability import critical_sensitivity, discrete_spectrum_check
 from chemostab.thresholds import chi_double_star, verify_orderings
-from conftest import make_params
+from conftest import make_params, tau_grid_for
 
 WALL_CLOCK_BUDGET = 60.0  # seconds per individual run
 

@@ -11,7 +11,6 @@ from chemostab import GridDomain, gradient_constant
 from chemostab.cli import jsonable, main
 from chemostab.config import (
     ConfigError,
-    get_bool,
     get_float,
     get_float_list,
     get_int,
@@ -95,12 +94,10 @@ class TestParsing:
 
 class TestGetters:
     def test_typed_access(self):
-        cfg = {"f": "2.5", "i": "7", "s": "text", "t": "yes", "n": "0"}
+        cfg = {"f": "2.5", "i": "7", "s": "text"}
         assert get_float(cfg, "f") == 2.5
         assert get_int(cfg, "i") == 7
         assert get_str(cfg, "s") == "text"
-        assert get_bool(cfg, "t", False) is True
-        assert get_bool(cfg, "n", True) is False
 
     def test_defaults_and_missing(self):
         assert get_float({}, "x", 1.5) == 1.5
@@ -113,7 +110,7 @@ class TestGetters:
         with pytest.raises(ConfigError, match="cannot parse"):
             get_float({"x": "abc"}, "x")
         with pytest.raises(ConfigError, match="cannot parse"):
-            get_bool({"x": "maybe"}, "x", False)
+            step_config_from_config({"run.t_end": "1", "run.store_snapshots": "maybe"})
 
     def test_lists(self):
         cfg = {"v": "1.0, 2.5 ,3", "k": "4, 5"}
@@ -172,6 +169,8 @@ class TestBuilders:
         cfg = step_config_from_config({"run.t_end": "1", "run.dt_policy": "cfl",
                                        "run.store_snapshots": "yes"})
         assert cfg == StepConfig(t_end=1.0, dt_policy="cfl", store_snapshots=True)
+        cfg = step_config_from_config({"run.t_end": "1", "run.store_snapshots": "0"})
+        assert cfg.store_snapshots is False
 
 
 class TestJsonable:
@@ -308,6 +307,18 @@ class TestAnalysisCommands:
         assert code == 0
         assert payload["aux"]["c_star"]["nonrigorous"] is True
         assert payload["aux"]["k_star"]["converged"] is True
+
+    @pytest.mark.parametrize("rows", ["1.5,nan\n10,nan\n", "1.5,2\ninf,3\n"])
+    def test_thresholds_non_finite_c_star_table_exits_2(self, tmp_path, capsys, rows):
+        cfg = write_cfg(tmp_path)
+        table = tmp_path / "c_star.csv"
+        table.write_text(rows)
+        code, payload, error = run_cli(
+            capsys, "thresholds", "--config", cfg, "--c-star-table", str(table)
+        )
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "MissingCZConstant"
 
     def test_thresholds_minimal_calibration(self, tmp_path, capsys):
         text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})

@@ -14,7 +14,6 @@ from chemostab import (
     equilibrium,
     fit_decay_rate,
     lyapunov_F,
-    minimal_entropy,
     persistence_metrics,
     signal_energy,
 )
@@ -55,10 +54,6 @@ class TestLyapunov:
     def test_positive_density_required(self):
         with pytest.raises(NonPositiveDensity):
             lyapunov_F(np.array([1.0, 0.0]), 1.0, 1.0)
-
-    def test_minimal_entropy_is_linear_functional(self):
-        u = np.array([0.5, 1.5, 2.0])
-        assert minimal_entropy(u, 1.2, 0.3) == lyapunov_F(u, 1.2, 1.0, 0.3)
 
 
 class TestDissipation:

@@ -359,6 +359,29 @@ class TestPlantedFaults:
             verify_orderings(3, np.random.default_rng(0), parts=("5",))
 
 
+class TestTrialCounts:
+    def test_negative_counts_are_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            check_power_diff_inequality(-1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            verify_orderings(-3, np.random.default_rng(0))
+
+    def test_zero_trials_check_nothing(self):
+        assert check_power_diff_inequality(0, np.random.default_rng(0)) == 0
+        report = verify_orderings(0, np.random.default_rng(0))
+        assert report.ok
+        assert report.checked == {part: 0 for part in PARTS}
+        assert report.skipped == {part: 0 for part in PARTS}
+
+    @pytest.mark.parametrize("counts", [("-5", "-3"), ("-1", "10"), ("10", "-1")])
+    def test_cli_exits_2_on_a_negative_count(self, capsys, counts):
+        code = main(["fuzz", "--trials", counts[0], "--ordering-trials", counts[1]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
+
+
 class TestNoFloatingPointWarnings:
     def test_fuzzers_raise_no_runtime_warning(self):
         rng = np.random.default_rng(11)

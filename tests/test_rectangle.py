@@ -27,10 +27,8 @@ from chemostab.rectangle import (
     TimeGridMismatch,
     TooManySteps,
     contraction_tail,
-    rectangle_rhs,
-    tau_grid_for,
 )
-from conftest import make_params
+from conftest import make_params, tau_grid_for
 
 
 def logistic_exact(u0: float, t: float) -> float:
@@ -72,6 +70,12 @@ class TestNormalize:
         for m0 in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="m0"):
                 normalize(make_params(), reference_eq, m0=m0)
+
+
+def rectangle_rhs(state: np.ndarray, rp) -> np.ndarray:
+    """Right-hand side of the (ubar, ulow) pair, as a length-2 array."""
+    ubar, ulow = state
+    return np.array(rectangle._pair_rates(ubar, ulow, rp))
 
 
 class TestRhs:

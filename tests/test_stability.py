@@ -19,12 +19,13 @@ from chemostab import (
     sigma_zero,
 )
 from chemostab import stability
-from chemostab.helmholtz import laplacian
+from chemostab.helmholtz import chemical_field, get_operator, laplacian
+from chemostab.integrator import StepConfig, face_drift, step
 from chemostab.stability import (
     DENSE_EIG_CELL_LIMIT,
     EigsolverFailure,
     SpectrumTooShort,
-    linearized_matrix,
+    dense_laplacian,
     mode_candidates,
 )
 from conftest import make_params
@@ -182,13 +183,15 @@ class TestClassification:
 
 class TestDiscreteOperator:
     def test_matrix_is_symmetric(self, reference_eq, interval_pi):
-        a = linearized_matrix(make_params(chi0=3.0), reference_eq, interval_pi)
+        a = stability._equilibrium_jacobian(
+            make_params(chi0=3.0), reference_eq, interval_pi, dense_laplacian(interval_pi)
+        )
         assert np.abs(a - a.T).max() == 0.0
 
-    def test_cell_limit_enforced(self, reference_eq):
+    def test_cell_limit_enforced(self):
         big = GridDomain.rectangle(1.0, 1.0, 128, 128)
         with pytest.raises(EigsolverFailure):
-            linearized_matrix(make_params(), reference_eq, big)
+            dense_laplacian(big)
 
     def test_cell_limit_checked_before_any_dense_build(self, reference_eq, monkeypatch):
         def no_dense_build(*args):
@@ -198,8 +201,6 @@ class TestDiscreteOperator:
         big = GridDomain.interval(math.pi, DENSE_EIG_CELL_LIMIT + 1)
         with pytest.raises(EigsolverFailure):
             discrete_spectrum_check(make_params(), reference_eq, big, n_modes=5)
-        with pytest.raises(EigsolverFailure):
-            linearized_matrix(make_params(), reference_eq, big)
 
     def test_dense_laplacian_built_once_per_check(self, reference_eq, interval_pi, monkeypatch):
         calls = []
@@ -226,3 +227,54 @@ class TestDiscreteOperator:
             discrete_spectrum_check(make_params(), reference_eq, interval_pi, 0)
         with pytest.raises(ValueError):
             discrete_spectrum_check(make_params(), reference_eq, interval_pi, 64)
+
+
+# Saturated (beta > 0), porous-medium (m > 1) parameters with gamma != 1 and
+# a full logistic source, so that every factor of the linearisation shows.
+GENERAL = dict(chi0=3.0, beta=0.7, m=1.6, alpha=1.3, gamma=0.8, a=1.5, b=0.9, mu=1.2, nu=0.7)
+GRIDS = {"1d": GridDomain.interval(math.pi, 64), "2d": GridDomain.rectangle(1.3, 1.0, 12, 10)}
+
+
+def stepping_rhs(u, params, grid, dt=1.0):
+    """The right-hand side G(u) that `step` integrates, read off one step
+    from u with v = v(u): backward Euler solves (I - dt lap_h)(u_new - u)
+    = dt G(u)."""
+    signal = get_operator(grid, params.mu)
+    v = chemical_field(params, u, signal)
+    u_new = step(u, face_drift(v, params, grid), 0.0, params, grid, dt,
+                 StepConfig(t_end=dt, dt=dt), get_operator(grid, 1.0 / dt), signal)[0]
+    change = u_new - u
+    return (change - dt * laplacian(change, grid)) / dt
+
+
+class TestJacobianOfTheSteppingCode:
+    """The check's matrix is the linearisation of the code that steps."""
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_matches_central_difference_of_step(self, name):
+        grid = GRIDS[name]
+        params = make_params(**GENERAL)
+        eq = equilibrium(params)
+        jac = stability._equilibrium_jacobian(params, eq, grid, dense_laplacian(grid))
+        w = np.random.default_rng(7).standard_normal(grid.shape)
+        eps = 1e-6
+        u_star = np.full(grid.shape, eq.u_star)
+        central = (stepping_rhs(u_star + eps * w, params, grid)
+                   - stepping_rhs(u_star - eps * w, params, grid)) / (2.0 * eps)
+        predicted = (jac @ w.ravel()).reshape(grid.shape)
+        assert np.abs(central - predicted).max() <= 1e-6 * np.abs(predicted).max()
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_general_parameters_match_dispersion(self, name):
+        params = make_params(**GENERAL)
+        report = discrete_spectrum_check(params, equilibrium(params), GRIDS[name], n_modes=8)
+        assert report.max_mode_deviation < 1e-9
+        assert report.max_set_deviation < 1e-9
+
+    def test_scaled_face_drift_fails_the_check(self, monkeypatch):
+        params = make_params(**GENERAL)
+        grid = GRIDS["1d"]
+        monkeypatch.setattr(stability, "face_drift",
+                            lambda v, p, g: [1.1 * d for d in face_drift(v, p, g)])
+        report = discrete_spectrum_check(params, equilibrium(params), grid, n_modes=5)
+        assert report.max_mode_deviation > 1e-9

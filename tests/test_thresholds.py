@@ -28,7 +28,6 @@ from chemostab.helmholtz import SingularOperator, SolverFailure, certify, face_g
 from chemostab.stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure, dense_laplacian
 from chemostab.thresholds import (
     BetaBelowOne,
-    GammaNotOne,
     HypothesisViolated,
     MissingCZConstant,
     MissingKStar,
@@ -163,6 +162,14 @@ class TestRegularityConstants:
             c_star_from_table([])
         with pytest.raises(MissingCZConstant):
             c_star_from_table([(2.0, -1.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["p", "c_star"])
+    def test_table_rejects_non_finite_entries(self, bad, column):
+        rows = [(1.5, 2.0), (10.0, 3.0)]
+        rows[1] = (bad, 3.0) if column == "p" else (10.0, bad)
+        with pytest.raises(MissingCZConstant, match="non-finite"):
+            c_star_from_table(rows)
 
     def test_k_star_ladder_converges_to_limit(self):
         # q* = 1, p -> 2+, so the rungs approach M*(2)^(1/2) = sqrt(164).
@@ -361,12 +368,6 @@ class TestMinimalThresholds:
             lambda_star=1.0, ubar0=1.3, vlower0=0.7, dimension=1,
         )
         assert res.chi_ss2_min is None
-        with pytest.raises(GammaNotOne):
-            minimal_thresholds(
-                u_star=1.0, gamma=0.5, beta=1.0, mu=1.0, nu=1.0,
-                lambda_star=1.0, ubar0=1.3, vlower0=0.7, dimension=1,
-                require_akl=True,
-            )
 
     def test_positive_inputs_required(self):
         with pytest.raises(HypothesisViolated):
