@@ -12,9 +12,8 @@
     chemostab fuzz      [--trials N] [--ordering-trials N] [--seed S]
 
 `fuzz` draws its trials in blocks, one generator call per variable, and
-checks each block with array operations: about 0.1 us per power-difference
-trial and about 3 us per ordering tuple (2-vCPU Xeon), and memory stays bounded
-at any trial count. A negative trial count is an error (exit 2).
+checks each block with array operations, so memory stays bounded at any
+trial count. A negative trial count is an error (exit 2).
 
 Exit codes: 0 success, 1 failed verdict or detected violation, 2 error.
 All reports are JSON on stdout; infinities are encoded as the strings
@@ -60,6 +59,7 @@ from .rectangle import integrate_rectangle, normalize
 from .scenarios import SCENARIOS, run_scenario
 from .stability import DENSE_EIG_CELL_LIMIT, classify_equilibrium, discrete_spectrum_check
 from .thresholds import (
+    MissingCZConstant,
     c_star_from_table,
     default_c_star_stub,
     gradient_constant,
@@ -194,12 +194,16 @@ def _load_c_star(path: str | None):
     if path is None:
         return None
     pairs = []
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        row = line.split("#", 1)[0].strip()
+        if not row:
             continue
-        p_str, c_str = line.split(",")
-        pairs.append((float(p_str), float(c_str)))
+        try:
+            p_str, c_str = row.split(",")
+            pairs.append((float(p_str), float(c_str)))
+        except ValueError:
+            message = f"expected a 'p,C*' row of two numbers, got {row!r}"
+            raise MissingCZConstant(f"{path}, line {number}: {message}") from None
     return c_star_from_table(pairs)
 
 

@@ -10,11 +10,15 @@ like exp(sigma(lambda) t) with
                     - a alpha.
 
 The critical sensitivity chi* is the exact positive chi0 at which the
-largest sigma over the nonzero modes crosses zero. `discrete_spectrum_check`
-ties this formula to the scheme: it linearises the code that steps
-(`integrator.face_drift`, `chemotactic_face_flux`, `flux_divergence` and
-the logistic source) at (u*, v*), and checks that the result reproduces
-sigma on the grid's own eigenvalues.
+largest sigma over the nonzero modes crosses zero: the infimum over them of
+a per-mode candidate that is convex in lambda, least at sqrt(a alpha mu).
+So the two modes that bracket that point give chi*, and a table that
+reaches it proves the infimum over the whole spectrum.
+
+`discrete_spectrum_check` ties this formula to the scheme: it linearises
+the code that steps (`integrator.face_drift`, `chemotactic_face_flux`,
+`flux_divergence` and the logistic source) at (u*, v*), and checks that
+the result reproduces sigma on the grid's own eigenvalues.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .integrator import chemotactic_face_flux, face_drift, flux_divergence
 
 
 class SpectrumTooShort(ValueError):
-    """The eigenvalue table ends before the candidate scan stabilizes."""
+    """The eigenvalue table ends below sqrt(a alpha mu), so it cannot prove chi*."""
 
 
 class EigsolverFailure(RuntimeError):
@@ -71,26 +75,10 @@ def sigma_zero(params: ModelParams) -> float:
     return -params.a * params.alpha
 
 
-def mode_candidates(
-    params: ModelParams, eq: Equilibrium, spectrum: SpectrumTable
-) -> np.ndarray:
-    """Per-mode critical sensitivities (1+v*)^beta (lam+a alpha)(mu+lam) /
-    (nu gamma u*^(m+gamma-1) lam) for the nonzero modes."""
-    return _candidates(
-        spectrum.as_array()[1:], params.a * params.alpha, params.mu,
-        _feedback_gain(params, eq),
-    )
-
-
 def _candidates(lam, a_alpha, mu, gain):
     """(lam + a alpha)(mu + lam) / (gain lam) per mode. A batch of samples
     passes its coefficients as (B, 1) columns against (B, modes) rows."""
     return (lam + a_alpha) * (mu + lam) / (gain * lam)
-
-
-# Trailing per-mode candidates that must be non-decreasing before the
-# minimum over a spectrum table is taken as chi*.
-TAIL_WINDOW = 10
 
 
 def critical_sensitivity(
@@ -98,83 +86,60 @@ def critical_sensitivity(
 ) -> tuple[float, int]:
     """Exact instability threshold chi* and the mode index attaining it.
 
-    The per-mode candidates eventually increase in lam, so the infimum is
-    certified once the trailing TAIL_WINDOW candidates are non-decreasing;
-    a table too short for that certificate raises SpectrumTooShort.
+    chi* is the infimum of the per-mode candidates over the whole Neumann
+    spectrum, taken by _bracketed_minimum from the modes of the table that
+    bracket sqrt(a alpha mu). A table whose last eigenvalue lies below that
+    point cannot prove the infimum and raises SpectrumTooShort.
     """
-    value, mode = _certified_minimum(mode_candidates(params, eq, spectrum))
-    return float(value), int(mode)
-
-
-def _certified_minimum(candidates: np.ndarray):
-    """Minimum over the last axis of per-mode candidates and its 1-based mode.
-
-    Works row by row on a (B, modes) batch; SpectrumTooShort is raised if
-    the tail of any row is still decreasing.
-    """
-    _require_length(candidates.shape[-1])
-    _certify_tail(candidates[..., -TAIL_WINDOW:])
-    return candidates.min(axis=-1), candidates.argmin(axis=-1) + 1
-
-
-def _require_length(modes: int) -> None:
-    """Raise SpectrumTooShort if `modes` nonzero modes cannot hold a tail."""
-    if modes < TAIL_WINDOW + 1:
-        raise SpectrumTooShort(
-            f"need at least {TAIL_WINDOW + 2} eigenvalues, got {modes + 1}"
-        )
-
-
-def _certify_tail(tail: np.ndarray) -> None:
-    """Raise SpectrumTooShort if any row of the trailing candidates decreases."""
-    if np.any(tail[..., 1:] < tail[..., :-1]):
-        raise SpectrumTooShort(
-            "candidate sequence still decreasing at the end of the table; "
-            "supply more eigenvalues"
-        )
+    value, mode = _bracketed_minimum(
+        spectrum.as_array(), np.ones(1), np.array([params.a * params.alpha]),
+        np.array([params.mu]), np.array([_feedback_gain(params, eq)]),
+    )
+    return float(value[0]), int(mode[0])
 
 
 def _bracketed_minimum(unit, scale, a_alpha, mu, gain):
-    """chi* and its mode for a batch of 1D rows, from the modes around
-    lam0 = sqrt(a alpha mu): the same floats as
-
-        _certified_minimum(_candidates(unit[1:] * scale[:, None], ...))
-
-    with the (B,) coefficients as columns, without the (B, modes) array.
-    `unit` is a Neumann table n^2 (n = 0, 1, ...) of [0, pi] and `scale`
-    the per-row factor (pi/L)^2.
+    """chi* and its 1-based mode for a batch of rows, with the (B,)
+    coefficients as columns. Row i's eigenvalues are unit * scale[i]:
+    `unit` is an ascending Neumann table whose entry 0 is the constant
+    mode, and `scale` is (pi/L)^2 for the ordering fuzzer's intervals, or
+    1 for critical_sensitivity's own table.
 
     Why the window is exact: the candidate (lam + a alpha + mu + a alpha
-    mu / lam) / gain is convex in lam > 0 with its minimum at lam0, so over
-    the modes it is least at one of the two that bracket lam0, and it
-    decreases strictly before them and increases strictly after. The
-    search puts the bracket at k-1, k with unit[k-1] < lam0 / scale <=
-    unit[k]; the window k-2 .. k+1, shifted to stay in the table, holds
-    it, and holds it still when rounding puts the search one index off.
-    Adjacent n^2 differ by at least 1% up to n = 200, so every candidate
-    outside the window exceeds one inside it by at least about 5e-3
-    relative over the ordering fuzzer's draw ranges (a grid over them,
-    with the search taken one index off either way), far above rounding:
-    the float minimum and its first index are those of the full scan.
-    Tables with near-equal eigenvalues (2D ones, where 25 = 5^2 + 0^2 =
-    3^2 + 4^2) have no such gap; critical_sensitivity scans those.
+    mu / lam) / gain is convex in lam > 0 with its minimum at
+    lam0 = sqrt(a alpha mu). So over any set of eigenvalues it is least at
+    one of the two that bracket lam0; it falls before them and rises after.
+    One table entry >= lam0 thus proves the infimum over the whole infinite
+    spectrum, and a row whose lam0 / scale lies above the last entry raises
+    SpectrumTooShort. The search puts the bracket at k-1, k with
+    unit[k-1] < lam0 / scale <= unit[k]; the window k-2 .. k+1, min(4,
+    modes) wide and shifted to stay in the table, holds it, even when
+    rounding puts the search one index off.
 
-    The tail certificate is the scan's: each row's last TAIL_WINDOW
-    candidates, with SpectrumTooShort raised in the same cases.
+    The window's candidates are the floats a scan of the table computes.
+    Where neighbouring eigenvalues lie apart, as on intervals, those
+    outside the window exceed one inside by far more than rounding, so the
+    value and mode are the scan's. Where eigenvalues are equal up to
+    rounding (rectangles: 65 = 1^2 + 8^2 = 4^2 + 7^2), the mode may move
+    among them and the value by 1 ulp.
     """
     modes = unit.size - 1
-    _require_length(modes)
-    scale = scale[:, None]
-    a_alpha, mu, gain = a_alpha[:, None], mu[:, None], gain[:, None]
-    _certify_tail(_candidates(unit[-TAIL_WINDOW:] * scale, a_alpha, mu, gain))
-    bracket = np.searchsorted(unit, np.sqrt(a_alpha * mu) / scale)
-    at = np.clip(bracket - 2, 1, modes - 3) + np.arange(4)
-    window = _candidates(unit[at] * scale, a_alpha, mu, gain)
-    pick = window.argmin(axis=1)[:, None]
-    return (
-        np.take_along_axis(window, pick, axis=1)[:, 0],
-        np.take_along_axis(at, pick, axis=1)[:, 0],
+    lam0 = np.sqrt(a_alpha * mu)
+    bracket = np.searchsorted(unit, lam0 / scale)
+    if bracket.max() > modes:
+        i = bracket.argmax()
+        raise SpectrumTooShort(
+            f"sqrt(a alpha mu) = {float(lam0[i])!r} lies above the last "
+            f"eigenvalue {float(unit[-1] * scale[i])!r} of the table; "
+            "supply more eigenvalues"
+        )
+    width = min(4, modes)
+    start = np.minimum(np.maximum(bracket - 2, 1), modes - width + 1)
+    at = start[:, None] + np.arange(width)
+    window = _candidates(
+        unit[at] * scale[:, None], a_alpha[:, None], mu[:, None], gain[:, None]
     )
+    return window.min(axis=1), at[np.arange(at.shape[0]), window.argmin(axis=1)]
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,8 @@ class CStarSource:
 
     def __call__(self, p: float) -> float:
         value = float(self.func(p))
-        if value <= 0.0:
-            raise MissingCZConstant(f"C*_{{N,p}} must be positive, got {value} at p={p}")
+        if not 0.0 < value < math.inf:  # NaN fails it too
+            raise MissingCZConstant(f"C*_{{N,p}} must be finite and positive, got {value} at p={p}")
         return value
 
 
@@ -569,8 +569,8 @@ def _violates(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lhs > rhs * (1.0 + 1e-12) + 1e-300
 
 
-# Tuples drawn and checked per block; a block's chi* holds one
-# (ORDERING_BLOCK, TAIL_WINDOW) and a few (ORDERING_BLOCK, 4) arrays.
+# Tuples drawn and checked per block; a block's chi* holds a few
+# (ORDERING_BLOCK, 4) arrays.
 ORDERING_BLOCK = 1 << 12
 # Neumann modes of the interval on which verify_orderings computes chi*.
 ORDERING_MODES = 200
@@ -681,11 +681,9 @@ def _ordering_checks(part: str, sample: dict[str, np.ndarray], unit: np.ndarray)
     """The orderings one part checks on a drawn block.
 
     `unit` is the Neumann spectrum of [0, pi]; an interval of length L has
-    it scaled by (pi/L)^2. chi* is the minimum over the modes of the
-    per-mode candidate, which is convex in lam with its minimum at
-    lam0 = sqrt(a alpha mu); the table's eigenvalues lie at least 1% apart,
-    so the minimum is found among the four modes around lam0, with the
-    same floats as a scan of the whole table (see _bracketed_minimum).
+    it scaled by (pi/L)^2. chi* is taken, as critical_sensitivity takes
+    it, from the four modes around lam0 = sqrt(a alpha mu), where the
+    convex per-mode candidate is least (see _bracketed_minimum).
     Returns the (lhs_name, lhs, rhs_name, rhs) array checks and the mask
     of rows whose applicability gate holds.
     """

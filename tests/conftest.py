@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from chemostab import GridDomain, ModelParams, equilibrium, neumann_eigenvalues
+from chemostab.stability import _candidates
 
 REFERENCE = dict(
     chi0=1.0, beta=0.0, m=1.0, alpha=1.0, gamma=1.0,
@@ -28,6 +29,16 @@ def tau_grid_for(traj_times: np.ndarray, a: float, dt: float) -> float:
     every PDE sample time t."""
     tau_max = float(a * np.max(traj_times))
     return math.ceil(tau_max / dt - 1e-9) * dt
+
+
+def scanned_minimum(unit, scale, a_alpha, mu, gain):
+    """chi* and its 1-based mode by a scan of every nonzero mode of the
+    table, with the (B,) coefficients as columns: the oracle of
+    stability._bracketed_minimum on tables that reach sqrt(a alpha mu)."""
+    candidates = _candidates(
+        unit[1:] * scale[:, None], a_alpha[:, None], mu[:, None], gain[:, None]
+    )
+    return candidates.min(axis=1), candidates.argmin(axis=1) + 1
 
 
 @pytest.fixture

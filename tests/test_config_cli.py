@@ -282,6 +282,17 @@ class TestAnalysisCommands:
         assert payload["verdict"] == "stable"
         assert payload["equilibrium"] == {"u_star": 1.0, "v_star": 1.0}
 
+    def test_stability_needs_only_the_modes_up_to_lam0(self, tmp_path, capsys):
+        # a = 4: lam0 = sqrt(a alpha mu) = 2 lies between modes 1 and 2 of
+        # [0, pi], so four eigenvalues give what a thousand give.
+        cfg = write_cfg(tmp_path, a=4.0)
+        outputs = []
+        for n_max in ("3", "1000"):
+            code, payload, _ = run_cli(capsys, "stability", "--config", cfg, "--n-max", n_max)
+            assert code == 0
+            outputs.append((payload["chi_star"], payload["verdict"]))
+        assert outputs[0] == outputs[1] == (2.5, "stable")
+
     def test_stability_discrete_check(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         code, payload, _ = run_cli(
@@ -319,6 +330,22 @@ class TestAnalysisCommands:
         assert code == 2
         assert payload is None
         assert error["error"] == "MissingCZConstant"
+
+    @pytest.mark.parametrize(
+        "row", ["10", "1.5,2,3", "1.5,abc", "p,C*"], ids=["one", "three", "text", "header"]
+    )
+    def test_thresholds_malformed_c_star_row_exits_2(self, tmp_path, capsys, row):
+        cfg = write_cfg(tmp_path)
+        table = tmp_path / "c_star.csv"
+        table.write_text(f"# p, C*\n1.5,2\n{row}  # bad\n10,3\n")
+        code, payload, error = run_cli(
+            capsys, "thresholds", "--config", cfg, "--c-star-table", str(table)
+        )
+        assert (code, payload) == (2, None)
+        assert error["error"] == "MissingCZConstant"
+        assert error["message"] == (
+            f"{table}, line 3: expected a 'p,C*' row of two numbers, got {row!r}"
+        )
 
     def test_thresholds_minimal_calibration(self, tmp_path, capsys):
         text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})

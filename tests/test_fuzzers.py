@@ -9,6 +9,7 @@ something), and that nothing overflows or divides by zero outside a
 formula's gate.
 """
 
+import functools
 import json
 import math
 import warnings
@@ -28,11 +29,8 @@ from chemostab.core import (
 )
 from chemostab.diagnostics import check_power_diff_inequality
 from chemostab.stability import (
-    TAIL_WINDOW,
     SpectrumTooShort,
     _bracketed_minimum,
-    _candidates,
-    _certified_minimum,
     critical_sensitivity,
 )
 from chemostab.thresholds import (
@@ -41,6 +39,7 @@ from chemostab.thresholds import (
     power_diff_constant,
     verify_orderings,
 )
+from conftest import scanned_minimum
 
 PARTS = ("1", "2", "3", "4", "minimal-1", "minimal-2")
 SAMPLES = 256
@@ -52,7 +51,9 @@ def close(x, y):
     return abs(x - y) <= RTOL * max(abs(x), abs(y))
 
 
+@functools.lru_cache(maxsize=None)
 def unit_spectrum(modes=200):
+    """The first modes + 1 Neumann eigenvalues of [0, pi], read-only."""
     return neumann_eigenvalues(GridDomain.interval(math.pi, 8), modes).as_array()
 
 
@@ -160,13 +161,6 @@ class TestBlockAgreement:
             power_diff_constant(np.array([2.0, 1.0]), np.array([1.0, 1.2]))
 
 
-def scanned_minimum(unit, scale, a_alpha, mu, gain):
-    """chi* and its mode over every nonzero mode of the table."""
-    return _certified_minimum(_candidates(
-        unit[1:] * scale[:, None], a_alpha[:, None], mu[:, None], gain[:, None]
-    ))
-
-
 def outcome(chi_star, unit, *columns):
     """The value bytes and modes of a chi* batch, or its SpectrumTooShort message."""
     try:
@@ -176,25 +170,32 @@ def outcome(chi_star, unit, *columns):
     return value.tobytes(), mode.tolist()
 
 
-def assert_window_matches_scan(unit, *columns):
-    expected = outcome(scanned_minimum, unit, *columns)
+def assert_window_matches_scan(unit, *columns, scanned=None):
+    """_bracketed_minimum on `unit` against the scan of `scanned` (default
+    `unit`), value bytes and modes."""
+    expected = outcome(scanned_minimum, unit if scanned is None else scanned, *columns)
     assert outcome(_bracketed_minimum, unit, *columns) == expected
     return expected
 
 
 # One row of _bracketed_minimum's input: the scale (pi/L)^2 of an interval
-# in the ordering fuzzer's length range, a alpha (0 in the minimal parts,
-# up to about 120 in parts 3 and 4), mu and the gain.
+# of length 0.1 to 31, a alpha (0 as in the minimal parts, or 1e-3 to 1e3),
+# mu and the gain.
 ROW = st.tuples(
-    st.floats(0.5, 2.0 * math.pi).map(lambda length: (math.pi / length) ** 2),
-    st.one_of(st.just(0.0), st.floats(0.02, 130.0)),
-    st.floats(0.1, 10.0),
-    st.floats(1e-6, 1e6),
+    st.floats(0.1, 31.0).map(lambda length: (math.pi / length) ** 2),
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    st.floats(1e-2, 1e2),
+    st.floats(1e-4, 1e4),
 )
 
 
+def reaches_lam0(unit, scale, a_alpha, mu, gain):
+    """Per row: does the table hold an eigenvalue >= sqrt(a alpha mu)?"""
+    return np.sqrt(np.multiply(a_alpha, mu)) / scale <= unit[-1]
+
+
 class TestBracketedMinimum:
-    """chi* from the modes around lam0 = sqrt(a alpha mu) against the full scan."""
+    """chi* from the modes around lam0 = sqrt(a alpha mu) against the scan oracle."""
 
     @given(part=st.sampled_from(PARTS), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -208,17 +209,53 @@ class TestBracketedMinimum:
             s["mu"], gain,
         )
 
-    @given(
-        rows=st.lists(ROW, min_size=1, max_size=8),
-        modes=st.integers(TAIL_WINDOW + 1, 200),
-    )
-    @example(rows=[(1.0, 0.0, 1.0, 1.0)], modes=200)
-    @example(rows=[(1.0, 1.0, 1.0, 1.0)], modes=200)
-    @example(rows=[(39.47, 130.0, 10.0, 1e-6), (0.25, 0.02, 0.1, 1e6)], modes=200)
-    @example(rows=[(0.25, 130.0, 10.0, 1.0)], modes=TAIL_WINDOW + 1)
+    @given(rows=st.lists(ROW, min_size=1, max_size=8), size=st.integers(12, 1000))
+    @example(rows=[(1.0, 0.0, 1.0, 1.0)], size=201)
+    @example(rows=[(1.0, 1.0, 1.0, 1.0)], size=12)
+    @example(rows=[(987.0, 1e3, 1e2, 1e-4), (0.0103, 1e-3, 1e-2, 1e4)], size=1000)
+    @example(rows=[(0.0103, 1e3, 1e2, 1.0)], size=1000)
     @settings(max_examples=300, deadline=None)
-    def test_matches_scan_across_the_draw_ranges(self, rows, modes):
-        assert_window_matches_scan(unit_spectrum()[: modes + 1], *zip(*rows))
+    def test_matches_scan_across_the_ranges(self, rows, size):
+        # Rows whose lam0 lies within the table give the scan's value bytes
+        # and modes; a batch holding any other row raises.
+        unit = unit_spectrum(size - 1)
+        columns = [np.array(column) for column in zip(*rows)]
+        reach = reaches_lam0(unit, *columns)
+        if reach.any():
+            assert_window_matches_scan(unit, *(column[reach] for column in columns))
+        if not reach.all():
+            with pytest.raises(SpectrumTooShort):
+                _bracketed_minimum(unit, *columns)
+
+    @given(
+        lengths=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+        row=ROW.map(lambda row: (1.0, *row[1:])),
+        size=st.integers(12, 400),
+    )
+    @example(lengths=(math.pi, math.pi), row=(1.0, 65.0, 65.0, 1.0), size=100)
+    @example(lengths=(math.pi, 2.0), row=(1.0, 0.0, 1.0, 1.0), size=12)
+    @example(
+        lengths=(math.pi, math.pi), row=(1.0, 978.645690275952, 15.722401152257774,
+                                         0.00029514061260056906), size=288,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rectangle_tables_match_scan_up_to_an_ulp(self, lengths, row, size):
+        # Rectangles have eigenvalues equal up to rounding (65 = 1 + 64 =
+        # 16 + 49 on the square of side pi): the mode may move among them,
+        # and the value by 1 ulp. On the square, the four modes of 125
+        # (4 + 121 and 25 + 100, each both ways) hold floats 3 ulp apart;
+        # the last example returns one of them where the scan returns another.
+        table = neumann_eigenvalues(GridDomain.rectangle(*lengths, 8, 8), size - 1)
+        unit = table.as_array()
+        columns = [np.array([x]) for x in row]
+        if not reaches_lam0(unit, *columns)[0]:
+            with pytest.raises(SpectrumTooShort):
+                _bracketed_minimum(unit, *columns)
+            return
+        value, mode = _bracketed_minimum(unit, *columns)
+        expected, expected_mode = scanned_minimum(unit, *columns)
+        assert abs(value[0] - expected[0]) <= np.spacing(expected[0])
+        assert unit[mode[0]] == pytest.approx(unit[expected_mode[0]], rel=1e-15, abs=0.0)
 
     def test_no_decay_takes_the_first_mode(self):
         # a alpha = 0: the candidate (lam + mu) / gain increases in lam.
@@ -232,25 +269,39 @@ class TestBracketedMinimum:
         value, mode = assert_window_matches_scan(unit_spectrum(), *[[1.0]] * 4)
         assert np.frombuffer(value).tolist() == [4.0] and mode == [1]
 
-    @pytest.mark.parametrize("n", [185, 189.5, 190.5, 191, 191.5, 195, 200, 200.5])
+    @pytest.mark.parametrize("n", [185, 189.5, 190.5, 191, 191.5, 195, 199.5, 200])
     def test_lam0_among_the_last_modes(self, n):
-        # The tail holds modes 191..200; lam0 = n^2 past mode 191 leaves it
-        # decreasing, so both forms raise, and at 191 or below both return.
-        expected = assert_window_matches_scan(
+        # lam0 = n^2 up to the last entry, 200^2: the bracket alone gives
+        # the scan of a table 20 times longer, bytes and modes.
+        _, mode = assert_window_matches_scan(
             unit_spectrum(), [1.0, 0.3], [n**2, 1.0], [n**2, 1.0], [1.0, 2.0],
+            scanned=unit_spectrum(4000),
         )
-        assert isinstance(expected, str) is (n > 191)
+        assert mode[0] in (math.floor(n), math.ceil(n))
 
-    def test_lam0_beyond_the_table_raises_the_scan_message(self):
-        message = assert_window_matches_scan(
-            unit_spectrum(), [1.0, 1.0], [1.0, 250.0**2], [1.0, 250.0**2], [1.0, 1.0],
+    @pytest.mark.parametrize("n", [200.5, 250.0])
+    def test_lam0_beyond_the_table_raises(self, n):
+        message = outcome(
+            _bracketed_minimum, unit_spectrum(), [1.0, 1.0], [1.0, n**2],
+            [1.0, n**2], [1.0, 1.0],
         )
-        assert message.startswith("candidate sequence still decreasing")
+        assert message.startswith(f"sqrt(a alpha mu) = {n**2!r} lies above the last "
+                                  f"eigenvalue {float(unit_spectrum()[-1])!r} ")
 
-    @pytest.mark.parametrize("size", [2, TAIL_WINDOW, TAIL_WINDOW + 1])
-    def test_short_table_raises_the_scan_message(self, size):
-        message = assert_window_matches_scan(unit_spectrum()[:size], *[[1.0]] * 4)
-        assert message == f"need at least {TAIL_WINDOW + 2} eigenvalues, got {size}"
+    @pytest.mark.parametrize("lam0", [1.0, 4.0])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 12])
+    def test_short_tables(self, size, lam0):
+        # lam0 = 1 is mode 1 and lam0 = 4 is mode 2. Every table that holds
+        # lam0 gives the scan of 200 modes, through a window min(4, modes)
+        # wide; the two-entry table does not hold 4 and raises.
+        table = unit_spectrum()[:size]
+        columns = [[1.0], [lam0], [lam0], [1.0]]
+        if table[-1] < lam0:
+            assert outcome(_bracketed_minimum, table, *columns).startswith(
+                "sqrt(a alpha mu) = 4.0 lies above the last eigenvalue 1.0 "
+            )
+        else:
+            assert_window_matches_scan(table, *columns, scanned=unit_spectrum())
 
     @pytest.mark.parametrize("trials", (1, 200, 4096, 4097))
     @pytest.mark.parametrize("seed", (0, 1, 2))

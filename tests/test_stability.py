@@ -26,9 +26,8 @@ from chemostab.stability import (
     EigsolverFailure,
     SpectrumTooShort,
     dense_laplacian,
-    mode_candidates,
 )
-from conftest import make_params
+from conftest import make_params, scanned_minimum
 
 
 class TestDispersion:
@@ -85,7 +84,7 @@ class TestCriticalSensitivity:
 
     def test_candidate_table_oracle(self, reference_eq, spectrum_pi):
         p = make_params()
-        cands = mode_candidates(p, reference_eq, spectrum_pi)
+        cands = stability._candidates(spectrum_pi.as_array()[1:], 1.0, 1.0, 1.0)
         # (lam+1)(1+lam)/lam at lam = 1, 4, 9.
         assert cands[0] == pytest.approx(4.0, rel=1e-15)
         assert cands[1] == pytest.approx(6.25, rel=1e-15)
@@ -101,18 +100,40 @@ class TestCriticalSensitivity:
             assert chi_star == pytest.approx(4.0 * 2.0**beta, rel=1e-13)
             assert mode == 1
 
-    def test_short_table_rejected(self, reference_eq):
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 8])
+    def test_short_table_that_reaches_lam0_suffices(self, reference_eq, n_max):
+        # lam0 = sqrt(a alpha mu) = 1 is mode 1 of [0, pi], so even the
+        # two-entry table proves the infimum.
+        table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), n_max)
+        assert critical_sensitivity(make_params(), reference_eq, table) == (4.0, 1)
+
+    def test_long_interval_needs_only_the_modes_up_to_lam0(self, reference_eq):
+        # On [0, 10 pi] the eigenvalues are (n/10)^2, so lam0 = 1 is mode 10.
+        # Tables that reach it give the scan of a table 20 times longer; one
+        # that stops at mode 9 raises and names both numbers.
         p = make_params()
-        table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 8)
-        with pytest.raises(SpectrumTooShort):
+        interval = GridDomain.interval(10.0 * math.pi, 64)
+        value, mode = scanned_minimum(
+            neumann_eigenvalues(interval, 240).as_array(), *[np.ones(1)] * 4
+        )
+        for n_max in (10, 12):
+            table = neumann_eigenvalues(interval, n_max)
+            assert critical_sensitivity(p, reference_eq, table) == (value[0], mode[0])
+        assert mode[0] == 10
+        table = neumann_eigenvalues(interval, 9)
+        last = table.eigenvalues[-1]
+        with pytest.raises(SpectrumTooShort, match=f"= 1.0 lies above .* {last!r} "):
             critical_sensitivity(p, reference_eq, table)
 
-    def test_decreasing_tail_rejected(self, reference_eq):
-        # On a long interval the candidates still fall at the table end.
-        p = make_params()
-        table = neumann_eigenvalues(GridDomain.interval(10.0 * math.pi, 64), 12)
-        with pytest.raises(SpectrumTooShort, match="decreasing"):
-            critical_sensitivity(p, reference_eq, table)
+    @pytest.mark.parametrize("ubar, expected", [(0.5, 6.0), (1.0, 4.0), (2.0, 3.0)])
+    def test_minimal_model_threshold_family(self, spectrum_pi, ubar, expected):
+        # beta = 1, m = alpha = gamma = mu = nu = 1 and a = b = 0 on [0, pi]:
+        # u* = v* = ubar, so the candidate is (1 + lam)(1 + ubar) / ubar and
+        # chi*(ubar) = 2 (1 + ubar) / ubar, at mode 1.
+        p = make_params(a=0.0, b=0.0, beta=1.0)
+        chi_star, mode = critical_sensitivity(p, equilibrium(p, u_star=ubar), spectrum_pi)
+        assert chi_star == pytest.approx(expected, rel=1e-15)
+        assert mode == 1
 
     @given(
         a=st.floats(0.2, 5.0),

@@ -28,6 +28,7 @@ from chemostab.helmholtz import SingularOperator, SolverFailure, certify, face_g
 from chemostab.stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure, dense_laplacian
 from chemostab.thresholds import (
     BetaBelowOne,
+    CStarSource,
     HypothesisViolated,
     MissingCZConstant,
     MissingKStar,
@@ -170,6 +171,15 @@ class TestRegularityConstants:
         rows[1] = (bad, 3.0) if column == "p" else (10.0, bad)
         with pytest.raises(MissingCZConstant, match="non-finite"):
             c_star_from_table(rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_source_rejects_a_value_not_finite_and_positive(self, bad):
+        source = CStarSource(func=lambda p: bad, nonrigorous=False, description="bad")
+        with pytest.raises(MissingCZConstant, match="finite and positive"):
+            source(2.0)
+        # k_star returned the ladder (nan, nan, nan) for a NaN source.
+        with pytest.raises(MissingCZConstant):
+            k_star(1, 1.0, 1.0, 1.0, 1.0, source)
 
     def test_k_star_ladder_converges_to_limit(self):
         # q* = 1, p -> 2+, so the rungs approach M*(2)^(1/2) = sqrt(164).
