@@ -80,7 +80,8 @@ def jsonable(obj):
     """Recursively convert reports to JSON-safe structures.
 
     Floats map infinities to the strings "inf" / "-inf"; dataclasses map to
-    field dicts; arrays map to lists; callables map to their repr.
+    dicts of their repr fields (CStarSource's callable is none); arrays map
+    to lists.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -96,13 +97,12 @@ def jsonable(obj):
         return {
             f.name: jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
+            if f.repr
         }
     if isinstance(obj, dict):
         return {str(key): jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
-    if callable(obj):
-        return repr(obj)
     return str(obj)
 
 
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="gradient-estimate constant of the domain")
     m0_choice.add_argument("--discrete-m0", action="store_true",
                            help="use the grid's exact discrete constant "
-                                f"(dense solve, at most {DENSE_EIG_CELL_LIMIT} cells)")
+                                f"(an n x n inverse, at most {DENSE_EIG_CELL_LIMIT} cells)")
     p_thr.add_argument("--c-star-table", default=None,
                        help="CSV of p,C* rows for the regularity constant")
     p_thr.add_argument("--stub-c-star", action="store_true",

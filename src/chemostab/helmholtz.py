@@ -26,7 +26,9 @@ mu = 1. Every solve is certified by `certify`: max |(mu - lap_h) w - r| <=
 1e-10 max |r| with the mirror-ghost stencil `add_laplacian`, else
 SolverFailure, NaN included; a non-finite right-hand side raises
 NonFiniteInput, a SolverFailure too. `HelmholtzOperator.solve` is the one
-entry point for both the signal and the diffusion solve.
+entry point for every solve: the signal and diffusion solves, and the
+stacks of unit fields behind the gradient constant M0 and the discrete
+stability check's signal response.
 
 `certify` checks one grid-shaped solve, or a stack of solves in one pass,
 one solve per column, and each column on its own: its residual against its
@@ -116,37 +118,40 @@ class HelmholtzOperator:
     off_diagonal: np.ndarray | None
 
     def solve(self, rhs: np.ndarray, block: SolveBlock | None = None) -> np.ndarray:
-        """Solve (mu I - lap_h) w = rhs for a raveled or grid-shaped rhs.
+        """Solve (mu I - lap_h) w = rhs for a grid-shaped rhs, or for a stack:
+        the grid axes, then one axis of solves. Other shapes raise ValueError.
 
-        Returns w in the shape of rhs, certified by `certify` at once:
-        SolverFailure unless the max-norm residual is at most
-        1e-10 * max |rhs| (a NaN residual fails), NonFiniteInput when that
-        check fails and rhs holds NaN or infinity. With a `block` the check
-        waits in the block instead, and w is only certified once the block
-        is; `integrator.run` does this on small grids.
+        1D hands the (n, k) stack to `dpttrs` and 2D transforms the grid
+        axes only, so each column is bitwise its own solve. w is certified
+        by `certify` at once, a stack in one pass: SolverFailure unless each
+        column's residual is at most 1e-10 * max |rhs| (NaN fails),
+        NonFiniteInput if that rhs holds NaN or infinity. With a `block` the
+        check of a grid-shaped solve waits in the block, and w is certified
+        once the block is; `integrator.run` does this on small grids.
         """
         rhs = np.asarray(rhs, dtype=float)
         shape = self.grid.shape
-        # A reshape costs about what a small ufunc call does; a grid-shaped
-        # rhs needs none, on the way in or out.
-        r = rhs if rhs.shape == shape else rhs.reshape(shape)
+        stacked = rhs.shape != shape
+        if stacked and rhs.shape[:-1] != shape:
+            raise ValueError(f"rhs shape {rhs.shape} is neither the grid shape {shape} "
+                             "nor the grid shape with one trailing axis of solves")
         if self.off_diagonal is not None:
             # info is nonzero only for an illegal argument, which leaves w
             # unsolved; the residual check then fails.
-            w, _ = dpttrs(self.diagonal, self.off_diagonal, r)
+            w, _ = dpttrs(self.diagonal, self.off_diagonal, rhs)
         else:
             from scipy import fft  # imports scipy.special; only 2D grids pay for it
 
             # The modes are the solve's own: divided and inverse-transformed
             # where they lie.
-            modes = fft.dctn(r, type=2, norm="ortho")
-            modes /= self.diagonal
-            w = fft.idctn(modes, type=2, norm="ortho", overwrite_x=True)
+            modes = fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1))
+            modes /= self.diagonal[..., None] if stacked else self.diagonal
+            w = fft.idctn(modes, type=2, norm="ortho", axes=(0, 1), overwrite_x=True)
         if block is None:
-            certify(self.grid, self.mu, r, w)
+            certify(self.grid, self.mu, rhs, w)
         else:
-            block.add(self.mu, r, w)
-        return w if r is rhs else w.reshape(rhs.shape)
+            block.add(self.mu, rhs, w)
+        return w
 
 
 def certify(grid: GridDomain, mu, rhs: np.ndarray, solutions: np.ndarray) -> None:

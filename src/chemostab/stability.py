@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Equilibrium, GridDomain, ModelParams, SpectrumTable
-from .helmholtz import laplacian
+from .helmholtz import get_operator, laplacian
 from .integrator import chemotactic_face_flux, face_drift, flux_divergence
 
 
@@ -181,19 +181,23 @@ def classify_equilibrium(
     )
 
 
-def dense_laplacian(grid: GridDomain) -> np.ndarray:
-    """lap_h as a dense (n, n) matrix: the stencil applied to every unit field.
-
-    Raises EigsolverFailure before any n^2 allocation when the grid has more
-    than DENSE_EIG_CELL_LIMIT cells.
-    """
+def _unit_fields(grid: GridDomain) -> np.ndarray:
+    """The identity with the grid axes first: every unit field, stacked.
+    Above DENSE_EIG_CELL_LIMIT cells EigsolverFailure, before any n^2 array."""
     n = grid.total_cells
     if n > DENSE_EIG_CELL_LIMIT:
         raise EigsolverFailure(
             f"{n} cells exceeds the dense eigendecomposition limit "
             f"{DENSE_EIG_CELL_LIMIT}"
         )
-    return laplacian(np.eye(n).reshape(*grid.shape, n), grid).reshape(n, n)
+    return np.eye(n).reshape(*grid.shape, n)
+
+
+def dense_laplacian(grid: GridDomain) -> np.ndarray:
+    """lap_h as a dense (n, n) matrix, exactly symmetric: the stencil
+    applied to every unit field (EigsolverFailure as `_unit_fields`)."""
+    n = grid.total_cells
+    return laplacian(_unit_fields(grid), grid).reshape(n, n)
 
 
 def _equilibrium_jacobian(
@@ -206,22 +210,21 @@ def _equilibrium_jacobian(
 
     symmetrised. `lap` is dense_laplacian(grid). The columns are the
     responses to the unit perturbations of the cells, all carried at once
-    as a trailing axis through the stepping code's face_drift,
-    chemotactic_face_flux and flux_divergence.
+    as a trailing axis: the signal's through one stacked, certified
+    `HelmholtzOperator.solve`, the flux's through the stepping code's
+    face_drift, chemotactic_face_flux and flux_divergence.
     """
     n = grid.total_cells
     # The signal response (mu I - lap_h)^{-1} nu gamma u*^(gamma-1) of each
-    # unit perturbation: one dense solve.
-    response = np.linalg.solve(
-        params.mu * np.eye(n) - lap,
-        params.nu * params.gamma * eq.u_star ** (params.gamma - 1.0) * np.eye(n),
-    )
+    # unit perturbation, one column per cell.
+    gain = params.nu * params.gamma * eq.u_star ** (params.gamma - 1.0)
+    response = get_operator(grid, params.mu).solve(gain * _unit_fields(grid))
     # At the constant v* the derivative of (1 + v_face)^(-beta) (v_hi - v_lo) / h
     # is (1 + v*)^(-beta) (dv_hi - dv_lo) / h, since the factor's own derivative
     # multiplies v_hi - v_lo = 0. So face_drift with that factor folded into
     # chi0 and beta = 0 gives the drift's derivative exactly.
     frozen = replace(params, chi0=params.chi0 * (1.0 + eq.v_star) ** (-params.beta), beta=0.0)
-    drifts = face_drift(response.reshape(*grid.shape, n), frozen, grid)
+    drifts = face_drift(response, frozen, grid)
     # The drift at (u*, v*) is 0, so the donor choice and the derivative of
     # the donor density drop out: the flux's derivative is u*^m times the
     # drift's, which is the flux of the constant u*.
@@ -265,7 +268,7 @@ def discrete_spectrum_check(
     lap = dense_laplacian(grid)
     a = _equilibrium_jacobian(params, eq, grid, lap)
     try:
-        lam_h, vecs = np.linalg.eigh(-0.5 * (lap + lap.T))
+        lam_h, vecs = np.linalg.eigh(-lap)
         eig_a = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise EigsolverFailure(f"dense eigendecomposition failed: {exc}") from exc

@@ -18,7 +18,7 @@ always returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,10 +133,11 @@ class CStarSource:
     """Elliptic-regularity constant C*_{N,p}, supplied by the user.
 
     The constant is never computed here; the default stub returns 1 for
-    every p and is flagged nonrigorous so downstream reports say so.
+    every p and is flagged nonrigorous so downstream reports say so. `func`
+    stays out of the repr and the JSON reports: its repr is an address.
     """
 
-    func: Callable[[float], float]
+    func: Callable[[float], float] = field(repr=False)
     nonrigorous: bool
     description: str
 
@@ -518,25 +519,15 @@ def gradient_constant(grid: GridDomain, mu: float) -> float:
 
         M0_h = sqrt(mu) max over interior faces of |row|_1 / 2.
 
-    The inverse comes from one dense solve against `dense_laplacian`, which
-    raises EigsolverFailure above DENSE_EIG_CELL_LIMIT cells, and each of
-    its columns is certified by `certify` like any other elliptic solve.
+    The inverse is one certified `HelmholtzOperator.solve` of the stacked
+    unit fields. A mu that is not positive raises SingularOperator, and a
+    grid above DENSE_EIG_CELL_LIMIT cells (the inverse holds n^2 entries)
+    raises EigsolverFailure.
     """
-    from .helmholtz import SingularOperator, certify, face_gradients
-    from .stability import dense_laplacian
+    from .helmholtz import face_gradients, get_operator
+    from .stability import _unit_fields
 
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise SingularOperator(f"mu must be positive, got {mu}")
-    n = grid.total_cells
-    matrix = dense_laplacian(grid)
-    matrix *= -1.0
-    matrix.flat[:: n + 1] += mu
-    units = np.eye(n)
-    # Column j solves (mu I - lap_h) w = e_j; the grid axes come first.
-    stack = (*grid.shape, n)
-    inverse = np.linalg.solve(matrix, units).reshape(stack)
-    certify(grid, mu, units.reshape(stack), inverse)
-    rows = face_gradients(inverse, grid)
+    rows = face_gradients(get_operator(grid, mu).solve(_unit_fields(grid)), grid)
     return math.sqrt(mu) * max(0.5 * float(np.abs(r).sum(axis=-1).max()) for r in rows)
 
 

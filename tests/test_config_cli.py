@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from chemostab.config import (
 from chemostab.core import Equilibrium
 from chemostab.integrator import StepConfig
 from chemostab.stability import DENSE_EIG_CELL_LIMIT
+from chemostab.thresholds import c_star_from_table, default_c_star_stub
 from conftest import REFERENCE, make_params
 
 BASE_CFG = """
@@ -186,8 +191,12 @@ class TestJsonable:
     def test_dataclass_to_dict(self):
         assert jsonable(Equilibrium(2.0, 1.0)) == {"u_star": 2.0, "v_star": 1.0}
 
-    def test_callable_repr(self):
-        assert "len" in jsonable(len)
+    def test_c_star_source_leaves_out_its_callable(self):
+        stub = jsonable(default_c_star_stub())
+        assert stub == {"nonrigorous": True,
+                        "description": "stub C*_{N,p} = 1 (nonrigorous placeholder)"}
+        table = jsonable(c_star_from_table([(1.5, 2.0), (10.0, 3.0)]))
+        assert table == {"nonrigorous": False, "description": "user table"}
 
     def test_numpy_scalars(self):
         assert jsonable(np.float64(2.0)) == 2.0
@@ -318,6 +327,24 @@ class TestAnalysisCommands:
         assert code == 0
         assert payload["aux"]["c_star"]["nonrigorous"] is True
         assert payload["aux"]["k_star"]["converged"] is True
+
+    @pytest.mark.parametrize("c_star", ["--stub-c-star", "--c-star-table"])
+    def test_thresholds_output_is_reproducible(self, tmp_path, c_star):
+        # Two processes, the same command: the same bytes, and no address.
+        cfg = write_cfg(tmp_path)
+        argv = ["thresholds", "--config", cfg, c_star]
+        if c_star == "--c-star-table":
+            table = tmp_path / "c_star.csv"
+            table.write_text("1.5,2\n10,3\n")
+            argv.append(str(table))
+        src = str(Path(chemostab.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        outputs = [subprocess.run([sys.executable, "-m", "chemostab.cli", *argv], env=env,
+                                  capture_output=True, check=True).stdout
+                   for _ in range(2)]
+        assert outputs[0] == outputs[1]
+        assert b"0x" not in outputs[0]
+        assert json.loads(outputs[0])["aux"]["c_star"]["description"]
 
     @pytest.mark.parametrize("rows", ["1.5,nan\n10,nan\n", "1.5,2\ninf,3\n"])
     def test_thresholds_non_finite_c_star_table_exits_2(self, tmp_path, capsys, rows):

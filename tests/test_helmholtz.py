@@ -301,13 +301,6 @@ class TestDirectSolves:
         assert op.solve(rhs).tobytes() == expected.tobytes()
         assert rhs.tobytes() == kept.tobytes()
 
-    def test_raveled_rhs_returns_raveled_solution(self, rng):
-        grid = self.GRIDS["2d"]
-        rhs = rng.uniform(0.0, 1.0, size=grid.shape)
-        op = get_operator(grid, 1.0)
-        assert op.solve(rhs.ravel()).shape == (grid.total_cells,)
-        assert np.array_equal(op.solve(rhs.ravel()), op.solve(rhs).ravel())
-
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_nan_rhs_fails_the_residual_check(self, name):
         # NaN and infinities fail the check and are reported as NonFiniteInput,
@@ -347,6 +340,45 @@ class TestDirectSolves:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestStackedSolves:
+    """A trailing axis of right-hand sides, solved and certified as one stack."""
+
+    GRIDS = (GridDomain.interval(math.pi, 8), GridDomain.interval(2.0, 64),
+             GridDomain.rectangle(1.0, 2.5, 8, 12), GridDomain.rectangle(1.0, 2.5, 24, 36))
+
+    @given(grid=st.sampled_from(GRIDS), columns=st.integers(1, 40),
+           mu=st.sampled_from([0.1, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_a_stack_is_bitwise_its_column_solves(self, grid, columns, mu, seed):
+        op = get_operator(grid, mu)
+        rhs = np.random.default_rng(seed).uniform(-1.0, 2.0, size=(*grid.shape, columns))
+        kept = rhs.copy()
+        stacked = op.solve(rhs)
+        alone = np.stack([op.solve(rhs[..., k]) for k in range(columns)], axis=-1)
+        assert stacked.shape == rhs.shape
+        assert stacked.tobytes() == alone.tobytes()
+        assert rhs.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda grid: "x".join(map(str, grid.cells)))
+    def test_a_nan_column_raises_non_finite_input(self, grid):
+        rhs = np.ones((*grid.shape, 6))
+        rhs[(2,) * grid.dimension + (4,)] = math.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
+            get_operator(grid, 1.0).solve(rhs)
+
+    @pytest.mark.parametrize("cells, shape", [
+        ((64,), (32,)), ((64,), (2, 64)), ((64,), (64, 2, 3)), ((64,), ()),
+        ((8, 12), (96,)), ((8, 12), (12, 8)), ((8, 12), (12, 8, 3)),
+        ((8, 12), (8, 12, 2, 3)), ((8, 12), (8,)),
+    ], ids=lambda axes: "x".join(map(str, axes)) or "scalar")
+    def test_a_misshaped_rhs_raises_value_error(self, cells, shape):
+        grid = (GridDomain.interval(math.pi, *cells) if len(cells) == 1
+                else GridDomain.rectangle(1.0, 2.5, *cells))
+        with pytest.raises(ValueError, match="shape") as info:
+            get_operator(grid, 1.0).solve(np.ones(shape))
+        assert not isinstance(info.value, SolverFailure)
 
 
 class TestFactoredSolve:

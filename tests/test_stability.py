@@ -209,6 +209,17 @@ class TestDiscreteOperator:
         )
         assert np.abs(a - a.T).max() == 0.0
 
+    @pytest.mark.parametrize("grid", [
+        GridDomain.interval(math.pi, 64), GridDomain.interval(math.pi, 17),
+        GridDomain.rectangle(1.0, 2.5, 12, 10), GridDomain.rectangle(1.0, 2.5, 8, 12),
+    ], ids=lambda grid: "x".join(map(str, grid.cells)))
+    def test_dense_laplacian_is_exactly_symmetric(self, grid):
+        # discrete_spectrum_check hands -lap_h to eigh as it is: symmetrising
+        # it would change no bit.
+        lap = dense_laplacian(grid)
+        assert lap.tobytes() == lap.T.tobytes()
+        assert (-0.5 * (lap + lap.T)).tobytes() == (-lap).tobytes()
+
     def test_cell_limit_enforced(self):
         big = GridDomain.rectangle(1.0, 1.0, 128, 128)
         with pytest.raises(EigsolverFailure):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpttrs
 
 from chemostab import (
     GridDomain,
     chi_ab_beta,
     chi_beta_threshold,
     chi_double_star,
+    discrete_spectrum_check,
     equilibrium,
     get_operator,
     gradient_constant,
@@ -466,9 +468,24 @@ class TestGradientConstant:
 
     def test_failed_certificate_raises(self, monkeypatch):
         # A wrong inverse must not pass: the certificate sees the columns.
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1.001 * np.linalg.inv(a) @ b)
+        def scaled(d, e, b):
+            w, info = dpttrs(d, e, b)
+            return 1.001 * w, info
+
+        monkeypatch.setattr("chemostab.helmholtz.dpttrs", scaled)
         with pytest.raises(SolverFailure):
             gradient_constant(GridDomain.interval(math.pi, 16), 1.0)
+
+    def test_no_dense_solve(self, reference_eq, monkeypatch):
+        # M0 and the discrete stability check solve through the operator only.
+        def refused(*args, **kwargs):
+            raise AssertionError("dense solve")
+
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        for grid in M0_GRIDS:
+            assert gradient_constant(grid, 1.0) > 0.0
+            report = discrete_spectrum_check(make_params(chi0=3.0), reference_eq, grid, 5)
+            assert report.max_mode_deviation < 1e-9
 
     def test_dense_cell_limit(self):
         grid = GridDomain.interval(math.pi, DENSE_EIG_CELL_LIMIT + 1)
