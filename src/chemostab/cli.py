@@ -249,7 +249,8 @@ def cmd_thresholds(args) -> int:
 def cmd_rectangle(args) -> int:
     cfg = read_config(args.config)
     params = params_from_config(cfg)
-    eq = equilibrium(params)
+    # a = b = 0 pins no equilibrium, and normalize rejects that model first.
+    eq = None if params.minimal else equilibrium(params)
     rp = normalize(params, eq, m0=args.m0, mode=args.mode)
     rect = integrate_rectangle(
         rp, ubar0=args.ubar0, ulow0=args.ulow0,

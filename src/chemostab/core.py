@@ -293,8 +293,14 @@ def neumann_eigenvalues(domain: GridDomain, n_max: int) -> SpectrumTable:
         j = np.arange(n_max + 1)
         gx = (j * math.pi / lx) ** 2
         gy = (j * math.pi / ly) ** 2
-        combined = np.sort((gx[:, None] + gy[None, :]).ravel())
-        values = combined[: n_max + 1].tolist()
+        # `bound`, the (n_max+1)-th smallest sum over a box of n_max+1 or more
+        # index pairs, sides in the ratio lx : ly, caps the n_max+1 smallest
+        # sums; they need only the j with gx[j] <= bound and k with gy[k] <= bound.
+        nx = min(n_max + 1, math.ceil(math.sqrt((n_max + 1) * lx / ly)))
+        ny = min(n_max + 1, -(-(n_max + 1) // nx))
+        bound = np.partition((gx[:nx, None] + gy[None, :ny]).ravel(), n_max)[n_max]
+        nx, ny = np.searchsorted(gx, bound, "right"), np.searchsorted(gy, bound, "right")
+        values = np.sort((gx[:nx, None] + gy[None, :ny]).ravel())[: n_max + 1].tolist()
     values[0] = 0.0
     return SpectrumTable(tuple(values))
 

@@ -41,16 +41,15 @@ full test, which then decides exactly as the full test alone; so every
 accept-or-raise decision and message is that of the full test, and the
 first failing column, in order, raises.
 
-When the check runs: `solve` certifies at once, unless it is handed a
-`SolveBlock`. `integrator.run` hands one to every solve of its steps on
-grids of at most 256 cells, where the check's numpy dispatch, not its
-arithmetic, is the cost of a solve; the block copies each solve in and
-certifies up to 8192 cells of them in one stacked pass (128 solves on 64
-cells). The run certifies the block before it records a sample, before it
-returns, before it re-raises any error of a step, and whenever the block is
-full, so nothing built on an uncertified solve leaves the run, and a
-failing solve raises what it would have raised at once. The solutions are
-those of the direct solve either way: only the time of the check moves.
+When the check runs: an operator certifies each solve at once, unless
+`get_operator` built it with a `SolveBlock`, as `integrator.run` builds its
+two on grids of at most 256 cells, where the check's numpy dispatch, not
+its arithmetic, is the cost of a solve (128 solves on 64 cells per block).
+The one rule: a block is certified when it is full and when the run leaves
+its `with solve_block(grid)`, where a failing solve replaces any Exception
+in flight. So nothing built on an uncertified solve leaves the run, a
+failing solve raises what it would have raised at once, and the solutions
+are those of the direct solve either way.
 
 `add_laplacian` is the one written form of lap_h, behind the residual
 check, `laplacian` and the dense matrix of the stability check (`laplacian`
@@ -67,6 +66,7 @@ eigenvalues are lap_h in the forms that `dpttrf` and the DCT take.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,15 +109,17 @@ class HelmholtzOperator:
     tridiagonal matrix, as `dpttrf` returns them: D, and the subdiagonal of
     the unit bidiagonal L. In 2D `diagonal` holds the matrix's eigenvalues
     mu + lambda_x + lambda_y in the DCT-II basis and `off_diagonal` is None.
-    Immutable and shareable; `solve` allocates its own output.
+    Immutable and shareable; `solve` allocates its own output. An operator
+    built with a `block` defers the certificates of its solves into it.
     """
 
     grid: GridDomain
     mu: float
     diagonal: np.ndarray
     off_diagonal: np.ndarray | None
+    block: SolveBlock | None = None
 
-    def solve(self, rhs: np.ndarray, block: SolveBlock | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (mu I - lap_h) w = rhs for a grid-shaped rhs, or for a stack:
         the grid axes, then one axis of solves. Other shapes raise ValueError.
 
@@ -125,9 +127,8 @@ class HelmholtzOperator:
         axes only, so each column is bitwise its own solve. w is certified
         by `certify` at once, a stack in one pass: SolverFailure unless each
         column's residual is at most 1e-10 * max |rhs| (NaN fails),
-        NonFiniteInput if that rhs holds NaN or infinity. With a `block` the
-        check of a grid-shaped solve waits in the block, and w is certified
-        once the block is; `integrator.run` does this on small grids.
+        NonFiniteInput if that rhs holds NaN or infinity. On an operator with
+        a `block` the check of a grid-shaped solve waits in the block.
         """
         rhs = np.asarray(rhs, dtype=float)
         shape = self.grid.shape
@@ -147,10 +148,10 @@ class HelmholtzOperator:
             modes = fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1))
             modes /= self.diagonal[..., None] if stacked else self.diagonal
             w = fft.idctn(modes, type=2, norm="ortho", axes=(0, 1), overwrite_x=True)
-        if block is None:
+        if self.block is None:
             certify(self.grid, self.mu, rhs, w)
         else:
-            block.add(self.mu, rhs, w)
+            self.block.add(self.mu, rhs, w)
         return w
 
 
@@ -204,7 +205,9 @@ class SolveBlock:
 
     `add` copies a solve into the next slot of the stack; `flush` certifies
     the filled slots with `certify`, in the order they were added, and
-    empties the block, also when it raises. A full block flushes itself.
+    empties the block, also when it raises. A block flushes when it is full
+    and when a `with` over it exits cleanly or with an Exception, which a
+    failing flush replaces, chained; any other BaseException exits unchecked.
     """
 
     def __init__(self, grid: GridDomain, capacity: int):
@@ -233,10 +236,17 @@ class SolveBlock:
             certify(self.grid, self.mu[:count], np.moveaxis(self.rhs[:count], 0, -1),
                     np.moveaxis(self.solutions[:count], 0, -1))
 
+    def __enter__(self) -> SolveBlock:
+        return self
 
-def solve_block(grid: GridDomain) -> SolveBlock | None:
-    """The block `integrator.run` collects its solves in, or None where
-    each solve is certified at once.
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None or issubclass(exc_type, Exception):
+            self.flush()
+
+
+def solve_block(grid: GridDomain) -> SolveBlock | nullcontext[None]:
+    """The block `integrator.run` collects its solves in, or a
+    `nullcontext()`, which gives None, where each solve is certified at once.
 
     A block holds BLOCK_CELLS cells per stacked array (64 KiB), so a flush
     works in cache. Where that leaves room for fewer than BLOCK_MIN_SOLVES
@@ -244,15 +254,16 @@ def solve_block(grid: GridDomain) -> SolveBlock | None:
     dispatch and stacking gains nothing, so each solve is certified at once.
     """
     capacity = BLOCK_CELLS // grid.total_cells
-    return SolveBlock(grid, capacity) if capacity >= BLOCK_MIN_SOLVES else None
+    return SolveBlock(grid, capacity) if capacity >= BLOCK_MIN_SOLVES else nullcontext()
 
 
-def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
+def get_operator(grid: GridDomain, mu: float,
+                 block: SolveBlock | None = None) -> HelmholtzOperator:
     """Build a new operator for (mu I - lap_h) on `grid`.
 
     A 1D build fills the tridiagonal bands and factors them with `dpttrf`,
     both O(n); it raises SolverFailure if the factorisation fails. A 2D
-    build fills the DCT eigenvalues.
+    build fills the DCT eigenvalues. Given a `block`, its solves wait in it.
     """
     if not math.isfinite(mu) or mu <= 0.0:
         raise SingularOperator(f"mu must be positive, got {mu}")
@@ -265,18 +276,16 @@ def get_operator(grid: GridDomain, mu: float) -> HelmholtzOperator:
                                           overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise SolverFailure(f"tridiagonal factorisation failed with info={info}")
-        return HelmholtzOperator(grid, mu, factor_d, factor_e)
+        return HelmholtzOperator(grid, mu, factor_d, factor_e, block)
     (nx, ny), (hx, hy) = grid.cells, grid.spacing
     diagonal = mu + _dct_eigenvalues(nx, hx)[:, None] + _dct_eigenvalues(ny, hy)[None, :]
-    return HelmholtzOperator(grid, mu, diagonal, None)
+    return HelmholtzOperator(grid, mu, diagonal, None, block)
 
 
-def chemical_field(params: ModelParams, u: np.ndarray, signal: HelmholtzOperator,
-                   block: SolveBlock | None = None) -> np.ndarray:
+def chemical_field(params: ModelParams, u: np.ndarray, signal: HelmholtzOperator) -> np.ndarray:
     """Signal field slaved to the density: solve with rhs = nu u^gamma.
 
-    `signal` is get_operator(grid, params.mu). Certified at once, or in
-    `block` when one is given (see `solve`).
+    `signal` is get_operator(grid, params.mu).
     """
     u = np.asarray(u, dtype=float)
     # With gamma = 1, u**gamma is u itself, and with nu = 1, nu * source is
@@ -284,7 +293,7 @@ def chemical_field(params: ModelParams, u: np.ndarray, signal: HelmholtzOperator
     source = u if params.gamma == 1.0 else u**params.gamma
     if params.nu != 1.0:
         source = params.nu * source
-    return signal.solve(source, block=block)
+    return signal.solve(source)
 
 
 @lru_cache(maxsize=None)

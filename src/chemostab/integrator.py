@@ -25,8 +25,7 @@ import numpy as np
 
 from .core import Equilibrium, FieldState, GridDomain, ModelParams, equilibrium, mass_average
 from .diagnostics import dissipation_D, lyapunov_F
-from .helmholtz import (HelmholtzOperator, SolveBlock, chemical_field, face_slices, get_operator,
-                        solve_block)
+from .helmholtz import HelmholtzOperator, chemical_field, face_slices, get_operator, solve_block
 
 class BlowupDetected(RuntimeError):
     """Density exceeded the blow-up cap; the scheme does not resolve blow-up."""
@@ -237,7 +236,6 @@ def step(
     cfg: StepConfig,
     diffusion: HelmholtzOperator,
     signal: HelmholtzOperator,
-    block: SolveBlock | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
     """One IMEX step from the density u at `time`; `drifts` is
     face_drift(v, params, grid) of its signal field v.
@@ -247,8 +245,8 @@ def step(
     BlowupDetected, at time + dt, when max(u) is not finite or above the cap.
 
     `diffusion` and `signal` are get_operator(grid, 1 / dt) and
-    get_operator(grid, params.mu). The step's two solves are certified at
-    once, or in `block` when one is given (see `run`).
+    get_operator(grid, params.mu); they certify the step's two solves at
+    once or in the block they were built with (see `run`).
     """
     div = flux_divergence(chemotactic_face_flux(u, drifts, params, grid), grid)
     # The explicit stage u + dt (a u - div - b u^(1+alpha)), over dt, built in
@@ -266,7 +264,7 @@ def step(
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
     # (I - dt lap_h) u = explicit  <=>  ((1/dt) I - lap_h) u = explicit / dt.
     stage /= dt
-    u_new = diffusion.solve(stage, block=block)
+    u_new = diffusion.solve(stage)
 
     # One reduction decides whether any cell needs clipping. A NaN cell makes
     # the minimum NaN, so nothing is clipped, and BlowupDetected follows.
@@ -282,7 +280,7 @@ def step(
     if not math.isfinite(u_max) or u_max > cfg.blowup_cap:
         raise BlowupDetected(time + dt, u_max, cfg.blowup_cap)
 
-    v_new = chemical_field(params, u_new, signal, block=block)
+    v_new = chemical_field(params, u_new, signal)
     return u_new, v_new, clipped, u_min, u_max
 
 
@@ -336,14 +334,12 @@ def run(
     floats, counts and errors are those of a loop that builds a FieldState,
     both operators and the drift on every step and reduces u afresh.
 
-    On grids where `helmholtz.solve_block` gives a block, the elliptic
-    solves of successive steps are certified together in it: before each
-    sample is recorded, before the run returns, before any error of a step
-    is re-raised, and whenever the block is full. So no sample, returned
-    state or error is built on an uncertified solve, and a failing solve
-    raises the NonFiniteInput or SolverFailure that certifying it at once
-    would have raised, in its place. Elsewhere each solve is certified at
-    once. The floats are the same either way.
+    Both operators are built with the block of `with solve_block(grid)`,
+    which certifies the solves of successive steps together on small grids
+    (see `helmholtz`): when it is full and when the loop leaves the `with`.
+    Samples and states leave the run only in the returned Trajectory, and a
+    failing solve raises what certifying it at once would have raised, in
+    place of any later error. The floats are the same either way.
     """
     if eq is None:
         u_star = mass_average(init.u, grid) if params.minimal else None
@@ -360,17 +356,15 @@ def run(
     u_min = float(np.minimum.reduce(u, axis=None))
     u_max = float(np.maximum.reduce(u, axis=None))
     _record(traj, state, u_min, u_max, rows)
-    block = solve_block(grid)
-    certify = block.flush if block is not None else _certified
     fixed = cfg.dt_policy == "fixed"
     total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
     t_stop = cfg.t_end - 1e-14 * cfg.t_end
-    signal = get_operator(grid, params.mu)
     diffusion = diffusion_dt = None
     steps = 0
     t_last = time
-    while (steps < total) if fixed else (time < t_stop):
-        try:
+    with solve_block(grid) as block:
+        signal = get_operator(grid, params.mu, block)
+        while (steps < total) if fixed else (time < t_stop):
             # One drift per step serves the flux and, under cfl, the step bound.
             drifts = face_drift(v, params, grid)
             if fixed:
@@ -384,25 +378,18 @@ def run(
                 if remaining <= dt * (1.0 + 1e-9):
                     dt = remaining
             if dt != diffusion_dt:
-                diffusion, diffusion_dt = get_operator(grid, 1.0 / dt), dt
+                diffusion, diffusion_dt = get_operator(grid, 1.0 / dt, block), dt
             u, v, clipped, u_min, u_max = step(u, drifts, time, params, grid, dt, cfg,
-                                               diffusion, signal, block=block)
-        except Exception:
-            # A pending solve that fails its check raises instead: certified
-            # at once, it would have stopped the run before this error.
-            certify()
-            raise
-        traj.clip_count += clipped
-        steps += 1
-        # Under fixed, time comes from the step counter, never from a running
-        # sum of dt.
-        time = min(init.time + steps * cfg.dt, cfg.t_end) if fixed else time + dt
-        if steps % cfg.output_stride == 0:
-            certify()
-            state = FieldState(time=time, u=u, v=v)
-            _record(traj, state, u_min, u_max, rows)
-            t_last = time
-    certify()
+                                               diffusion, signal)
+            traj.clip_count += clipped
+            steps += 1
+            # Under fixed, time comes from the step counter, never from a
+            # running sum of dt.
+            time = min(init.time + steps * cfg.dt, cfg.t_end) if fixed else time + dt
+            if steps % cfg.output_stride == 0:
+                state = FieldState(time=time, u=u, v=v)
+                _record(traj, state, u_min, u_max, rows)
+                t_last = time
     if steps % cfg.output_stride:
         state = FieldState(time=time, u=u, v=v)
         if time > t_last:
@@ -414,10 +401,6 @@ def run(
     for name, column in zip(SERIES, columns):
         setattr(traj, name, column)
     return traj
-
-
-def _certified() -> None:
-    """Nothing waits for a check where each solve is certified at once."""
 
 
 def _fixed_steps(t0: float, cfg: StepConfig) -> tuple[int, float]:

@@ -41,6 +41,17 @@ def scanned_minimum(unit, scale, a_alpha, mu, gain):
     return candidates.min(axis=1), candidates.argmin(axis=1) + 1
 
 
+def full_sort_eigenvalues(lx, ly, n_max):
+    """The first n_max + 1 Neumann eigenvalues of the Lx x Ly rectangle by
+    sorting all (n_max + 1)^2 sums: the oracle of neumann_eigenvalues."""
+    j = np.arange(n_max + 1)
+    gx = (j * math.pi / lx) ** 2
+    gy = (j * math.pi / ly) ** 2
+    values = np.sort((gx[:, None] + gy[None, :]).ravel())[: n_max + 1].tolist()
+    values[0] = 0.0
+    return tuple(values)
+
+
 @pytest.fixture
 def reference_params() -> ModelParams:
     return make_params()

@@ -451,6 +451,16 @@ class TestAnalysisCommands:
             assert payload is None
             assert error["error"] == "HypothesisViolated"
 
+    def test_minimal_rectangle_is_unsupported(self, tmp_path, capsys):
+        # The comparison system needs a, b > 0; a = b = 0 must not ask for
+        # a u_star that `rectangle` cannot take.
+        text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
+        cfg = write_cfg(tmp_path, text=text)
+        code, payload, error = run_cli(capsys, "rectangle", "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "MinimalModelUnsupported"
+
     def test_rectangle_step_count_is_bounded(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, chi0=0.3)
         code, payload, error = run_cli(capsys, "rectangle", "--config", cfg, "--tau-end", "1e15")
@@ -526,9 +536,9 @@ class TestMinimalModelSolves:
         count = []
         solve = chemostab.helmholtz.HelmholtzOperator.solve
 
-        def counting_solve(op, r, block=None):
+        def counting_solve(op, r):
             count.append(1)
-            return solve(op, r, block)
+            return solve(op, r)
 
         monkeypatch.setattr(chemostab.helmholtz.HelmholtzOperator, "solve", counting_solve)
         return count

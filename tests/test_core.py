@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chemostab.core
 from chemostab import (
     Equilibrium,
     FieldState,
@@ -26,7 +27,7 @@ from chemostab.core import (
     NonPositiveCoefficient,
     NonPositiveInitialData,
 )
-from conftest import REFERENCE, make_params
+from conftest import REFERENCE, full_sort_eigenvalues, make_params
 
 
 class TestModelParams:
@@ -257,6 +258,38 @@ class TestSpectrum:
         assert table.as_array() == pytest.approx(
             [0.0, 0.25, 1.0, 1.0, 1.25], rel=1e-13
         )
+
+    @pytest.mark.parametrize("lx, ly, n_max", [
+        (math.pi, 2.0, 1), (math.pi, 2.0, 4), (math.pi, 2.0, 1000), (math.pi, 2.0, 3000),
+        (math.pi, math.pi, 500), (1.0, 1.0, 2), (2.0, math.pi, 777), (100.0, 1.0, 400),
+        (1.0, 100.0, 400), (1e-3, 1e3, 50), (1e6, 1.0, 30), (1.0, 1e6, 30),
+        (3.0, 3.0 + 1e-12, 200), (0.37, 5.1, 1234), (7.0, 0.2, 999),
+    ])
+    def test_rectangle_table_is_the_full_sort(self, lx, ly, n_max):
+        table = neumann_eigenvalues(GridDomain.rectangle(lx, ly, 8, 8), n_max)
+        assert table.eigenvalues == full_sort_eigenvalues(lx, ly, n_max)
+
+    @given(lx=st.floats(1e-2, 1e2), ly=st.floats(1e-2, 1e2), n_max=st.integers(1, 600))
+    @settings(max_examples=100, deadline=None)
+    def test_random_rectangle_table_is_the_full_sort(self, lx, ly, n_max):
+        table = neumann_eigenvalues(GridDomain.rectangle(lx, ly, 8, 8), n_max)
+        assert table.eigenvalues == full_sort_eigenvalues(lx, ly, n_max)
+
+    def test_a_large_rectangle_table_sorts_about_n_sums(self, monkeypatch):
+        # 100,000 modes of the full sort would be 10^10 sums; the box sorts
+        # about 2 n_max of them on any aspect ratio.
+        sorted_sizes = []
+        sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            sorted_sizes.append(a.size)
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(chemostab.core.np, "sort", counting_sort)
+        for lx, ly in [(math.pi, 2.0), (100.0, 1.0), (1.0, 1e6)]:
+            table = neumann_eigenvalues(GridDomain.rectangle(lx, ly, 8, 8), 100_000)
+            assert len(table) == 100_001
+        assert max(sorted_sizes) < 3 * 100_001
 
     def test_as_array_is_one_read_only_array(self):
         table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 3)

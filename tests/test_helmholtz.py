@@ -664,7 +664,9 @@ class TestSolveBlock:
                                       GridDomain.rectangle(math.pi, math.pi, 128, 128)],
                              ids=["257", "1024", "128x128"])
     def test_large_grids_certify_each_solve_at_once(self, grid):
-        assert solve_block(grid) is None
+        with solve_block(grid) as block:
+            assert block is None
+            assert get_operator(grid, 1.0, block).block is None
 
     @given(**CERTIFICATE_CASE, capacity=st.integers(1, 24), data=st.data())
     @settings(max_examples=200, deadline=None)

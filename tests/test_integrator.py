@@ -1,7 +1,8 @@
 """Time stepping: conservation, reaction accuracy, caps, and sampling."""
 
+import dataclasses
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,7 @@ from chemostab.core import mass_average
 from chemostab.helmholtz import (
     RESIDUAL_RTOL,
     NonFiniteInput,
+    SolveBlock,
     SolverFailure,
     face_slices,
     get_operator,
@@ -48,11 +50,11 @@ from chemostab.integrator import (
 from conftest import make_params
 
 
-def step_at(u, v, time, p, grid, dt, cfg, block=None):
+def step_at(u, v, time, p, grid, dt, cfg):
     """`step` from the fields u, v, with the drift of v and both operators
     built afresh."""
     return step(u, face_drift(v, p, grid), time, p, grid, dt, cfg,
-                get_operator(grid, 1.0 / dt), get_operator(grid, p.mu), block=block)
+                get_operator(grid, 1.0 / dt), get_operator(grid, p.mu))
 
 
 def record(traj, state, rows):
@@ -427,7 +429,7 @@ class TestExplicitStageInPlace:
         rhs = []
         solve = chemostab.helmholtz.HelmholtzOperator.solve
 
-        def recording_solve(op, r, block=None):
+        def recording_solve(op, r):
             rhs.append(np.array(r, copy=True))
             return solve(op, r)
 
@@ -563,9 +565,9 @@ def counting_builds(monkeypatch):
     builds, dts = [], []
     build, inner = chemostab.integrator.get_operator, chemostab.integrator.step
 
-    def counting_get_operator(grid, mu):
+    def counting_get_operator(grid, mu, block=None):
         builds.append(mu)
-        return build(grid, mu)
+        return build(grid, mu, block)
 
     def recording_step(u, drifts, time, params, grid, dt, *args, **kwargs):
         dts.append(dt)
@@ -762,10 +764,20 @@ def outcome(call):
     return None
 
 
+def raising_record(exc):
+    """`_record` that raises exc at the first sample after the initial state."""
+    def record_or_raise(traj, state, *args):
+        if state.time > 0.0:
+            raise exc
+        return _record(traj, state, *args)
+
+    return record_or_raise
+
+
 def per_solve(call):
     """call() with every solve of a run certified at once."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chemostab.integrator, "solve_block", lambda grid: None)
+        mp.setattr(chemostab.integrator, "solve_block", lambda grid: nullcontext())
         return call()
 
 
@@ -798,7 +810,7 @@ class TestSolvesCertifiedInBlocks:
     @pytest.mark.parametrize("name", ["1d", "8x12", "12x20"])
     def test_trajectory_is_bitwise_that_of_per_solve_certificates(self, name, policy):
         p, grid, init, cfg = self.case(name, policy)
-        assert solve_block(grid) is not None
+        assert isinstance(solve_block(grid), SolveBlock)
         got = run(p, grid, init, cfg)
         expected = per_solve(lambda: run(p, grid, init, cfg))
         # More solves than one block holds, so blocks fill and flush.
@@ -874,48 +886,103 @@ class TestSolvesCertifiedInBlocks:
         assert expected[0] is SolverFailure
         assert got == expected
 
-    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
-    def test_samples_and_the_result_see_only_certified_solves(self, policy, monkeypatch):
-        p, grid, init, cfg = self.case("1d", policy)
-        blocks, pending = [], []
+    @staticmethod
+    def recording_blocks(monkeypatch):
+        """The blocks that `run` opens from now on."""
+        blocks = []
 
         def recording_block(grid):
             blocks.append(solve_block(grid))
             return blocks[-1]
 
-        inner = chemostab.integrator._record
-
-        def checking_record(*args):
-            pending.append(blocks[0].count if blocks else 0)
-            return inner(*args)
-
         monkeypatch.setattr(chemostab.integrator, "solve_block", recording_block)
-        monkeypatch.setattr(chemostab.integrator, "_record", checking_record)
-        traj = run(p, grid, init, cfg)
-        assert traj.steps_taken % cfg.output_stride != 0
-        assert len(pending) == len(traj) > 2
-        assert pending == [0] * len(pending)
+        return blocks
+
+    @staticmethod
+    def counting_passes(monkeypatch):
+        """The number of solves in each certify pass from now on."""
+        passes = []
+        certify = chemostab.helmholtz.certify
+
+        def counting_certify(grid, mu, rhs, solutions):
+            passes.append(rhs.shape[-1] if rhs.ndim > grid.dimension else 1)
+            return certify(grid, mu, rhs, solutions)
+
+        monkeypatch.setattr(chemostab.helmholtz, "certify", counting_certify)
+        return passes
+
+    @pytest.mark.parametrize("fault", [None, "blowup", "solve", "record"])
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    def test_the_block_is_empty_when_run_returns_or_raises(self, policy, fault, monkeypatch):
+        p, grid, init, cfg = self.case("1d", policy)
+        if fault == "blowup":
+            # Logistic growth from 0.9 crosses the cap after about 150 steps.
+            p = make_params(chi0=0.0)
+            init = init_state(grid, InitSpec.constant(0.9), p)
+            cfg = dataclasses.replace(cfg, t_end=5.0, dt=5e-3, blowup_cap=0.95)
+        if fault == "record":
+            monkeypatch.setattr(chemostab.integrator, "_record",
+                                raising_record(RuntimeError("record failed")))
+        blocks = self.recording_blocks(monkeypatch)
+        passes = self.counting_passes(monkeypatch)
+        with corrupted_solve(grid, 5 if fault == "solve" else -1, scaled) as made:
+            got = outcome(lambda: run(p, grid, init, cfg))
+        assert (got is None) == (fault is None)
+        assert fault is None or got[0] is {"blowup": BlowupDetected, "solve": SolverFailure,
+                                           "record": RuntimeError}[fault]
+        assert len(blocks) == 1
         assert blocks[0].count == 0
+        # Every solve made was certified, the pending ones on the way out;
+        # a failing pass stops at its failure.
+        if fault != "solve":
+            assert sum(passes) == len(made) > 0
+
+    def test_a_keyboard_interrupt_leaves_without_a_check(self, monkeypatch):
+        # A corrupted solve waits in the block when the interrupt comes: a
+        # check on the way out would replace the interrupt with its failure.
+        p, grid, init, cfg = self.case("1d", "fixed")
+        cfg = dataclasses.replace(cfg, output_stride=10)
+        interrupt = KeyboardInterrupt()
+        monkeypatch.setattr(chemostab.integrator, "_record", raising_record(interrupt))
+        blocks = self.recording_blocks(monkeypatch)
+        passes = self.counting_passes(monkeypatch)
+        with corrupted_solve(grid, 3, scaled) as made:
+            with pytest.raises(KeyboardInterrupt) as raised:
+                run(p, grid, init, cfg)
+        assert raised.value is interrupt
+        assert raised.value.__context__ is None
+        assert passes == []
+        assert blocks[0].count == len(made) == 2 * cfg.output_stride < blocks[0].capacity
+
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    def test_a_failing_record_after_a_failing_solve_raises_the_solver_failure(
+            self, policy, monkeypatch):
+        p, grid, init, cfg = self.case("1d", policy)
+        cfg = dataclasses.replace(cfg, output_stride=10)
+        failure = RuntimeError("record failed")
+        with corrupted_solve(grid, 3, scaled):
+            expected = outcome(lambda: per_solve(lambda: run(p, grid, init, cfg)))
+        assert expected[0] is SolverFailure
+        monkeypatch.setattr(chemostab.integrator, "_record", raising_record(failure))
+        with corrupted_solve(grid, 3, scaled):
+            with pytest.raises(SolverFailure) as raised:
+                run(p, grid, init, cfg)
+        assert (type(raised.value), str(raised.value)) == expected
+        # Chained to the error it replaced, as an error raised in an
+        # `except` clause is.
+        assert raised.value.__context__ is failure
 
     def test_a_64_cell_run_makes_far_fewer_passes_than_solves(self, monkeypatch):
         grid = GridDomain.interval(math.pi, 64)
         p = make_params(chi0=0.3)
         init = init_state(grid, InitSpec.perturbation(1.0, 0.25, 1), p)
         cfg = StepConfig(t_end=1.0, dt=1e-3, output_stride=100)
-        passes = []
-        certify = chemostab.helmholtz.certify
-
-        def counting_certify(grid, mu, rhs, solutions):
-            passes.append(rhs.shape[-1])
-            return certify(grid, mu, rhs, solutions)
-
-        monkeypatch.setattr(chemostab.helmholtz, "certify", counting_certify)
+        passes = self.counting_passes(monkeypatch)
         traj = run(p, grid, init, cfg)
         assert sum(passes) == 2 * traj.steps_taken == 2000
-        # Each 100-step sample interval holds 200 solves: a full block, then
-        # the rest at the sample.
+        # Samples do not flush: full blocks, then the rest when the run ends.
         capacity = solve_block(grid).capacity
-        assert len(passes) == 10 * math.ceil(200 / capacity) <= 2000 // 64
+        assert len(passes) == math.ceil(2000 / capacity) == 16
 
     def test_direct_calls_certify_at_once(self, interval_pi):
         p = make_params()
