@@ -148,6 +148,7 @@ def cmd_simulate(args) -> int:
             "time": exc.time,
             "max_density": exc.max_u,
             "cap": exc.cap,
+            "cell": list(exc.cell),
         })
         return 1
     if args.csv:

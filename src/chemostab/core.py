@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,13 +116,43 @@ def validate_params(raw: Mapping[str, float]) -> ModelParams:
     return ModelParams(**{name: float(raw[name]) for name in PARAM_FIELDS})
 
 
+def read_only_scalar(value: float) -> np.ndarray:
+    """`value` as a read-only 0-d float64 array."""
+    array = np.array(value, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+class AxisFaces(NamedTuple):
+    """The faces of one grid axis, as the flux kernels index them.
+
+    `low` and `high` index the cells on the low and on the high side of the
+    interior faces. `h` is the spacing along the axis as a read-only 0-d
+    float64 array: with an array operand numpy skips the conversion of a
+    Python float that costs a small field's arithmetic about as much as the
+    arithmetic itself, and the result is the same. `padded` is the shape of
+    an array over all faces of the axis, boundary faces included (one more
+    than the cells along the axis), and `interior` indexes its interior
+    faces in it. A field's face difference is w[high] - w[low]; the
+    divergence of a padded face array P is P[high] - P[low], the same two
+    index tuples. Axes after the grid's are carried along by every index.
+    """
+
+    low: tuple[slice, ...]
+    high: tuple[slice, ...]
+    h: np.ndarray
+    padded: tuple[int, ...]
+    interior: tuple[slice, ...]
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """Cell-centered grid on an interval (1D) or rectangle (2D).
 
     Cell centers along an axis of length L with n cells sit at
     (i + 1/2) L / n. Zero-flux boundaries are realized by mirror ghost
-    cells in the discrete operators.
+    cells in the discrete operators. `faces` holds each axis's face
+    geometry (`AxisFaces`), worked out once per grid.
     """
 
     dimension: int
@@ -168,6 +198,19 @@ class GridDomain:
     @cached_property
     def cell_volume(self) -> float:
         return math.prod(self.spacing)
+
+    @cached_property
+    def faces(self) -> tuple[AxisFaces, ...]:
+        """One `AxisFaces` per axis, in axis order."""
+        faces = []
+        for axis, (n, h) in enumerate(zip(self.cells, self.spacing)):
+            low = [slice(None)] * self.dimension
+            high, interior, padded = list(low), list(low), list(self.cells)
+            low[axis], high[axis], interior[axis] = slice(None, -1), slice(1, None), slice(1, -1)
+            padded[axis] = n + 1
+            faces.append(AxisFaces(tuple(low), tuple(high), read_only_scalar(h),
+                                   tuple(padded), tuple(interior)))
+        return tuple(faces)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -332,7 +375,9 @@ class InitSpec:
 
     kinds:
       constant     -- u identically `value`
-      perturbation -- u* (1 + amplitude * product of axis cosines at `mode`)
+      perturbation -- u* (1 + amplitude * product of axis cosines at `mode`);
+                      a mode with fewer entries than the grid has axes is
+                      padded with zeros, one with more is a ValueError
       array        -- user-supplied cell values
     """
 
@@ -391,6 +436,11 @@ def _build_initial_u(domain: GridDomain, spec: InitSpec) -> np.ndarray:
         if spec.u_star is None:
             raise ValueError("perturbation initial data needs u_star")
         modes = spec.mode
+        if len(modes) > domain.dimension:
+            raise ValueError(
+                f"perturbation mode {modes} has {len(modes)} entries; a "
+                f"{domain.dimension}D grid takes at most {domain.dimension}"
+            )
         if len(modes) < domain.dimension:
             modes = modes + (0,) * (domain.dimension - len(modes))
         profile = np.ones(domain.shape)

@@ -35,11 +35,13 @@ one solve per column, and each column on its own: its residual against its
 own max |r|, so a large column cannot mask a small one. One decision serves
 both. It first tests a residual against 1e-10 |r_0|, r_0 the solve's first
 cell: since |r_0| is at most max |r| and a rounded product keeps that
-order, a residual within this bound is within the full one. Only a
+order, a residual within this bound is within the full one. On a stack
+this quick test runs on all columns at once, as array operations. Only a
 residual that it does not accept pays for the reduction max |r| and the
-full test, which then decides exactly as the full test alone; so every
-accept-or-raise decision and message is that of the full test, and the
-first failing column, in order, raises.
+full test, in a Python loop over those columns alone, which then decides
+exactly as the full test alone; so every accept-or-raise decision and
+message is that of the full test, and the first failing column, in order,
+raises.
 
 When the check runs: an operator certifies each solve at once, unless
 `get_operator` built it with a `SolveBlock`, as `integrator.run` builds its
@@ -59,7 +61,7 @@ each axis is one shifted difference, a contiguous sweep even along the last
 axis of a 2D grid. The pairs S_a apart that straddle a row end are no faces
 and are set to 0 before they are added, which changes no float that the
 check or `laplacian` can show (see `add_laplacian`). `face_gradients`
-indexes faces through `face_slices`. The 1D bands and the 2D DCT
+indexes faces through `GridDomain.faces`. The 1D bands and the 2D DCT
 eigenvalues are lap_h in the forms that `dpttrf` and the DCT take.
 """
 
@@ -68,7 +70,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -168,7 +169,8 @@ def certify(grid: GridDomain, mu, rhs: np.ndarray, solutions: np.ndarray) -> Non
 
     Each solve is first tested against 1e-10 |r_k0|, r_k0 its first cell:
     that bound is at most the full one, so what it accepts the full test
-    accepts too. Only a solve it does not accept pays for max |r_k|.
+    accepts too. A stack runs this test on all its solves at once; only the
+    solves it does not accept pay for max |r_k| and the full test, in order.
     """
     # r - (mu - lap_h) w, the negated residual, accumulated in one buffer.
     res = mu * solutions
@@ -176,21 +178,21 @@ def certify(grid: GridDomain, mu, rhs: np.ndarray, solutions: np.ndarray) -> Non
     add_laplacian(res, solutions, grid)
     np.abs(res, out=res)
     # Max-norms by the ufunc reduction itself (ndarray.max wraps it in
-    # Python); NaN propagates through it. One solve needs no stacking: one
-    # reduction, and its first cell read directly.
-    stacked = rhs.ndim > grid.dimension
-    if stacked:
-        residuals = np.maximum.reduce(res, axis=tuple(range(grid.dimension))).tolist()
-        firsts = rhs[(0,) * grid.dimension].tolist()
-    else:
-        residuals, firsts = (float(np.maximum.reduce(res, axis=None)),), (rhs.item(0),)
-    for k, (residual, first) in enumerate(zip(residuals, firsts)):
+    # Python); NaN propagates through it. A stack runs the one-cell test on
+    # all its solves at once, one solve as Python floats; only the solves
+    # that it does not accept reach the loop, in order.
+    if rhs.ndim > grid.dimension:
+        residuals = np.maximum.reduce(res, axis=tuple(range(grid.dimension)))
+        quick = RESIDUAL_RTOL * np.abs(rhs[(0,) * grid.dimension])
         # An infinite one-cell bound (an infinite first cell) accepts nothing
-        # by itself: the full test decides.
-        quick = RESIDUAL_RTOL * abs(first)
-        if residual <= quick and math.isfinite(quick):
-            continue
-        r = rhs[..., k] if stacked else rhs
+        # by itself: the full test decides. NaN fails the comparison.
+        pending = np.flatnonzero(~((residuals <= quick) & np.isfinite(quick)))
+        untested = [(float(residuals[k]), rhs[..., k]) for k in pending]
+    else:
+        residual = float(np.maximum.reduce(res, axis=None))
+        quick = RESIDUAL_RTOL * abs(rhs.item(0))
+        untested = [] if residual <= quick and math.isfinite(quick) else [(residual, rhs)]
+    for residual, r in untested:
         scale = float(np.maximum.reduce(np.abs(r), axis=None)) or 1.0
         if not residual <= RESIDUAL_RTOL * scale:
             if not np.isfinite(r).all():
@@ -296,17 +298,6 @@ def chemical_field(params: ModelParams, u: np.ndarray, signal: HelmholtzOperator
     return signal.solve(source)
 
 
-@lru_cache(maxsize=None)
-def face_slices(dimension: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Index tuples of the cells on the low and on the high side of the
-    interior faces along one axis."""
-    low = [slice(None)] * dimension
-    high = [slice(None)] * dimension
-    low[axis] = slice(None, -1)
-    high[axis] = slice(1, None)
-    return tuple(low), tuple(high)
-
-
 def add_laplacian(out: np.ndarray, w: np.ndarray, grid: GridDomain) -> None:
     """Add lap_h w into `out` in place, by the mirror-ghost stencil.
 
@@ -365,8 +356,4 @@ def face_gradients(w: np.ndarray, grid: GridDomain) -> list[np.ndarray]:
     and are omitted.
     """
     w = np.asarray(w, dtype=float)
-    grads = []
-    for axis, h in enumerate(grid.spacing):
-        low, high = face_slices(grid.dimension, axis)
-        grads.append((w[high] - w[low]) / h)
-    return grads
+    return [(w[high] - w[low]) / h for low, high, h, _, _ in grid.faces]

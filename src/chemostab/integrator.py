@@ -6,6 +6,17 @@ the logistic source explicitly. The signal field is re-solved from the
 updated density after every step, keeping the elliptic coupling
 quasi-static.
 
+The flux kernels (`face_drift`, `chemotactic_face_flux`, `flux_divergence`)
+read the face geometry of `GridDomain.faces`, worked out once per grid, and
+build their results in place, in the order of their written forms: every
+float is the written form's, up to the sign of a zero in the divergence
+(see `flux_divergence`). At 64 cells a step costs numpy dispatch and
+Python bookkeeping rather than arithmetic, so each pass saved shows, and
+so does each Python float operand that numpy must convert: the kernels'
+and the explicit stage's scalar operands are 0-d float64 arrays, which
+give the same floats on float64 fields. `step` and the kernels stay
+module-level functions that `run` calls on every step.
+
 The step bound of `stable_dt` does not guarantee positivity. It is taken
 axis by axis from the largest face drift, while positivity of the explicit
 stage needs a bound for each cell: its outgoing face rates plus its sink
@@ -23,18 +34,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Equilibrium, FieldState, GridDomain, ModelParams, equilibrium, mass_average
+from .core import (Equilibrium, FieldState, GridDomain, ModelParams, equilibrium, mass_average,
+                   read_only_scalar)
 from .diagnostics import dissipation_D, lyapunov_F
-from .helmholtz import HelmholtzOperator, chemical_field, face_slices, get_operator, solve_block
+from .helmholtz import HelmholtzOperator, chemical_field, get_operator, solve_block
+
+# The kernels' constants as 0-d arrays (see `core.AxisFaces`).
+_ZERO, _HALF, _ONE = read_only_scalar(0.0), read_only_scalar(0.5), read_only_scalar(1.0)
 
 class BlowupDetected(RuntimeError):
-    """Density exceeded the blow-up cap; the scheme does not resolve blow-up."""
+    """Density exceeded the blow-up cap; the scheme does not resolve blow-up.
 
-    def __init__(self, time: float, max_u: float, cap: float):
-        super().__init__(f"max u = {max_u:.3e} exceeded cap {cap:.3e} at t = {time:.6g}")
+    `cell` is the grid index of the first cell, in C order, at max u; a NaN
+    counts as the maximum, as np.argmax takes it.
+    """
+
+    def __init__(self, time: float, max_u: float, cap: float, cell: tuple[int, ...]):
+        super().__init__(
+            f"max u = {max_u:.3e} exceeded cap {cap:.3e} at t = {time:.6g} in cell {cell}"
+        )
         self.time = time
         self.max_u = max_u
         self.cap = cap
+        self.cell = cell
 
 
 class DegenerateState(RuntimeError):
@@ -145,16 +167,30 @@ class Trajectory:
 def face_drift(v: np.ndarray, params: ModelParams, grid: GridDomain) -> list[np.ndarray]:
     """Chemotactic drift chi0 (1 + v_face)^(-beta) grad(v) on interior faces,
     one array per axis; v_face is the mean of the two cells, grad(v) their
-    difference over h. Boundary faces are zero-flux and omitted."""
+    difference over h. Boundary faces are zero-flux and omitted.
+
+    Each drift is built in place on its first temporary, in the order of
+    the written form (chi0 (1 + 0.5 (v_lo + v_hi))^(-beta)) (v_hi - v_lo) / h,
+    so every float is that of the written form.
+    """
+    # In-place arithmetic needs a float buffer; a float v passes through as is.
+    v = np.asarray(v, dtype=float)
     drifts = []
-    for axis, h in enumerate(grid.spacing):
-        lo, hi = face_slices(grid.dimension, axis)
+    for lo, hi, h, _, _ in grid.faces:
         v_lo, v_hi = v[lo], v[hi]
-        # With beta = 0 the saturation factor is exactly 1 and is skipped.
-        drift = params.chi0
-        if params.beta != 0.0:
-            drift = drift * (1.0 + 0.5 * (v_lo + v_hi)) ** (-params.beta)
-        drifts.append(drift * (v_hi - v_lo) / h)
+        if params.beta == 0.0:
+            # The saturation factor is exactly 1 and is skipped.
+            drift = v_hi - v_lo
+            drift *= params.chi0
+        else:
+            drift = v_lo + v_hi
+            drift *= _HALF
+            drift += _ONE
+            drift **= -params.beta
+            drift *= params.chi0
+            drift *= v_hi - v_lo
+        drift /= h
+        drifts.append(drift)
     return drifts
 
 
@@ -164,31 +200,45 @@ def chemotactic_face_flux(
     """Upwinded chemotactic flux on interior faces, one array per axis.
 
     `drifts` is face_drift(v, params, grid). The transported density u^m is
-    taken from the donor cell selected by the sign of the face drift.
+    taken from the donor cell selected by the sign of the face drift, and
+    the flux u_donor^m drift is built in place on the donor array.
     """
+    u = np.asarray(u, dtype=float)
     fluxes = []
-    for axis, drift in enumerate(drifts):
-        lo, hi = face_slices(grid.dimension, axis)
-        donor = np.where(drift > 0.0, u[lo], u[hi])
+    for (lo, hi, _, _, _), drift in zip(grid.faces, drifts):
+        flux = np.where(drift > _ZERO, u[lo], u[hi])
         # With m = 1, donor**m is donor itself and is skipped.
-        fluxes.append((donor if params.m == 1.0 else donor**params.m) * drift)
+        if params.m != 1.0:
+            flux **= params.m
+        flux *= drift
+        fluxes.append(flux)
     return fluxes
 
 
 def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
     """Divergence of the face flux with zero boundary faces.
 
-    Each face flux, over h, is added to the cell on its low side and
-    subtracted from the cell on its high side. Axes after the grid's are
-    carried along, so one call takes the divergence of a stack of fluxes.
+    Each axis's flux, over h, goes into the interior of a zero-padded array
+    over all its faces (`AxisFaces.padded`), so every cell has a face on
+    either side. The first axis's divergence is then one difference, high
+    face minus low face; each later axis adds its high face and subtracts
+    its low face in place. That rounds as adding each face flux to the cell
+    on its low side and subtracting it from the cell on its high side,
+    starting from zero, so every float is that form's, except that a zero
+    can change sign (a padded difference -0.0 - 0.0 is -0.0 where that
+    form's 0.0 + -0.0 is 0.0). Axes after the grid's are carried along, so
+    one call takes the divergence of a stack of fluxes.
     """
-    div = np.zeros(grid.shape + fluxes[0].shape[grid.dimension:])
-    for axis, (flux, h) in enumerate(zip(fluxes, grid.spacing)):
-        lo, hi = face_slices(grid.dimension, axis)
-        scaled = flux / h
-        low_cells, high_cells = div[lo], div[hi]  # views, updated in place
-        low_cells += scaled
-        high_cells -= scaled
+    stack = fluxes[0].shape[grid.dimension:]
+    div = None
+    for (lo, hi, h, padded, interior), flux in zip(grid.faces, fluxes):
+        faces = np.zeros(padded + stack)
+        np.divide(flux, h, faces[interior])
+        if div is None:
+            div = np.subtract(faces[hi], faces[lo])
+        else:
+            div += faces[hi]
+            div -= faces[lo]
     return div
 
 
@@ -242,7 +292,8 @@ def step(
 
     Returns the new fields u, v, the positivity clip count, and the
     extrema min(u) and max(u) of the new density, which are finite. Raises
-    BlowupDetected, at time + dt, when max(u) is not finite or above the cap.
+    BlowupDetected, at time + dt and naming the cell of max(u), when max(u)
+    is not finite or above the cap.
 
     `diffusion` and `signal` are get_operator(grid, 1 / dt) and
     get_operator(grid, params.mu); they certify the step's two solves at
@@ -259,11 +310,13 @@ def step(
     if params.b != 1.0:
         sink *= params.b
     stage -= sink
-    stage *= dt
+    # dt as a 0-d array, for the two operations (see `core.AxisFaces`).
+    step_size = np.array(dt, dtype=float)
+    stage *= step_size
     stage += u
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
     # (I - dt lap_h) u = explicit  <=>  ((1/dt) I - lap_h) u = explicit / dt.
-    stage /= dt
+    stage /= step_size
     u_new = diffusion.solve(stage)
 
     # One reduction decides whether any cell needs clipping. A NaN cell makes
@@ -278,7 +331,9 @@ def step(
 
     u_max = float(np.maximum.reduce(u_new, axis=None))
     if not math.isfinite(u_max) or u_max > cfg.blowup_cap:
-        raise BlowupDetected(time + dt, u_max, cfg.blowup_cap)
+        # The cell is located only here, on the way out.
+        cell = tuple(int(i) for i in np.unravel_index(np.argmax(u_new), u_new.shape))
+        raise BlowupDetected(time + dt, u_max, cfg.blowup_cap, cell)
 
     v_new = chemical_field(params, u_new, signal)
     return u_new, v_new, clipped, u_min, u_max
@@ -356,11 +411,13 @@ def run(
     u_min = float(np.minimum.reduce(u, axis=None))
     u_max = float(np.maximum.reduce(u, axis=None))
     _record(traj, state, u_min, u_max, rows)
+    # The per-step constants, bound once.
+    t0, t_end, cfg_dt, stride = init.time, cfg.t_end, cfg.dt, cfg.output_stride
     fixed = cfg.dt_policy == "fixed"
-    total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
-    t_stop = cfg.t_end - 1e-14 * cfg.t_end
+    total, last_dt = _fixed_steps(t0, cfg) if fixed else (0, 0.0)
+    t_stop = t_end - 1e-14 * t_end
     diffusion = diffusion_dt = None
-    steps = 0
+    steps = clips = 0
     t_last = time
     with solve_block(grid) as block:
         signal = get_operator(grid, params.mu, block)
@@ -368,10 +425,10 @@ def run(
             # One drift per step serves the flux and, under cfl, the step bound.
             drifts = face_drift(v, params, grid)
             if fixed:
-                dt = cfg.dt if steps + 1 < total else last_dt
+                dt = cfg_dt if steps + 1 < total else last_dt
             else:
                 dt = stable_dt(u_min, u_max, drifts, params, grid, cfg)
-                remaining = cfg.t_end - time
+                remaining = t_end - time
                 # Absorb float-accumulation residue into the final step rather
                 # than trailing a micro-step (which would also cost an operator
                 # build).
@@ -381,20 +438,21 @@ def run(
                 diffusion, diffusion_dt = get_operator(grid, 1.0 / dt, block), dt
             u, v, clipped, u_min, u_max = step(u, drifts, time, params, grid, dt, cfg,
                                                diffusion, signal)
-            traj.clip_count += clipped
+            clips += clipped
             steps += 1
             # Under fixed, time comes from the step counter, never from a
             # running sum of dt.
-            time = min(init.time + steps * cfg.dt, cfg.t_end) if fixed else time + dt
-            if steps % cfg.output_stride == 0:
+            time = min(t0 + steps * cfg_dt, t_end) if fixed else time + dt
+            if steps % stride == 0:
                 state = FieldState(time=time, u=u, v=v)
                 _record(traj, state, u_min, u_max, rows)
                 t_last = time
-    if steps % cfg.output_stride:
+    if steps % stride:
         state = FieldState(time=time, u=u, v=v)
         if time > t_last:
             _record(traj, state, u_min, u_max, rows)
 
+    traj.clip_count = clips
     traj.steps_taken = steps
     traj.final_state = state
     columns = np.array(rows, dtype=float).T.copy()

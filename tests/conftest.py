@@ -41,6 +41,54 @@ def scanned_minimum(unit, scale, a_alpha, mu, gain):
     return candidates.min(axis=1), candidates.argmin(axis=1) + 1
 
 
+def face_cells(dimension, axis):
+    """Index tuples of the cells on the low and on the high side of the
+    interior faces along one axis, built on every call: the oracle of
+    GridDomain.faces."""
+    low = [slice(None)] * dimension
+    high = [slice(None)] * dimension
+    low[axis] = slice(None, -1)
+    high[axis] = slice(1, None)
+    return tuple(low), tuple(high)
+
+
+def oracle_face_drift(v, params, grid):
+    """integrator.face_drift in its written form, one new array per
+    operation and slices built per call."""
+    drifts = []
+    for axis, h in enumerate(grid.spacing):
+        lo, hi = face_cells(grid.dimension, axis)
+        v_lo, v_hi = v[lo], v[hi]
+        drift = params.chi0
+        if params.beta != 0.0:
+            drift = drift * (1.0 + 0.5 * (v_lo + v_hi)) ** (-params.beta)
+        drifts.append(drift * (v_hi - v_lo) / h)
+    return drifts
+
+
+def oracle_face_flux(u, drifts, params, grid):
+    """integrator.chemotactic_face_flux in its written form."""
+    fluxes = []
+    for axis, drift in enumerate(drifts):
+        lo, hi = face_cells(grid.dimension, axis)
+        donor = np.where(drift > 0.0, u[lo], u[hi])
+        fluxes.append((donor if params.m == 1.0 else donor**params.m) * drift)
+    return fluxes
+
+
+def oracle_flux_divergence(fluxes, grid):
+    """integrator.flux_divergence in accumulate form: from zero, each face
+    flux over h added to its low cell and subtracted from its high cell."""
+    div = np.zeros(grid.shape + fluxes[0].shape[grid.dimension:])
+    for axis, (flux, h) in enumerate(zip(fluxes, grid.spacing)):
+        lo, hi = face_cells(grid.dimension, axis)
+        scaled = flux / h
+        low_cells, high_cells = div[lo], div[hi]
+        low_cells += scaled
+        high_cells -= scaled
+    return div
+
+
 def full_sort_eigenvalues(lx, ly, n_max):
     """The first n_max + 1 Neumann eigenvalues of the Lx x Ly rectangle by
     sorting all (n_max + 1)^2 sums: the oracle of neumann_eigenvalues."""

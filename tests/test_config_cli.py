@@ -228,6 +228,26 @@ class TestSimulateCommand:
         assert payload["cap"] == 0.95
         assert 0.0 < payload["time"] < 5.0
 
+    def test_blowup_names_the_cell(self, tmp_path, capsys):
+        # Without chemotaxis the mode-1 start keeps its peak in cell 0.
+        text = BASE_CFG.format(**{**REFERENCE, "chi0": 0.0}).replace(
+            "init.amplitude = 0.01", "init.amplitude = 0.5")
+        cfg = write_cfg(tmp_path, text=text + "run.blowup_cap = 1.2\n")
+        code, payload, _ = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 1
+        assert payload["status"] == "blowup"
+        assert payload["cell"] == [0]
+
+    def test_mode_longer_than_dimension_exits_2(self, tmp_path, capsys):
+        text = BASE_CFG.format(**REFERENCE).replace("init.mode = 1", "init.mode = 1, 2")
+        cfg = write_cfg(tmp_path, text=text)
+        code, payload, error = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "ValueError"
+        assert "mode (1, 2)" in error["message"]
+        assert "1D grid" in error["message"]
+
     def test_grid_budget_enforced(self, tmp_path, capsys):
         text = BASE_CFG.format(**REFERENCE).replace(
             "domain.cells = 64", f"domain.cells = {(1 << 20) + 1}"

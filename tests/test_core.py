@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from chemostab.core import (
     MixedLogistic,
     NonPositiveCoefficient,
     NonPositiveInitialData,
+    initial_density,
 )
-from conftest import REFERENCE, full_sort_eigenvalues, make_params
+from conftest import REFERENCE, face_cells, full_sort_eigenvalues, make_params
 
 
 class TestModelParams:
@@ -233,6 +235,31 @@ class TestGridDomain:
         resized = dataclasses.replace(grid, cells=tuple(2 * n for n in grid.cells))
         assert resized.spacing == tuple(h / 2 for h in expected)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20)],
+        ids=["1d", "2d"],
+    )
+    def test_faces(self, grid, rng):
+        assert grid.faces is grid.faces  # computed once per grid
+        w = rng.normal(size=grid.shape + (3,))
+        for axis, (low, high, h, padded, interior) in enumerate(grid.faces):
+            assert (low, high) == face_cells(grid.dimension, axis)
+            assert h.shape == () and h.dtype == np.float64 and not h.flags.writeable
+            assert float(h) == grid.spacing[axis]
+            expected = list(grid.shape)
+            expected[axis] += 1
+            assert padded == tuple(expected)
+            # The interior of a padded face array holds the interior faces, one
+            # per pair of neighbouring cells, and its high-minus-low difference
+            # is back on the cells.
+            faces = np.zeros(padded + (3,))
+            faces[interior] = np.diff(w, axis=axis)
+            assert faces[interior].shape == w[high].shape
+            assert np.array_equal(faces[high] - faces[low],
+                                  np.diff(faces, axis=axis))
+            assert faces[high].shape == w.shape
+
 
 class TestSpectrum:
     def test_interval_pi_eigenvalues(self):
@@ -337,6 +364,22 @@ class TestInitialData:
         state = init_state(g, spec, reference_params)
         assert state.u.shape == (16, 16)
         assert state.u.mean() == pytest.approx(2.0, abs=1e-13)
+
+    @pytest.mark.parametrize("grid, mode", [
+        (GridDomain.interval(math.pi, 16), (1, 2)),
+        (GridDomain.rectangle(math.pi, 2.0, 16, 12), (1, 0, 3)),
+    ], ids=["1d", "2d"])
+    def test_mode_longer_than_dimension_rejected(self, grid, mode):
+        spec = InitSpec.perturbation(u_star=1.0, amplitude=0.1, mode=mode)
+        with pytest.raises(ValueError, match=rf"mode {re.escape(str(mode))} has "
+                                             rf"{len(mode)} entries; a {grid.dimension}D grid"):
+            initial_density(grid, spec)
+
+    def test_short_mode_padded_with_zeros(self):
+        g = GridDomain.rectangle(math.pi, 2.0, 16, 12)
+        short = initial_density(g, InitSpec.perturbation(u_star=1.0, amplitude=0.1, mode=2))
+        padded = initial_density(g, InitSpec.perturbation(u_star=1.0, amplitude=0.1, mode=(2, 0)))
+        assert short.tobytes() == padded.tobytes()
 
     def test_overlarge_amplitude_rejected(self, interval_pi, reference_params):
         spec = InitSpec.perturbation(u_star=1.0, amplitude=1.5)

@@ -711,6 +711,23 @@ class TestSolveBlock:
         # A full block raises from `add`, at the solve that fills it.
         assert certify_in_block(grid, first_wrong, 3) == failure
 
+    @pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2]], ids=["1d", "2d"])
+    def test_columns_the_quick_test_leaves_get_the_full_test(self, grid, rng):
+        # A zero first cell gives a zero one-cell bound, so every such column
+        # reaches the full test: the good ones pass it, the wrong one raises.
+        op = get_operator(grid, 1.0)
+        entries = []
+        for _ in range(8):
+            r = rng.uniform(0.5, 2.0, size=grid.shape)
+            r.flat[0] = 0.0
+            entries.append((op.mu, r, op.solve(r)))
+        assert certify_in_block(grid, entries, 16) is None
+        mu, r, w = entries[6]
+        wrong = (mu, r, w * (1.0 + 1e-6))
+        failure = reference_certificate(op, r, wrong[2])
+        assert failure[0] is SolverFailure
+        assert certify_in_block(grid, entries[:6] + [wrong] + entries[7:], 16) == failure
+
     def test_a_2d_block_keeps_the_grid_axes_in_order(self, rng):
         # Unequal spacings: with the grid axes swapped the stencil is wrong.
         grid = GridDomain.rectangle(1.0, 2.5, 12, 12)

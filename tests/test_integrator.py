@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
@@ -32,7 +33,6 @@ from chemostab.helmholtz import (
     NonFiniteInput,
     SolveBlock,
     SolverFailure,
-    face_slices,
     get_operator,
     laplacian,
     solve_block,
@@ -47,7 +47,13 @@ from chemostab.integrator import (
     face_drift,
     flux_divergence,
 )
-from conftest import make_params
+from conftest import (
+    face_cells,
+    make_params,
+    oracle_face_drift,
+    oracle_face_flux,
+    oracle_flux_divergence,
+)
 
 
 def step_at(u, v, time, p, grid, dt, cfg):
@@ -184,7 +190,7 @@ class TestFlux:
         drifts = face_drift(v, p, grid)
         fluxes = chemotactic_face_flux(u, drifts, p, grid)
         for axis, (flux, drift) in enumerate(zip(fluxes, drifts)):
-            lo, hi = face_slices(grid.dimension, axis)
+            lo, hi = face_cells(grid.dimension, axis)
             v_lo, v_hi, h = v[lo], v[hi], grid.spacing[axis]
             # The full expression, every factor evaluated even when it is 1:
             # skipping a unit factor must not move a bit.
@@ -198,6 +204,82 @@ class TestFlux:
         limit = min(h / (float(np.abs(drift).max()) * scale)
                     for h, drift in zip(grid.spacing, drifts))
         assert bound_at(FieldState(0.0, u, v), p, grid, cfg) == cfg.sigma_cfl * limit
+
+
+# The kernels' grids: 1D, a non-square 2D grid, and both with a trailing
+# stack axis, the shape the discrete stability check passes.
+KERNEL_GRIDS = {
+    "1d": (GridDomain.interval(math.pi, 64), ()),
+    "2d": (GridDomain.rectangle(1.0, 2.5, 12, 20), ()),
+    "1d-stack": (GridDomain.interval(math.pi, 64), (3,)),
+    "2d-stack": (GridDomain.rectangle(1.0, 2.5, 12, 20), (3,)),
+}
+
+
+class TestKernelsMatchOracles:
+    """face_drift, chemotactic_face_flux and flux_divergence read the grid's
+    face geometry and build in place; every bit must be that of the written
+    forms with per-call slices in conftest."""
+
+    @pytest.mark.parametrize("name", KERNEL_GRIDS)
+    @pytest.mark.parametrize("chi0, beta, m", [(1.7, 0.0, 1.0), (-2.3, 0.0, 1.0),
+                                               (1.7, 1.5, 2.0), (-0.8, 0.5, 1.0),
+                                               (3.1, 1.0, 1.5)])
+    def test_bitwise_the_oracles(self, name, chi0, beta, m, rng):
+        grid, stack = KERNEL_GRIDS[name]
+        p = make_params(chi0=chi0, beta=beta, m=m)
+        u = rng.uniform(0.5, 2.0, size=grid.shape + stack)
+        v = rng.uniform(0.1, 1.0, size=grid.shape + stack)
+        drifts = face_drift(v, p, grid)
+        expected_drifts = oracle_face_drift(v, p, grid)
+        assert [d.tobytes() for d in drifts] == [d.tobytes() for d in expected_drifts]
+        fluxes = chemotactic_face_flux(u, drifts, p, grid)
+        expected_fluxes = oracle_face_flux(u, drifts, p, grid)
+        assert [f.tobytes() for f in fluxes] == [f.tobytes() for f in expected_fluxes]
+        div = flux_divergence(fluxes, grid)
+        assert div.shape == grid.shape + stack
+        assert div.tobytes() == oracle_flux_divergence(fluxes, grid).tobytes()
+
+    @pytest.mark.parametrize("name", KERNEL_GRIDS)
+    @pytest.mark.parametrize("beta, m", [(0.0, 1.0), (1.5, 2.0)])
+    def test_integer_fields_as_the_written_forms_take_them(self, name, beta, m, rng):
+        grid, stack = KERNEL_GRIDS[name]
+        p = make_params(chi0=-1.3, beta=beta, m=m)
+        u = rng.integers(1, 5, size=grid.shape + stack)
+        v = rng.integers(0, 3, size=grid.shape + stack)
+        drifts = face_drift(v, p, grid)
+        assert [d.tobytes() for d in drifts] == [
+            d.tobytes() for d in oracle_face_drift(v, p, grid)]
+        fluxes = chemotactic_face_flux(u, drifts, p, grid)
+        assert [f.tobytes() for f in fluxes] == [
+            f.tobytes() for f in oracle_face_flux(u, drifts, p, grid)]
+
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_flat_signal_under_repulsion(self, name, monkeypatch, rng):
+        # chi0 < 0 and a flat v: every drift and flux is -0.0. The padded
+        # difference then gives -0.0 in the first cell along the first axis,
+        # where the accumulate form gives 0.0 + -0.0 = 0.0; the values are
+        # equal, and the step's u and v are bitwise the same.
+        grid, _ = KERNEL_GRIDS[name]
+        p = make_params(chi0=-1.5)
+        u = rng.uniform(0.5, 2.0, size=grid.shape)
+        v = np.full(grid.shape, 0.7)
+        fluxes = chemotactic_face_flux(u, face_drift(v, p, grid), p, grid)
+        assert all(np.signbit(f).all() and not f.any() for f in fluxes)
+        div = flux_divergence(fluxes, grid)
+        expected = oracle_flux_divergence(fluxes, grid)
+        assert np.array_equal(div, expected) and not div.any()
+        signs = np.signbit(div) != np.signbit(expected)
+        assert signs[(0,) * grid.dimension]
+
+        cfg = StepConfig(t_end=1.0, dt=1e-2)
+        got = step_at(u, v, 0.0, p, grid, 1e-2, cfg)
+        monkeypatch.setattr(chemostab.integrator, "chemotactic_face_flux", oracle_face_flux)
+        monkeypatch.setattr(chemostab.integrator, "flux_divergence", oracle_flux_divergence)
+        want = step_at(u, v, 0.0, p, grid, 1e-2, cfg)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2:] == want[2:]
 
 
 class TestMassAndReaction:
@@ -279,6 +361,41 @@ class TestRunControls:
         assert info.value.max_u >= 0.95
         assert info.value.cap == 0.95
         assert 0.0 < info.value.time < 5.0
+
+    @pytest.mark.parametrize("grid, peak", [
+        (GridDomain.interval(math.pi, 64), (17,)),
+        (GridDomain.rectangle(math.pi, 2.0, 12, 20), (5, 7)),
+    ], ids=["1d", "2d"])
+    def test_blowup_names_the_cell_at_max_u(self, grid, peak):
+        p = make_params(chi0=0.0)
+        u = np.ones(grid.shape)
+        u[peak] = 3.0
+        v = chemostab.chemical_field(p, u, get_operator(grid, p.mu))
+        with pytest.raises(BlowupDetected, match=re.escape(f"in cell {peak}")) as info:
+            step_at(u, v, 0.0, p, grid, 1e-3, StepConfig(t_end=1.0, dt=1e-3, blowup_cap=2.0))
+        assert info.value.cell == peak
+        assert all(type(i) is int for i in info.value.cell)
+
+    @pytest.mark.parametrize("grid, nan_cell", [
+        (GridDomain.interval(math.pi, 64), (40,)),
+        (GridDomain.rectangle(math.pi, 2.0, 12, 20), (3, 4)),
+    ], ids=["1d", "2d"])
+    def test_blowup_cell_counts_nan_as_the_max(self, grid, nan_cell):
+        # The first NaN is the cell, even after a larger finite value, as
+        # np.argmax takes it.
+        p = make_params(chi0=0.0)
+        u = np.ones(grid.shape)
+        solved = np.ones(grid.shape)
+        solved[(0,) * grid.dimension] = 50.0
+        solved[nan_cell] = math.nan
+        solved.flat[-1] = math.nan
+        diffusion = SimpleNamespace(solve=lambda rhs: solved.copy())
+        cfg = StepConfig(t_end=1.0, dt=1e-3)
+        with pytest.raises(BlowupDetected) as info:
+            step(u, face_drift(u, p, grid), 0.0, p, grid, 1e-3, cfg, diffusion,
+                 get_operator(grid, p.mu))
+        assert info.value.cell == nan_cell
+        assert math.isnan(info.value.max_u)
 
     def test_positivity_floor_counts_clips(self, interval_pi):
         p = make_params(chi0=0.0, a=0.0, b=0.0)
