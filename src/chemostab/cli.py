@@ -342,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab = sub.add_parser("stability", help="classify the uniform steady state")
     p_stab.add_argument("--config", required=True)
     p_stab.add_argument("--n-max", type=int, default=1000)
-    p_stab.add_argument("--discrete-check", action="store_true")
+    p_stab.add_argument("--discrete-check", action="store_true",
+                        help="check the scheme's linearization on every DCT basis field "
+                             f"(at most {DENSE_EIG_CELL_LIMIT} cells); adds discrete_check "
+                             "with grid_eigenvalues, predicted and residuals of the first "
+                             "--modes + 1 modes, max_spectrum_residual over all n, n_modes")
     p_stab.add_argument("--modes", type=int, default=5,
                         help="modes compared in the discrete check")
     p_stab.set_defaults(func=cmd_stability)

@@ -15,6 +15,7 @@ construction (`init_state`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -396,7 +397,11 @@ class InitSpec:
     def perturbation(
         cls, u_star: float, amplitude: float, mode: int | Sequence[int] = 1
     ) -> InitSpec:
-        modes = (int(mode),) if isinstance(mode, int) else tuple(int(k) for k in mode)
+        # Any integer, numpy's included, is one mode; anything else a sequence.
+        try:
+            modes = (operator.index(mode),)
+        except TypeError:
+            modes = tuple(int(k) for k in mode)
         return cls(
             kind="perturbation",
             u_star=float(u_star),

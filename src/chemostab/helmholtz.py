@@ -26,9 +26,9 @@ mu = 1. Every solve is certified by `certify`: max |(mu - lap_h) w - r| <=
 1e-10 max |r| with the mirror-ghost stencil `add_laplacian`, else
 SolverFailure, NaN included; a non-finite right-hand side raises
 NonFiniteInput, a SolverFailure too. `HelmholtzOperator.solve` is the one
-entry point for every solve: the signal and diffusion solves, and the
-stacks of unit fields behind the gradient constant M0 and the discrete
-stability check's signal response.
+entry point for every solve: the signal and diffusion solves, the stack
+of unit fields behind the gradient constant M0, and the stacks of DCT
+basis fields of the discrete stability check.
 
 `certify` checks one grid-shaped solve, or a stack of solves in one pass,
 one solve per column, and each column on its own: its residual against its
@@ -54,15 +54,15 @@ failing solve raises what it would have raised at once, and the solutions
 are those of the direct solve either way.
 
 `add_laplacian` is the one written form of lap_h, behind the residual
-check, `laplacian` and the dense matrix of the stability check (`laplacian`
-on unit fields). It works on the field with its grid axes merged into one:
-along axis a the two cells of a face lie S_a = prod(cells[a+1:]) apart, so
-each axis is one shifted difference, a contiguous sweep even along the last
-axis of a 2D grid. The pairs S_a apart that straddle a row end are no faces
-and are set to 0 before they are added, which changes no float that the
-check or `laplacian` can show (see `add_laplacian`). `face_gradients`
-indexes faces through `GridDomain.faces`. The 1D bands and the 2D DCT
-eigenvalues are lap_h in the forms that `dpttrf` and the DCT take.
+check and `laplacian`. It works on the field with its grid axes merged
+into one: along axis a the two cells of a face lie S_a = prod(cells[a+1:])
+apart, so each axis is one shifted difference, a contiguous sweep even
+along the last axis of a 2D grid. The pairs S_a apart that straddle a row
+end are no faces and are set to 0 before they are added, which changes no
+float that the check or `laplacian` can show (see `add_laplacian`).
+`face_gradients` indexes faces through `GridDomain.faces`. The 1D bands
+and the 2D DCT eigenvalues are lap_h in the forms that `dpttrf` and the
+DCT take.
 """
 
 from __future__ import annotations

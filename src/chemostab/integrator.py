@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import (Equilibrium, FieldState, GridDomain, ModelParams, equilibrium, mass_average,
                    read_only_scalar)
-from .diagnostics import dissipation_D, lyapunov_F
+from .diagnostics import _lyapunov_sum, dissipation_D
 from .helmholtz import HelmholtzOperator, chemical_field, get_operator, solve_block
 
 # The kernels' constants as 0-d arrays (see `core.AxisFaces`).
@@ -356,7 +356,7 @@ def _record(traj: Trajectory, state: FieldState, u_min: float, u_max: float,
         # round-to-nearest, so the largest |fl(u_i - u*)| is at u_max or
         # u_min, bit for bit; NaN in u makes both extrema NaN.
         max(abs(u_max - u_star), abs(u_min - u_star)),
-        lyapunov_F(u, u_star, traj.params.m, vol) if u_min > 0.0 else math.nan,
+        _lyapunov_sum(u, u_star, traj.params.m, vol) if u_min > 0.0 else math.nan,
         dissipation_D(u, u_star, traj.params.alpha, vol),
     ))
     if traj.snapshots is not None:

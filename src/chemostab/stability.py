@@ -15,20 +15,22 @@ a per-mode candidate that is convex in lambda, least at sqrt(a alpha mu).
 So the two modes that bracket that point give chi*, and a table that
 reaches it proves the infimum over the whole spectrum.
 
-`discrete_spectrum_check` ties this formula to the scheme: it linearises
-the code that steps (`integrator.face_drift`, `chemotactic_face_flux`,
-`flux_divergence` and the logistic source) at (u*, v*), and checks that
-the result reproduces sigma on the grid's own eigenvalues.
+`discrete_spectrum_check` ties this formula to the scheme: it applies the
+linearisation at (u*, v*) of the code that steps (`integrator.face_drift`,
+`chemotactic_face_flux`, `flux_divergence` and the logistic source) to the
+grid's DCT basis fields, and checks that each is an eigenvector with the
+rate sigma of its own grid eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .core import Equilibrium, GridDomain, ModelParams, SpectrumTable
-from .helmholtz import get_operator, laplacian
+from .helmholtz import _dct_eigenvalues, get_operator, laplacian
 from .integrator import chemotactic_face_flux, face_drift, flux_divergence
 
 
@@ -37,10 +39,14 @@ class SpectrumTooShort(ValueError):
 
 
 class EigsolverFailure(RuntimeError):
-    """Dense eigendecomposition failed or the grid is too large for it."""
+    """The grid is above DENSE_EIG_CELL_LIMIT cells, the bound on the O(n^2)
+    work of the discrete check's mode sweep and of the gradient constant's
+    n x n inverse."""
 
 
 DENSE_EIG_CELL_LIMIT = 4096
+# DCT basis fields that discrete_spectrum_check applies J to at once.
+SWEEP_COLUMNS = 128
 CRITICAL_BAND = 1e-12
 
 
@@ -181,44 +187,38 @@ def classify_equilibrium(
     )
 
 
-def _unit_fields(grid: GridDomain) -> np.ndarray:
-    """The identity with the grid axes first: every unit field, stacked.
-    Above DENSE_EIG_CELL_LIMIT cells EigsolverFailure, before any n^2 array."""
-    n = grid.total_cells
-    if n > DENSE_EIG_CELL_LIMIT:
-        raise EigsolverFailure(
-            f"{n} cells exceeds the dense eigendecomposition limit "
-            f"{DENSE_EIG_CELL_LIMIT}"
-        )
-    return np.eye(n).reshape(*grid.shape, n)
-
-
-def dense_laplacian(grid: GridDomain) -> np.ndarray:
-    """lap_h as a dense (n, n) matrix, exactly symmetric: the stencil
-    applied to every unit field (EigsolverFailure as `_unit_fields`)."""
-    n = grid.total_cells
-    return laplacian(_unit_fields(grid), grid).reshape(n, n)
+def _dct_fields(grid: GridDomain, modes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The DCT-II basis fields of the given modes, stacked on a trailing
+    axis. Along an axis of n cells mode k is cos(pi (2i + 1) k / (2n)) in
+    cell i; the phase (2i + 1) k is reduced mod 4n in integers first, so
+    the argument of cos rounds once, whatever k. A rectangle's field is
+    the product of its two axes' fields.
+    """
+    fields = 1.0
+    for axis, (n, k) in enumerate(zip(grid.cells, modes)):
+        phase = (2 * np.arange(n)[:, None] + 1) * k % (4 * n)
+        shape = [1] * grid.dimension + [len(k)]
+        shape[axis] = n
+        fields = fields * np.cos(np.pi * phase / (2 * n)).reshape(shape)
+    return fields
 
 
 def _equilibrium_jacobian(
-    params: ModelParams, eq: Equilibrium, grid: GridDomain, lap: np.ndarray
+    params: ModelParams, eq: Equilibrium, grid: GridDomain, fields: np.ndarray
 ) -> np.ndarray:
-    """Dense Jacobian at (u*, v*) of the right-hand side that `step` takes,
+    """J w for each field w of a stack (*grid.shape, k): J is the Jacobian
+    at (u*, v*) of the right-hand side that `step` takes,
 
         G(u) = lap_h u - div_h(flux(u, v(u))) + a u - b u^(1+alpha),
         v(u) = (mu I - lap_h)^{-1} nu u^gamma,
 
-    symmetrised. `lap` is dense_laplacian(grid). The columns are the
-    responses to the unit perturbations of the cells, all carried at once
-    as a trailing axis: the signal's through one stacked, certified
-    `HelmholtzOperator.solve`, the flux's through the stepping code's
-    face_drift, chemotactic_face_flux and flux_divergence.
+    applied, never formed. The signal's response goes through one stacked,
+    certified `HelmholtzOperator.solve`, the flux's through the stepping
+    code's face_drift, chemotactic_face_flux and flux_divergence.
     """
-    n = grid.total_cells
-    # The signal response (mu I - lap_h)^{-1} nu gamma u*^(gamma-1) of each
-    # unit perturbation, one column per cell.
+    # The signal response (mu I - lap_h)^{-1} nu gamma u*^(gamma-1) w.
     gain = params.nu * params.gamma * eq.u_star ** (params.gamma - 1.0)
-    response = get_operator(grid, params.mu).solve(gain * _unit_fields(grid))
+    response = get_operator(grid, params.mu).solve(gain * fields)
     # At the constant v* the derivative of (1 + v_face)^(-beta) (v_hi - v_lo) / h
     # is (1 + v*)^(-beta) (dv_hi - dv_lo) / h, since the factor's own derivative
     # multiplies v_hi - v_lo = 0. So face_drift with that factor folded into
@@ -229,20 +229,18 @@ def _equilibrium_jacobian(
     # the donor density drop out: the flux's derivative is u*^m times the
     # drift's, which is the flux of the constant u*.
     flux = chemotactic_face_flux(np.full((*grid.shape, 1), eq.u_star), drifts, params, grid)
-    jac = lap - flux_divergence(flux, grid).reshape(n, n)
-    jac += (params.a - params.b * (1.0 + params.alpha) * eq.u_star**params.alpha) * np.eye(n)
-    return 0.5 * (jac + jac.T)
+    reaction = params.a - params.b * (1.0 + params.alpha) * eq.u_star**params.alpha
+    return laplacian(fields, grid) - flux_divergence(flux, grid) + reaction * fields
 
 
 @dataclass(frozen=True)
 class DiscreteSpectrumReport:
     """Agreement between the discrete linearization and the dispersion relation."""
 
-    grid_eigenvalues: tuple[float, ...]      # of -lap_h, ascending
-    predicted: tuple[float, ...]             # sigma evaluated on grid eigenvalues
-    rayleigh: tuple[float, ...]              # quotients of A on lap_h eigenvectors
-    max_mode_deviation: float                # per-mode, via shared eigenvectors
-    max_set_deviation: float                 # sorted-spectrum comparison
+    grid_eigenvalues: tuple[float, ...]      # lambda_h of the reported modes, ascending
+    predicted: tuple[float, ...]             # sigma on those eigenvalues
+    residuals: tuple[float, ...]             # |J q_k - sigma q_k|_inf of those modes
+    max_spectrum_residual: float             # the same, over all n modes
     n_modes: int
 
 
@@ -253,38 +251,52 @@ def discrete_spectrum_check(
     n_modes: int,
 ) -> DiscreteSpectrumReport:
     """Verify that the scheme's linearization reproduces sigma on the grid
-    eigenvalues.
+    eigenvalues, mode by mode.
 
-    The matrix A checked is `_equilibrium_jacobian`: the Jacobian at
-    (u*, v*) of the right-hand side that `integrator.step` integrates, taken
-    through the stepping code itself, so a fault in the drift, flux or
-    divergence shows here. The first check pairs modes through the
-    eigenvectors of lap_h (Rayleigh quotients of A); the second compares the
-    two full spectra as sorted sets, which is pairing-free.
+    lap_h is diagonal in the grid's DCT-II basis, and at (u*, v*) J (see
+    `_equilibrium_jacobian`) is a rational function of lap_h. So each basis
+    field q_k, its entries of modulus at most 1, is an eigenvector of J with
+    eigenvalue sigma(lambda_h,k). The check applies J through the stepping
+    code to every q_k, SWEEP_COLUMNS at a time, and reports
+    |J q_k - sigma(lambda_h,k) q_k|_inf for the first n_modes + 1 modes in
+    ascending lambda_h, and its maximum over all n modes.
+
+    That maximum bounds the whole spectrum: J is symmetric and
+    |q_k|_2^2 >= n / 2^d on a d-dimensional grid, so J differs from
+    Q diag(sigma) Q^T, Q the normalised basis, by at most sqrt(2^d n) times
+    the maximum in the 2-norm, and by Weyl's inequality so does each sorted
+    eigenvalue of J from the sorted sigma(lambda_h,k).
+
+    The sweep costs O(n^2), so above DENSE_EIG_CELL_LIMIT cells it raises
+    EigsolverFailure before any solve. A solve that misses the residual
+    contract raises SolverFailure.
     """
     n = grid.total_cells
     if n_modes < 1 or n_modes >= n:
         raise ValueError(f"n_modes must be in [1, {n - 1}], got {n_modes}")
-    lap = dense_laplacian(grid)
-    a = _equilibrium_jacobian(params, eq, grid, lap)
-    try:
-        lam_h, vecs = np.linalg.eigh(-lap)
-        eig_a = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigsolverFailure(f"dense eigendecomposition failed: {exc}") from exc
-    lam_h = np.maximum(lam_h, 0.0)  # clip rounding noise on the zero mode
-
-    predicted = np.asarray(sigma_n(params, eq, lam_h))
-    quad = np.einsum("ij,ij->j", vecs, a @ vecs)
+    if n > DENSE_EIG_CELL_LIMIT:
+        raise EigsolverFailure(
+            f"{n} cells exceeds the cell limit {DENSE_EIG_CELL_LIMIT} of the mode sweep"
+        )
+    # lambda_h of every mode, ascending, and its DCT-II index on each axis; on
+    # a rectangle lambda_x + lambda_y, sorted stably over the index pairs.
+    lam = reduce(np.add.outer, [_dct_eigenvalues(m, h) for m, h in zip(grid.cells, grid.spacing)])
+    order = np.argsort(lam, axis=None, kind="stable")
+    lam, modes = lam.ravel()[order], np.unravel_index(order, grid.shape)
+    predicted = np.asarray(sigma_n(params, eq, lam))
+    residuals = np.empty(n)
+    grid_axes = tuple(range(grid.dimension))
+    for start in range(0, n, SWEEP_COLUMNS):
+        block = slice(start, start + SWEEP_COLUMNS)
+        fields = _dct_fields(grid, tuple(k[block] for k in modes))
+        misfit = _equilibrium_jacobian(params, eq, grid, fields) - predicted[block] * fields
+        residuals[block] = np.abs(misfit).max(axis=grid_axes)
 
     keep = n_modes + 1
-    mode_dev = float(np.abs(quad[:keep] - predicted[:keep]).max())
-    set_dev = float(np.abs(np.sort(eig_a) - np.sort(predicted)).max())
     return DiscreteSpectrumReport(
-        grid_eigenvalues=tuple(float(x) for x in lam_h[:keep]),
+        grid_eigenvalues=tuple(float(x) for x in lam[:keep]),
         predicted=tuple(float(x) for x in predicted[:keep]),
-        rayleigh=tuple(float(x) for x in quad[:keep]),
-        max_mode_deviation=mode_dev,
-        max_set_deviation=set_dev,
+        residuals=tuple(float(x) for x in residuals[:keep]),
+        max_spectrum_residual=float(residuals.max()),
         n_modes=n_modes,
     )

@@ -508,6 +508,19 @@ def _minimal_values(
     return chi1, chi2, cb, cap
 
 
+def _unit_fields(grid: GridDomain) -> np.ndarray:
+    """The identity with the grid axes first: every unit field, stacked.
+    Above DENSE_EIG_CELL_LIMIT cells EigsolverFailure, before any n^2 array."""
+    from .stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure
+
+    n = grid.total_cells
+    if n > DENSE_EIG_CELL_LIMIT:
+        raise EigsolverFailure(
+            f"{n} cells exceeds the cell limit {DENSE_EIG_CELL_LIMIT} of an n x n array"
+        )
+    return np.eye(n).reshape(*grid.shape, n)
+
+
 def gradient_constant(grid: GridDomain, mu: float) -> float:
     """The exact Neumann gradient-estimate constant M0 of the grid.
 
@@ -525,7 +538,6 @@ def gradient_constant(grid: GridDomain, mu: float) -> float:
     raises EigsolverFailure.
     """
     from .helmholtz import face_gradients, get_operator
-    from .stability import _unit_fields
 
     rows = face_gradients(get_operator(grid, mu).solve(_unit_fields(grid)), grid)
     return math.sqrt(mu) * max(0.5 * float(np.abs(r).sum(axis=-1).max()) for r in rows)

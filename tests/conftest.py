@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from chemostab import GridDomain, ModelParams, equilibrium, neumann_eigenvalues
+from chemostab.helmholtz import laplacian
 from chemostab.stability import _candidates
+from chemostab.thresholds import _unit_fields
 
 REFERENCE = dict(
     chi0=1.0, beta=0.0, m=1.0, alpha=1.0, gamma=1.0,
@@ -39,6 +41,14 @@ def scanned_minimum(unit, scale, a_alpha, mu, gain):
         unit[1:] * scale[:, None], a_alpha[:, None], mu[:, None], gain[:, None]
     )
     return candidates.min(axis=1), candidates.argmin(axis=1) + 1
+
+
+def dense_laplacian(grid):
+    """lap_h as a dense (n, n) matrix: the stencil applied to every unit
+    field. Above DENSE_EIG_CELL_LIMIT cells EigsolverFailure, as
+    thresholds._unit_fields raises it."""
+    n = grid.total_cells
+    return laplacian(_unit_fields(grid), grid).reshape(n, n)
 
 
 def face_cells(dimension, axis):

@@ -97,7 +97,7 @@ class TestSpectralDichotomy:
 
 
 class TestDiscreteSpectrumAgreement:
-    """Matrix eigenvalues against the dispersion relation on exact modes."""
+    """The scheme's mode rates against the dispersion relation on exact modes."""
 
     @staticmethod
     def _mode_errors(cells):
@@ -105,10 +105,10 @@ class TestDiscreteSpectrumAgreement:
         eq = equilibrium(params)
         grid = GridDomain.interval(math.pi, cells)
         report = discrete_spectrum_check(params, eq, grid, n_modes=5)
-        assert report.max_mode_deviation < 1e-8
+        assert report.max_spectrum_residual < 1e-8
         modes = np.arange(1, 6, dtype=float)
         analytic = sigma_n(params, eq, modes**2)
-        discrete = np.asarray(report.rayleigh[1:6])
+        discrete = np.asarray(report.predicted[1:6])
         return np.abs(discrete - analytic) / np.abs(analytic)
 
     def test_relative_error_bounded_by_grid_resolution(self):

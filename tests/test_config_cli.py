@@ -328,7 +328,11 @@ class TestAnalysisCommands:
             capsys, "stability", "--config", cfg, "--discrete-check", "--modes", "3"
         )
         assert code == 0
-        assert payload["discrete_check"]["max_mode_deviation"] < 1e-9
+        check = payload["discrete_check"]
+        assert set(check) == {"grid_eigenvalues", "predicted", "residuals",
+                              "max_spectrum_residual", "n_modes"}
+        assert len(check["residuals"]) == len(check["predicted"]) == 4
+        assert check["max_spectrum_residual"] < 1e-9
 
     def test_thresholds_report(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -430,10 +434,12 @@ class TestAnalysisCommands:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_thresholds_discrete_m0_cell_limit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [("thresholds", "--discrete-m0"),
+                                         ("stability", "--discrete-check")], ids=lambda c: c[0])
+    def test_dense_check_cell_limit(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path, text=BASE_CFG.format(**REFERENCE).replace(
             "domain.cells = 64", f"domain.cells = {DENSE_EIG_CELL_LIMIT + 1}"))
-        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg, "--discrete-m0")
+        code, payload, error = run_cli(capsys, command[0], "--config", cfg, command[1])
         assert code == 2
         assert payload is None
         assert error["error"] == "EigsolverFailure"

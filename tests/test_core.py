@@ -365,6 +365,14 @@ class TestInitialData:
         assert state.u.shape == (16, 16)
         assert state.u.mean() == pytest.approx(2.0, abs=1e-13)
 
+    @pytest.mark.parametrize("mode, expected", [
+        (np.int64(2), (2,)), ((np.int64(1), np.int32(2)), (1, 2)), (np.uint8(3), (3,)),
+    ], ids=["int64", "tuple", "uint8"])
+    def test_perturbation_takes_numpy_integers(self, mode, expected):
+        spec = InitSpec.perturbation(u_star=1.0, amplitude=0.1, mode=mode)
+        assert spec.mode == expected
+        assert all(type(k) is int for k in spec.mode)
+
     @pytest.mark.parametrize("grid, mode", [
         (GridDomain.interval(math.pi, 16), (1, 2)),
         (GridDomain.rectangle(math.pi, 2.0, 16, 12), (1, 0, 3)),

@@ -36,8 +36,8 @@ from chemostab.helmholtz import (
     laplacian,
     solve_block,
 )
-from chemostab.stability import dense_laplacian
-from conftest import make_params
+from chemostab.stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure
+from conftest import dense_laplacian, make_params
 
 
 def discrete_eigenvalue(n: int, length: float, cells: int) -> float:
@@ -62,6 +62,23 @@ class TestLaplacian:
     def test_symmetry(self):
         lap = dense_laplacian(GridDomain.interval(4.0, 16))
         assert np.abs(lap - lap.T).max() == 0.0
+
+    @pytest.mark.parametrize("grid", [
+        GridDomain.interval(math.pi, 64), GridDomain.interval(math.pi, 17),
+        GridDomain.rectangle(1.0, 2.5, 12, 10), GridDomain.rectangle(1.0, 2.5, 8, 12),
+    ], ids=lambda grid: "x".join(map(str, grid.cells)))
+    def test_dense_laplacian_is_exactly_symmetric(self, grid):
+        # The stencil's matrix is symmetric bit for bit, on odd, even and
+        # non-square grids: the stability check's Weyl bound takes J, a
+        # function of lap_h, to be symmetric.
+        lap = dense_laplacian(grid)
+        assert lap.tobytes() == lap.T.tobytes()
+
+    def test_dense_laplacian_cell_limit(self):
+        big = GridDomain.rectangle(1.0, 1.0, 128, 128)
+        assert big.total_cells > DENSE_EIG_CELL_LIMIT
+        with pytest.raises(EigsolverFailure):
+            dense_laplacian(big)
 
     def test_constant_in_kernel_2d(self):
         g = GridDomain.rectangle(1.0, 2.0, 8, 12)

@@ -22,6 +22,7 @@ from chemostab import (
     Trajectory,
     equilibrium,
     init_state,
+    lyapunov_F,
     run,
     stable_dt,
     step,
@@ -1170,6 +1171,22 @@ class TestTrajectoryOutput:
         recorded = rows[0][SERIES.index("err_inf")]
         assert type(recorded) is float
         assert np.float64(recorded).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("m", [1.0, 1.7])
+    def test_lyapunov_is_bitwise_lyapunov_F_or_nan(self, m):
+        # _record sums the functional without lyapunov_F's positivity check,
+        # on the u_min it holds: the same float where u > 0, NaN elsewhere.
+        grid = GridDomain.interval(1.0, 16)
+        p = make_params(m=m)
+        traj = Trajectory(p, grid, Equilibrium(1.3, 1.0))
+        u = np.random.default_rng(3).uniform(0.5, 2.0, size=16)
+        rows = []
+        record(traj, FieldState(0.0, u, np.ones(16)), rows)
+        record(traj, FieldState(0.0, np.where(np.arange(16) == 5, 0.0, u), np.ones(16)), rows)
+        recorded = [row[SERIES.index("lyapunov")] for row in rows]
+        expected = lyapunov_F(u, 1.3, m, grid.cell_volume)
+        assert np.float64(recorded[0]).tobytes() == np.float64(expected).tobytes()
+        assert math.isnan(recorded[1])
 
     def test_mass_drift_is_the_largest_relative_change_of_mass(self, interval_pi):
         p = make_params()
