@@ -33,13 +33,11 @@ import numpy as np
 
 from .config import (
     ConfigError,
-    get_float,
-    get_float_list,
-    get_str,
     grid_from_config,
     init_from_config,
     params_from_config,
     read_config,
+    required,
     step_config_from_config,
 )
 from .core import (
@@ -122,7 +120,7 @@ def _grid_checked(cfg) -> GridDomain:
 def _minimal_u_star(cfg, grid: GridDomain) -> float:
     """Mass level fixing the minimal model's equilibrium."""
     if "init.u_star" in cfg:
-        return get_float(cfg, "init.u_star")
+        return cfg["init.u_star"]
     return mass_average(initial_density(grid, init_from_config(cfg)), grid)
 
 
@@ -286,18 +284,17 @@ def cmd_scenario(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = read_config(args.config)
-    base = {key: value for key, value in cfg.items()}
-    parameter = get_str(cfg, "sweep.parameter")
+    parameter = required(cfg, "sweep.parameter")
     if parameter not in PARAM_FIELDS:
         raise ConfigError(f"sweep.parameter must be a model coefficient, got {parameter!r}")
-    values = get_float_list(cfg, "sweep.values")
+    values = required(cfg, "sweep.values")
     grid = grid_from_config(cfg)
     spectrum = neumann_eigenvalues(grid, args.n_max)
     rows = []
     for value in values:
-        base[parameter] = repr(value)
-        params = params_from_config(base)
-        eq = _equilibrium_for(base, grid, params)
+        point = {**cfg, parameter: value}
+        params = params_from_config(point)
+        eq = _equilibrium_for(point, grid, params)
         report = classify_equilibrium(params, eq, spectrum)
         rows.append({
             parameter: value,
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="gradient-estimate constant of the domain")
     m0_choice.add_argument("--discrete-m0", action="store_true",
                            help="use the grid's exact discrete constant "
-                                f"(an n x n inverse, at most {DENSE_EIG_CELL_LIMIT} cells)")
+                                f"(an O(n^2) sweep, at most {DENSE_EIG_CELL_LIMIT} cells)")
     p_thr.add_argument("--c-star-table", default=None,
                        help="CSV of p,C* rows for the regularity constant")
     p_thr.add_argument("--stub-c-star", action="store_true",

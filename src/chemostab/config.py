@@ -1,15 +1,17 @@
 """Plain-text run configuration: `key = value` lines with dotted keys.
 
-Blank lines and `#` comments are ignored. Lists are comma-separated.
-`CONFIG_KEYS` below lists the recognized keys; `read_config`, which every
-`--config` command uses, rejects any other, so a misspelt key is an error
-rather than a silent default.
+Blank lines and `#` comments are ignored. `KEYS` below maps each recognized
+key to the type of its value; a 1-tuple type such as `(float,)` is a
+comma-separated list. `read_config`, which every `--config` command uses,
+rejects any other key, so a misspelt key is an error rather than a silent
+default, and parses every value as the file is read, so a malformed value
+is an error under every command, whether or not the command reads it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping, get_type_hints
 
 import numpy as np
 
@@ -28,21 +30,16 @@ class ConfigError(ValueError):
     """Malformed or incomplete configuration."""
 
 
-# run.* keys and the types they parse as; their defaults live in StepConfig.
-RUN_KEYS = {
-    "t_end": float, "dt": float, "dt_policy": str, "sigma_cfl": float,
-    "output_stride": int, "blowup_cap": float, "positivity_floor": float,
-    "store_snapshots": bool,
-}
-
-CONFIG_KEYS = frozenset(
-    PARAM_FIELDS  # model coefficients
-    + ("domain.dimension", "domain.lengths", "domain.cells")
+KEYS: dict[str, type | tuple[type]] = {
+    **{name: float for name in PARAM_FIELDS},  # model coefficients
+    "domain.dimension": int, "domain.lengths": (float,), "domain.cells": (int,),
     # init.kind is constant, perturbation or array
-    + ("init.kind", "init.value", "init.u_star", "init.amplitude", "init.mode", "init.path")
-    + tuple(f"run.{name}" for name in RUN_KEYS)
-    + ("sweep.parameter", "sweep.values")
-)
+    "init.kind": str, "init.value": float, "init.u_star": float,
+    "init.amplitude": float, "init.mode": (int,), "init.path": str,
+    # run.* keys take StepConfig's field types; their defaults live there too.
+    **{f"run.{name}": kind for name, kind in get_type_hints(StepConfig).items()},
+    "sweep.parameter": str, "sweep.values": (float,),
+}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -64,20 +61,19 @@ def parse_config_text(text: str) -> dict[str, str]:
     return cfg
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text())
-
-
-def read_config(path: str | Path) -> dict[str, str]:
-    """`load_config`, raising ConfigError on a key outside CONFIG_KEYS."""
-    cfg = load_config(path)
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+def read_config(path: str | Path) -> dict[str, Any]:
+    """The file's values, each parsed as its `KEYS` type; ConfigError on a
+    key outside KEYS or on a value that does not parse."""
+    cfg = parse_config_text(Path(path).read_text())
+    unknown = sorted(set(cfg) - KEYS.keys())
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-    return cfg
+    return {key: _convert(key, value, KEYS[key]) for key, value in cfg.items()}
 
 
-def _convert(key: str, value: str, kind: type) -> float | int | str | bool:
+def _convert(key: str, value: str, kind: type | tuple[type]) -> Any:
+    if isinstance(kind, tuple):
+        return tuple(_convert(key, part.strip(), kind[0]) for part in value.split(","))
     try:
         if kind is bool:
             lowered = value.lower()
@@ -91,54 +87,24 @@ def _convert(key: str, value: str, kind: type) -> float | int | str | bool:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind.__name__}") from exc
 
 
-def get_float(cfg: Mapping[str, str], key: str, default: float | None = None) -> float:
+def required(cfg: Mapping[str, Any], key: str) -> Any:
+    """cfg[key]; ConfigError naming the key when it is absent."""
     if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    return _convert(key, cfg[key], float)
-
-
-def get_int(cfg: Mapping[str, str], key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    return _convert(key, cfg[key], int)
-
-
-def get_str(cfg: Mapping[str, str], key: str, default: str | None = None) -> str:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        raise ConfigError(f"missing required key {key!r}")
     return cfg[key]
 
 
-def get_float_list(cfg: Mapping[str, str], key: str) -> tuple[float, ...]:
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}")
-    return tuple(_convert(key, part.strip(), float) for part in cfg[key].split(","))
-
-
-def get_int_list(cfg: Mapping[str, str], key: str) -> tuple[int, ...]:
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}")
-    return tuple(_convert(key, part.strip(), int) for part in cfg[key].split(","))
-
-
-def params_from_config(cfg: Mapping[str, str]) -> ModelParams:
-    coeffs = {name: _convert(name, cfg[name], float) for name in PARAM_FIELDS if name in cfg}
+def params_from_config(cfg: Mapping[str, Any]) -> ModelParams:
     try:
-        return validate_params(coeffs)
+        return validate_params(cfg)
     except MissingParameters as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def grid_from_config(cfg: Mapping[str, str]) -> GridDomain:
-    dimension = get_int(cfg, "domain.dimension")
-    lengths = get_float_list(cfg, "domain.lengths")
-    cells = get_int_list(cfg, "domain.cells")
+def grid_from_config(cfg: Mapping[str, Any]) -> GridDomain:
+    dimension = required(cfg, "domain.dimension")
+    lengths = required(cfg, "domain.lengths")
+    cells = required(cfg, "domain.cells")
     if len(lengths) != dimension or len(cells) != dimension:
         raise ConfigError(
             f"domain.lengths and domain.cells must each have {dimension} entries"
@@ -146,21 +112,21 @@ def grid_from_config(cfg: Mapping[str, str]) -> GridDomain:
     return GridDomain(dimension=dimension, lengths=lengths, cells=cells)
 
 
-def init_from_config(cfg: Mapping[str, str], base_u_star: float | None = None) -> InitSpec:
+def init_from_config(cfg: Mapping[str, Any], base_u_star: float | None = None) -> InitSpec:
     """Build the initial-condition spec; `base_u_star` supplies the
     equilibrium density when init.u_star is absent (perturbation kind)."""
-    kind = get_str(cfg, "init.kind")
+    kind = required(cfg, "init.kind")
     if kind == "constant":
-        return InitSpec.constant(get_float(cfg, "init.value"))
+        return InitSpec.constant(required(cfg, "init.value"))
     if kind == "perturbation":
-        u_star = get_float(cfg, "init.u_star", base_u_star if base_u_star else None)
+        fallback = {"init.u_star": base_u_star} if base_u_star else {}
         return InitSpec.perturbation(
-            u_star=u_star,
-            amplitude=get_float(cfg, "init.amplitude", 0.0),
-            mode=get_int_list(cfg, "init.mode") if "init.mode" in cfg else 1,
+            u_star=required({**fallback, **cfg}, "init.u_star"),
+            amplitude=cfg.get("init.amplitude", 0.0),
+            mode=cfg.get("init.mode", 1),
         )
     if kind == "array":
-        path = get_str(cfg, "init.path")
+        path = required(cfg, "init.path")
         try:
             array = np.load(path)
         except (OSError, ValueError) as exc:
@@ -171,15 +137,11 @@ def init_from_config(cfg: Mapping[str, str], base_u_star: float | None = None) -
     )
 
 
-def step_config_from_config(cfg: Mapping[str, str]) -> StepConfig:
+def step_config_from_config(cfg: Mapping[str, Any]) -> StepConfig:
     """StepConfig from the run.* keys present; run.t_end is required."""
-    if "run.t_end" not in cfg:
-        raise ConfigError("missing required key 'run.t_end'")
-    given = {
-        name: _convert(f"run.{name}", cfg[f"run.{name}"], kind)
-        for name, kind in RUN_KEYS.items()
-        if f"run.{name}" in cfg
-    }
+    required(cfg, "run.t_end")
+    given = {key.removeprefix("run."): value for key, value in cfg.items()
+             if key.startswith("run.")}
     try:
         return StepConfig(**given)
     except ValueError as exc:

@@ -468,7 +468,7 @@ def _build_initial_u(domain: GridDomain, spec: InitSpec) -> np.ndarray:
 
 def init_state(domain: GridDomain, spec: InitSpec, params: ModelParams) -> FieldState:
     """Construct the t = 0 state: positive u plus its slaved signal field."""
-    from .helmholtz import chemical_field, get_operator
+    from .helmholtz import chemical_field, get_operator  # helmholtz imports core
 
     u = initial_density(domain, spec)
     v = chemical_field(params, u, get_operator(domain, params.mu))

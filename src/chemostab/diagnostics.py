@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import GridDomain, ModelParams
+from .helmholtz import face_gradients
 
 if TYPE_CHECKING:
     from .integrator import Trajectory
@@ -77,8 +78,6 @@ def signal_energy(
     The gradient uses the same interior face differences as the elliptic
     stencil; boundary faces contribute zero.
     """
-    from .helmholtz import face_gradients
-
     w = np.asarray(v, dtype=float) - v_star
     energy = mu * float((w**2).sum()) * grid.cell_volume
     for g in face_gradients(w, grid):
@@ -150,6 +149,7 @@ def check_power_diff_inequality(trials: int, rng: np.random.Generator) -> int:
     and the rounding headroom of `thresholds._violates`. A negative trial
     count raises ValueError; zero trials check nothing.
     """
+    # thresholds -> stability -> integrator -> diagnostics: a top-level import cycles.
     from .thresholds import _violates, power_diff_constant
 
     if trials < 0:
@@ -214,6 +214,7 @@ def persistence_metrics(
     (nu/mu) (tail inf u)^gamma is checked in every case. Bounds carry a
     multiplicative slack because the proofs are asymptotic statements.
     """
+    # thresholds -> stability -> integrator -> diagnostics: a top-level import cycles.
     from .thresholds import _density_floor, theta
 
     n = len(traj.times)

@@ -26,7 +26,7 @@ mu = 1. Every solve is certified by `certify`: max |(mu - lap_h) w - r| <=
 1e-10 max |r| with the mirror-ghost stencil `add_laplacian`, else
 SolverFailure, NaN included; a non-finite right-hand side raises
 NonFiniteInput, a SolverFailure too. `HelmholtzOperator.solve` is the one
-entry point for every solve: the signal and diffusion solves, the stack
+entry point for every solve: the signal and diffusion solves, the stacks
 of unit fields behind the gradient constant M0, and the stacks of DCT
 basis fields of the discrete stability check.
 

@@ -41,13 +41,24 @@ class SpectrumTooShort(ValueError):
 class EigsolverFailure(RuntimeError):
     """The grid is above DENSE_EIG_CELL_LIMIT cells, the bound on the O(n^2)
     work of the discrete check's mode sweep and of the gradient constant's
-    n x n inverse."""
+    sweep over the unit fields."""
 
 
 DENSE_EIG_CELL_LIMIT = 4096
-# DCT basis fields that discrete_spectrum_check applies J to at once.
+# Fields that discrete_spectrum_check and thresholds.gradient_constant sweep at once.
 SWEEP_COLUMNS = 128
 CRITICAL_BAND = 1e-12
+
+
+def _sweep_cells(grid: GridDomain) -> int:
+    """grid.total_cells; EigsolverFailure above DENSE_EIG_CELL_LIMIT, before
+    any O(n^2) sweep starts."""
+    n = grid.total_cells
+    if n > DENSE_EIG_CELL_LIMIT:
+        raise EigsolverFailure(
+            f"{n} cells exceeds the cell limit {DENSE_EIG_CELL_LIMIT} of an O(n^2) sweep"
+        )
+    return n
 
 
 def _feedback_gain(params: ModelParams, eq: Equilibrium) -> float:
@@ -274,10 +285,7 @@ def discrete_spectrum_check(
     n = grid.total_cells
     if n_modes < 1 or n_modes >= n:
         raise ValueError(f"n_modes must be in [1, {n - 1}], got {n_modes}")
-    if n > DENSE_EIG_CELL_LIMIT:
-        raise EigsolverFailure(
-            f"{n} cells exceeds the cell limit {DENSE_EIG_CELL_LIMIT} of the mode sweep"
-        )
+    _sweep_cells(grid)
     # lambda_h of every mode, ascending, and its DCT-II index on each axis; on
     # a rectangle lambda_x + lambda_y, sorted stably over the index pairs.
     lam = reduce(np.add.outer, [_dct_eigenvalues(m, h) for m, h in zip(grid.cells, grid.spacing)])

@@ -32,6 +32,14 @@ from .core import (
     _signal_level,
     neumann_eigenvalues,
 )
+from .helmholtz import face_gradients, get_operator
+from .stability import (
+    SWEEP_COLUMNS,
+    _bracketed_minimum,
+    _gain,
+    _sweep_cells,
+    critical_sensitivity,
+)
 
 
 class HypothesisViolated(ValueError):
@@ -508,19 +516,6 @@ def _minimal_values(
     return chi1, chi2, cb, cap
 
 
-def _unit_fields(grid: GridDomain) -> np.ndarray:
-    """The identity with the grid axes first: every unit field, stacked.
-    Above DENSE_EIG_CELL_LIMIT cells EigsolverFailure, before any n^2 array."""
-    from .stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure
-
-    n = grid.total_cells
-    if n > DENSE_EIG_CELL_LIMIT:
-        raise EigsolverFailure(
-            f"{n} cells exceeds the cell limit {DENSE_EIG_CELL_LIMIT} of an n x n array"
-        )
-    return np.eye(n).reshape(*grid.shape, n)
-
-
 def gradient_constant(grid: GridDomain, mu: float) -> float:
     """The exact Neumann gradient-estimate constant M0 of the grid.
 
@@ -532,15 +527,22 @@ def gradient_constant(grid: GridDomain, mu: float) -> float:
 
         M0_h = sqrt(mu) max over interior faces of |row|_1 / 2.
 
-    The inverse is one certified `HelmholtzOperator.solve` of the stacked
-    unit fields. A mu that is not positive raises SingularOperator, and a
-    grid above DENSE_EIG_CELL_LIMIT cells (the inverse holds n^2 entries)
-    raises EigsolverFailure.
+    The inverse is taken SWEEP_COLUMNS columns at a time, each block one
+    certified `HelmholtzOperator.solve` of the stacked unit fields, and the
+    rows' l1 norms are summed over the blocks, so no n^2 array is held. A
+    mu that is not positive raises SingularOperator, and a grid above
+    DENSE_EIG_CELL_LIMIT cells (the sweep costs O(n^2)) raises
+    EigsolverFailure.
     """
-    from .helmholtz import face_gradients, get_operator
-
-    rows = face_gradients(get_operator(grid, mu).solve(_unit_fields(grid)), grid)
-    return math.sqrt(mu) * max(0.5 * float(np.abs(r).sum(axis=-1).max()) for r in rows)
+    n = _sweep_cells(grid)
+    op = get_operator(grid, mu)
+    norms = [0.0] * grid.dimension
+    for start in range(0, n, SWEEP_COLUMNS):
+        # Column j of this eye is the unit field of cell start + j.
+        units = np.eye(n, min(SWEEP_COLUMNS, n - start), -start).reshape(*grid.shape, -1)
+        rows = face_gradients(op.solve(units), grid)
+        norms = [total + np.abs(r).sum(axis=-1) for total, r in zip(norms, rows)]
+    return math.sqrt(mu) * max(0.5 * float(total.max()) for total in norms)
 
 
 @dataclass(frozen=True)
@@ -690,8 +692,6 @@ def _ordering_checks(part: str, sample: dict[str, np.ndarray], unit: np.ndarray)
     Returns the (lhs_name, lhs, rhs_name, rhs) array checks and the mask
     of rows whose applicability gate holds.
     """
-    from .stability import _bracketed_minimum, _gain
-
     s = sample
     scale = (math.pi / s["length"]) ** 2
     gain = _gain(s["nu"], s["gamma"], s["m"], s["beta"], s["u_star"], s["v_star"])
@@ -801,8 +801,6 @@ def threshold_report(
     minimal_inputs_source: str = "user",
 ) -> ThresholdReport:
     """Assemble the full threshold report for one parameter point."""
-    from .stability import critical_sensitivity
-
     aux = build_aux_constants(params, spectrum, dimension, m0, m0_source, c_star)
     chi_star_value, argmin_mode = critical_sensitivity(params, eq, spectrum)
 

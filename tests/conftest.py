@@ -12,8 +12,7 @@ import pytest
 
 from chemostab import GridDomain, ModelParams, equilibrium, neumann_eigenvalues
 from chemostab.helmholtz import laplacian
-from chemostab.stability import _candidates
-from chemostab.thresholds import _unit_fields
+from chemostab.stability import _candidates, _sweep_cells
 
 REFERENCE = dict(
     chi0=1.0, beta=0.0, m=1.0, alpha=1.0, gamma=1.0,
@@ -45,10 +44,10 @@ def scanned_minimum(unit, scale, a_alpha, mu, gain):
 
 def dense_laplacian(grid):
     """lap_h as a dense (n, n) matrix: the stencil applied to every unit
-    field. Above DENSE_EIG_CELL_LIMIT cells EigsolverFailure, as
-    thresholds._unit_fields raises it."""
-    n = grid.total_cells
-    return laplacian(_unit_fields(grid), grid).reshape(n, n)
+    field. Above DENSE_EIG_CELL_LIMIT cells EigsolverFailure, before the
+    n x n identity is built."""
+    n = _sweep_cells(grid)
+    return laplacian(np.eye(n).reshape(*grid.shape, n), grid).reshape(n, n)
 
 
 def face_cells(dimension, axis):

@@ -1,10 +1,12 @@
 """Config parsing and the JSON command-line front end."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,17 +16,14 @@ import chemostab.cli
 from chemostab import GridDomain, gradient_constant
 from chemostab.cli import jsonable, main
 from chemostab.config import (
+    KEYS,
     ConfigError,
-    get_float,
-    get_float_list,
-    get_int,
-    get_int_list,
-    get_str,
     grid_from_config,
     init_from_config,
-    load_config,
     params_from_config,
     parse_config_text,
+    read_config,
+    required,
     step_config_from_config,
 )
 from chemostab.core import Equilibrium
@@ -91,61 +90,83 @@ class TestParsing:
         with pytest.raises(ConfigError, match="empty"):
             parse_config_text("a =\n")
 
-    def test_load_config(self, tmp_path):
+    def test_read_config(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("x = 3\n")
-        assert load_config(path) == {"x": "3"}
+        path.write_text("domain.dimension = 3\n")
+        assert read_config(path) == {"domain.dimension": 3}
 
 
-class TestGetters:
-    def test_typed_access(self):
-        cfg = {"f": "2.5", "i": "7", "s": "text"}
-        assert get_float(cfg, "f") == 2.5
-        assert get_int(cfg, "i") == 7
-        assert get_str(cfg, "s") == "text"
+class TestTypedConfig:
+    def test_typed_access(self, tmp_path):
+        cfg = read_config(write_cfg(tmp_path, text="mu = 2.5\nrun.output_stride = 7\n"
+                                                   "init.kind = text\n"))
+        assert cfg == {"mu": 2.5, "run.output_stride": 7, "init.kind": "text"}
+        assert type(cfg["run.output_stride"]) is int
+
+    def test_base_config_has_the_types_of_keys(self, tmp_path):
+        cfg = read_config(write_cfg(tmp_path))
+        assert set(cfg) <= set(KEYS)
+        for key, value in cfg.items():
+            kind = KEYS[key]
+            if isinstance(kind, tuple):
+                assert type(value) is tuple and value
+                assert all(type(entry) is kind[0] for entry in value), key
+            else:
+                assert type(value) is kind, key
+
+    def test_every_step_config_field_is_a_run_key(self):
+        hints = typing.get_type_hints(StepConfig)
+        assert [f.name for f in dataclasses.fields(StepConfig)] == list(hints)
+        for name, kind in hints.items():
+            assert KEYS[f"run.{name}"] is kind
+        assert {key for key in KEYS if key.startswith("run.")} == {f"run.{name}" for name in hints}
 
     def test_defaults_and_missing(self):
-        assert get_float({}, "x", 1.5) == 1.5
+        assert init_from_config({"init.kind": "perturbation", "init.u_star": 1.0}).amplitude == 0.0
+        assert required({"x": 1.5}, "x") == 1.5
+        with pytest.raises(ConfigError, match="missing required key 'x'"):
+            required({}, "x")
         with pytest.raises(ConfigError, match="missing"):
-            get_float({}, "x")
-        with pytest.raises(ConfigError, match="missing"):
-            get_str({}, "x")
+            grid_from_config({"domain.dimension": 1})
 
-    def test_parse_failures(self):
-        with pytest.raises(ConfigError, match="cannot parse"):
-            get_float({"x": "abc"}, "x")
-        with pytest.raises(ConfigError, match="cannot parse"):
-            step_config_from_config({"run.t_end": "1", "run.store_snapshots": "maybe"})
+    def test_parse_failures(self, tmp_path):
+        with pytest.raises(ConfigError, match="key 'mu': cannot parse 'abc' as float"):
+            read_config(write_cfg(tmp_path, text="mu = abc\n"))
+        with pytest.raises(ConfigError, match="cannot parse 'maybe' as bool"):
+            read_config(write_cfg(tmp_path, text="run.t_end = 1\nrun.store_snapshots = maybe\n"))
 
-    def test_lists(self):
-        cfg = {"v": "1.0, 2.5 ,3", "k": "4, 5"}
-        assert get_float_list(cfg, "v") == (1.0, 2.5, 3.0)
-        assert get_int_list(cfg, "k") == (4, 5)
+    def test_lists(self, tmp_path):
+        cfg = read_config(write_cfg(tmp_path, text="domain.lengths = 1.0, 2.5 ,3\n"
+                                                   "domain.cells = 4, 5\n"))
+        assert cfg["domain.lengths"] == (1.0, 2.5, 3.0)
+        assert cfg["domain.cells"] == (4, 5)
+        cfg = read_config(write_cfg(tmp_path, text="domain.cells = 4\n"))
+        assert cfg["domain.cells"] == (4,)
 
 
 class TestBuilders:
     def test_params_roundtrip(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path))
+        cfg = read_config(write_cfg(tmp_path))
         assert params_from_config(cfg) == make_params()
 
     def test_params_missing_listed(self):
         with pytest.raises(ConfigError, match="beta"):
-            params_from_config({"chi0": "1"})
+            params_from_config({"chi0": 1.0})
 
     def test_grid(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path))
+        cfg = read_config(write_cfg(tmp_path))
         grid = grid_from_config(cfg)
         assert grid.dimension == 1
         assert grid.cells == (64,)
 
     def test_grid_mismatched_entries(self):
-        cfg = {"domain.dimension": "2", "domain.lengths": "1.0",
-               "domain.cells": "8, 8"}
+        cfg = {"domain.dimension": 2, "domain.lengths": (1.0,),
+               "domain.cells": (8, 8)}
         with pytest.raises(ConfigError, match="entries"):
             grid_from_config(cfg)
 
     def test_init_kinds(self, tmp_path):
-        assert init_from_config({"init.kind": "constant", "init.value": "2"}).value == 2.0
+        assert init_from_config({"init.kind": "constant", "init.value": 2.0}).value == 2.0
         spec = init_from_config({"init.kind": "perturbation"}, base_u_star=1.5)
         assert spec.u_star == 1.5
         with pytest.raises(ConfigError, match="missing"):
@@ -162,19 +183,20 @@ class TestBuilders:
             init_from_config({"init.kind": "array", "init.path": "/nonexistent.npy"})
 
     def test_step_config_defaults_and_errors(self):
-        cfg = step_config_from_config({"run.t_end": "1.0"})
+        cfg = step_config_from_config({"run.t_end": 1.0})
         assert cfg.dt == 1e-3 and cfg.output_stride == 10
         with pytest.raises(ConfigError):
-            step_config_from_config({"run.t_end": "-1.0"})
+            step_config_from_config({"run.t_end": -1.0})
         with pytest.raises(ConfigError, match="missing"):
             step_config_from_config({})
 
-    def test_step_config_defaults_come_from_step_config(self):
-        assert step_config_from_config({"run.t_end": "2.5"}) == StepConfig(t_end=2.5)
-        cfg = step_config_from_config({"run.t_end": "1", "run.dt_policy": "cfl",
-                                       "run.store_snapshots": "yes"})
+    def test_step_config_defaults_come_from_step_config(self, tmp_path):
+        assert step_config_from_config({"run.t_end": 2.5}) == StepConfig(t_end=2.5)
+        cfg = step_config_from_config(read_config(write_cfg(
+            tmp_path, text="run.t_end = 1\nrun.dt_policy = cfl\nrun.store_snapshots = yes\n")))
         assert cfg == StepConfig(t_end=1.0, dt_policy="cfl", store_snapshots=True)
-        cfg = step_config_from_config({"run.t_end": "1", "run.store_snapshots": "0"})
+        cfg = step_config_from_config(read_config(write_cfg(
+            tmp_path, text="run.t_end = 1\nrun.store_snapshots = 0\n")))
         assert cfg.store_snapshots is False
 
 
@@ -268,6 +290,32 @@ class TestSimulateCommand:
         assert error["error"] == "ConfigError"
         assert "'run.dt_polcy'" in error["message"]
         assert "'run.output_strid'" in error["message"]
+
+    @pytest.mark.parametrize("command", ["simulate", "stability", "thresholds",
+                                         "rectangle", "sweep"])
+    @pytest.mark.parametrize("line, key, value, kind", [
+        ("run.dt = abc", "run.dt", "abc", "float"),
+        ("init.amplitude = zz", "init.amplitude", "zz", "float"),
+        ("sweep.values = x, y", "sweep.values", "x", "float"),
+        ("run.output_stride = 2.5", "run.output_stride", "2.5", "int"),
+    ], ids=["run.dt", "init.amplitude", "sweep.values", "run.output_stride"])
+    def test_malformed_values_rejected_by_every_command(self, tmp_path, capsys, command,
+                                                        line, key, value, kind):
+        # Each command exits 2 on a malformed value, read or not: stability
+        # and rectangle read no run.* or init.* key, and only sweep reads
+        # sweep.values.
+        text = BASE_CFG.format(**REFERENCE)
+        text = "\n".join(row for row in text.splitlines() if not row.startswith(f"{key} "))
+        text += "\nsweep.parameter = chi0\nsweep.values = 3.9, 4.1\n"
+        if key == "sweep.values":
+            text = text.replace("sweep.values = 3.9, 4.1", line)
+        else:
+            text += line + "\n"
+        cfg = write_cfg(tmp_path, text=text)
+        code, payload, error = run_cli(capsys, command, "--config", cfg)
+        assert (code, payload) == (2, None)
+        assert error == {"error": "ConfigError",
+                         "message": f"key {key!r}: cannot parse {value!r} as {kind}"}
 
     @pytest.mark.parametrize("key, value", [
         ("t_end", "nan"), ("t_end", "inf"), ("dt", "nan"), ("dt", "inf"),

@@ -466,6 +466,29 @@ class TestGradientConstant:
         gradient_constant(grid, 1.0)
         assert stacks == [((8, 12, 96), (8, 12, 96))]
 
+    @pytest.mark.parametrize("grid", [GridDomain.interval(math.pi, 64),
+                                      GridDomain.rectangle(1.0, 2.5, 12, 10)],
+                             ids=["64", "12x10"])
+    @pytest.mark.parametrize("columns", [25, 128])
+    def test_blocks_agree_with_the_dense_inverse(self, monkeypatch, grid, columns):
+        # 25 columns a block leaves a short last block on both grids; 128
+        # takes each in one. Each block is one certified stacked solve.
+        mu, n = 1.0, grid.total_cells
+        monkeypatch.setattr("chemostab.thresholds.SWEEP_COLUMNS", columns)
+        widths = []
+
+        def spy(grid_, mu_, rhs, solutions):
+            widths.append(rhs.shape[-1])
+            certify(grid_, mu_, rhs, solutions)
+
+        monkeypatch.setattr("chemostab.helmholtz.certify", spy)
+        got = gradient_constant(grid, mu)
+        assert widths == [min(columns, n - start) for start in range(0, n, columns)]
+        inverse = np.linalg.inv(mu * np.eye(n) - dense_laplacian(grid))
+        rows = face_gradients(inverse.reshape(*grid.shape, n), grid)
+        dense = math.sqrt(mu) * max(0.5 * float(np.abs(r).sum(axis=-1).max()) for r in rows)
+        assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
+
     def test_failed_certificate_raises(self, monkeypatch):
         # A wrong inverse must not pass: the certificate sees the columns.
         def scaled(d, e, b):
