@@ -41,7 +41,6 @@ from .config import (
     step_config_from_config,
 )
 from .core import (
-    PARAM_FIELDS,
     Equilibrium,
     GridDomain,
     ModelParams,
@@ -155,6 +154,7 @@ def cmd_simulate(args) -> int:
         "status": "completed",
         "final_time": float(traj.times[-1]),
         "steps": traj.steps_taken,
+        "steps_integrated": traj.steps_integrated,
         "samples": len(traj),
         "u_min": float(traj.u_min[-1]),
         "u_max": float(traj.u_max[-1]),
@@ -285,8 +285,6 @@ def cmd_scenario(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = read_config(args.config)
     parameter = required(cfg, "sweep.parameter")
-    if parameter not in PARAM_FIELDS:
-        raise ConfigError(f"sweep.parameter must be a model coefficient, got {parameter!r}")
     values = required(cfg, "sweep.values")
     grid = grid_from_config(cfg)
     spectrum = neumann_eigenvalues(grid, args.n_max)

@@ -2,16 +2,18 @@
 
 Blank lines and `#` comments are ignored. `KEYS` below maps each recognized
 key to the type of its value; a 1-tuple type such as `(float,)` is a
-comma-separated list. `read_config`, which every `--config` command uses,
-rejects any other key, so a misspelt key is an error rather than a silent
-default, and parses every value as the file is read, so a malformed value
-is an error under every command, whether or not the command reads it.
+comma-separated list, and a `Literal` of strings is a string that must be
+one of them. `read_config`, which every `--config` command uses, rejects
+any other key, so a misspelt key is an error rather than a silent default,
+and parses and checks every value as the file is read, so a malformed or
+unknown value is an error under every command, whether or not the command
+reads it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Mapping, get_type_hints
+from typing import Any, Literal, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,15 +32,17 @@ class ConfigError(ValueError):
     """Malformed or incomplete configuration."""
 
 
-KEYS: dict[str, type | tuple[type]] = {
+InitKind = Literal["constant", "perturbation", "array"]
+
+KEYS: dict[str, Any] = {
     **{name: float for name in PARAM_FIELDS},  # model coefficients
     "domain.dimension": int, "domain.lengths": (float,), "domain.cells": (int,),
-    # init.kind is constant, perturbation or array
-    "init.kind": str, "init.value": float, "init.u_star": float,
+    "init.kind": InitKind, "init.value": float, "init.u_star": float,
     "init.amplitude": float, "init.mode": (int,), "init.path": str,
     # run.* keys take StepConfig's field types; their defaults live there too.
     **{f"run.{name}": kind for name, kind in get_type_hints(StepConfig).items()},
-    "sweep.parameter": str, "sweep.values": (float,),
+    # A sweep varies one model coefficient.
+    "sweep.parameter": Literal[PARAM_FIELDS], "sweep.values": (float,),
 }
 
 
@@ -71,9 +75,13 @@ def read_config(path: str | Path) -> dict[str, Any]:
     return {key: _convert(key, value, KEYS[key]) for key, value in cfg.items()}
 
 
-def _convert(key: str, value: str, kind: type | tuple[type]) -> Any:
+def _convert(key: str, value: str, kind: Any) -> Any:
     if isinstance(kind, tuple):
         return tuple(_convert(key, part.strip(), kind[0]) for part in value.split(","))
+    if get_origin(kind) is Literal:
+        if value in get_args(kind):
+            return value
+        raise ConfigError(f"key {key!r}: {value!r} is not one of {', '.join(get_args(kind))}")
     try:
         if kind is bool:
             lowered = value.lower()
@@ -132,9 +140,7 @@ def init_from_config(cfg: Mapping[str, Any], base_u_star: float | None = None) -
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load init.path {path!r}: {exc}") from exc
         return InitSpec.from_array(array)
-    raise ConfigError(
-        f"init.kind must be constant, perturbation or array, got {kind!r}"
-    )
+    raise ConfigError(f"init.kind must be one of {', '.join(get_args(InitKind))}, got {kind!r}")
 
 
 def step_config_from_config(cfg: Mapping[str, Any]) -> StepConfig:

@@ -158,6 +158,10 @@ def integrate_rectangle(
     unless tau_end, dt and tau_end / dt are positive and finite, and
     TooManySteps, before anything is allocated, when the step count
     round(tau_end / dt) exceeds STEP_LIMIT.
+
+    A step that returns its pair unchanged ends the loop, and the pair
+    fills the remaining entries: the rates do not depend on tau, so every
+    later step would return it too.
     """
     # NaN fails every comparison; tau_end / dt is finite only if tau_end is.
     if not (tau_end > 0.0 and math.inf > dt > 0.0 and math.isfinite(tau_end / dt)):
@@ -203,6 +207,11 @@ def integrate_rectangle(
             )
         ubar.append(b)
         ulow.append(lo)
+        if b == ubar[-2] and lo == ulow[-2]:
+            rest = n_steps - 1 - i
+            ubar.extend([b] * rest)
+            ulow.extend([lo] * rest)
+            break
     return RectangleTrajectory(rp=rp, tau=tau, ubar=np.array(ubar), ulow=np.array(ulow))
 
 

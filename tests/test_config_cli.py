@@ -26,7 +26,7 @@ from chemostab.config import (
     required,
     step_config_from_config,
 )
-from chemostab.core import Equilibrium
+from chemostab.core import PARAM_FIELDS, Equilibrium
 from chemostab.integrator import StepConfig
 from chemostab.stability import DENSE_EIG_CELL_LIMIT
 from chemostab.thresholds import c_star_from_table, default_c_star_stub
@@ -99,8 +99,8 @@ class TestParsing:
 class TestTypedConfig:
     def test_typed_access(self, tmp_path):
         cfg = read_config(write_cfg(tmp_path, text="mu = 2.5\nrun.output_stride = 7\n"
-                                                   "init.kind = text\n"))
-        assert cfg == {"mu": 2.5, "run.output_stride": 7, "init.kind": "text"}
+                                                   "init.path = text\n"))
+        assert cfg == {"mu": 2.5, "run.output_stride": 7, "init.path": "text"}
         assert type(cfg["run.output_stride"]) is int
 
     def test_base_config_has_the_types_of_keys(self, tmp_path):
@@ -111,6 +111,8 @@ class TestTypedConfig:
             if isinstance(kind, tuple):
                 assert type(value) is tuple and value
                 assert all(type(entry) is kind[0] for entry in value), key
+            elif typing.get_origin(kind) is typing.Literal:
+                assert value in typing.get_args(kind), key
             else:
                 assert type(value) is kind, key
 
@@ -232,10 +234,19 @@ class TestSimulateCommand:
         code, payload, _ = run_cli(capsys, "simulate", "--config", cfg, "--csv", csv)
         assert code == 0
         assert payload["status"] == "completed"
-        assert payload["steps"] == 200
+        assert payload["steps"] == payload["steps_integrated"] == 200
         assert payload["positivity_clips"] == 0
         header = open(csv).readline().strip()
         assert header == "t,u_min,u_max,v_min,v_max,mass,err_inf,lyapunov,dissipation"
+
+    def test_a_run_at_the_equilibrium_stops_integrating(self, tmp_path, capsys):
+        # u* = 1 is a fixed point of the step by the first sample, at step 20.
+        text = BASE_CFG.format(**REFERENCE).replace(
+            "init.kind = perturbation", "init.kind = constant"
+        ).replace("init.amplitude = 0.01", "init.value = 1")
+        code, payload, _ = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path, text=text))
+        assert code == 0
+        assert (payload["steps"], payload["steps_integrated"]) == (200, 20)
 
     def test_blowup_exit_code(self, tmp_path, capsys):
         text = BASE_CFG.format(**REFERENCE).replace(
@@ -293,29 +304,30 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("command", ["simulate", "stability", "thresholds",
                                          "rectangle", "sweep"])
-    @pytest.mark.parametrize("line, key, value, kind", [
-        ("run.dt = abc", "run.dt", "abc", "float"),
-        ("init.amplitude = zz", "init.amplitude", "zz", "float"),
-        ("sweep.values = x, y", "sweep.values", "x", "float"),
-        ("run.output_stride = 2.5", "run.output_stride", "2.5", "int"),
-    ], ids=["run.dt", "init.amplitude", "sweep.values", "run.output_stride"])
+    @pytest.mark.parametrize("line, key, problem", [
+        ("run.dt = abc", "run.dt", "cannot parse 'abc' as float"),
+        ("init.amplitude = zz", "init.amplitude", "cannot parse 'zz' as float"),
+        ("sweep.values = x, y", "sweep.values", "cannot parse 'x' as float"),
+        ("run.output_stride = 2.5", "run.output_stride", "cannot parse '2.5' as int"),
+        ("run.dt_policy = foo", "run.dt_policy", "'foo' is not one of fixed, cfl"),
+        ("init.kind = wavelet", "init.kind",
+         "'wavelet' is not one of constant, perturbation, array"),
+        ("sweep.parameter = cells", "sweep.parameter",
+         f"'cells' is not one of {', '.join(PARAM_FIELDS)}"),
+    ], ids=["run.dt", "init.amplitude", "sweep.values", "run.output_stride",
+            "run.dt_policy", "init.kind", "sweep.parameter"])
     def test_malformed_values_rejected_by_every_command(self, tmp_path, capsys, command,
-                                                        line, key, value, kind):
-        # Each command exits 2 on a malformed value, read or not: stability
-        # and rectangle read no run.* or init.* key, and only sweep reads
-        # sweep.values.
-        text = BASE_CFG.format(**REFERENCE)
-        text = "\n".join(row for row in text.splitlines() if not row.startswith(f"{key} "))
-        text += "\nsweep.parameter = chi0\nsweep.values = 3.9, 4.1\n"
-        if key == "sweep.values":
-            text = text.replace("sweep.values = 3.9, 4.1", line)
-        else:
-            text += line + "\n"
-        cfg = write_cfg(tmp_path, text=text)
+                                                        line, key, problem):
+        # Each command exits 2 on a malformed or unknown value, read or not:
+        # stability and rectangle read no run.* or init.* key, and only sweep
+        # reads sweep.*.
+        rows = [row for row in BASE_CFG.format(**REFERENCE).splitlines()
+                + ["sweep.parameter = chi0", "sweep.values = 3.9, 4.1"]
+                if not row.startswith(f"{key} ")]
+        cfg = write_cfg(tmp_path, text="\n".join(rows + [line]) + "\n")
         code, payload, error = run_cli(capsys, command, "--config", cfg)
         assert (code, payload) == (2, None)
-        assert error == {"error": "ConfigError",
-                         "message": f"key {key!r}: cannot parse {value!r} as {kind}"}
+        assert error == {"error": "ConfigError", "message": f"key {key!r}: {problem}"}
 
     @pytest.mark.parametrize("key, value", [
         ("t_end", "nan"), ("t_end", "inf"), ("dt", "nan"), ("dt", "inf"),

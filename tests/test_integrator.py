@@ -837,6 +837,106 @@ class TestRunMatchesReferenceLoop:
         assert traj.steps_taken > 10
         assert reductions.count("minimum") == reductions.count("maximum") == traj.steps_taken + 1
 
+    # A fast logistic source (a = b = 20) takes rough data to a state that
+    # `step` returns bit for bit after about 150 steps. The fixed run ends
+    # with a partial step, and the cfl run's last step takes up the
+    # remaining time, so neither last step has the fixed point's dt.
+    SETTLING = {
+        "fixed": dict(t_end=5.005, dt=1e-2),
+        "cfl": dict(t_end=5.0, dt=5e-2, dt_policy="cfl"),
+    }
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["sample-before", "sample-at",
+                                                       "sample-after"])
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_a_run_skips_the_steps_at_a_fixed_point(self, name, policy, offset, monkeypatch):
+        grid = self.GRIDS[name]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5, a=20.0, b=20.0)
+        init = self.rough_init(grid, p, 5, 0.3)
+        states = reference_run(p, grid, init, StepConfig(
+            output_stride=1, store_snapshots=True, **self.SETTLING[policy])).snapshots
+        settled = next(k for k in range(2, len(states))
+                       if states[k].u.tobytes() == states[k - 1].u.tobytes())
+        # The last sample before the fixed point's first step, that step
+        # itself, or the step after it.
+        stride = settled + offset
+        cfg = StepConfig(output_stride=stride, store_snapshots=True, **self.SETTLING[policy])
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        _, dts = counting_builds(monkeypatch)
+        got = run(p, grid, init, cfg)
+        assert run_outcome(lambda: got) == expected
+        # `step` runs up to the first sample at or after the fixed point, and
+        # once more for the last step.
+        detected = -(-settled // stride) * stride
+        assert len(dts) == got.steps_integrated == detected + 1 < got.steps_taken - stride
+        assert dts[-1] != dts[-2]
+        # Samples taken while skipping share the fixed point's arrays.
+        first = got.snapshots[detected // stride]
+        skipped = got.snapshots[detected // stride + 1:-1]
+        assert skipped and all(s.u is first.u and s.v is first.v for s in skipped)
+
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_a_clipping_fixed_point_counts_every_step(self, name, policy, monkeypatch):
+        # The logistic source pulls u = 2 towards u* = 1 and a floor of 2
+        # clips every cell back up, on every step.
+        grid = self.GRIDS[name]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5)
+        init = init_state(grid, InitSpec.constant(2.0), p)
+        cfg = StepConfig(t_end=1.005, dt=1e-2 if policy == "fixed" else 5e-2, dt_policy=policy,
+                         output_stride=7, positivity_floor=2.0, store_snapshots=True)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        _, dts = counting_builds(monkeypatch)
+        got = run(p, grid, init, cfg)
+        assert run_outcome(lambda: got) == expected
+        assert got.clip_count == grid.total_cells * got.steps_taken
+        # Seven steps to the first sample, and the last step.
+        assert len(dts) == got.steps_integrated == 8 < got.steps_taken
+
+    @pytest.mark.parametrize("policy, integrated", [("fixed", 2), ("cfl", 3)])
+    def test_a_returned_initial_state_is_no_fixed_point(self, policy, integrated):
+        # init.v is not the run's signal of init.u: its gradient drives a
+        # flux in step 1 that a floor of 2 clips away, so step 1 returns
+        # init.u bit for bit. Step 2 sees the flat signal of u_1, and under
+        # cfl its dt is larger, so only from step 2 on is a step that
+        # returns its input a fixed point.
+        grid = self.GRIDS["1d"]
+        p = make_params(chi0=0.5)
+        init = FieldState(0.0, np.full(grid.shape, 2.0), 1.0 + np.cos(grid.centers()))
+        cfg = StepConfig(t_end=1.0, dt=0.5 if policy == "cfl" else 5e-2, dt_policy=policy,
+                         output_stride=1, positivity_floor=2.0, store_snapshots=True)
+        reference = reference_run(p, grid, init, cfg)
+        states = reference.snapshots
+        assert states[1].u.tobytes() == init.u.tobytes()
+        if policy == "cfl":
+            assert states[2].time - states[1].time > states[1].time - states[0].time
+        expected = run_outcome(lambda: reference)
+        got = run(p, grid, init, cfg)
+        assert run_outcome(lambda: got) == expected
+        assert got.steps_integrated == integrated
+
+
+class TestStepsAtAFixedPoint:
+    @pytest.mark.parametrize("policy, calls", [("fixed", 10), ("cfl", 11)])
+    def test_the_constant_equilibrium_steps_until_the_first_sample(self, policy, calls,
+                                                                   monkeypatch):
+        # u* = 1 is a fixed point of `step` by the first sample, at step 10,
+        # and every later step of dt is skipped. Under cfl dt is the cap, and
+        # the 100th step takes up the remaining time, which the running sum
+        # of dt leaves a little short of dt, so `step` runs once more.
+        grid = GridDomain.interval(math.pi, 64)
+        p = make_params()
+        init = init_state(grid, InitSpec.constant(1.0), p)
+        cfg = StepConfig(t_end=0.5, dt=5e-3, dt_policy=policy, output_stride=10)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        # counting_builds wraps integrator.step, so this also checks that
+        # `run` looks the name up on every step.
+        _, dts = counting_builds(monkeypatch)
+        got = run(p, grid, init, cfg)
+        assert run_outcome(lambda: got) == expected
+        assert (got.steps_taken, got.steps_integrated, len(dts)) == (100, calls, calls)
+
 
 @contextmanager
 def corrupted_solve(grid, index, fault):

@@ -222,6 +222,27 @@ class TestFloatLoopMatchesArrayLoop:
         assert traj.ubar.tobytes() == ubar.tobytes()
         assert traj.ulow.tobytes() == ulow.tobytes()
 
+    def test_a_repeated_pair_fills_the_rest(self, reference_eq, monkeypatch):
+        # A weak coupling contracts the pair to a pair that one step maps to
+        # itself, bit for bit, at step 733 of 1,200; the array loop, which
+        # has no exit, computes every later step.
+        rp = normalize(make_params(chi0=0.05), reference_eq, m0=0.0)
+        ubar, ulow = array_rk4(rp, 1.25, 0.75, 60.0, 5e-2)
+        repeated = (ubar[1:] == ubar[:-1]) & (ulow[1:] == ulow[:-1])
+        assert np.argmax(repeated) + 1 == 733
+        calls = []
+        rates = rectangle._pair_rates
+
+        def counting_rates(*args):
+            calls.append(args)
+            return rates(*args)
+
+        monkeypatch.setattr(rectangle, "_pair_rates", counting_rates)
+        traj = integrate_rectangle(rp, 1.25, 0.75, tau_end=60.0, dt=5e-2)
+        assert len(calls) == 4 * 733
+        assert traj.ubar.tobytes() == ubar.tobytes()
+        assert traj.ulow.tobytes() == ulow.tobytes()
+
     @pytest.mark.parametrize(
         "overrides, pair, dt",
         [
