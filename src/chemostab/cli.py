@@ -13,7 +13,8 @@
 
 `fuzz` draws its trials in blocks, one generator call per variable, and
 checks each block with array operations, so memory stays bounded at any
-trial count. A negative trial count is an error (exit 2).
+trial count. A negative trial count is an error (exit 2), and so is
+`scenario --csv` for a scenario with no trajectory (thresholds-only, sweep).
 
 Exit codes: 0 success, 1 failed verdict or detected violation, 2 error.
 All reports are JSON on stdout; infinities are encoded as the strings
@@ -276,7 +277,10 @@ def cmd_rectangle(args) -> int:
 
 def cmd_scenario(args) -> int:
     result = run_scenario(args.name)
-    if args.csv and result.trajectory is not None:
+    if args.csv:
+        if result.trajectory is None:
+            raise ValueError(f"scenario {args.name!r} runs no PDE: it has no trajectory "
+                             f"to write to --csv")
         result.trajectory.write_csv(args.csv)
     _emit(result.verdict)
     return 0 if result.verdict["pass"] else 1

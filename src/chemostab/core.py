@@ -295,16 +295,18 @@ class SpectrumTable:
     eigenvalues: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ev = self.eigenvalues
-        if len(ev) < 2:
+        array = np.array(self.eigenvalues, dtype=float)
+        if len(array) < 2:
             raise ValueError("spectrum needs at least the constant mode and one more")
-        if ev[0] != 0.0:
-            raise ValueError(f"lowest eigenvalue must be exactly 0, got {ev[0]}")
-        if any(ev[i] > ev[i + 1] for i in range(len(ev) - 1)):
+        if array[0] != 0.0:
+            raise ValueError(f"lowest eigenvalue must be exactly 0, got {array[0]}")
+        if np.any(array[:-1] > array[1:]):
             raise ValueError("eigenvalues must be sorted ascending")
-        if ev[1] <= 0.0:
+        if array[1] <= 0.0:
             raise ValueError("all eigenvalues after the first must be positive")
-        array = np.array(ev, dtype=float)
+        # A NaN after entry 0 passes the checks above, so finiteness is tested by name.
+        if not np.isfinite(array).all():
+            raise ValueError("eigenvalues must be finite")
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
 

@@ -47,6 +47,7 @@ acceptance suite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Literal, get_args
 
@@ -123,8 +124,16 @@ class StepConfig:
             )
         if not 0.0 < self.sigma_cfl <= 1.0:
             raise ValueError(f"sigma_cfl must be in (0, 1], got {self.sigma_cfl}")
-        if self.output_stride < 1:
-            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        # A stride is a whole step count: 1.5 would sample every third step.
+        try:
+            stride = operator.index(self.output_stride)
+        except TypeError:
+            raise ValueError(
+                f"output_stride must be an integer, got {self.output_stride!r}"
+            ) from None
+        if stride < 1:
+            raise ValueError(f"output_stride must be >= 1, got {stride}")
+        object.__setattr__(self, "output_stride", stride)
         # An infinite cap is no cap; a NaN cap would silently be none too.
         if not self.blowup_cap > 0.0:
             raise ValueError(f"blowup_cap must be positive, got {self.blowup_cap}")

@@ -8,10 +8,11 @@ expected bounds, and a pass flag. Presets violating their own a-priori
 gates raise HypothesisNotMet; measured shortfalls only set pass = false.
 No scenario draws random numbers, so repeated runs are byte-identical.
 
-`pass` is computed from the named entries of `expected` (see `_meets`), so
-each checked bound is written once, in the verdict that reports it. The
-few checks that do not fit its naming, such as the rectangle's sandwich,
-are written out where a scenario computes `ok`, from the values it reports.
+`pass` checks every `_max`/`_min` entry of `expected` (see `_meets`) and the
+other entries a scenario names as equalities, so each checked bound is
+written once, in the verdict that reports it. The few checks that do not fit
+its naming, such as the rectangle's sandwich, are written out where a
+scenario computes `ok`, from the values it reports.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    Equilibrium,
     GridDomain,
     InitSpec,
     ModelParams,
@@ -38,7 +40,6 @@ from .diagnostics import (
 )
 from .integrator import StepConfig, Trajectory, run
 from .rectangle import (
-    RectangleTrajectory,
     contraction_tail,
     integrate_rectangle,
     normalize,
@@ -60,20 +61,22 @@ class ScenarioResult:
     name: str
     verdict: dict
     trajectory: Trajectory | None = None
-    rectangle: RectangleTrajectory | None = None
 
 
-def _result(name, theorem, hypotheses, measured, expected, ok,
-            trajectory=None, rectangle=None) -> ScenarioResult:
+def _result(name, theorem, hypotheses, measured, expected, ok=True, equal=(),
+            trajectory=None) -> ScenarioResult:
+    """The verdict; it passes when `ok`, every `_max`/`_min` bound of
+    `expected` and the `equal` entries of `expected` hold for `measured`."""
+    bounds = [key for key in expected if key.endswith(("_max", "_min"))]
     verdict = {
         "scenario": name,
         "theorem": theorem,
         "hypotheses_checked": hypotheses,
         "measured": measured,
         "expected": expected,
-        "pass": bool(ok),
+        "pass": bool(ok) and _meets(measured, expected, *bounds, *equal),
     }
-    return ScenarioResult(name, verdict, trajectory, rectangle)
+    return ScenarioResult(name, verdict, trajectory)
 
 
 def _meets(measured: dict, expected: dict, *keys: str) -> bool:
@@ -113,14 +116,24 @@ def _max_tolerated_increase(values: np.ndarray, tol_scale: float = 1e-8) -> floa
 _PINNED = dict(beta=0.0, m=1.0, alpha=1.0, gamma=1.0, a=1.0, b=1.0, mu=1.0, nu=1.0)
 
 
-def _interval(cells: int = 64) -> GridDomain:
-    return GridDomain.interval(math.pi, cells)
+def _interval() -> GridDomain:
+    return GridDomain.interval(math.pi, 64)
+
+
+def _perturbed_run(params: ModelParams, eq: Equilibrium | None, amplitude: float,
+                   **cfg) -> Trajectory:
+    """Run from the mode-1 perturbation of `amplitude` on the 64-cell interval,
+    about u* of `eq`, or about 1 with `eq` None (the minimal model, whose run
+    takes its equilibrium from the initial mass), with StepConfig(**cfg)."""
+    grid = _interval()
+    level = 1.0 if eq is None else eq.u_star
+    init = init_state(grid, InitSpec.perturbation(level, amplitude, 1), params)
+    return run(params, grid, init, StepConfig(**cfg), eq=eq)
 
 
 def scenario_persistence() -> ScenarioResult:
     params = ModelParams(chi0=1.0, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
                          a=2.0, b=1.0, mu=1.0, nu=1.0)
-    grid = _interval()
     eq = equilibrium(params)
     hypotheses = {
         "positive_sensitivity": params.chi0 > 0.0,
@@ -129,9 +142,8 @@ def scenario_persistence() -> ScenarioResult:
         < params.a / (params.mu * theta(params.beta - 1.0)),
     }
     _require(hypotheses, "persistence")
-    init = init_state(grid, InitSpec.perturbation(eq.u_star, 0.5, 1), params)
-    cfg = StepConfig(t_end=20.0, dt=1e-2, dt_policy="cfl", output_stride=10)
-    traj = run(params, grid, init, cfg, eq=eq)
+    traj = _perturbed_run(params, eq, 0.5, t_end=20.0, dt=1e-2, dt_policy="cfl",
+                          output_stride=10)
     slack = 0.05
     report = persistence_metrics(traj, params, slack=slack)
     measured = {
@@ -153,15 +165,12 @@ def scenario_persistence() -> ScenarioResult:
 def scenario_negative_sensitivity() -> ScenarioResult:
     params = ModelParams(chi0=-1.0, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
                          a=1.0, b=1.0, mu=1.0, nu=1.0)
-    grid = _interval()
     eq = equilibrium(params)
     hypotheses = {"non_positive_sensitivity": params.chi0 <= 0.0,
                   "logistic_source": not params.minimal}
     _require(hypotheses, "negative-sensitivity")
-    init = init_state(grid, InitSpec.perturbation(eq.u_star, 0.3, 1), params)
-    cfg = StepConfig(t_end=50.0, dt=1e-2, output_stride=50)
-    traj = run(params, grid, init, cfg, eq=eq)
-    spectrum = neumann_eigenvalues(grid, 200)
+    traj = _perturbed_run(params, eq, 0.3, t_end=50.0, dt=1e-2, output_stride=50)
+    spectrum = neumann_eigenvalues(traj.grid, 200)
     verdict = classify_equilibrium(params, eq, spectrum).verdict
     # The maximum principle pins the peak only while it exceeds u*; below
     # u* the source is free to push it back up, so check max(peak, u*).
@@ -178,31 +187,26 @@ def scenario_negative_sensitivity() -> ScenarioResult:
         "peak_monotonicity_excess_max": 0.0,
         "stability_verdict": "stable",
     }
-    ok = _meets(measured, expected, "final_error_max",
-                "peak_monotonicity_excess_max", "stability_verdict")
     return _result(
         "negative-sensitivity", "monotone spatial maximum under repulsive sensitivity",
-        hypotheses, measured, expected, ok, trajectory=traj,
+        hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj,
     )
 
 
 def _dichotomy_common(chi0: float):
     params = ModelParams(chi0=chi0, **_PINNED)
-    grid = _interval()
     eq = equilibrium(params)
-    spectrum = neumann_eigenvalues(grid, 200)
+    spectrum = neumann_eigenvalues(_interval(), 200)
     report = classify_equilibrium(params, eq, spectrum)
-    return params, grid, eq, report
+    return params, eq, spectrum, report
 
 
 def scenario_stable_dichotomy() -> ScenarioResult:
-    params, grid, eq, report = _dichotomy_common(chi0=3.2)
+    params, eq, spectrum, report = _dichotomy_common(chi0=3.2)
     hypotheses = {"chi0_below_chi_star": params.chi0 < report.chi_star}
     _require(hypotheses, "stable-dichotomy")
-    rate_predicted = -sigma_n(params, eq, neumann_eigenvalues(grid, 1).as_array()[1])
-    init = init_state(grid, InitSpec.perturbation(eq.u_star, 0.01, 1), params)
-    cfg = StepConfig(t_end=25.0, dt=5e-3, output_stride=20)
-    traj = run(params, grid, init, cfg, eq=eq)
+    rate_predicted = -sigma_n(params, eq, spectrum.lambda_star)
+    traj = _perturbed_run(params, eq, 0.01, t_end=25.0, dt=5e-3, output_stride=20)
     fit = fit_decay_rate(traj.times, traj.err_inf)
     rate_error = abs(fit.rate - rate_predicted) / rate_predicted
     measured = {
@@ -218,20 +222,18 @@ def scenario_stable_dichotomy() -> ScenarioResult:
         "stability_verdict": "stable",
         "chi_star": 4.0,
     }
-    ok = _meets(measured, expected, "relative_rate_error_max", "stability_verdict")
     return _result(
         "stable-dichotomy", "exponential mode decay below the critical sensitivity",
-        hypotheses, measured, expected, ok, trajectory=traj,
+        hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj,
     )
 
 
 def scenario_unstable_dichotomy() -> ScenarioResult:
-    params, grid, eq, report = _dichotomy_common(chi0=4.8)
+    params, eq, _, report = _dichotomy_common(chi0=4.8)
     hypotheses = {"chi0_above_chi_star": params.chi0 > report.chi_star}
     _require(hypotheses, "unstable-dichotomy")
-    init = init_state(grid, InitSpec.perturbation(eq.u_star, 0.01, 1), params)
-    cfg = StepConfig(t_end=12.0, dt=5e-3, dt_policy="cfl", output_stride=20)
-    traj = run(params, grid, init, cfg, eq=eq)
+    traj = _perturbed_run(params, eq, 0.01, t_end=12.0, dt=5e-3, dt_policy="cfl",
+                          output_stride=20)
     growth = float(np.max(traj.err_inf) / traj.err_inf[0])
     measured = {
         "amplification": growth,
@@ -244,16 +246,14 @@ def scenario_unstable_dichotomy() -> ScenarioResult:
         "stability_verdict": "unstable",
         "chi_star": 4.0,
     }
-    ok = _meets(measured, expected, "amplification_min", "stability_verdict")
     return _result(
         "unstable-dichotomy", "perturbation amplification above the critical sensitivity",
-        hypotheses, measured, expected, ok, trajectory=traj,
+        hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj,
     )
 
 
 def scenario_lyapunov_i() -> ScenarioResult:
     params = ModelParams(chi0=1.0, **_PINNED)
-    grid = _interval()
     eq = equilibrium(params)
     chi_ss1 = chi_double_star(params, eq, m0=0.0)[0]
     hypotheses = {
@@ -261,9 +261,7 @@ def scenario_lyapunov_i() -> ScenarioResult:
         "chi0_below_chi_ss1": chi_ss1.value is not None and params.chi0 < chi_ss1.value,
     }
     _require(hypotheses, "lyapunov-i")
-    init = init_state(grid, InitSpec.perturbation(eq.u_star, 0.3, 1), params)
-    cfg = StepConfig(t_end=20.0, dt=2e-3, output_stride=50)
-    traj = run(params, grid, init, cfg, eq=eq)
+    traj = _perturbed_run(params, eq, 0.3, t_end=20.0, dt=2e-3, output_stride=50)
     excess = _max_tolerated_increase(traj.lyapunov)
     budget_factor = params.b * (1.0 - (params.chi0 / chi_ss1.value) ** 2)
     budget_lhs = budget_factor * float(np.trapezoid(traj.dissipation, traj.times))
@@ -279,18 +277,16 @@ def scenario_lyapunov_i() -> ScenarioResult:
         "monotonicity_excess_max": 0.0,
         "dissipation_budget_max": 1.10 * budget_rhs,
     }
-    ok = _meets(measured, expected, "monotonicity_excess_max", "dissipation_budget_max")
     return _result(
         "lyapunov-i",
         "energy descent and dissipation budget below the first smallness threshold",
-        hypotheses, measured, expected, ok, trajectory=traj,
+        hypotheses, measured, expected, trajectory=traj,
     )
 
 
 def scenario_lyapunov_ii() -> ScenarioResult:
     params = ModelParams(chi0=0.3, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
                          a=1.0, b=1.0, mu=1.0, nu=1.0)
-    grid = _interval()
     eq = equilibrium(params)
     chi_ss2 = chi_double_star(params, eq, m0=0.0)[1]
     hypotheses = {
@@ -299,9 +295,7 @@ def scenario_lyapunov_ii() -> ScenarioResult:
         "chi0_below_chi_ss2": chi_ss2.value is not None and params.chi0 < chi_ss2.value,
     }
     _require(hypotheses, "lyapunov-ii")
-    init = init_state(grid, InitSpec.perturbation(eq.u_star, 0.3, 1), params)
-    cfg = StepConfig(t_end=30.0, dt=2e-3, output_stride=50)
-    traj = run(params, grid, init, cfg, eq=eq)
+    traj = _perturbed_run(params, eq, 0.3, t_end=30.0, dt=2e-3, output_stride=50)
     half = len(traj.lyapunov) // 2
     tail_excess = _max_tolerated_increase(traj.lyapunov[half:])
     measured = {
@@ -314,10 +308,9 @@ def scenario_lyapunov_ii() -> ScenarioResult:
         "tail_monotonicity_excess_max": 0.0,
         "final_error_max": 1e-6,
     }
-    ok = _meets(measured, expected, "tail_monotonicity_excess_max", "final_error_max")
     return _result(
         "lyapunov-ii", "eventual energy descent below the saturation-improved threshold",
-        hypotheses, measured, expected, ok, trajectory=traj,
+        hypotheses, measured, expected, trajectory=traj,
     )
 
 
@@ -327,29 +320,29 @@ def _rectangle_scenario(
     params: ModelParams,
     m0: float,
     mode: str,
-    chi_gate_name: str,
-    chi_gate_value: float,
+    index: int,
     extra_hypotheses: dict[str, bool],
     check_v_floor: float | None = None,
 ) -> ScenarioResult:
-    grid = _interval()
+    """Sandwich and envelope contraction below chi**_{index + 1}, the entry
+    `index` of `chi_double_star`."""
     eq = equilibrium(params)
+    chi_ss = chi_double_star(params, eq, m0=m0)[index]
+    gate = f"chi0_below_chi_ss{index + 1}"
     hypotheses = {
-        chi_gate_name: params.chi0 < chi_gate_value,
+        gate: params.chi0 < chi_ss.value,
         **extra_hypotheses,
+        "power_balance": chi_ss.applicable,
     }
     _require(hypotheses, name)
     rp = normalize(params, eq, m0=m0, mode=mode)
-    amplitude = 0.25
-    init = init_state(grid, InitSpec.perturbation(eq.u_star, amplitude, 1), params)
-    t_end = 45.0
-    cfg = StepConfig(t_end=t_end, dt=1e-3, output_stride=100)
-    traj = run(params, grid, init, cfg, eq=eq)
+    amplitude, t_end = 0.25, 45.0
+    traj = _perturbed_run(params, eq, amplitude, t_end=t_end, dt=1e-3, output_stride=100)
     rect = integrate_rectangle(
         rp, ubar0=1.0 + amplitude, ulow0=1.0 - amplitude,
         tau_end=params.a * t_end, dt=1e-3,
     )
-    h = max(grid.spacing)
+    h = max(traj.grid.spacing)
     slack = 5.0 * h**2 + 1e-8
     sandwich = verify_sandwich(rect, traj, eq, slack)
     final_gap, gap_increase, gap_monotone = contraction_tail(rect)
@@ -365,48 +358,34 @@ def _rectangle_scenario(
         "envelope_final_gap_max": 1e-6,
         "log_gap_monotone": True,
         "contraction": True,
-        chi_gate_name: chi_gate_value,
+        gate: chi_ss.value,
     }
-    ok = (
-        sandwich.ok
-        and gap_monotone
-        and _meets(measured, expected, "envelope_final_gap_max", "contraction")
-    )
+    ok = sandwich.ok and gap_monotone
     if check_v_floor is not None:
         v_min_run = float(np.min(traj.v_min))
         measured["signal_minimum"] = v_min_run
         expected["signal_floor"] = check_v_floor
         ok = ok and v_min_run >= check_v_floor
     return _result(name, theorem, hypotheses, measured, expected, ok,
-                   trajectory=traj, rectangle=rect)
+                   equal=("contraction",), trajectory=traj)
 
 
 def scenario_rectangle_iii() -> ScenarioResult:
-    params = ModelParams(chi0=0.3, **_PINNED)
-    eq = equilibrium(params)
-    chi_ss3 = chi_double_star(params, eq, m0=0.0)[2]
     return _rectangle_scenario(
         "rectangle-iii", "envelope contraction of the extremal comparison pair",
-        params, m0=0.0, mode="plain",
-        chi_gate_name="chi0_below_chi_ss3", chi_gate_value=chi_ss3.value,
-        extra_hypotheses={"power_balance": chi_ss3.applicable},
+        ModelParams(chi0=0.3, **_PINNED), m0=0.0, mode="plain", index=2,
+        extra_hypotheses={},
     )
 
 
 def scenario_rectangle_iv() -> ScenarioResult:
     params = ModelParams(chi0=0.35, beta=1.0, m=1.0, alpha=2.0, gamma=1.0,
                          a=1.0, b=1.0, mu=1.0, nu=1.0)
-    eq = equilibrium(params)
-    m0 = 1.0  # illustrative gradient-estimate constant, fixed for determinism
-    chi_ss4 = chi_double_star(params, eq, m0=m0)[3]
     return _rectangle_scenario(
         "rectangle-iv", "envelope contraction with signal-floor gain on the sensitivity",
-        params, m0=m0, mode="signal-floor",
-        chi_gate_name="chi0_below_chi_ss4", chi_gate_value=chi_ss4.value,
-        extra_hypotheses={
-            "beta_at_least_one": params.beta >= 1.0,
-            "power_balance": chi_ss4.applicable,
-        },
+        # m0 is an illustrative gradient-estimate constant, fixed for determinism.
+        params, m0=1.0, mode="signal-floor", index=3,
+        extra_hypotheses={"beta_at_least_one": params.beta >= 1.0},
         check_v_floor=v_lower_ab(params),
     )
 
@@ -414,12 +393,9 @@ def scenario_rectangle_iv() -> ScenarioResult:
 def _minimal_common(chi0: float, store_snapshots: bool = False):
     params = ModelParams(chi0=chi0, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
                          a=0.0, b=0.0, mu=1.0, nu=1.0)
-    grid = _interval()
-    init = init_state(grid, InitSpec.perturbation(1.0, 0.3, 1), params)
-    cfg = StepConfig(t_end=20.0, dt=2e-3, output_stride=50,
-                     store_snapshots=store_snapshots)
-    traj = run(params, grid, init, cfg)
-    eq = traj.eq
+    traj = _perturbed_run(params, None, 0.3, t_end=20.0, dt=2e-3, output_stride=50,
+                          store_snapshots=store_snapshots)
+    eq, grid = traj.eq, traj.grid
     spectrum = neumann_eigenvalues(grid, 200)
     chi_b = chi_beta_threshold(params.beta, params.gamma, grid.dimension)
     mins = minimal_thresholds(
@@ -454,11 +430,9 @@ def scenario_minimal_entropy() -> ScenarioResult:
         "final_error_max": 1e-6,
         "mass_drift_max": 1e-8,
     }
-    ok = _meets(measured, expected, "entropy_monotonicity_excess_max",
-                "final_error_max", "mass_drift_max")
     return _result(
         "minimal-entropy", "entropy descent for the mass-conserving model",
-        hypotheses, measured, expected, ok, trajectory=traj,
+        hypotheses, measured, expected, trajectory=traj,
     )
 
 
@@ -484,10 +458,9 @@ def scenario_minimal_akl() -> ScenarioResult:
         "chi_ss2_min": mins.chi_ss2_min,
     }
     expected = {"signal_energy_monotonicity_excess_max": 0.0}
-    ok = _meets(measured, expected, "signal_energy_monotonicity_excess_max")
     return _result(
         "minimal-akl", "signal-energy descent for the mass-conserving model",
-        hypotheses, measured, expected, ok, trajectory=traj,
+        hypotheses, measured, expected, trajectory=traj,
     )
 
 
@@ -510,13 +483,12 @@ def scenario_thresholds_only() -> ScenarioResult:
     expected = {key: pair[1] for key, pair in checks.items()}
     expected["argmin_mode"] = 1
     expected["tolerance"] = tol
-    ok = _meets(measured, expected, "argmin_mode") and all(
-        value is not None and abs(value - target) <= tol
-        for value, target in checks.values()
-    )
+    ok = all(value is not None and abs(value - target) <= tol
+             for value, target in checks.values())
     return _result(
         "thresholds-only", "closed-form threshold evaluation at an exactly representable point",
         {"logistic_source": not params.minimal}, measured, expected, ok,
+        equal=("argmin_mode",),
     )
 
 
@@ -534,8 +506,7 @@ def scenario_sweep() -> ScenarioResult:
                              "unstable", "unstable"]}
     return _result(
         "sweep", "stability verdicts across a sensitivity sweep",
-        {"logistic_source": True}, measured, expected,
-        _meets(measured, expected, "verdicts"),
+        {"logistic_source": True}, measured, expected, equal=("verdicts",),
     )
 
 

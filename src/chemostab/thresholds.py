@@ -483,8 +483,11 @@ def minimal_thresholds(
     chi**_1 = min{chi_beta/2, sqrt(chi_beta), 2 sqrt(mu lambda_*) (1+vlower0)^beta / (nu Gamma)}
     chi**_2 = min{chi_beta/2, sqrt(chi_beta), mu (1+vlower0)^beta / (nu ubar0)}  (gamma = 1)
     """
-    if ubar0 <= 0.0 or vlower0 <= 0.0:
-        raise HypothesisViolated("ubar0 and vlower0 must be positive")
+    # NaN fails every comparison, so `not 0 < x < inf` rejects it too.
+    if not (0.0 < ubar0 < math.inf and 0.0 < vlower0 < math.inf):
+        raise HypothesisViolated(
+            f"ubar0 and vlower0 must be positive and finite, got {ubar0}, {vlower0}"
+        )
     chi1, chi2, cb, cap = _minimal_values(
         u_star, gamma, beta, mu, nu, lambda_star, ubar0, vlower0, dimension
     )

@@ -648,14 +648,20 @@ class TestMinimalModelSolves:
 
 
 class TestScenarioAndFuzzCommands:
-    def test_scenario_exit_zero_on_pass(self, capsys, tmp_path):
-        csv = tmp_path / "none.csv"
-        code, payload, _ = run_cli(
-            capsys, "scenario", "thresholds-only", "--csv", str(csv)
-        )
+    def test_scenario_exit_zero_on_pass(self, capsys):
+        code, payload, _ = run_cli(capsys, "scenario", "thresholds-only")
         assert code == 0
         assert payload["pass"] is True
-        assert not csv.exists()  # scenario produces no trajectory
+
+    @pytest.mark.parametrize("name", ["thresholds-only", "sweep"])
+    def test_scenario_csv_without_trajectory_exits_2(self, capsys, tmp_path, name):
+        csv = tmp_path / "none.csv"
+        code, payload, error = run_cli(capsys, "scenario", name, "--csv", str(csv))
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "ValueError"
+        assert repr(name) in error["message"]
+        assert not csv.exists()
 
     def test_fuzz_small_run(self, capsys):
         code, payload, _ = run_cli(

@@ -341,6 +341,12 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="positive"):
             SpectrumTable((0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("eigenvalues", [(0.0, math.nan, 4.0, 9.0), (0.0, 1.0, math.inf)])
+    def test_table_rejects_non_finite(self, eigenvalues):
+        # NaN passes the order checks; left in, it made chi* NaN.
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumTable(eigenvalues)
+
 
 class TestInitialData:
     def test_constant_state(self, interval_pi, reference_params):

@@ -104,6 +104,16 @@ class TestStepConfig:
         with pytest.raises(ValueError):
             StepConfig(**kwargs)
 
+    @pytest.mark.parametrize("stride", [1.5, 2.0, "3"])
+    def test_stride_must_be_an_integer(self, stride):
+        # 1.5 used to sample every third step.
+        with pytest.raises(ValueError, match="output_stride must be an integer"):
+            StepConfig(t_end=1.0, output_stride=stride)
+
+    def test_numpy_integer_stride_is_an_int(self):
+        cfg = StepConfig(t_end=1.0, output_stride=np.int64(4))
+        assert type(cfg.output_stride) is int and cfg.output_stride == 4
+
     @pytest.mark.parametrize(
         "name, value",
         [

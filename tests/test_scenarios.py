@@ -2,10 +2,12 @@
 
 import functools
 import math
+from unittest import mock
 
 import pytest
 
-from chemostab.scenarios import SCENARIOS, _meets, run_scenario
+from chemostab import scenarios
+from chemostab.scenarios import SCENARIOS, _meets, _result, run_scenario
 
 EXPECTED_NAMES = {
     "persistence",
@@ -22,11 +24,25 @@ EXPECTED_NAMES = {
     "sweep",
 }
 
+PDE_NAMES = EXPECTED_NAMES - {"thresholds-only", "sweep"}
+
 VERDICT_KEYS = {"scenario", "theorem", "hypotheses_checked", "measured",
                 "expected", "pass"}
 
-# Each scenario runs once per session; both verdict tests read its result.
-cached_run = functools.cache(run_scenario)
+
+@functools.cache
+def recorded_run(name):
+    """The scenario's result and its (run, init_state) call counts, each
+    counted through the module-level name in `scenarios`. Each scenario
+    runs once per session; every test below reads this one run."""
+    with mock.patch.object(scenarios, "run", wraps=scenarios.run) as run, \
+            mock.patch.object(scenarios, "init_state", wraps=scenarios.init_state) as init:
+        result = run_scenario(name)
+    return result, (run.call_count, init.call_count)
+
+
+def cached_run(name):
+    return recorded_run(name)[0]
 
 
 class TestRegistry:
@@ -57,6 +73,31 @@ class TestRuns:
                     assert measured[stem] <= bound, key
                 elif key.endswith("_min") and stem in measured:
                     assert measured[stem] >= bound, key
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+    def test_each_pde_run_goes_through_the_module_level_names(self, name):
+        """perfbench's run recorder patches `scenarios.run` to check each
+        trajectory, so a run that bypassed it would go unchecked."""
+        count = 1 if name in PDE_NAMES else 0
+        assert recorded_run(name)[1] == (count, count)
+
+
+class TestPassRule:
+    MEASURED = {"error": 1e-7, "verdict": "stable"}
+
+    def verdict(self, expected, equal=()):
+        return _result("s", "t", {}, self.MEASURED, expected, equal=equal).verdict
+
+    def test_every_bound_is_checked(self):
+        assert self.verdict({"error_max": 1e-6})["pass"] is True
+        assert self.verdict({"error_max": 1e-8})["pass"] is False
+        assert self.verdict({"error_min": 1e-6})["pass"] is False
+
+    def test_other_entries_are_checked_only_when_named(self):
+        expected = {"verdict": "unstable", "chi_star": 4.0}
+        assert self.verdict(expected)["pass"] is True
+        assert self.verdict(expected, equal=("verdict",))["pass"] is False
+
 
 class TestMeets:
     MEASURED = {"error": 1e-7, "growth": 12.0, "verdict": "stable", "rate": math.nan}

@@ -388,6 +388,17 @@ class TestMinimalThresholds:
                 lambda_star=1.0, ubar0=0.0, vlower0=0.7, dimension=1,
             )
 
+    @pytest.mark.parametrize("bounds", [(math.nan, math.nan), (1.3, math.nan),
+                                        (math.nan, 0.7), (math.inf, 0.7), (1.3, math.inf)])
+    def test_finite_inputs_required(self, bounds):
+        # NaN bounds used to give chi**_1,min = NaN and chi**_2,min = None.
+        ubar0, vlower0 = bounds
+        with pytest.raises(HypothesisViolated, match="finite"):
+            minimal_thresholds(
+                u_star=1.0, gamma=1.0, beta=1.0, mu=1.0, nu=1.0,
+                lambda_star=1.0, ubar0=ubar0, vlower0=vlower0, dimension=1,
+            )
+
 
 def _extremal_row(grid, mu):
     """(axis, face index, row) of the face row of grad_h (mu I - lap_h)^-1
