@@ -43,6 +43,7 @@ from .config import (
 )
 from .core import (
     Equilibrium,
+    FieldState,
     GridDomain,
     ModelParams,
     equilibrium,
@@ -117,26 +118,29 @@ def _grid_checked(cfg) -> GridDomain:
     return grid
 
 
-def _minimal_u_star(cfg, grid: GridDomain) -> float:
-    """Mass level fixing the minimal model's equilibrium."""
-    if "init.u_star" in cfg:
-        return cfg["init.u_star"]
-    return mass_average(initial_density(grid, init_from_config(cfg)), grid)
-
-
 def _equilibrium_for(cfg, grid: GridDomain, params: ModelParams) -> Equilibrium:
-    if params.minimal:
-        return equilibrium(params, u_star=_minimal_u_star(cfg, grid))
-    return equilibrium(params)
+    """The minimal model's u* is init.u_star, or else the initial mass."""
+    if params.minimal and "init.u_star" not in cfg:
+        u = initial_density(grid, init_from_config(cfg))
+        return equilibrium(params, u_star=mass_average(u, grid))
+    return equilibrium(params, u_star=cfg["init.u_star"] if params.minimal else None)
+
+
+def _initial_state(cfg, grid: GridDomain, params: ModelParams) -> tuple[Equilibrium, FieldState]:
+    """The equilibrium and the t = 0 state, the initial density built once:
+    without init.u_star the minimal model's u* is that density's mass."""
+    if params.minimal and "init.u_star" not in cfg:
+        state = init_state(grid, init_from_config(cfg), params)
+        return equilibrium(params, u_star=mass_average(state.u, grid)), state
+    eq = _equilibrium_for(cfg, grid, params)
+    return eq, init_state(grid, init_from_config(cfg, base_u_star=eq.u_star), params)
 
 
 def cmd_simulate(args) -> int:
     cfg = read_config(args.config)
     params = params_from_config(cfg)
     grid = _grid_checked(cfg)
-    eq = _equilibrium_for(cfg, grid, params)
-    spec = init_from_config(cfg, base_u_star=eq.u_star)
-    state = init_state(grid, spec, params)
+    eq, state = _initial_state(cfg, grid, params)
     step_cfg = step_config_from_config(cfg)
     try:
         traj = run(params, grid, state, step_cfg, eq=eq)
@@ -174,15 +178,7 @@ def cmd_stability(args) -> int:
     eq = _equilibrium_for(cfg, grid, params)
     spectrum = neumann_eigenvalues(grid, args.n_max)
     report = classify_equilibrium(params, eq, spectrum)
-    payload = {
-        "equilibrium": eq,
-        "chi_star": report.chi_star,
-        "argmin_mode": report.argmin_mode,
-        "verdict": report.verdict,
-        "sigma_zero": report.sigma_zero,
-        "sigma_max": report.sigma_max,
-        "fastest_mode": report.fastest_mode,
-    }
+    payload = {"equilibrium": eq, **jsonable(report)}
     if args.discrete_check:
         check = discrete_spectrum_check(params, eq, grid, args.modes)
         payload["discrete_check"] = check
@@ -213,7 +209,8 @@ def cmd_thresholds(args) -> int:
     # Calibration run: empirical envelope bounds for the minimal model.
     calibrate = params.minimal and "init.kind" in cfg and "run.t_end" in cfg
     grid = _grid_checked(cfg) if calibrate else grid_from_config(cfg)
-    eq = _equilibrium_for(cfg, grid, params)
+    eq, state = (_initial_state(cfg, grid, params) if calibrate
+                 else (_equilibrium_for(cfg, grid, params), None))
     spectrum = neumann_eigenvalues(grid, args.n_max)
 
     if args.discrete_m0:
@@ -230,8 +227,6 @@ def cmd_thresholds(args) -> int:
     ubar0 = vlower0 = None
     minimal_source = "user"
     if calibrate:
-        spec = init_from_config(cfg, base_u_star=eq.u_star)
-        state = init_state(grid, spec, params)
         traj = run(params, grid, state, step_config_from_config(cfg), eq=eq)
         ubar0 = float(np.max(traj.u_max))
         vlower0 = float(np.min(traj.v_min))

@@ -284,15 +284,14 @@ def _signal_level(u_star, gamma, mu, nu):
     return (nu / mu) * u_star**gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Leading eigenvalues of the negative Neumann Laplacian, ascending.
-
-    Entry 0 is exactly 0 (the constant mode); `lambda_star` is the first
-    nonzero eigenvalue, the spectral gap.
+    """Leading eigenvalues of the negative Neumann Laplacian, ascending, as
+    one read-only float64 array, a copy of the caller's. Entry 0 is exactly
+    0 (the constant mode); `lambda_star` is the first nonzero eigenvalue.
     """
 
-    eigenvalues: tuple[float, ...]
+    eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
         array = np.array(self.eigenvalues, dtype=float)
@@ -308,18 +307,14 @@ class SpectrumTable:
         if not np.isfinite(array).all():
             raise ValueError("eigenvalues must be finite")
         array.flags.writeable = False
-        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "eigenvalues", array)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
     @property
     def lambda_star(self) -> float:
-        return self.eigenvalues[1]
-
-    def as_array(self) -> np.ndarray:
-        """The eigenvalues as one read-only array, built on construction."""
-        return self._array
+        return float(self.eigenvalues[1])
 
 
 def neumann_eigenvalues(domain: GridDomain, n_max: int) -> SpectrumTable:
@@ -332,6 +327,7 @@ def neumann_eigenvalues(domain: GridDomain, n_max: int) -> SpectrumTable:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if domain.dimension == 1:
         L = domain.lengths[0]
+        # Python's float power, not numpy's x * x: they differ in the last bit on some n.
         values = [(n * math.pi / L) ** 2 for n in range(n_max + 1)]
     else:
         lx, ly = domain.lengths
@@ -346,9 +342,9 @@ def neumann_eigenvalues(domain: GridDomain, n_max: int) -> SpectrumTable:
         ny = min(n_max + 1, -(-(n_max + 1) // nx))
         bound = np.partition((gx[:nx, None] + gy[None, :ny]).ravel(), n_max)[n_max]
         nx, ny = np.searchsorted(gx, bound, "right"), np.searchsorted(gy, bound, "right")
-        values = np.sort((gx[:nx, None] + gy[None, :ny]).ravel())[: n_max + 1].tolist()
+        values = np.sort((gx[:nx, None] + gy[None, :ny]).ravel())[: n_max + 1]
     values[0] = 0.0
-    return SpectrumTable(tuple(values))
+    return SpectrumTable(values)
 
 
 @dataclass(frozen=True)

@@ -412,7 +412,8 @@ def run(
 
     Under the fixed policy step k ends at init.time + k dt, so a run takes
     exactly round((t_end - init.time) / dt) steps, plus one final partial
-    step when t_end is not on that lattice.
+    step when t_end is not on that lattice. A t_end at or before init.time
+    raises ValueError before any solve.
 
     In the minimal model the reference equilibrium defaults to the initial
     mass average, the constant state that mass conservation selects.
@@ -441,6 +442,8 @@ def run(
     `steps_integrated` the steps that called `step`. The floats, counts and
     errors are still those of the loop that integrates every step.
     """
+    if cfg.t_end <= init.time:
+        raise ValueError(f"t_end = {cfg.t_end} must be after the initial time {init.time}")
     if eq is None:
         u_star = mass_average(init.u, grid) if params.minimal else None
         eq = equilibrium(params, u_star=u_star)
@@ -459,7 +462,7 @@ def run(
     # The per-step constants, bound once.
     t0, t_end, cfg_dt, stride = init.time, cfg.t_end, cfg.dt, cfg.output_stride
     fixed = cfg.dt_policy == "fixed"
-    total, last_dt = _fixed_steps(t0, cfg) if fixed else (0, 0.0)
+    total, last_dt = _fixed_steps(t0, t_end, cfg_dt) if fixed else (0, 0.0)
     t_stop = t_end - 1e-14 * t_end
     diffusion = diffusion_dt = None
     steps = clips = integrated = 0
@@ -527,14 +530,14 @@ def run(
     return traj
 
 
-def _fixed_steps(t0: float, cfg: StepConfig) -> tuple[int, float]:
-    """Step count and last step size of a fixed-policy run from t0 to t_end.
+def _fixed_steps(t0: float, t_end: float, dt: float) -> tuple[int, float]:
+    """Step count and last step size of a run of fixed steps dt from t0 to t_end.
 
     A span within 1e-9 dt of a multiple of dt takes exactly that many steps
     of dt; any other span adds one final partial step that ends at t_end.
     """
-    span = (cfg.t_end - t0) / cfg.dt
+    span = (t_end - t0) / dt
     full = math.floor(span + 1e-9)
     if span - full <= 1e-9:
-        return full, cfg.dt
-    return full + 1, cfg.t_end - (t0 + full * cfg.dt)
+        return full, dt
+    return full + 1, t_end - (t0 + full * dt)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Equilibrium, ModelParams
-from .integrator import Trajectory
+from .integrator import Trajectory, _fixed_steps
 from .thresholds import require_m0, v_lower_ab
 
 
@@ -154,10 +154,11 @@ def integrate_rectangle(
     """Classical fourth-order Runge-Kutta on a fixed normalized-time grid.
 
     Raises OrderViolation when ulow <= 1 <= ubar (or positivity) fails
-    beyond rounding tolerance, including on the initial pair, ValueError
-    unless tau_end, dt and tau_end / dt are positive and finite, and
-    TooManySteps, before anything is allocated, when the step count
-    round(tau_end / dt) exceeds STEP_LIMIT.
+    beyond rounding tolerance, including on the initial pair. Before
+    anything is allocated, raises ValueError unless tau_end, dt and
+    tau_end / dt are positive and finite and tau_end lies within 1e-9 dt of
+    a positive multiple of dt (the lattice of the fixed-step PDE runs), and
+    TooManySteps when the step count tau_end / dt exceeds STEP_LIMIT.
 
     A step that returns its pair unchanged ends the loop, and the pair
     fills the remaining entries: the rates do not depend on tau, so every
@@ -168,7 +169,9 @@ def integrate_rectangle(
         raise ValueError(
             f"tau_end, dt and tau_end / dt must be positive and finite, got {tau_end}, {dt}"
         )
-    n_steps = max(1, int(round(tau_end / dt)))
+    n_steps, last_dt = _fixed_steps(0.0, tau_end, dt)
+    if last_dt != dt or n_steps < 1:
+        raise ValueError(f"tau_end = {tau_end} is not a positive multiple of dt = {dt}")
     if n_steps > STEP_LIMIT:
         raise TooManySteps(
             f"tau_end / dt = {tau_end} / {dt} asks for {n_steps} steps, "

@@ -109,7 +109,7 @@ def critical_sensitivity(
     point cannot prove the infimum and raises SpectrumTooShort.
     """
     value, mode = _bracketed_minimum(
-        spectrum.as_array(), np.ones(1), np.array([params.a * params.alpha]),
+        spectrum.eigenvalues, np.ones(1), np.array([params.a * params.alpha]),
         np.array([params.mu]), np.array([_feedback_gain(params, eq)]),
     )
     return float(value[0]), int(mode[0])
@@ -169,7 +169,6 @@ class StabilityReport:
     sigma_zero: float
     sigma_max: float            # over modes n >= 1
     fastest_mode: int           # argmax of sigma over n >= 1
-    sigma: tuple[float, ...]    # per-mode rates, n = 0 .. len(spectrum)-1
 
 
 def classify_equilibrium(
@@ -178,8 +177,7 @@ def classify_equilibrium(
     """Dichotomy verdict: stable iff chi0 < chi*, with a relative band of
     1e-12 around chi* reported as critical."""
     chi_star, argmin_mode = critical_sensitivity(params, eq, spectrum)
-    lam = spectrum.as_array()
-    rates = np.asarray(sigma_n(params, eq, lam))
+    rates = np.asarray(sigma_n(params, eq, spectrum.eigenvalues))
     fastest = 1 + int(np.argmax(rates[1:]))
     if abs(params.chi0 - chi_star) <= CRITICAL_BAND * max(1.0, abs(chi_star)):
         verdict = "critical"
@@ -194,7 +192,6 @@ def classify_equilibrium(
         sigma_zero=sigma_zero(params),
         sigma_max=float(rates[fastest]),
         fastest_mode=fastest,
-        sigma=tuple(float(r) for r in rates),
     )
 
 

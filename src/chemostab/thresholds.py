@@ -609,7 +609,7 @@ def verify_orderings(
         raise ValueError(
             f"unknown ordering parts {unknown}; choose from {', '.join(_ORDERING_PARTS)}"
         )
-    unit = neumann_eigenvalues(GridDomain.interval(math.pi, 8), ORDERING_MODES).as_array()
+    unit = neumann_eigenvalues(GridDomain.interval(math.pi, 8), ORDERING_MODES).eigenvalues
     checked = {p: 0 for p in parts}
     skipped = {p: 0 for p in parts}
     violations: list[OrderingViolation] = []

@@ -98,15 +98,18 @@ def oracle_flux_divergence(fluxes, grid):
     return div
 
 
-def full_sort_eigenvalues(lx, ly, n_max):
+def full_sort_eigenvalues(lx, ly, n_max, indices=None):
     """The first n_max + 1 Neumann eigenvalues of the Lx x Ly rectangle by
-    sorting all (n_max + 1)^2 sums: the oracle of neumann_eigenvalues."""
-    j = np.arange(n_max + 1)
+    sorting all sums over index pairs below `indices` (default n_max + 1,
+    which always suffices): the oracle of neumann_eigenvalues. A smaller
+    `indices` is exact while the last value returned lies below both
+    (indices pi / Lx)^2 and (indices pi / Ly)^2."""
+    j = np.arange(n_max + 1 if indices is None else indices)
     gx = (j * math.pi / lx) ** 2
     gy = (j * math.pi / ly) ** 2
-    values = np.sort((gx[:, None] + gy[None, :]).ravel())[: n_max + 1].tolist()
+    values = np.sort((gx[:, None] + gy[None, :]).ravel())[: n_max + 1]
     values[0] = 0.0
-    return tuple(values)
+    return values
 
 
 @pytest.fixture

@@ -75,7 +75,7 @@ class TestSpectralDichotomy:
     def test_subcritical_perturbation_decays_at_slowest_rate(self, spectrum_pi):
         params = make_params(chi0=3.5)
         eq = equilibrium(params)
-        rates = sigma_n(params, eq, spectrum_pi.as_array())
+        rates = sigma_n(params, eq, spectrum_pi.eigenvalues)
         predicted = min(params.a * params.alpha, float(np.min(-rates[1:])))
         assert predicted == pytest.approx(0.25, rel=1e-12)
         assert classify_equilibrium(params, eq, spectrum_pi).verdict == "stable"

@@ -371,6 +371,16 @@ class TestAnalysisCommands:
         assert payload["verdict"] == "stable"
         assert payload["equilibrium"] == {"u_star": 1.0, "v_star": 1.0}
 
+    @pytest.mark.parametrize("extra", [[], ["--discrete-check"]])
+    def test_stability_report_keys_and_order(self, tmp_path, capsys, extra):
+        cfg = write_cfg(tmp_path)
+        code, payload, _ = run_cli(capsys, "stability", "--config", cfg, *extra)
+        assert code == 0
+        keys = ["equilibrium", "chi_star", "argmin_mode", "verdict", "sigma_zero",
+                "sigma_max", "fastest_mode"]
+        assert list(payload) == keys + ["discrete_check"] * bool(extra)
+        assert (payload["argmin_mode"], payload["fastest_mode"]) == (1, 1)
+
     def test_stability_needs_only_the_modes_up_to_lam0(self, tmp_path, capsys):
         # a = 4: lam0 = sqrt(a alpha mu) = 2 lies between modes 1 and 2 of
         # [0, pi], so four eigenvalues give what a thousand give.
@@ -567,6 +577,14 @@ class TestAnalysisCommands:
         assert error["error"] == "ValueError"
         assert "finite" in error["message"]
 
+    def test_rectangle_tau_end_off_the_lattice_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, chi0=0.3)
+        code, payload, error = run_cli(capsys, "rectangle", "--config", cfg,
+                                       "--tau-end", "0.0125")
+        assert (code, payload) == (2, None)
+        assert error["error"] == "ValueError"
+        assert "0.0125 is not a positive multiple of dt = 0.001" in error["message"]
+
     def test_rectangle_command(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, chi0=0.3)
         csv = str(tmp_path / "rect.csv")
@@ -637,6 +655,36 @@ class TestMinimalModelSolves:
         # One signal solve for the initial state, then one diffusion and
         # one signal solve per step.
         assert len(solves) == 1 + 2 * 10
+
+    @pytest.mark.parametrize("command", ["simulate", "thresholds"])
+    def test_array_initial_density_is_loaded_and_built_once(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        # u* is the mass of the initial density; it was once built twice.
+        path = tmp_path / "u0.npy"
+        np.save(path, 1.0 + 0.1 * np.cos(np.linspace(0.0, math.pi, 64)))
+        text = MINIMAL_CONSTANT_CFG.replace(
+            "init.kind = constant", "init.kind = array").replace(
+            "init.value = 1.5", f"init.path = {path}")
+        cfg = write_cfg(tmp_path, text=text)
+        loads, builds = [], []
+        load, build = np.load, chemostab.core.initial_density
+
+        def counting_load(*args, **kwargs):
+            loads.append(1)
+            return load(*args, **kwargs)
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        monkeypatch.setattr(chemostab.core, "initial_density", counting_build)
+        monkeypatch.setattr(chemostab.cli, "initial_density", counting_build)
+        code, payload, _ = run_cli(capsys, command, "--config", cfg)
+        assert code == 0
+        assert (len(loads), len(builds)) == (1, 1)
+        if command == "thresholds":
+            assert payload["minimal"]["inputs_source"] == "empirical"
 
     def test_sweep_makes_no_solve(self, tmp_path, capsys, solves):
         text = MINIMAL_CONSTANT_CFG + "sweep.parameter = chi0\nsweep.values = 0.5, 1, 2\n"

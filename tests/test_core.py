@@ -264,43 +264,51 @@ class TestGridDomain:
 class TestSpectrum:
     def test_interval_pi_eigenvalues(self):
         table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 3)
-        assert table.eigenvalues == (0.0, 1.0, 4.0, 9.0)
+        assert table.eigenvalues.tolist() == [0.0, 1.0, 4.0, 9.0]
         assert table.lambda_star == 1.0
+        assert type(table.lambda_star) is float
         assert len(table) == 4
 
     def test_interval_2pi_eigenvalues(self):
         table = neumann_eigenvalues(GridDomain.interval(2.0 * math.pi, 64), 2)
-        assert table.as_array() == pytest.approx([0.0, 0.25, 1.0], rel=1e-14)
+        assert table.eigenvalues == pytest.approx([0.0, 0.25, 1.0], rel=1e-14)
 
     def test_square_eigenvalues_merge_sorted(self):
         g = GridDomain.rectangle(math.pi, math.pi, 8, 8)
         table = neumann_eigenvalues(g, 4)
         # (j^2 + k^2): 0, 1, 1, 2, 4
-        assert table.as_array() == pytest.approx([0.0, 1.0, 1.0, 2.0, 4.0], rel=1e-13)
+        assert table.eigenvalues == pytest.approx([0.0, 1.0, 1.0, 2.0, 4.0], rel=1e-13)
 
     def test_rectangle_anisotropic(self):
         g = GridDomain.rectangle(math.pi, 2.0 * math.pi, 8, 8)
         table = neumann_eigenvalues(g, 4)
         # (j^2 + (k/2)^2): 0, 1/4, 1 (j=1 and k=2), 5/4
-        assert table.as_array() == pytest.approx(
+        assert table.eigenvalues == pytest.approx(
             [0.0, 0.25, 1.0, 1.0, 1.25], rel=1e-13
         )
 
     @pytest.mark.parametrize("lx, ly, n_max", [
-        (math.pi, 2.0, 1), (math.pi, 2.0, 4), (math.pi, 2.0, 1000), (math.pi, 2.0, 3000),
+        (math.pi, 2.0, 1), (math.pi, 2.0, 4), (math.pi, 2.0, 200), (math.pi, 2.0, 1000),
+        (math.pi, 2.0, 3000), (math.pi, 2.0, 100_000), (1.0, 1.0, 200), (1.0, 1.0, 1000),
+        (1.0, 1.0, 100_000),
         (math.pi, math.pi, 500), (1.0, 1.0, 2), (2.0, math.pi, 777), (100.0, 1.0, 400),
         (1.0, 100.0, 400), (1e-3, 1e3, 50), (1e6, 1.0, 30), (1.0, 1e6, 30),
         (3.0, 3.0 + 1e-12, 200), (0.37, 5.1, 1234), (7.0, 0.2, 999),
     ])
     def test_rectangle_table_is_the_full_sort(self, lx, ly, n_max):
+        # Bit for bit. 100,000 modes need indices below 500 on π x 2 and 1 x 1,
+        # so a box of 1,001 indices per axis holds them; the first assert shows it.
+        indices = min(n_max + 1, 1001)
         table = neumann_eigenvalues(GridDomain.rectangle(lx, ly, 8, 8), n_max)
-        assert table.eigenvalues == full_sort_eigenvalues(lx, ly, n_max)
+        expected = full_sort_eigenvalues(lx, ly, n_max, indices)
+        assert expected[-1] < min((indices * math.pi / lx) ** 2, (indices * math.pi / ly) ** 2)
+        assert table.eigenvalues.tobytes() == expected.tobytes()
 
     @given(lx=st.floats(1e-2, 1e2), ly=st.floats(1e-2, 1e2), n_max=st.integers(1, 600))
     @settings(max_examples=100, deadline=None)
     def test_random_rectangle_table_is_the_full_sort(self, lx, ly, n_max):
         table = neumann_eigenvalues(GridDomain.rectangle(lx, ly, 8, 8), n_max)
-        assert table.eigenvalues == full_sort_eigenvalues(lx, ly, n_max)
+        assert table.eigenvalues.tobytes() == full_sort_eigenvalues(lx, ly, n_max).tobytes()
 
     def test_a_large_rectangle_table_sorts_about_n_sums(self, monkeypatch):
         # 100,000 modes of the full sort would be 10^10 sums; the box sorts
@@ -318,14 +326,32 @@ class TestSpectrum:
             assert len(table) == 100_001
         assert max(sorted_sizes) < 3 * 100_001
 
-    def test_as_array_is_one_read_only_array(self):
+    def test_eigenvalues_are_one_read_only_array(self):
         table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 3)
-        first = table.as_array()
-        assert table.as_array() is first
+        first = table.eigenvalues
+        assert table.eigenvalues is first
+        assert first.dtype == np.float64
         assert not first.flags.writeable
         assert first.tolist() == [0.0, 1.0, 4.0, 9.0]
         with pytest.raises(ValueError):
             first[1] = 2.0
+
+    def test_table_copies_the_callers_array(self):
+        given = np.array([0.0, 1.0, 4.0])
+        table = SpectrumTable(given)
+        assert given.flags.writeable
+        assert table.eigenvalues is not given
+        given[1] = 2.0
+        assert table.eigenvalues.tolist() == [0.0, 1.0, 4.0]
+
+    @pytest.mark.parametrize("n_max", [200, 1000, 100_000])
+    @pytest.mark.parametrize("length", [math.pi, 2.5])
+    def test_interval_table_is_the_python_float_formula(self, length, n_max):
+        # Python's float power, bit for bit: numpy's x**2 (x * x) differs from
+        # it in the last bit on some of these entries.
+        table = neumann_eigenvalues(GridDomain.interval(length, 8), n_max)
+        expected = [(n * math.pi / length) ** 2 for n in range(n_max + 1)]
+        assert table.eigenvalues.tobytes() == np.array(expected).tobytes()
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):

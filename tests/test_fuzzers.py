@@ -54,7 +54,7 @@ def close(x, y):
 @functools.lru_cache(maxsize=None)
 def unit_spectrum(modes=200):
     """The first modes + 1 Neumann eigenvalues of [0, pi], read-only."""
-    return neumann_eigenvalues(GridDomain.interval(math.pi, 8), modes).as_array()
+    return neumann_eigenvalues(GridDomain.interval(math.pi, 8), modes).eigenvalues
 
 
 def point(row):
@@ -246,7 +246,7 @@ class TestBracketedMinimum:
         # (4 + 121 and 25 + 100, each both ways) hold floats 3 ulp apart;
         # the last example returns one of them where the scan returns another.
         table = neumann_eigenvalues(GridDomain.rectangle(*lengths, 8, 8), size - 1)
-        unit = table.as_array()
+        unit = table.eigenvalues
         columns = [np.array([x]) for x in row]
         if not reaches_lam0(unit, *columns)[0]:
             with pytest.raises(SpectrumTooShort):

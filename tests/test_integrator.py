@@ -356,6 +356,22 @@ class TestRunControls:
         assert traj.steps_taken == 11
         assert list(traj.times) == [0.0, 4e-2, 8e-2, 0.105]
 
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    @pytest.mark.parametrize("start", [1.0, 5.0])
+    def test_a_start_at_or_after_t_end_raises_before_any_solve(self, interval_pi, policy,
+                                                               start, monkeypatch):
+        # Such a run once took 0 steps and returned a final state after t_end.
+        p = make_params()
+        init = dataclasses.replace(init_state(interval_pi, InitSpec.constant(1.0), p),
+                                   time=start)
+        solves = []
+        solve = chemostab.helmholtz.HelmholtzOperator.solve
+        monkeypatch.setattr(chemostab.helmholtz.HelmholtzOperator, "solve",
+                            lambda op, r: solves.append(1) or solve(op, r))
+        with pytest.raises(ValueError, match=f"t_end = 1.0 .* initial time {start}"):
+            run(p, interval_pi, init, StepConfig(t_end=1.0, dt=1e-2, dt_policy=policy))
+        assert solves == []
+
     def test_equilibrium_is_fixed_point(self, interval_pi):
         p = make_params(chi0=2.0)
         state = init_state(interval_pi, InitSpec.constant(1.0), p)
@@ -662,7 +678,7 @@ def reference_run(p, grid, init, cfg):
     rows = []
     record(traj, init, rows)
     fixed = cfg.dt_policy == "fixed"
-    total, last_dt = _fixed_steps(init.time, cfg) if fixed else (0, 0.0)
+    total, last_dt = _fixed_steps(init.time, cfg.t_end, cfg.dt) if fixed else (0, 0.0)
     state, steps, t_last = init, 0, init.time
     while (steps < total) if fixed else (state.time < cfg.t_end - 1e-14 * cfg.t_end):
         if fixed:

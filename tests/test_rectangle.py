@@ -160,6 +160,28 @@ class TestIntegration:
         with pytest.raises(TooManySteps):
             integrate_rectangle(rp, 1.25, 0.75, tau_end=1.01, dt=1e-2)
 
+    @pytest.mark.parametrize("tau_end, dt", [(0.0125, 1e-3), (1e-4, 1e-3), (1.005, 1e-2)])
+    def test_tau_end_off_the_lattice_raises_before_anything_is_allocated(
+            self, reference_eq, tau_end, dt):
+        # Rounding tau_end / dt once ended these grids at 0.012, 0.001 and 1.0.
+        rp = normalize(make_params(chi0=0.3), reference_eq, m0=0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"tau_end = {tau_end} is not a positive multiple"):
+                integrate_rectangle(rp, 1.25, 0.75, tau_end=tau_end, dt=dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("tau_end, dt", [(0.0125, 2.5e-3), (1.0 + 1e-12, 1e-2)])
+    def test_a_tau_end_on_the_lattice_ends_the_grid(self, reference_eq, tau_end, dt):
+        # Within 1e-9 dt of a multiple of dt, as the fixed-step PDE runs count.
+        rp = normalize(make_params(chi0=0.3), reference_eq, m0=0.0)
+        traj = integrate_rectangle(rp, 1.25, 0.75, tau_end=tau_end, dt=dt)
+        assert len(traj.tau) == round(tau_end / dt) + 1
+        assert abs(traj.tau[-1] - tau_end) <= 1e-9 * dt
+
     def test_noncontractive_coupling_breaks_order(self, reference_eq):
         # Far outside the contraction region the upper branch runs away
         # faster than fixed-step RK4 can follow; the guard must trip.

@@ -79,7 +79,7 @@ class TestCriticalSensitivity:
 
     def test_candidate_table_oracle(self, reference_eq, spectrum_pi):
         p = make_params()
-        cands = stability._candidates(spectrum_pi.as_array()[1:], 1.0, 1.0, 1.0)
+        cands = stability._candidates(spectrum_pi.eigenvalues[1:], 1.0, 1.0, 1.0)
         # (lam+1)(1+lam)/lam at lam = 1, 4, 9.
         assert cands[0] == pytest.approx(4.0, rel=1e-15)
         assert cands[1] == pytest.approx(6.25, rel=1e-15)
@@ -109,14 +109,14 @@ class TestCriticalSensitivity:
         p = make_params()
         interval = GridDomain.interval(10.0 * math.pi, 64)
         value, mode = scanned_minimum(
-            neumann_eigenvalues(interval, 240).as_array(), *[np.ones(1)] * 4
+            neumann_eigenvalues(interval, 240).eigenvalues, *[np.ones(1)] * 4
         )
         for n_max in (10, 12):
             table = neumann_eigenvalues(interval, n_max)
             assert critical_sensitivity(p, reference_eq, table) == (value[0], mode[0])
         assert mode[0] == 10
         table = neumann_eigenvalues(interval, 9)
-        last = table.eigenvalues[-1]
+        last = float(table.eigenvalues[-1])
         with pytest.raises(SpectrumTooShort, match=f"= 1.0 lies above .* {last!r} "):
             critical_sensitivity(p, reference_eq, table)
 
@@ -179,7 +179,8 @@ class TestClassification:
         assert report.fastest_mode == 1
         assert report.sigma_max == pytest.approx(1.0, rel=1e-14)
         assert report.sigma_zero == -1.0
-        assert len(report.sigma) == len(spectrum_pi)
+        assert report.sigma_max == sigma_n(make_params(chi0=6.0), reference_eq,
+                                           spectrum_pi.eigenvalues[1:]).max()
 
     @given(chi0=st.floats(-6.0, 12.0))
     @settings(max_examples=150, deadline=None)
@@ -188,7 +189,7 @@ class TestClassification:
         eq = equilibrium(p)
         spectrum = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 50)
         report = classify_equilibrium(p, eq, spectrum)
-        rates = np.array(report.sigma[1:])
+        rates = sigma_n(p, eq, spectrum.eigenvalues[1:])
         if report.verdict == "stable":
             assert np.all(rates < 0.0)
         elif report.verdict == "unstable":
