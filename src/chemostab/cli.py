@@ -49,8 +49,8 @@ from .core import (
     equilibrium,
     init_state,
     initial_density,
-    mass_average,
     neumann_eigenvalues,
+    reference_equilibrium,
 )
 from .diagnostics import check_power_diff_inequality
 from .integrator import BlowupDetected, run
@@ -109,38 +109,31 @@ def _emit(payload) -> None:
     print(json.dumps(jsonable(payload), indent=2))
 
 
-def _grid_checked(cfg) -> GridDomain:
+def _setup(cfg, params: ModelParams, simulate: bool = False
+           ) -> tuple[GridDomain, Equilibrium, FieldState | None]:
+    """The grid, the reference equilibrium and, with `simulate`, the t = 0
+    state, the initial density built at most once: without init.u_star the
+    minimal model's u* is that density's mean. Only a grid to simulate is
+    held to SIMULATE_CELL_LIMIT."""
     grid = grid_from_config(cfg)
-    if grid.total_cells > SIMULATE_CELL_LIMIT:
-        raise GridTooLarge(
-            f"{grid.total_cells} cells exceeds the limit {SIMULATE_CELL_LIMIT}"
-        )
-    return grid
-
-
-def _equilibrium_for(cfg, grid: GridDomain, params: ModelParams) -> Equilibrium:
-    """The minimal model's u* is init.u_star, or else the initial mass."""
-    if params.minimal and "init.u_star" not in cfg:
-        u = initial_density(grid, init_from_config(cfg))
-        return equilibrium(params, u_star=mass_average(u, grid))
-    return equilibrium(params, u_star=cfg["init.u_star"] if params.minimal else None)
-
-
-def _initial_state(cfg, grid: GridDomain, params: ModelParams) -> tuple[Equilibrium, FieldState]:
-    """The equilibrium and the t = 0 state, the initial density built once:
-    without init.u_star the minimal model's u* is that density's mass."""
-    if params.minimal and "init.u_star" not in cfg:
-        state = init_state(grid, init_from_config(cfg), params)
-        return equilibrium(params, u_star=mass_average(state.u, grid)), state
-    eq = _equilibrium_for(cfg, grid, params)
-    return eq, init_state(grid, init_from_config(cfg, base_u_star=eq.u_star), params)
+    if simulate and grid.total_cells > SIMULATE_CELL_LIMIT:
+        raise GridTooLarge(f"{grid.total_cells} cells exceeds the limit {SIMULATE_CELL_LIMIT}")
+    u_star = cfg.get("init.u_star") if params.minimal else None
+    state = u0 = None
+    if params.minimal and u_star is None:
+        spec = init_from_config(cfg)
+        state = init_state(grid, spec, params) if simulate else None
+        u0 = state.u if simulate else initial_density(grid, spec)
+    eq = reference_equilibrium(params, grid, u0=u0, u_star=u_star)
+    if simulate and state is None:
+        state = init_state(grid, init_from_config(cfg, base_u_star=eq.u_star), params)
+    return grid, eq, state
 
 
 def cmd_simulate(args) -> int:
     cfg = read_config(args.config)
     params = params_from_config(cfg)
-    grid = _grid_checked(cfg)
-    eq, state = _initial_state(cfg, grid, params)
+    grid, eq, state = _setup(cfg, params, simulate=True)
     step_cfg = step_config_from_config(cfg)
     try:
         traj = run(params, grid, state, step_cfg, eq=eq)
@@ -174,8 +167,7 @@ def cmd_simulate(args) -> int:
 def cmd_stability(args) -> int:
     cfg = read_config(args.config)
     params = params_from_config(cfg)
-    grid = grid_from_config(cfg)
-    eq = _equilibrium_for(cfg, grid, params)
+    grid, eq, _ = _setup(cfg, params)
     spectrum = neumann_eigenvalues(grid, args.n_max)
     report = classify_equilibrium(params, eq, spectrum)
     payload = {"equilibrium": eq, **jsonable(report)}
@@ -208,9 +200,7 @@ def cmd_thresholds(args) -> int:
     params = params_from_config(cfg)
     # Calibration run: empirical envelope bounds for the minimal model.
     calibrate = params.minimal and "init.kind" in cfg and "run.t_end" in cfg
-    grid = _grid_checked(cfg) if calibrate else grid_from_config(cfg)
-    eq, state = (_initial_state(cfg, grid, params) if calibrate
-                 else (_equilibrium_for(cfg, grid, params), None))
+    grid, eq, state = _setup(cfg, params, simulate=calibrate)
     spectrum = neumann_eigenvalues(grid, args.n_max)
 
     if args.discrete_m0:
@@ -224,18 +214,11 @@ def cmd_thresholds(args) -> int:
     if c_star is None and args.stub_c_star:
         c_star = default_c_star_stub()
 
-    ubar0 = vlower0 = None
-    minimal_source = "user"
-    if calibrate:
-        traj = run(params, grid, state, step_config_from_config(cfg), eq=eq)
-        ubar0 = float(np.max(traj.u_max))
-        vlower0 = float(np.min(traj.v_min))
-        minimal_source = "empirical"
-
+    calibration = (run(params, grid, state, step_config_from_config(cfg), eq=eq)
+                   if calibrate else None)
     report = threshold_report(
         params, eq, spectrum, grid.dimension,
-        m0=m0, m0_source=m0_source, c_star=c_star,
-        ubar0=ubar0, vlower0=vlower0, minimal_inputs_source=minimal_source,
+        m0=m0, m0_source=m0_source, c_star=c_star, calibration=calibration,
     )
     _emit(report)
     return 0
@@ -285,13 +268,15 @@ def cmd_sweep(args) -> int:
     cfg = read_config(args.config)
     parameter = required(cfg, "sweep.parameter")
     values = required(cfg, "sweep.values")
-    grid = grid_from_config(cfg)
+    grid = grid_from_config(cfg)  # a missing domain key is named before a coefficient
     spectrum = neumann_eigenvalues(grid, args.n_max)
+    first = params_from_config({**cfg, parameter: values[0]})
+    # The minimal model's u* depends on no coefficient: it is taken once.
+    u_star = _setup(cfg, first)[1].u_star if first.minimal else None
     rows = []
     for value in values:
-        point = {**cfg, parameter: value}
-        params = params_from_config(point)
-        eq = _equilibrium_for(point, grid, params)
+        params = params_from_config({**cfg, parameter: value})
+        eq = equilibrium(params, u_star=u_star)
         report = classify_equilibrium(params, eq, spectrum)
         rows.append({
             parameter: value,

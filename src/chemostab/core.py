@@ -15,6 +15,7 @@ construction (`init_state`).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -146,6 +147,14 @@ class AxisFaces(NamedTuple):
     interior: tuple[slice, ...]
 
 
+def _whole(value, name: str) -> int:
+    """`value`, an integer or a float with no fractional part, as an int."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """Cell-centered grid on an interval (1D) or rectangle (2D).
@@ -161,10 +170,11 @@ class GridDomain:
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dimension", _whole(self.dimension, "dimension"))
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
-        object.__setattr__(self, "cells", tuple(int(n) for n in self.cells))
+        object.__setattr__(self, "cells", tuple(_whole(n, "cell count") for n in self.cells))
         if len(self.lengths) != self.dimension or len(self.cells) != self.dimension:
             raise ValueError(
                 f"expected {self.dimension} lengths and cell counts, "
@@ -274,6 +284,16 @@ def equilibrium(params: ModelParams, u_star: float | None = None) -> Equilibrium
     return Equilibrium(u, _signal_level(u, params.gamma, params.mu, params.nu))
 
 
+def reference_equilibrium(params: ModelParams, grid: GridDomain, u0: np.ndarray | None = None,
+                          u_star: float | None = None) -> Equilibrium:
+    """The constant state a run from the density `u0` is measured against:
+    the logistic equilibrium, or in the minimal model (u_star, v*), u_star
+    defaulting to the mean of `u0`, the state that mass conservation selects."""
+    if params.minimal and u_star is None and u0 is not None:
+        u_star = mass_average(u0, grid)
+    return equilibrium(params, u_star=u_star)
+
+
 def _logistic_density(a, b, alpha):
     """u* = (a/b)^(1/alpha) of the logistic source; elementwise over arrays."""
     return (a / b) ** (1.0 / alpha)
@@ -360,8 +380,9 @@ class FieldState:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.time < 0.0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
+        # Written so that NaN, which fails every comparison, fails too.
+        if not 0.0 <= self.time < math.inf:
+            raise ValueError(f"time must be finite and >= 0, got {self.time}")
         if self.u.shape != self.v.shape:
             raise ValueError(
                 f"u and v must share a shape, got {self.u.shape} vs {self.v.shape}"

@@ -53,8 +53,8 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .core import (Equilibrium, FieldState, GridDomain, ModelParams, equilibrium, mass_average,
-                   read_only_scalar)
+from .core import (Equilibrium, FieldState, GridDomain, ModelParams, read_only_scalar,
+                   reference_equilibrium)
 from .diagnostics import _lyapunov_sum, dissipation_D
 from .helmholtz import HelmholtzOperator, chemical_field, get_operator, solve_block
 
@@ -415,8 +415,7 @@ def run(
     step when t_end is not on that lattice. A t_end at or before init.time
     raises ValueError before any solve.
 
-    In the minimal model the reference equilibrium defaults to the initial
-    mass average, the constant state that mass conservation selects.
+    `eq` defaults to `reference_equilibrium` of the initial density.
 
     The loop steps the bare fields u, v and works out once what does not
     change from step to step. A FieldState is built only for a state that
@@ -445,8 +444,7 @@ def run(
     if cfg.t_end <= init.time:
         raise ValueError(f"t_end = {cfg.t_end} must be after the initial time {init.time}")
     if eq is None:
-        u_star = mass_average(init.u, grid) if params.minimal else None
-        eq = equilibrium(params, u_star=u_star)
+        eq = reference_equilibrium(params, grid, u0=init.u)
 
     traj = Trajectory(params=params, grid=grid, eq=eq)
     if cfg.store_snapshots:

@@ -47,9 +47,7 @@ from .rectangle import (
 )
 from .stability import classify_equilibrium, sigma_n
 from .thresholds import (
-    chi_beta_threshold,
     chi_double_star,
-    minimal_thresholds,
     theta,
     threshold_report,
     v_lower_ab,
@@ -396,16 +394,9 @@ def _minimal_common(chi0: float, store_snapshots: bool = False):
     traj = _perturbed_run(params, None, 0.3, t_end=20.0, dt=2e-3, output_stride=50,
                           store_snapshots=store_snapshots)
     eq, grid = traj.eq, traj.grid
-    spectrum = neumann_eigenvalues(grid, 200)
-    chi_b = chi_beta_threshold(params.beta, params.gamma, grid.dimension)
-    mins = minimal_thresholds(
-        eq.u_star, params.gamma, params.beta, params.mu, params.nu,
-        spectrum.lambda_star,
-        ubar0=float(np.max(traj.u_max)),
-        vlower0=float(np.min(traj.v_min)),
-        dimension=grid.dimension,
-        inputs_source="empirical",
-    )
+    report = threshold_report(params, eq, neumann_eigenvalues(grid, 200), grid.dimension,
+                              calibration=traj)
+    chi_b, mins = report.chi_beta.value, report.minimal
     return params, traj, eq, chi_b, mins
 
 

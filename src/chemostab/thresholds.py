@@ -33,6 +33,7 @@ from .core import (
     neumann_eigenvalues,
 )
 from .helmholtz import face_gradients, get_operator
+from .integrator import Trajectory
 from .stability import (
     SWEEP_COLUMNS,
     _bracketed_minimum,
@@ -799,11 +800,11 @@ def threshold_report(
     m0: float = 0.0,
     m0_source: str = "user",
     c_star: CStarSource | None = None,
-    ubar0: float | None = None,
-    vlower0: float | None = None,
-    minimal_inputs_source: str = "user",
+    calibration: Trajectory | None = None,
 ) -> ThresholdReport:
-    """Assemble the full threshold report for one parameter point."""
+    """Assemble the full threshold report for one parameter point. The
+    minimal model's thresholds read ubar0 = max u_max and vlower0 = min v_min
+    off the `calibration` run ("empirical"); without one there are none."""
     aux = build_aux_constants(params, spectrum, dimension, m0, m0_source, c_star)
     chi_star_value, argmin_mode = critical_sensitivity(params, eq, spectrum)
 
@@ -830,11 +831,11 @@ def threshold_report(
     chi_ss = None
     minimal = None
     if params.minimal:
-        if ubar0 is not None and vlower0 is not None:
+        if calibration is not None:
             minimal = minimal_thresholds(
                 eq.u_star, params.gamma, params.beta, params.mu, params.nu,
-                spectrum.lambda_star, ubar0, vlower0, dimension,
-                inputs_source=minimal_inputs_source,
+                spectrum.lambda_star, float(np.max(calibration.u_max)),
+                float(np.min(calibration.v_min)), dimension, inputs_source="empirical",
             )
     else:
         chi_ss = chi_double_star(params, eq, m0=m0)

@@ -149,25 +149,20 @@ def array_fingerprint(values) -> dict:
                                            flat.mean())]}
 
 
-def build(results: dict) -> dict:
-    """The whole record, from the scenario results by name."""
-    with tempfile.TemporaryDirectory() as directory:
-        commands = command_fingerprints(Path(directory))
-    return {
-        "versions": versions(),
-        "commands": commands,
-        "scenarios": {name: scenario_fingerprint(name, results[name])
-                      for name in sorted(results)},
-    }
-
-
 def main() -> int:
     from chemostab.scenarios import SCENARIOS, run_scenario
 
-    record = build({name: run_scenario(name) for name in SCENARIOS})
+    with tempfile.TemporaryDirectory() as directory:
+        commands = command_fingerprints(Path(directory))
+    record = {
+        "versions": versions(),
+        "commands": commands,
+        "scenarios": {name: scenario_fingerprint(name, run_scenario(name))
+                      for name in sorted(SCENARIOS)},
+    }
     PATH.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {PATH}: {len(record['commands'])} commands, "
-          f"{len(record['scenarios'])} scenarios", file=sys.stderr)
+    print(f"wrote {PATH}: {len(commands)} commands, {len(SCENARIOS)} scenarios",
+          file=sys.stderr)
     return 0
 
 

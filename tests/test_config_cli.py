@@ -686,6 +686,34 @@ class TestMinimalModelSolves:
         if command == "thresholds":
             assert payload["minimal"]["inputs_source"] == "empirical"
 
+    def test_sweep_loads_and_builds_the_initial_density_once(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # u* is the mean of the initial density, whatever the swept value;
+        # it was once taken again for each value.
+        path = tmp_path / "u0.npy"
+        np.save(path, 1.0 + 0.1 * np.cos(np.linspace(0.0, math.pi, 64)))
+        text = MINIMAL_CONSTANT_CFG.replace(
+            "init.kind = constant", "init.kind = array").replace(
+            "init.value = 1.5", f"init.path = {path}")
+        text += "sweep.parameter = chi0\nsweep.values = 0.5, 1, 2, 4\n"
+        cfg = write_cfg(tmp_path, text=text)
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "load", counted("load", np.load))
+        build = counted("build", chemostab.core.initial_density)
+        monkeypatch.setattr(chemostab.core, "initial_density", build)
+        monkeypatch.setattr(chemostab.cli, "initial_density", build)
+        code, payload, _ = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        assert [row["chi0"] for row in payload["rows"]] == [0.5, 1.0, 2.0, 4.0]
+        assert (calls.count("load"), calls.count("build")) == (1, 1)
+
     def test_sweep_makes_no_solve(self, tmp_path, capsys, solves):
         text = MINIMAL_CONSTANT_CFG + "sweep.parameter = chi0\nsweep.values = 0.5, 1, 2\n"
         cfg = write_cfg(tmp_path, text=text)

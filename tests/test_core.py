@@ -28,6 +28,8 @@ from chemostab.core import (
     NonPositiveCoefficient,
     NonPositiveInitialData,
     initial_density,
+    mass_average,
+    reference_equilibrium,
 )
 from conftest import REFERENCE, face_cells, full_sort_eigenvalues, make_params
 
@@ -123,6 +125,18 @@ class TestEquilibrium:
         assert eq.u_star == 3.0
         assert eq.v_star == pytest.approx(9.0, rel=1e-15)
 
+    def test_reference_equilibrium(self, interval_pi):
+        u0 = 1.0 + 0.5 * np.cos(interval_pi.centers())
+        logistic, minimal = make_params(), make_params(a=0.0, b=0.0)
+        assert reference_equilibrium(logistic, interval_pi, u0=u0) == equilibrium(logistic)
+        # The minimal model's u* is the mean of u0, unless u_star is given.
+        mean = mass_average(u0, interval_pi)
+        assert reference_equilibrium(minimal, interval_pi, u0=u0) == equilibrium(minimal, mean)
+        assert reference_equilibrium(minimal, interval_pi, u0=u0, u_star=2.0) == \
+            equilibrium(minimal, 2.0)
+        with pytest.raises(MissingFreeParameter):
+            reference_equilibrium(minimal, interval_pi)
+
     def test_nonpositive_equilibrium_rejected(self):
         with pytest.raises(ValueError):
             Equilibrium(-1.0, 1.0)
@@ -194,6 +208,26 @@ class TestGridDomain:
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):
             GridDomain(3, (1.0, 1.0, 1.0), (8, 8, 8))
+
+    @pytest.mark.parametrize("build, value", [
+        (lambda: GridDomain.interval(math.pi, 64.9), "64.9"),
+        (lambda: GridDomain.rectangle(1.0, 2.0, 8.9, 12.2), "8.9"),
+        (lambda: GridDomain.interval(math.pi, "64"), "'64'"),
+        (lambda: GridDomain.interval(math.pi, None), "None"),
+        (lambda: GridDomain(1.5, (math.pi,), (64,)), "1.5"),
+        (lambda: GridDomain(math.inf, (math.pi,), (64,)), "inf"),
+    ], ids=["fraction", "fraction-2d", "string", "none", "dimension", "dimension-inf"])
+    def test_fractional_or_non_numeric_counts_rejected(self, build, value):
+        # A fractional cell count was once truncated without a word.
+        with pytest.raises(ValueError, match=f"must be a whole number, got {re.escape(value)}$"):
+            build()
+
+    def test_whole_float_dimension_is_stored_as_int(self):
+        # A float dimension once passed the check and failed in `faces`.
+        grid = GridDomain(1.0, (math.pi,), (np.int64(64),))
+        assert type(grid.dimension) is int and type(grid.cells[0]) is int
+        assert grid == GridDomain.interval(math.pi, 64)
+        assert len(grid.faces) == 1
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -435,8 +469,31 @@ class TestInitialData:
         with pytest.raises(ValueError, match="shape"):
             init_state(interval_pi, InitSpec.from_array(np.ones(32)), reference_params)
 
+    @pytest.mark.parametrize("spec, message", [
+        (InitSpec(kind="constant"), "constant initial data needs a value"),
+        (InitSpec(kind="perturbation"), "perturbation initial data needs u_star"),
+        (InitSpec(kind="array"), "array initial data needs the array"),
+        (InitSpec(kind="wavelet"), "unknown initial-condition kind 'wavelet'"),
+    ], ids=["constant", "perturbation", "array", "unknown"])
+    def test_spec_without_its_field_rejected(self, interval_pi, spec, message):
+        with pytest.raises(ValueError, match=message):
+            initial_density(interval_pi, spec)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_density_rejected(self, interval_pi, bad):
+        values = np.ones(64)
+        values[5] = bad
+        with pytest.raises(NonPositiveInitialData, match="non-finite"):
+            initial_density(interval_pi, InitSpec.from_array(values))
+
     def test_field_state_validation(self):
         with pytest.raises(ValueError, match="share a shape"):
             FieldState(0.0, np.ones(4), np.ones(5))
         with pytest.raises(ValueError, match="time"):
             FieldState(-1.0, np.ones(4), np.ones(4))
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -1.0])
+    def test_field_state_time_must_be_finite(self, time):
+        # A NaN time once passed, since NaN < 0 is false.
+        with pytest.raises(ValueError, match=f"time must be finite and >= 0, got {time}"):
+            FieldState(time, np.ones(4), np.ones(4))

@@ -194,6 +194,14 @@ class TestPersistence:
         report = persistence_metrics(_make_traj(p, 0.9, 0.9), p)
         assert report.u_bound is None
 
+    @pytest.mark.parametrize("chi0", [0.0, -1.0])
+    def test_superlinear_case_needs_positive_sensitivity(self, chi0):
+        p = make_params(a=2.0, b=1.0, m=2.0, beta=1.0, chi0=chi0)
+        report = persistence_metrics(_make_traj(p, 0.9, 0.9), p)
+        assert report.u_bound is None and report.bound_case is None
+        assert report.hypothesis_failure == (
+            f"chi0 > 0 required for the m > 1 bound, got chi0 = {chi0}")
+
     def test_minimal_model_has_no_bound(self):
         p = make_params(a=0.0, b=0.0)
         report = persistence_metrics(_make_traj(p, 0.9, 0.9), p)

@@ -18,8 +18,9 @@ import fingerprints
 from chemostab.scenarios import SCENARIOS
 from test_scenarios import cached_run
 
-# The bound of the cross-version path: last-bit differences in a BLAS or
-# libm compound over a run's thousands of steps, but stay far below it.
+# The bounds of the cross-version path. Last-bit differences between BLAS
+# or libm builds compound over a run's thousands of steps, and are
+# expected to stay far below them.
 REL_TOL = 1e-6
 ABS_TOL = 1e-9
 
@@ -29,8 +30,7 @@ SAME_VERSIONS = RECORD["versions"] == fingerprints.versions()
 
 def close(expected, actual, path="") -> list[str]:
     """The paths at which two parsed JSON values differ beyond the bounds."""
-    if isinstance(expected, bool) or isinstance(actual, bool) or expected is None \
-            or isinstance(expected, str):
+    if expected is None or isinstance(expected, (bool, str)) or isinstance(actual, bool):
         return [] if type(expected) is type(actual) and expected == actual else [path]
     if isinstance(expected, (int, float)):
         if not isinstance(actual, (int, float)):

@@ -372,6 +372,15 @@ class TestRunControls:
             run(p, interval_pi, init, StepConfig(t_end=1.0, dt=1e-2, dt_policy=policy))
         assert solves == []
 
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    def test_a_nan_start_time_is_refused(self, interval_pi, policy):
+        # A NaN start once ran 0 steps (cfl) or failed converting the step count (fixed).
+        p = make_params()
+        state = init_state(interval_pi, InitSpec.constant(1.0), p)
+        with pytest.raises(ValueError, match="time must be finite and >= 0, got nan"):
+            run(p, interval_pi, dataclasses.replace(state, time=math.nan),
+                StepConfig(t_end=1.0, dt=1e-2, dt_policy=policy))
+
     def test_equilibrium_is_fixed_point(self, interval_pi):
         p = make_params(chi0=2.0)
         state = init_state(interval_pi, InitSpec.constant(1.0), p)

@@ -10,6 +10,7 @@ from scipy.linalg.lapack import dpttrs
 
 from chemostab import (
     GridDomain,
+    Trajectory,
     chi_ab_beta,
     chi_beta_threshold,
     chi_double_star,
@@ -196,6 +197,11 @@ class TestRegularityConstants:
         result = k_star(2, 3.0, 1.0, 1.0, 1.0, default_c_star_stub())
         assert result.q_star == 3.0
 
+    def test_k_star_needs_p_above_one(self):
+        # q* = 1, so the first rung's p = (1 + eps + 0.5) / 5 is about 0.302.
+        with pytest.raises(HypothesisViolated, match=r"\(q \+ alpha\) / gamma > 1, got p = 0\.302"):
+            k_star(1, 0.5, 5.0, 1.0, 1.0, default_c_star_stub())
+
     def test_k_star_needs_constant(self):
         with pytest.raises(MissingCZConstant):
             k_star(1, 1.0, 1.0, 1.0, 1.0, None)
@@ -238,6 +244,19 @@ class TestChiAbBeta:
         res = chi_ab_beta(p, 2, k_star_value=2.0)
         assert res.entry_ii_iv == pytest.approx(math.sqrt(8.0), rel=1e-15)
         assert math.isinf(res.value)  # the other entry is supercritical
+
+    def test_second_entry_supercritical(self):
+        # alpha = 2 > 2m + gamma - 2 = 1 with beta >= 1/2.
+        res = chi_ab_beta(make_params(alpha=2.0, beta=1.0), 1)
+        assert math.isinf(res.entry_ii_iv)
+        assert res.branch_ii_iv == "alpha > 2m + gamma - 2"
+
+    def test_second_equality_case_needs_k_star(self):
+        # alpha = 3 = 2m + gamma - 2 with N alpha - 2 = 1 > 0; the first
+        # entry is supercritical (alpha > m + gamma - 1 = 2) and needs none.
+        p = make_params(m=2.0, gamma=1.0, alpha=3.0, beta=1.0)
+        with pytest.raises(MissingKStar, match="alpha = 2m \\+ gamma - 2 needs a K\\* value"):
+            chi_ab_beta(p, 1)
 
     def test_low_beta_skips_second_entry_without_k_star(self):
         p = make_params(m=1.5, gamma=1.0, alpha=2.0, beta=0.3)
@@ -560,17 +579,26 @@ class TestThresholdReport:
         assert report.aux.theta_beta == 1.0
         assert report.aux.lambda_star == 1.0
 
-    def test_minimal_report(self, spectrum_pi):
+    def test_minimal_report(self, spectrum_pi, interval_pi):
         p = make_params(a=0.0, b=0.0, beta=1.0)
         eq = equilibrium(p, u_star=1.0)
-        report = threshold_report(
-            p, eq, spectrum_pi, 1, ubar0=1.3, vlower0=0.7,
-            minimal_inputs_source="empirical",
-        )
+        # The bounds ubar0 = 1.3 and vlower0 = 0.7 come from the calibration run.
+        calibration = Trajectory(p, interval_pi, eq, u_max=np.array([1.3]),
+                                 v_min=np.array([0.7]))
+        report = threshold_report(p, eq, spectrum_pi, 1, calibration=calibration)
         assert report.chi_ss is None
         assert report.minimal.chi_ss1_min == 0.5
         assert report.minimal.inputs_source == "empirical"
         assert report.chi_beta.value == 1.0
+
+    def test_constants_outside_their_hypotheses_are_none(self, spectrum_pi):
+        # alpha = 0.5, gamma = 5: C_{alpha,gamma} is undefined, and K* needs p > 1.
+        p = make_params(alpha=0.5, gamma=5.0)
+        report = threshold_report(p, equilibrium(p), spectrum_pi, 1,
+                                  c_star=default_c_star_stub())
+        assert report.aux.c_alpha_gamma is None
+        assert report.aux.k_star is None
+        assert report.aux.c_star is not None
 
     def test_missing_k_star_becomes_note(self, spectrum_pi):
         p = make_params(m=2.0, gamma=2.0, alpha=3.0, beta=1.0)
