@@ -104,6 +104,18 @@ class ModelParams:
         """True for the source-free, mass-conserving model (a = b = 0)."""
         return self.a == 0.0 and self.b == 0.0
 
+    # Made on first use and kept on the instance, like `GridDomain.faces`; it
+    # is not a field, so equality and hashing still see only the
+    # coefficients, and `dataclasses.replace` builds a record that makes its
+    # own.
+    @cached_property
+    def scalars(self) -> ParamScalars:
+        """The coefficients that the step kernels apply to fields, as
+        read-only 0-d float64 arrays (see `ParamScalars`)."""
+        return ParamScalars(*(read_only_scalar(value) for value in (
+            self.chi0, -self.beta, self.m, self.a, self.b, 1.0 + self.alpha,
+            self.gamma, self.nu)))
+
 
 def validate_params(raw: Mapping[str, float]) -> ModelParams:
     """Build a validated `ModelParams` from a flat mapping.
@@ -118,11 +130,34 @@ def validate_params(raw: Mapping[str, float]) -> ModelParams:
     return ModelParams(**{name: float(raw[name]) for name in PARAM_FIELDS})
 
 
+# float64, the dtype of every field a run makes. A float64 ndarray has this
+# very dtype object, so `x.dtype is FLOAT64` tells a kernel, at the cost of
+# an attribute read, that `np.asarray(x, dtype=float)` would return x.
+FLOAT64 = np.dtype(float)
+
+
 def read_only_scalar(value: float) -> np.ndarray:
     """`value` as a read-only 0-d float64 array."""
     array = np.array(value, dtype=float)
     array.flags.writeable = False
     return array
+
+
+class ParamScalars(NamedTuple):
+    """`ModelParams` coefficients as the step kernels take them: read-only
+    0-d float64 arrays. With an array operand numpy skips the conversion of
+    a Python float (see `AxisFaces`), and on float64 fields every float is
+    the same. `neg_beta` is the drift's exponent -beta and `sink_exponent`
+    the source's 1 + alpha."""
+
+    chi0: np.ndarray
+    neg_beta: np.ndarray
+    m: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    sink_exponent: np.ndarray
+    gamma: np.ndarray
+    nu: np.ndarray
 
 
 class AxisFaces(NamedTuple):
@@ -147,6 +182,13 @@ class AxisFaces(NamedTuple):
     interior: tuple[slice, ...]
 
 
+def _real(value, name: str) -> float:
+    """`value`, an integer or a float, numpy's included, as a float."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(value, name: str) -> int:
     """`value`, an integer or a float with no fractional part, as an int."""
     if not (isinstance(value, numbers.Integral)
@@ -162,7 +204,9 @@ class GridDomain:
     Cell centers along an axis of length L with n cells sit at
     (i + 1/2) L / n. Zero-flux boundaries are realized by mirror ghost
     cells in the discrete operators. `faces` holds each axis's face
-    geometry (`AxisFaces`), worked out once per grid.
+    geometry (`AxisFaces`), worked out once per grid. Lengths must be
+    positive finite numbers (numpy's included; a string raises ValueError),
+    and cell counts and the dimension whole numbers.
     """
 
     dimension: int
@@ -173,7 +217,7 @@ class GridDomain:
         object.__setattr__(self, "dimension", _whole(self.dimension, "dimension"))
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
+        object.__setattr__(self, "lengths", tuple(_real(x, "length") for x in self.lengths))
         object.__setattr__(self, "cells", tuple(_whole(n, "cell count") for n in self.cells))
         if len(self.lengths) != self.dimension or len(self.cells) != self.dimension:
             raise ValueError(

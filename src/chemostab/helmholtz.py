@@ -51,7 +51,9 @@ The one rule: a block is certified when it is full and when the run leaves
 its `with solve_block(grid)`, where a failing solve replaces any Exception
 in flight. So nothing built on an uncertified solve leaves the run, a
 failing solve raises what it would have raised at once, and the solutions
-are those of the direct solve either way.
+are those of the direct solve either way. A block works out once, when it
+is made, each slot's two rows as views, which `add` copies a solve into,
+and the axis order that presents its slots to `certify` as columns.
 
 `add_laplacian` is the one written form of lap_h, behind the residual
 check and `laplacian`. It works on the field with its grid axes merged
@@ -74,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .core import GridDomain, ModelParams
+from .core import FLOAT64, GridDomain, ModelParams
 
 RESIDUAL_RTOL = 1e-10
 
@@ -130,9 +132,14 @@ class HelmholtzOperator:
         column's residual is at most 1e-10 * max |rhs| (NaN fails),
         NonFiniteInput if that rhs holds NaN or infinity. On an operator with
         a `block` the check of a grid-shaped solve waits in the block.
+
+        A float64 ndarray rhs, as every rhs of a run is, is solved as it
+        is; any other input is converted with np.asarray(rhs, dtype=float)
+        first, so its solution is that of its float64 copy.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        shape = self.grid.shape
+        if rhs.__class__ is not np.ndarray or rhs.dtype is not FLOAT64:
+            rhs = np.asarray(rhs, dtype=float)
+        shape = self.grid.cells
         stacked = rhs.shape != shape
         if stacked and rhs.shape[:-1] != shape:
             raise ValueError(f"rhs shape {rhs.shape} is neither the grid shape {shape} "
@@ -149,10 +156,11 @@ class HelmholtzOperator:
             modes = fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1))
             modes /= self.diagonal[..., None] if stacked else self.diagonal
             w = fft.idctn(modes, type=2, norm="ortho", axes=(0, 1), overwrite_x=True)
-        if self.block is None:
+        block = self.block
+        if block is None:
             certify(self.grid, self.mu, rhs, w)
         else:
-            self.block.add(self.mu, rhs, w)
+            block.add(self.mu, rhs, w)
         return w
 
 
@@ -205,7 +213,8 @@ def certify(grid: GridDomain, mu, rhs: np.ndarray, solutions: np.ndarray) -> Non
 class SolveBlock:
     """Solves on one grid whose certificates wait for one stacked pass.
 
-    `add` copies a solve into the next slot of the stack; `flush` certifies
+    `add` copies a solve into the next slot of the stack, through views of
+    the slot's rows made with the block; `flush` certifies
     the filled slots with `certify`, in the order they were added, and
     empties the block, also when it raises. A block flushes when it is full
     and when a `with` over it exits cleanly or with an Exception, which a
@@ -220,23 +229,28 @@ class SolveBlock:
         self.solutions = np.empty((capacity, *grid.shape))
         self.mu = np.empty(capacity)
         self.count = 0
+        # Each slot's two rows as views, which `add` copies into directly.
+        self._slots = list(zip(self.rhs, self.solutions))
+        # The axis order that puts the stack axis last, as `certify` takes it.
+        self._columns = (*range(1, grid.dimension + 1), 0)
 
     def add(self, mu: float, rhs: np.ndarray, w: np.ndarray) -> None:
         k = self.count
-        self.rhs[k] = rhs
-        self.solutions[k] = w
+        rhs_slot, w_slot = self._slots[k]
+        rhs_slot[...] = rhs
+        w_slot[...] = w
         self.mu[k] = mu
-        self.count = k + 1
-        if self.count == self.capacity:
+        self.count = k = k + 1
+        if k == self.capacity:
             self.flush()
 
     def flush(self) -> None:
         count, self.count = self.count, 0
         if count:
-            # Columns with the grid axes first, as add_laplacian takes them.
-            # moveaxis, not .T: on a 2D grid .T would also swap x and y.
-            certify(self.grid, self.mu[:count], np.moveaxis(self.rhs[:count], 0, -1),
-                    np.moveaxis(self.solutions[:count], 0, -1))
+            # Columns with the grid axes first, as add_laplacian takes them;
+            # not .T, which on a 2D grid would also swap x and y.
+            certify(self.grid, self.mu[:count], self.rhs[:count].transpose(self._columns),
+                    self.solutions[:count].transpose(self._columns))
 
     def __enter__(self) -> SolveBlock:
         return self
@@ -289,12 +303,13 @@ def chemical_field(params: ModelParams, u: np.ndarray, signal: HelmholtzOperator
 
     `signal` is get_operator(grid, params.mu).
     """
-    u = np.asarray(u, dtype=float)
+    if u.__class__ is not np.ndarray or u.dtype is not FLOAT64:
+        u = np.asarray(u, dtype=float)
     # With gamma = 1, u**gamma is u itself, and with nu = 1, nu * source is
     # source itself; both are skipped. `solve` only reads its rhs.
-    source = u if params.gamma == 1.0 else u**params.gamma
+    source = u if params.gamma == 1.0 else u**params.scalars.gamma
     if params.nu != 1.0:
-        source = params.nu * source
+        source = params.scalars.nu * source
     return signal.solve(source)
 
 

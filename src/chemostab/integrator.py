@@ -7,15 +7,21 @@ updated density after every step, keeping the elliptic coupling
 quasi-static.
 
 The flux kernels (`face_drift`, `chemotactic_face_flux`, `flux_divergence`)
-read the face geometry of `GridDomain.faces`, worked out once per grid, and
 build their results in place, in the order of their written forms: every
 float is the written form's, up to the sign of a zero in the divergence
 (see `flux_divergence`). At 64 cells a step costs numpy dispatch and
 Python bookkeeping rather than arithmetic, so each pass saved shows, and
-so does each Python float operand that numpy must convert: the kernels'
-and the explicit stage's scalar operands are 0-d float64 arrays, which
-give the same floats on float64 fields. `step` and the kernels stay
-module-level functions that `run` calls on every step that it integrates.
+so does each Python float operand that numpy must convert. So a run's
+constants are worked out once, by the records that hold them: the face
+geometry per grid (`GridDomain.faces`), the coefficients as read-only 0-d
+float64 arrays per parameter record (`ModelParams.scalars`), and dt as
+one per step configuration (`StepConfig.dt_array`; a step of another dt,
+under cfl or the fixed policy's final partial step, makes its own). On
+float64 fields a 0-d operand gives the floats of the Python float. The
+kernels, `chemical_field` and `HelmholtzOperator.solve` use a float64
+ndarray, as every field of a run is, as it is, and convert any other
+input with np.asarray as before. `step` and the kernels stay module-level
+functions that `run` calls on every step that it integrates.
 
 A run that settles stops integrating. The persistence and convergence
 theorems say that bounded positive solutions settle at (u*, v*), and on
@@ -49,12 +55,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, get_args
 
 import numpy as np
 
-from .core import (Equilibrium, FieldState, GridDomain, ModelParams, read_only_scalar,
-                   reference_equilibrium)
+from .core import (FLOAT64, AxisFaces, Equilibrium, FieldState, GridDomain, ModelParams,
+                   read_only_scalar, reference_equilibrium)
 from .diagnostics import _lyapunov_sum, dissipation_D
 from .helmholtz import HelmholtzOperator, chemical_field, get_operator, solve_block
 
@@ -142,6 +149,12 @@ class StepConfig:
                 f"positivity_floor must be >= 0 and finite, got {self.positivity_floor}"
             )
 
+    # Made on first use and kept on the instance; not a field.
+    @cached_property
+    def dt_array(self) -> np.ndarray:
+        """`dt` as a read-only 0-d float64 array, the operand of `step`."""
+        return read_only_scalar(self.dt)
+
 
 # The per-sample series of a Trajectory; the CSV names `times` "t".
 SERIES = ("times", "u_min", "u_max", "v_min", "v_max", "mass", "err_inf",
@@ -211,21 +224,24 @@ def face_drift(v: np.ndarray, params: ModelParams, grid: GridDomain) -> list[np.
     the written form (chi0 (1 + 0.5 (v_lo + v_hi))^(-beta)) (v_hi - v_lo) / h,
     so every float is that of the written form.
     """
-    # In-place arithmetic needs a float buffer; a float v passes through as is.
-    v = np.asarray(v, dtype=float)
+    # In-place arithmetic needs a float64 buffer. The run's own fields pass
+    # as they are; anything else (a list, integers, float32) is converted.
+    if v.__class__ is not np.ndarray or v.dtype is not FLOAT64:
+        v = np.asarray(v, dtype=float)
+    scalars = params.scalars
     drifts = []
     for lo, hi, h, _, _ in grid.faces:
         v_lo, v_hi = v[lo], v[hi]
         if params.beta == 0.0:
             # The saturation factor is exactly 1 and is skipped.
             drift = v_hi - v_lo
-            drift *= params.chi0
+            drift *= scalars.chi0
         else:
             drift = v_lo + v_hi
             drift *= _HALF
             drift += _ONE
-            drift **= -params.beta
-            drift *= params.chi0
+            drift **= scalars.neg_beta
+            drift *= scalars.chi0
             drift *= v_hi - v_lo
         drift /= h
         drifts.append(drift)
@@ -241,16 +257,24 @@ def chemotactic_face_flux(
     taken from the donor cell selected by the sign of the face drift, and
     the flux u_donor^m drift is built in place on the donor array.
     """
-    u = np.asarray(u, dtype=float)
-    fluxes = []
-    for (lo, hi, _, _, _), drift in zip(grid.faces, drifts):
-        flux = np.where(drift > _ZERO, u[lo], u[hi])
-        # With m = 1, donor**m is donor itself and is skipped.
-        if params.m != 1.0:
-            flux **= params.m
-        flux *= drift
-        fluxes.append(flux)
-    return fluxes
+    if u.__class__ is not np.ndarray or u.dtype is not FLOAT64:
+        u = np.asarray(u, dtype=float)
+    # One axis takes one call, with no per-axis pairing of faces and drifts.
+    if grid.dimension == 1:
+        return [_upwind_flux(u, grid.faces[0], drifts[0], params)]
+    return [_upwind_flux(u, faces, drift, params) for faces, drift in zip(grid.faces, drifts)]
+
+
+def _upwind_flux(u: np.ndarray, faces: AxisFaces, drift: np.ndarray,
+                 params: ModelParams) -> np.ndarray:
+    """The upwind flux on the interior faces of one axis, for
+    `chemotactic_face_flux`."""
+    flux = np.where(drift > _ZERO, u[faces.low], u[faces.high])
+    # With m = 1, donor**m is donor itself and is skipped.
+    if params.m != 1.0:
+        flux **= params.scalars.m
+    flux *= drift
+    return flux
 
 
 def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
@@ -267,16 +291,17 @@ def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
     form's 0.0 + -0.0 is 0.0). Axes after the grid's are carried along, so
     one call takes the divergence of a stack of fluxes.
     """
+    lo, hi, h, padded, interior = grid.faces[0]
     stack = fluxes[0].shape[grid.dimension:]
-    div = None
-    for (lo, hi, h, padded, interior), flux in zip(grid.faces, fluxes):
+    faces = np.zeros(padded + stack)
+    np.divide(fluxes[0], h, faces[interior])
+    div = np.subtract(faces[hi], faces[lo])
+    for axis in range(1, grid.dimension):
+        lo, hi, h, padded, interior = grid.faces[axis]
         faces = np.zeros(padded + stack)
-        np.divide(flux, h, faces[interior])
-        if div is None:
-            div = np.subtract(faces[hi], faces[lo])
-        else:
-            div += faces[hi]
-            div -= faces[lo]
+        np.divide(fluxes[axis], h, faces[interior])
+        div += faces[hi]
+        div -= faces[lo]
     return div
 
 
@@ -343,13 +368,15 @@ def step(
     # (u + dt * (-div + a u - b u^(1+alpha))) / dt, since x + (-y) is x - y
     # and + and * commute in IEEE arithmetic, so every bit is the same. A
     # factor a or b of exactly 1 is skipped.
-    stage = np.subtract(u if params.a == 1.0 else params.a * u, div, out=div)
-    sink = u ** (1.0 + params.alpha)
+    scalars = params.scalars
+    stage = np.subtract(u if params.a == 1.0 else scalars.a * u, div, out=div)
+    sink = u ** scalars.sink_exponent
     if params.b != 1.0:
-        sink *= params.b
+        sink *= scalars.b
     stage -= sink
-    # dt as a 0-d array, for the two operations (see `core.AxisFaces`).
-    step_size = np.array(dt, dtype=float)
+    # dt as a 0-d array, for the two operations (see `core.AxisFaces`); a
+    # step of the configured dt takes the one that cfg makes once.
+    step_size = cfg.dt_array if dt == cfg.dt else np.array(dt, dtype=float)
     stage *= step_size
     stage += u
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:

@@ -12,6 +12,13 @@ known to stay above a floor v_lb, sensitivity saturation improves both
 coefficients: k -> k / (1+v_lb)^beta and q -> q / (1+v_lb). The pair
 preserves ulow <= 1 <= ubar and contracts to (1, 1) when k (2 + q0) < 1,
 where q0 is the unreduced quadratic coefficient.
+
+`integrate_rectangle` advances the pair as two Python floats, four rate
+evaluations per RK4 step. It binds the coefficients of its
+`RectangleParams` once per call into the one written form of the rates
+(`_pair_rates(rp)`), so a rate evaluation reads local names rather than
+five fields of `rp`, and the products and powers that the form takes
+twice are taken once; every float is the form's.
 """
 
 from __future__ import annotations
@@ -112,17 +119,24 @@ def normalize(
     )
 
 
-def _pair_rates(ubar, ulow, rp: RectangleParams):
-    """(ubar', ulow') of the pair at one point, for Python floats or numpy
-    scalars; the one written form of the right-hand side."""
-    gap = ubar**rp.gamma - ulow**rp.gamma
-    dbar = (
-        rp.kappa * ubar**rp.m * gap
-        + rp.quad * rp.kappa * ubar**rp.m * gap**2
-        + ubar * (1.0 - ubar**rp.alpha)
-    )
-    dlow = -rp.kappa * ulow**rp.m * gap + ulow * (1.0 - ulow**rp.alpha)
-    return dbar, dlow
+def _pair_rates(rp: RectangleParams):
+    """The pair's right-hand side with rp's coefficients bound once: a
+    function (ubar, ulow) -> (ubar', ulow') of Python floats or numpy
+    scalars, the one written form of the right-hand side. The products
+    quad kappa and -kappa and the power ubar^m, each of which the form
+    takes twice, are taken once; each rounds as in the form, so every
+    float is the form's."""
+    kappa, quad_kappa, neg_kappa = rp.kappa, rp.quad * rp.kappa, -rp.kappa
+    m, alpha, gamma = rp.m, rp.alpha, rp.gamma
+
+    def rates(ubar, ulow):
+        gap = ubar**gamma - ulow**gamma
+        ubar_m = ubar**m
+        dbar = kappa * ubar_m * gap + quad_kappa * ubar_m * gap**2 + ubar * (1.0 - ubar**alpha)
+        dlow = neg_kappa * ulow**m * gap + ulow * (1.0 - ulow**alpha)
+        return dbar, dlow
+
+    return rates
 
 
 ORDER_TOL = 1e-9
@@ -188,22 +202,24 @@ def integrate_rectangle(
     # cost. Where numpy gives inf or NaN, float `**` raises OverflowError or,
     # for a negative stage value, turns complex; both mean a non-finite state.
     half, sixth = 0.5 * dt, dt / 6.0
+    rates = _pair_rates(rp)
+    isfinite, lo_cap, b_floor = math.isfinite, 1.0 + ORDER_TOL, 1.0 - ORDER_TOL
     b, lo = float(ubar0), float(ulow0)
     ubar, ulow = [b], [lo]
     for i in range(n_steps):
         try:
-            k1b, k1l = _pair_rates(b, lo, rp)
-            k2b, k2l = _pair_rates(b + half * k1b, lo + half * k1l, rp)
-            k3b, k3l = _pair_rates(b + half * k2b, lo + half * k2l, rp)
-            k4b, k4l = _pair_rates(b + dt * k3b, lo + dt * k3l, rp)
+            k1b, k1l = rates(b, lo)
+            k2b, k2l = rates(b + half * k1b, lo + half * k1l)
+            k3b, k3l = rates(b + half * k2b, lo + half * k2l)
+            k4b, k4l = rates(b + dt * k3b, lo + dt * k3l)
             b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
             lo = lo + sixth * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
         except OverflowError:
             b = math.inf
         if (isinstance(b, complex) or isinstance(lo, complex)
-                or not (math.isfinite(b) and math.isfinite(lo))):
+                or not (isfinite(b) and isfinite(lo))):
             raise OrderViolation(f"non-finite state at tau = {tau[i + 1]}")
-        if lo <= 0.0 or lo > 1.0 + ORDER_TOL or b < 1.0 - ORDER_TOL:
+        if lo <= 0.0 or lo > lo_cap or b < b_floor:
             raise OrderViolation(
                 f"ordering ulow <= 1 <= ubar broke at tau = {tau[i + 1]}: "
                 f"({b}, {lo})"

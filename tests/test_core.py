@@ -171,6 +171,30 @@ class TestEquilibrium:
         assert mu * eq.v_star == pytest.approx(nu * eq.u_star**gamma, rel=1e-12)
 
 
+class TestParamScalars:
+    def test_each_coefficient_as_a_read_only_0d_float64(self):
+        p = make_params(chi0=-1.7, beta=0.5, m=1.5, alpha=2.0, gamma=1.5, a=2.0, b=0.5, nu=3.0)
+        scalars = p.scalars
+        assert scalars is p.scalars  # made once per record
+        assert scalars._fields == ("chi0", "neg_beta", "m", "a", "b", "sink_exponent",
+                                   "gamma", "nu")
+        expected = (-1.7, -0.5, 1.5, 2.0, 0.5, 3.0, 1.5, 3.0)
+        for value, want in zip(scalars, expected):
+            assert value.shape == () and value.dtype == np.float64
+            assert not value.flags.writeable
+            assert float(value) == want
+
+    def test_replace_makes_its_own(self):
+        p = make_params(chi0=1.7, beta=1.0)
+        first = p.scalars
+        q = dataclasses.replace(p, chi0=0.25, beta=0.0)
+        assert (float(q.scalars.chi0), float(q.scalars.neg_beta)) == (0.25, 0.0)
+        assert p.scalars is first and float(first.chi0) == 1.7
+        # Not a field: equality and hashing see the coefficients alone.
+        assert p == make_params(chi0=1.7, beta=1.0)
+        assert hash(p) == hash(make_params(chi0=1.7, beta=1.0))
+
+
 class TestGridDomain:
     def test_interval_properties(self):
         g = GridDomain.interval(math.pi, 64)
@@ -221,6 +245,22 @@ class TestGridDomain:
         # A fractional cell count was once truncated without a word.
         with pytest.raises(ValueError, match=f"must be a whole number, got {re.escape(value)}$"):
             build()
+
+    @pytest.mark.parametrize("build, value", [
+        (lambda: GridDomain.interval("3.14", 64), "'3.14'"),
+        (lambda: GridDomain.rectangle(1.0, None, 8, 12), "None"),
+        (lambda: GridDomain(1, (1 + 2j,), (64,)), "(1+2j)"),
+    ], ids=["string", "none-2d", "complex"])
+    def test_non_numeric_lengths_rejected(self, build, value):
+        # A string length was once converted by float() and accepted.
+        with pytest.raises(ValueError, match=f"length must be a number, got {re.escape(value)}$"):
+            build()
+
+    def test_numpy_lengths_are_stored_as_floats(self):
+        grid = GridDomain.rectangle(np.float64(math.pi), np.int64(2), 8, 12)
+        assert grid.lengths == (math.pi, 2.0)
+        assert all(type(length) is float for length in grid.lengths)
+        assert grid == GridDomain.rectangle(math.pi, 2.0, 8, 12)
 
     def test_whole_float_dimension_is_stored_as_int(self):
         # A float dimension once passed the check and failed in `faces`.

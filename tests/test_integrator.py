@@ -138,6 +138,14 @@ class TestStepConfig:
             StepConfig(t_end=t_end, dt=dt)
         assert StepConfig(t_end=t_end, dt=dt, dt_policy="cfl").dt == dt
 
+    def test_dt_array_is_dt_read_only_and_follows_replace(self):
+        cfg = StepConfig(t_end=1.0, dt=2e-3)
+        assert cfg.dt_array is cfg.dt_array  # made once per config
+        assert cfg.dt_array.shape == () and cfg.dt_array.dtype == np.float64
+        assert not cfg.dt_array.flags.writeable and float(cfg.dt_array) == 2e-3
+        assert float(dataclasses.replace(cfg, dt=5e-3).dt_array) == 5e-3
+        assert cfg == StepConfig(t_end=1.0, dt=2e-3)
+
     def test_infinite_blowup_cap_means_no_cap(self):
         assert StepConfig(t_end=1.0, blowup_cap=math.inf).blowup_cap == math.inf
 
@@ -291,6 +299,90 @@ class TestKernelsMatchOracles:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2:] == want[2:]
+
+
+def input_forms(field, rng):
+    """The forms a caller may pass in place of a float64 field, each with
+    the float64 C-contiguous copy of its values: a list, an int array, a
+    float32 array, a strided view and, for a 2D field, a Fortran-ordered
+    copy. A kernel uses a float64 ndarray as it is and converts the rest."""
+    ints = rng.integers(1, 5, size=field.shape)
+    low = field.astype(np.float32)
+    wide = np.empty(field.shape[:-1] + (2 * field.shape[-1],))
+    wide[..., ::2] = field
+    forms = {
+        "list": field.tolist(),
+        "int": ints,
+        "float32": low,
+        "strided": wide[..., ::2],
+    }
+    if field.ndim == 2:
+        forms["fortran"] = np.asfortranarray(field)
+    return {name: (form, np.array(form, dtype=float, order="C")) for name, form in forms.items()}
+
+
+class TestKernelInputs:
+    """face_drift, chemotactic_face_flux and chemical_field skip
+    `np.asarray` for a float64 ndarray, the fields of a run; every other
+    input is converted as before, so each must give bitwise what its
+    float64 C-contiguous copy gives. flux_divergence takes the flux
+    kernel's arrays, and HelmholtzOperator.solve any of the forms."""
+
+    GRIDS = {"1d": GridDomain.interval(math.pi, 64),
+             "2d": GridDomain.rectangle(1.0, 2.5, 12, 20)}
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_kernels_give_the_float64_copy_bits(self, name, rng):
+        grid = self.GRIDS[name]
+        p = make_params(chi0=-1.3, beta=1.5, m=2.0, gamma=1.5, nu=2.0)
+        u = rng.uniform(0.5, 2.0, size=grid.shape)
+        v = rng.uniform(0.1, 1.0, size=grid.shape)
+        drifts = face_drift(v, p, grid)
+        signal = get_operator(grid, p.mu)
+        for label, (form, copy) in input_forms(v, rng).items():
+            got = face_drift(form, p, grid)
+            assert [d.tobytes() for d in got] == [
+                d.tobytes() for d in face_drift(copy, p, grid)], label
+        for label, (form, copy) in input_forms(u, rng).items():
+            got = chemotactic_face_flux(form, drifts, p, grid)
+            assert [f.tobytes() for f in got] == [
+                f.tobytes() for f in chemotactic_face_flux(copy, drifts, p, grid)], label
+            got = chemostab.chemical_field(p, form, signal)
+            assert got.tobytes() == chemostab.chemical_field(p, copy, signal).tobytes(), label
+        fluxes = chemotactic_face_flux(u, drifts, p, grid)
+        for axis in range(grid.dimension):
+            for label, (form, copy) in input_forms(fluxes[axis], rng).items():
+                if label == "list":
+                    continue
+                got, want = list(fluxes), list(fluxes)
+                got[axis], want[axis] = form, copy
+                assert flux_divergence(got, grid).tobytes() == flux_divergence(
+                    want, grid).tobytes(), (axis, label)
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_solve_gives_the_float64_copy_bits(self, name, rng):
+        grid = self.GRIDS[name]
+        op = get_operator(grid, 2.0)
+        rhs = rng.uniform(0.5, 2.0, size=grid.shape)
+        for label, (form, copy) in input_forms(rhs, rng).items():
+            assert op.solve(form).tobytes() == op.solve(copy).tobytes(), label
+
+    def test_the_0d_coefficients_follow_replace(self, rng):
+        # The discrete stability check folds (1 + v*)^(-beta) into chi0 with
+        # dataclasses.replace; the new record must not take the old one's
+        # 0-d coefficients, which the first call has made.
+        grid = self.GRIDS["1d"]
+        p = make_params(chi0=1.7, beta=1.5, m=2.0)
+        v = rng.uniform(0.1, 1.0, size=grid.shape)
+        u = rng.uniform(0.5, 2.0, size=grid.shape)
+        face_drift(v, p, grid)
+        for q in (dataclasses.replace(p, chi0=-0.4, beta=0.0),
+                  dataclasses.replace(p, beta=0.5, m=1.5)):
+            drifts = face_drift(v, q, grid)
+            assert [d.tobytes() for d in drifts] == [
+                d.tobytes() for d in oracle_face_drift(v, q, grid)]
+            assert [f.tobytes() for f in chemotactic_face_flux(u, drifts, q, grid)] == [
+                f.tobytes() for f in oracle_face_flux(u, drifts, q, grid)]
 
 
 class TestMassAndReaction:
@@ -597,6 +689,10 @@ class TestExplicitStageInPlace:
         assert (u_min, u_max) == (float(u_new.min()), float(u_new.max()))
         # The in-place stage leaves the state it started from untouched.
         assert state.u.tobytes() == u_bytes
+        # A step of another dt than the configured one (a cfl step, a final
+        # partial step) makes its own 0-d dt: the same floats.
+        other = step_at(state.u, state.v, state.time, p, grid, dt, StepConfig(t_end=1.0, dt=1.0))
+        assert other[0].tobytes() == got_u.tobytes() and other[1].tobytes() == got_v.tobytes()
 
 
 class TestDriftOncePerStep:

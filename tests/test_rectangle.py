@@ -75,7 +75,7 @@ class TestNormalize:
 def rectangle_rhs(state: np.ndarray, rp) -> np.ndarray:
     """Right-hand side of the (ubar, ulow) pair, as a length-2 array."""
     ubar, ulow = state
-    return np.array(rectangle._pair_rates(ubar, ulow, rp))
+    return np.array(rectangle._pair_rates(rp)(ubar, ulow))
 
 
 class TestRhs:
@@ -253,13 +253,18 @@ class TestFloatLoopMatchesArrayLoop:
         repeated = (ubar[1:] == ubar[:-1]) & (ulow[1:] == ulow[:-1])
         assert np.argmax(repeated) + 1 == 733
         calls = []
-        rates = rectangle._pair_rates
+        bind = rectangle._pair_rates
 
-        def counting_rates(*args):
-            calls.append(args)
-            return rates(*args)
+        def counting_bind(rp):
+            rates = bind(rp)
 
-        monkeypatch.setattr(rectangle, "_pair_rates", counting_rates)
+            def counting_rates(*args):
+                calls.append(args)
+                return rates(*args)
+
+            return counting_rates
+
+        monkeypatch.setattr(rectangle, "_pair_rates", counting_bind)
         traj = integrate_rectangle(rp, 1.25, 0.75, tau_end=60.0, dt=5e-2)
         assert len(calls) == 4 * 733
         assert traj.ubar.tobytes() == ubar.tobytes()
