@@ -36,17 +36,21 @@ own max |r|, so a large column cannot mask a small one. One decision serves
 both. It first tests a residual against 1e-10 |r_0|, r_0 the solve's first
 cell: since |r_0| is at most max |r| and a rounded product keeps that
 order, a residual within this bound is within the full one. On a stack
-this quick test runs on all columns at once, as array operations. Only a
-residual that it does not accept pays for the reduction max |r| and the
-full test, in a Python loop over those columns alone, which then decides
-exactly as the full test alone; so every accept-or-raise decision and
-message is that of the full test, and the first failing column, in order,
-raises.
+this quick test runs on all columns at once, as array operations, each
+column's residual norm a ufunc reduction; one solve's residual norm is
+read by index (`core.max_abs`), bitwise that reduction, at about half
+its cost on 64 cells. Only a residual that the quick test does not accept
+pays for max |r| and the full test, in a Python loop over those columns
+alone, which then decides exactly as the full test alone; so every
+accept-or-raise decision and message is that of the full test, and the
+first failing column, in order, raises.
 
 When the check runs: an operator certifies each solve at once, unless
 `get_operator` built it with a `SolveBlock`, as `integrator.run` builds its
 two on grids of at most 256 cells, where the check's numpy dispatch, not
 its arithmetic, is the cost of a solve (128 solves on 64 cells per block).
+Only grid-shaped solves wait in a block: a stack is certified at once, in
+its own stacked pass, on any operator.
 The one rule: a block is certified when it is full and when the run leaves
 its `with solve_block(grid)`, where a failing solve replaces any Exception
 in flight. So nothing built on an uncertified solve leaves the run, a
@@ -76,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .core import FLOAT64, GridDomain, ModelParams
+from .core import FLOAT64, GridDomain, ModelParams, max_abs
 
 RESIDUAL_RTOL = 1e-10
 
@@ -131,7 +135,8 @@ class HelmholtzOperator:
         by `certify` at once, a stack in one pass: SolverFailure unless each
         column's residual is at most 1e-10 * max |rhs| (NaN fails),
         NonFiniteInput if that rhs holds NaN or infinity. On an operator with
-        a `block` the check of a grid-shaped solve waits in the block.
+        a `block` the check of a grid-shaped solve waits in the block; a
+        stack is certified at once, as on any operator.
 
         A float64 ndarray rhs, as every rhs of a run is, is solved as it
         is; any other input is converted with np.asarray(rhs, dtype=float)
@@ -156,8 +161,9 @@ class HelmholtzOperator:
             modes = fft.dctn(rhs, type=2, norm="ortho", axes=(0, 1))
             modes /= self.diagonal[..., None] if stacked else self.diagonal
             w = fft.idctn(modes, type=2, norm="ortho", axes=(0, 1), overwrite_x=True)
+        # Only a grid-shaped solve waits in a block; a stack is one pass already.
         block = self.block
-        if block is None:
+        if block is None or stacked:
             certify(self.grid, self.mu, rhs, w)
         else:
             block.add(self.mu, rhs, w)
@@ -184,12 +190,13 @@ def certify(grid: GridDomain, mu, rhs: np.ndarray, solutions: np.ndarray) -> Non
     res = mu * solutions
     np.subtract(rhs, res, out=res)
     add_laplacian(res, solutions, grid)
-    np.abs(res, out=res)
-    # Max-norms by the ufunc reduction itself (ndarray.max wraps it in
-    # Python); NaN propagates through it. A stack runs the one-cell test on
-    # all its solves at once, one solve as Python floats; only the solves
-    # that it does not accept reach the loop, in order.
+    # A stack runs the one-cell test on all its solves at once, their
+    # max-norms by one ufunc reduction per column; one solve runs it as
+    # Python floats, its max-norm read by index (`core.max_abs`, bitwise
+    # the reduction of |res|). NaN propagates through both. Only the solves
+    # that the test does not accept reach the loop, in order.
     if rhs.ndim > grid.dimension:
+        np.abs(res, out=res)
         residuals = np.maximum.reduce(res, axis=tuple(range(grid.dimension)))
         quick = RESIDUAL_RTOL * np.abs(rhs[(0,) * grid.dimension])
         # An infinite one-cell bound (an infinite first cell) accepts nothing
@@ -197,11 +204,11 @@ def certify(grid: GridDomain, mu, rhs: np.ndarray, solutions: np.ndarray) -> Non
         pending = np.flatnonzero(~((residuals <= quick) & np.isfinite(quick)))
         untested = [(float(residuals[k]), rhs[..., k]) for k in pending]
     else:
-        residual = float(np.maximum.reduce(res, axis=None))
+        residual = max_abs(res)
         quick = RESIDUAL_RTOL * abs(rhs.item(0))
         untested = [] if residual <= quick and math.isfinite(quick) else [(residual, rhs)]
     for residual, r in untested:
-        scale = float(np.maximum.reduce(np.abs(r), axis=None)) or 1.0
+        scale = max_abs(r) or 1.0
         if not residual <= RESIDUAL_RTOL * scale:
             if not np.isfinite(r).all():
                 raise NonFiniteInput("right-hand side contains non-finite values")

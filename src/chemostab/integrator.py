@@ -15,13 +15,20 @@ so does each Python float operand that numpy must convert. So a run's
 constants are worked out once, by the records that hold them: the face
 geometry per grid (`GridDomain.faces`), the coefficients as read-only 0-d
 float64 arrays per parameter record (`ModelParams.scalars`), and dt as
-one per step configuration (`StepConfig.dt_array`; a step of another dt,
-under cfl or the fixed policy's final partial step, makes its own). On
-float64 fields a 0-d operand gives the floats of the Python float. The
-kernels, `chemical_field` and `HelmholtzOperator.solve` use a float64
-ndarray, as every field of a run is, as it is, and convert any other
-input with np.asarray as before. `step` and the kernels stay module-level
-functions that `run` calls on every step that it integrates.
+one 0-d array per dt, made by `run` where it builds that dt's diffusion
+operator (a cfl run makes one per new dt, not one per step). On float64
+fields a 0-d operand gives the floats of the Python float. The kernels,
+`chemical_field` and `HelmholtzOperator.solve` use a float64 ndarray, as
+every field of a run is, as it is, and convert any other input with
+np.asarray as before. `step` and the kernels stay module-level functions
+that `run` calls on every step that it integrates.
+
+For the same reason the extrema that a step needs are read by index, not
+by a ufunc reduction: min and max of u for the clip and blow-up checks and
+the cfl bound, max |drift| for that bound, and min and max of v for a
+sample (`core.array_min`, `core.array_max`, `core.max_abs`). Each is
+bitwise the reduction it replaces, NaN and signed zeros included, since a
+NaN or a zero found by index is handed to the reduction itself.
 
 A run that settles stops integrating. The persistence and convergence
 theorems say that bounded positive solutions settle at (u*, v*), and on
@@ -61,7 +68,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .core import (FLOAT64, AxisFaces, Equilibrium, FieldState, GridDomain, ModelParams,
-                   read_only_scalar, reference_equilibrium)
+                   array_max, array_min, max_abs, read_only_scalar, reference_equilibrium)
 from .diagnostics import _lyapunov_sum, dissipation_D
 from .helmholtz import HelmholtzOperator, chemical_field, get_operator, solve_block
 
@@ -152,7 +159,8 @@ class StepConfig:
     # Made on first use and kept on the instance; not a field.
     @cached_property
     def dt_array(self) -> np.ndarray:
-        """`dt` as a read-only 0-d float64 array, the operand of `step`."""
+        """`dt` as a read-only 0-d float64 array, the operand of a `step`
+        of the configured dt that is called without one."""
         return read_only_scalar(self.dt)
 
 
@@ -290,11 +298,18 @@ def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
     can change sign (a padded difference -0.0 - 0.0 is -0.0 where that
     form's 0.0 + -0.0 is 0.0). Axes after the grid's are carried along, so
     one call takes the divergence of a stack of fluxes.
+
+    A first-axis flux that is not a float64 ndarray (a list, say) is
+    converted with np.asarray, as the other kernels convert their input,
+    for its shape; np.divide converts the later axes' as it reads them.
     """
+    flux = fluxes[0]
+    if flux.__class__ is not np.ndarray or flux.dtype is not FLOAT64:
+        flux = np.asarray(flux, dtype=float)
     lo, hi, h, padded, interior = grid.faces[0]
-    stack = fluxes[0].shape[grid.dimension:]
+    stack = flux.shape[grid.dimension:]
     faces = np.zeros(padded + stack)
-    np.divide(fluxes[0], h, faces[interior])
+    np.divide(flux, h, faces[interior])
     div = np.subtract(faces[hi], faces[lo])
     for axis in range(1, grid.dimension):
         lo, hi, h, padded, interior = grid.faces[axis]
@@ -311,10 +326,12 @@ def stable_dt(u_min: float, u_max: float, drifts: list[np.ndarray], params: Mode
 
     Diffusion is implicit and imposes no limit. Returns sigma_cfl times
     the binding limit, capped at cfg.dt. The bound is taken at the
-    extrema u_min, u_max of the density, as float(np.minimum.reduce(u)) and
-    float(np.maximum.reduce(u)) give them, and at the face drifts
-    face_drift(v, params, grid). `run` reduces the initial state once, and
-    after that carries the extrema that each `step` returns.
+    extrema u_min, u_max of the density, as `core.array_min(u)` and
+    `core.array_max(u)` give them, and at the face drifts
+    face_drift(v, params, grid), whose largest speed is `core.max_abs` of
+    each drift. Each is read by index and is bitwise the ufunc reduction's.
+    `run` finds the initial state's extrema once, and after that carries the
+    extrema that each `step` returns.
 
     Raises DegenerateState for a non-finite state, read off the values the
     bound takes anyway: NaN or +inf in u shows in u_max, -inf in u_min.
@@ -327,7 +344,7 @@ def stable_dt(u_min: float, u_max: float, drifts: list[np.ndarray], params: Mode
     limit = math.inf
     fluxes_scale = max(u_max, 0.0) ** (params.m - 1.0)
     for h, drift in zip(grid.spacing, drifts):
-        speed = float(np.maximum.reduce(np.abs(drift), axis=None)) * fluxes_scale
+        speed = max_abs(drift) * fluxes_scale
         if not math.isfinite(speed):
             raise DegenerateState("chemotactic drift is non-finite")
         if speed > 0.0:
@@ -349,18 +366,23 @@ def step(
     cfg: StepConfig,
     diffusion: HelmholtzOperator,
     signal: HelmholtzOperator,
+    step_size: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
     """One IMEX step from the density u at `time`; `drifts` is
     face_drift(v, params, grid) of its signal field v.
 
     Returns the new fields u, v, the positivity clip count, and the
-    extrema min(u) and max(u) of the new density, which are finite. Raises
-    BlowupDetected, at time + dt and naming the cell of max(u), when max(u)
-    is not finite or above the cap.
+    extrema min(u) and max(u) of the new density, which are finite, read by
+    index with `core.array_min` and `core.array_max` (bitwise the ufunc
+    reductions). Raises BlowupDetected, at time + dt and naming the cell of
+    max(u), when max(u) is not finite or above the cap.
 
     `diffusion` and `signal` are get_operator(grid, 1 / dt) and
     get_operator(grid, params.mu); they certify the step's two solves at
-    once or in the block they were built with (see `run`).
+    once or in the block they were built with (see `run`). `step_size` is
+    dt as a read-only 0-d array, which `run` makes once per dt, with the
+    diffusion operator; without it a step takes `cfg.dt_array` when dt is
+    cfg.dt and makes its own otherwise.
     """
     div = flux_divergence(chemotactic_face_flux(u, drifts, params, grid), grid)
     # The explicit stage u + dt (a u - div - b u^(1+alpha)), over dt, built in
@@ -374,9 +396,9 @@ def step(
     if params.b != 1.0:
         sink *= scalars.b
     stage -= sink
-    # dt as a 0-d array, for the two operations (see `core.AxisFaces`); a
-    # step of the configured dt takes the one that cfg makes once.
-    step_size = cfg.dt_array if dt == cfg.dt else np.array(dt, dtype=float)
+    # dt as a 0-d array, for the two operations (see `core.AxisFaces`).
+    if step_size is None:
+        step_size = cfg.dt_array if dt == cfg.dt else read_only_scalar(dt)
     stage *= step_size
     stage += u
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
@@ -384,17 +406,17 @@ def step(
     stage /= step_size
     u_new = diffusion.solve(stage)
 
-    # One reduction decides whether any cell needs clipping. A NaN cell makes
+    # The minimum decides whether any cell needs clipping. A NaN cell makes
     # the minimum NaN, so nothing is clipped, and BlowupDetected follows.
     clipped = 0
-    u_min = float(np.minimum.reduce(u_new, axis=None))
+    u_min = array_min(u_new)
     if u_min < cfg.positivity_floor:
         below = u_new < cfg.positivity_floor
         clipped = int(np.count_nonzero(below))
         u_new = np.where(below, cfg.positivity_floor, u_new)
-        u_min = float(np.minimum.reduce(u_new, axis=None))
+        u_min = array_min(u_new)
 
-    u_max = float(np.maximum.reduce(u_new, axis=None))
+    u_max = array_max(u_new)
     if not math.isfinite(u_max) or u_max > cfg.blowup_cap:
         # The cell is located only here, on the way out.
         cell = tuple(int(i) for i in np.unravel_index(np.argmax(u_new), u_new.shape))
@@ -414,8 +436,8 @@ def _record(traj: Trajectory, state: FieldState, u_min: float, u_max: float,
         state.time,
         u_min,
         u_max,
-        float(v.min()),
-        float(v.max()),
+        array_min(v),
+        array_max(v),
         float(u.sum()) * vol,
         # max |u - u*| from the extrema: x -> fl(x - u*) is monotone under
         # round-to-nearest, so the largest |fl(u_i - u*)| is at u_max or
@@ -447,12 +469,13 @@ def run(
     The loop steps the bare fields u, v and works out once what does not
     change from step to step. A FieldState is built only for a state that
     leaves the run: a sample, a snapshot or the final state. The signal
-    operator is built once, the diffusion operator again only when dt
-    changes. One face drift per step serves the flux and the cfl bound.
-    Samples and the bound take the u extrema that the previous step's clip
-    and blow-up checks reduced, and the initial state's, reduced once. The
-    floats, counts and errors are those of a loop that builds a FieldState,
-    both operators and the drift on every step and reduces u afresh.
+    operator is built once, the diffusion operator and the 0-d dt that
+    `step` takes again only when dt changes. One face drift per step serves
+    the flux and the cfl bound. Samples and the bound take the u extrema
+    that the previous step's clip and blow-up checks found, and the initial
+    state's, found once. The floats, counts and errors are those of a loop
+    that builds a FieldState, both operators and the drift on every step
+    and reduces u afresh.
 
     Both operators are built with the block of `with solve_block(grid)`,
     which certifies the solves of successive steps together on small grids
@@ -481,8 +504,7 @@ def run(
     state = init
     u, v, time = init.u, init.v, init.time
     # The initial state's extrema; each step returns the next ones.
-    u_min = float(np.minimum.reduce(u, axis=None))
-    u_max = float(np.maximum.reduce(u, axis=None))
+    u_min, u_max = array_min(u), array_max(u)
     _record(traj, state, u_min, u_max, rows)
     # The per-step constants, bound once.
     t0, t_end, cfg_dt, stride = init.time, cfg.t_end, cfg.dt, cfg.output_stride
@@ -518,9 +540,10 @@ def run(
                 settled_dt = None
                 if dt != diffusion_dt:
                     diffusion, diffusion_dt = get_operator(grid, 1.0 / dt, block), dt
+                    step_size = read_only_scalar(dt)
                 u_in = u
                 u, v, clipped, u_min, u_max = step(u, drifts, time, params, grid, dt, cfg,
-                                                   diffusion, signal)
+                                                   diffusion, signal, step_size)
                 integrated += 1
             clips += clipped
             steps += 1

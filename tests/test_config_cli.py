@@ -477,6 +477,22 @@ class TestAnalysisCommands:
         assert payload["minimal"]["inputs_source"] == "empirical"
         assert payload["minimal"]["ubar0"] >= 1.0
 
+    def test_thresholds_minimal_calibration_needs_t_end(self, tmp_path, capsys, monkeypatch):
+        # init.kind asks for a calibration run, which has no horizon here: a
+        # typed error that names the key, not a report with no bounds.
+        text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
+        text = text.replace("run.t_end = 0.2\n", "")
+        cfg = write_cfg(tmp_path, text=text)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the calibration run started")
+
+        monkeypatch.setattr(chemostab.cli, "run", no_run)
+        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
+        assert (code, payload) == (2, None)
+        assert error["error"] == "ConfigError"
+        assert "'run.t_end'" in error["message"]
+
     def test_thresholds_calibration_grid_budget_enforced(self, tmp_path, capsys):
         text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
         text = text.replace("init.amplitude = 0.01", "init.amplitude = 0.1\ninit.u_star = 1.0")

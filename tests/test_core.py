@@ -3,11 +3,13 @@
 import dataclasses
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import chemostab.core
 from chemostab import (
@@ -27,8 +29,11 @@ from chemostab.core import (
     MixedLogistic,
     NonPositiveCoefficient,
     NonPositiveInitialData,
+    array_max,
+    array_min,
     initial_density,
     mass_average,
+    max_abs,
     reference_equilibrium,
 )
 from conftest import REFERENCE, face_cells, full_sort_eigenvalues, make_params
@@ -193,6 +198,64 @@ class TestParamScalars:
         # Not a field: equality and hashing see the coefficients alone.
         assert p == make_params(chi0=1.7, beta=1.0)
         assert hash(p) == hash(make_params(chi0=1.7, beta=1.0))
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Values where an element found by index and a ufunc reduction can differ:
+# NaNs of either sign and another payload, infinities, tied zeros of either
+# sign, subnormals.
+SPECIAL_FLOATS = [
+    math.nan, -math.nan, _bits_float(0x7FF8000000000123), _bits_float(0xFFF8000000000001),
+    math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1.0,
+]
+
+
+@st.composite
+def reduction_inputs(draw):
+    """A float64 array of one or two axes, in C order, Fortran order, or as
+    a strided or reversed view."""
+    elements = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                         st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=9))
+    x = draw(hnp.arrays(np.float64, shape, elements=elements))
+    layout = draw(st.sampled_from(["c", "fortran", "strided", "reversed"]))
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.repeat(x, 2, axis=-1)
+        wide[..., 1::2] = draw(st.sampled_from(SPECIAL_FLOATS))
+        return wide[..., ::2]
+    return x[::-1] if layout == "reversed" else x
+
+
+class TestExtremaByIndex:
+    """array_min, array_max and max_abs return, bit for bit, the Python
+    float of the ufunc reduction each stands for."""
+
+    @given(x=reduction_inputs())
+    @settings(max_examples=500, deadline=None)
+    def test_each_helper_is_its_reduction_bit_for_bit(self, x):
+        pairs = [
+            (array_min(x), np.minimum.reduce(x, axis=None)),
+            (array_max(x), np.maximum.reduce(x, axis=None)),
+            (max_abs(x), np.maximum.reduce(np.abs(x), axis=None)),
+        ]
+        for got, want in pairs:
+            assert type(got) is float
+            assert struct.pack("d", got) == struct.pack("d", float(want))
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0], [-0.0], [math.nan],
+                                        [1.0, -math.nan, math.nan], [-math.inf, 5e-324],
+                                        [-5e-324, 0.0]])
+    def test_the_hard_cases(self, values):
+        x = np.array(values)
+        for got, want in [(array_min(x), np.minimum.reduce(x)),
+                          (array_max(x), np.maximum.reduce(x)),
+                          (max_abs(x), np.maximum.reduce(np.abs(x)))]:
+            assert struct.pack("d", got) == struct.pack("d", float(want)), values
 
 
 class TestGridDomain:

@@ -745,6 +745,23 @@ class TestSolveBlock:
         assert failure[0] is SolverFailure
         assert certify_in_block(grid, entries[:6] + [wrong] + entries[7:], 16) == failure
 
+    @pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2]], ids=["1d", "2d"])
+    def test_a_stack_on_a_block_operator_is_certified_at_once(self, grid, rng):
+        # Only grid-shaped solves wait in the block; a stack is one pass.
+        block = SolveBlock(grid, 128)
+        op, plain = get_operator(grid, 1.0, block), get_operator(grid, 1.0)
+        for rhs in (np.ones((*grid.shape, 3)), rng.uniform(0.5, 2.0, size=(*grid.shape, 5))):
+            assert op.solve(rhs).tobytes() == plain.solve(rhs).tobytes()
+            assert block.count == 0
+        w = plain.solve(rhs)
+        w[..., 3] *= 1.0 + 1e-6
+        outcome = solve_with(op, rhs, w)
+        assert outcome[0] is SolverFailure
+        assert outcome == solve_with(plain, rhs, w)
+        assert block.count == 0
+        op.solve(rhs[..., 0])
+        assert block.count == 1
+
     def test_a_2d_block_keeps_the_grid_axes_in_order(self, rng):
         # Unequal spacings: with the grid axes swapped the stencil is wrong.
         grid = GridDomain.rectangle(1.0, 2.5, 12, 12)

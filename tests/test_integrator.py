@@ -325,8 +325,8 @@ class TestKernelInputs:
     """face_drift, chemotactic_face_flux and chemical_field skip
     `np.asarray` for a float64 ndarray, the fields of a run; every other
     input is converted as before, so each must give bitwise what its
-    float64 C-contiguous copy gives. flux_divergence takes the flux
-    kernel's arrays, and HelmholtzOperator.solve any of the forms."""
+    float64 C-contiguous copy gives; so must flux_divergence on each
+    axis's flux, and HelmholtzOperator.solve."""
 
     GRIDS = {"1d": GridDomain.interval(math.pi, 64),
              "2d": GridDomain.rectangle(1.0, 2.5, 12, 20)}
@@ -352,8 +352,6 @@ class TestKernelInputs:
         fluxes = chemotactic_face_flux(u, drifts, p, grid)
         for axis in range(grid.dimension):
             for label, (form, copy) in input_forms(fluxes[axis], rng).items():
-                if label == "list":
-                    continue
                 got, want = list(fluxes), list(fluxes)
                 got[axis], want[axis] = form, copy
                 assert flux_divergence(got, grid).tobytes() == flux_divergence(
@@ -946,27 +944,65 @@ class TestRunMatchesReferenceLoop:
 
     def test_a_cfl_run_reduces_the_density_once_per_step(self, monkeypatch):
         # The clip check's minimum and the blow-up check's maximum serve the
-        # next step bound; only the initial state is reduced for it.
+        # next step bound; only the initial state is reduced for it. The
+        # extrema are read by `array_min` and `array_max`; their calls on
+        # grid-shaped arrays from within `_record` are v's, once per sample.
         grid = self.GRIDS["1d"]
         p = make_params(chi0=3.0, beta=0.5, m=1.5)
         init = self.rough_init(grid, p, 11, 0.3)
         cfg = StepConfig(t_end=0.3, dt=1e-2, dt_policy="cfl", output_stride=1000)
-        reductions = []
+        reductions, sampled, sampling = [], [], []
 
-        class Counting:
-            def __init__(self, ufunc):
-                self.ufunc = ufunc
+        def counting(name):
+            helper = getattr(chemostab.integrator, name)
 
-            def reduce(self, array, *args, **kwargs):
+            def wrapper(array):
                 if array.shape == grid.shape:
-                    reductions.append(self.ufunc.__name__)
-                return self.ufunc.reduce(array, *args, **kwargs)
+                    (sampled if sampling else reductions).append(name)
+                return helper(array)
+            return wrapper
 
-        monkeypatch.setattr(chemostab.integrator, "np", SimpleNamespace(
-            **{**vars(np), "minimum": Counting(np.minimum), "maximum": Counting(np.maximum)}))
+        record = chemostab.integrator._record
+
+        def sampling_record(*args):
+            sampling.append(True)
+            try:
+                return record(*args)
+            finally:
+                sampling.pop()
+
+        for name in ("array_min", "array_max"):
+            monkeypatch.setattr(chemostab.integrator, name, counting(name))
+        monkeypatch.setattr(chemostab.integrator, "_record", sampling_record)
         traj = run(p, grid, init, cfg)
         assert traj.steps_taken > 10
-        assert reductions.count("minimum") == reductions.count("maximum") == traj.steps_taken + 1
+        assert reductions.count("array_min") == reductions.count("array_max") == traj.steps_taken + 1
+        assert sampled.count("array_min") == sampled.count("array_max") == len(traj)
+
+    @pytest.mark.parametrize("policy", ["fixed", "cfl"])
+    def test_a_run_makes_one_0d_dt_per_diffusion_operator(self, policy, monkeypatch):
+        # `run` makes each dt's 0-d array where it builds that dt's diffusion
+        # operator, and `step` makes none: under cfl not one per step.
+        grid = self.GRIDS["1d"]
+        p = make_params(chi0=3.0, beta=0.5, m=1.5)
+        init = self.rough_init(grid, p, 11, 0.3)
+        cfg = StepConfig(t_end=0.305, dt=1e-2, dt_policy=policy, output_stride=7)
+        expected = run_outcome(lambda: reference_run(p, grid, init, cfg))
+        made = []
+        make = chemostab.integrator.read_only_scalar
+
+        def counting(value):
+            made.append(value)
+            return make(value)
+
+        monkeypatch.setattr(chemostab.integrator, "read_only_scalar", counting)
+        builds, dts = counting_builds(monkeypatch)
+        got = run(p, grid, init, cfg)
+        assert run_outcome(lambda: got) == expected
+        # The signal operator comes first; every later build is a diffusion's.
+        assert builds[0] == p.mu
+        assert builds[1:] == [1.0 / dt for dt in made]
+        assert len(set(dts)) == len(made) >= 2
 
     # A fast logistic source (a = b = 20) takes rough data to a state that
     # `step` returns bit for bit after about 150 steps. The fixed run ends
