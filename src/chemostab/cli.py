@@ -199,12 +199,14 @@ def cmd_thresholds(args) -> int:
     cfg = read_config(args.config)
     params = params_from_config(cfg)
     # Calibration run: empirical envelope bounds for the minimal model. An
-    # initial density with no horizon is a run half configured, refused
-    # before any work rather than reported as no bounds.
+    # initial density with no horizon, or a horizon with no initial density,
+    # is a run half configured, refused before any work rather than reported
+    # as no bounds.
     calibrate = params.minimal and "init.kind" in cfg
-    if calibrate and "run.t_end" not in cfg:
-        raise ConfigError("the minimal model's calibration run needs run.t_end: "
-                          "the config sets init.kind but not 'run.t_end'")
+    if params.minimal and calibrate != ("run.t_end" in cfg):
+        given, missing = ("init.kind", "run.t_end") if calibrate else ("run.t_end", "init.kind")
+        raise ConfigError(f"the minimal model's calibration run needs {missing}: "
+                          f"the config sets {given} but not '{missing}'")
     grid, eq, state = _setup(cfg, params, simulate=calibrate)
     spectrum = neumann_eigenvalues(grid, args.n_max)
 

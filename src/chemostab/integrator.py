@@ -16,8 +16,9 @@ constants are worked out once, by the records that hold them: the face
 geometry per grid (`GridDomain.faces`), the coefficients as read-only 0-d
 float64 arrays per parameter record (`ModelParams.scalars`), and dt as
 one 0-d array per dt, made by `run` where it builds that dt's diffusion
-operator (a cfl run makes one per new dt, not one per step). On float64
-fields a 0-d operand gives the floats of the Python float. The kernels,
+operator (a cfl run makes one per new dt, not one per step) and passed to
+`step` as its dt. On float64 fields a 0-d operand gives the floats of the
+Python float, so `step` takes either as its dt. The kernels,
 `chemical_field` and `HelmholtzOperator.solve` use a float64 ndarray, as
 every field of a run is, as it is, and convert any other input with
 np.asarray as before. `step` and the kernels stay module-level functions
@@ -62,12 +63,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Literal, get_args
 
 import numpy as np
 
-from .core import (FLOAT64, AxisFaces, Equilibrium, FieldState, GridDomain, ModelParams,
+from .core import (FLOAT64, Equilibrium, FieldState, GridDomain, ModelParams,
                    array_max, array_min, max_abs, read_only_scalar, reference_equilibrium)
 from .diagnostics import _lyapunov_sum, dissipation_D
 from .helmholtz import HelmholtzOperator, chemical_field, get_operator, solve_block
@@ -93,7 +93,8 @@ class BlowupDetected(RuntimeError):
 
 
 class DegenerateState(RuntimeError):
-    """State contains non-finite values; no stable step size exists."""
+    """No usable step size exists: the state contains non-finite values, or
+    a cfl step is too small to advance the time (below half an ulp of t)."""
 
 
 # The step-size policies: StepConfig.dt_policy's type, and through it the
@@ -155,13 +156,6 @@ class StepConfig:
             raise ValueError(
                 f"positivity_floor must be >= 0 and finite, got {self.positivity_floor}"
             )
-
-    # Made on first use and kept on the instance; not a field.
-    @cached_property
-    def dt_array(self) -> np.ndarray:
-        """`dt` as a read-only 0-d float64 array, the operand of a `step`
-        of the configured dt that is called without one."""
-        return read_only_scalar(self.dt)
 
 
 # The per-sample series of a Trajectory; the CSV names `times` "t".
@@ -261,28 +255,23 @@ def chemotactic_face_flux(
 ) -> list[np.ndarray]:
     """Upwinded chemotactic flux on interior faces, one array per axis.
 
-    `drifts` is face_drift(v, params, grid). The transported density u^m is
-    taken from the donor cell selected by the sign of the face drift, and
-    the flux u_donor^m drift is built in place on the donor array.
+    `drifts` is face_drift(v, params, grid). On each axis the transported
+    density u^m is taken from the donor cell selected by the sign of the
+    face drift, and the flux u_donor^m drift is built in place on the donor
+    array; with m = 1 the power is skipped. Axes of u after the grid's are
+    carried along, so one call takes the flux of a stack of densities.
     """
     if u.__class__ is not np.ndarray or u.dtype is not FLOAT64:
         u = np.asarray(u, dtype=float)
-    # One axis takes one call, with no per-axis pairing of faces and drifts.
-    if grid.dimension == 1:
-        return [_upwind_flux(u, grid.faces[0], drifts[0], params)]
-    return [_upwind_flux(u, faces, drift, params) for faces, drift in zip(grid.faces, drifts)]
-
-
-def _upwind_flux(u: np.ndarray, faces: AxisFaces, drift: np.ndarray,
-                 params: ModelParams) -> np.ndarray:
-    """The upwind flux on the interior faces of one axis, for
-    `chemotactic_face_flux`."""
-    flux = np.where(drift > _ZERO, u[faces.low], u[faces.high])
-    # With m = 1, donor**m is donor itself and is skipped.
-    if params.m != 1.0:
-        flux **= params.scalars.m
-    flux *= drift
-    return flux
+    fluxes = []
+    for (lo, hi, _, _, _), drift in zip(grid.faces, drifts):
+        flux = np.where(drift > _ZERO, u[lo], u[hi])
+        # With m = 1, donor**m is donor itself and is skipped.
+        if params.m != 1.0:
+            flux **= params.scalars.m
+        flux *= drift
+        fluxes.append(flux)
+    return fluxes
 
 
 def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
@@ -362,11 +351,10 @@ def step(
     time: float,
     params: ModelParams,
     grid: GridDomain,
-    dt: float,
+    dt: float | np.ndarray,
     cfg: StepConfig,
     diffusion: HelmholtzOperator,
     signal: HelmholtzOperator,
-    step_size: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
     """One IMEX step from the density u at `time`; `drifts` is
     face_drift(v, params, grid) of its signal field v.
@@ -374,15 +362,15 @@ def step(
     Returns the new fields u, v, the positivity clip count, and the
     extrema min(u) and max(u) of the new density, which are finite, read by
     index with `core.array_min` and `core.array_max` (bitwise the ufunc
-    reductions). Raises BlowupDetected, at time + dt and naming the cell of
-    max(u), when max(u) is not finite or above the cap.
+    reductions). Raises BlowupDetected, at the Python float time + dt and
+    naming the cell of max(u), when max(u) is not finite or above the cap.
 
-    `diffusion` and `signal` are get_operator(grid, 1 / dt) and
-    get_operator(grid, params.mu); they certify the step's two solves at
-    once or in the block they were built with (see `run`). `step_size` is
-    dt as a read-only 0-d array, which `run` makes once per dt, with the
-    diffusion operator; without it a step takes `cfg.dt_array` when dt is
-    cfg.dt and makes its own otherwise.
+    `dt` is the step size as the explicit stage's operand: a Python float,
+    or a read-only 0-d float64 array, which `run` makes once per dt, with
+    the diffusion operator. Both give the same floats. `diffusion` and
+    `signal` are get_operator(grid, 1 / dt) and get_operator(grid,
+    params.mu); they certify the step's two solves at once or in the block
+    they were built with (see `run`).
     """
     div = flux_divergence(chemotactic_face_flux(u, drifts, params, grid), grid)
     # The explicit stage u + dt (a u - div - b u^(1+alpha)), over dt, built in
@@ -396,14 +384,11 @@ def step(
     if params.b != 1.0:
         sink *= scalars.b
     stage -= sink
-    # dt as a 0-d array, for the two operations (see `core.AxisFaces`).
-    if step_size is None:
-        step_size = cfg.dt_array if dt == cfg.dt else read_only_scalar(dt)
-    stage *= step_size
+    stage *= dt
     stage += u
     # Backward-Euler diffusion reuses the screened-Poisson solver with mu = 1/dt:
     # (I - dt lap_h) u = explicit  <=>  ((1/dt) I - lap_h) u = explicit / dt.
-    stage /= step_size
+    stage /= dt
     u_new = diffusion.solve(stage)
 
     # The minimum decides whether any cell needs clipping. A NaN cell makes
@@ -420,7 +405,7 @@ def step(
     if not math.isfinite(u_max) or u_max > cfg.blowup_cap:
         # The cell is located only here, on the way out.
         cell = tuple(int(i) for i in np.unravel_index(np.argmax(u_new), u_new.shape))
-        raise BlowupDetected(time + dt, u_max, cfg.blowup_cap, cell)
+        raise BlowupDetected(time + float(dt), u_max, cfg.blowup_cap, cell)
 
     v_new = chemical_field(params, u_new, signal)
     return u_new, v_new, clipped, u_min, u_max
@@ -462,7 +447,9 @@ def run(
     Under the fixed policy step k ends at init.time + k dt, so a run takes
     exactly round((t_end - init.time) / dt) steps, plus one final partial
     step when t_end is not on that lattice. A t_end at or before init.time
-    raises ValueError before any solve.
+    raises ValueError before any solve. Under the cfl policy a step too
+    small to advance the time (dt below half an ulp of t) raises
+    DegenerateState before it is built or taken.
 
     `eq` defaults to `reference_equilibrium` of the initial density.
 
@@ -536,20 +523,27 @@ def run(
                 # build).
                 if remaining <= dt * (1.0 + 1e-9):
                     dt = remaining
+                # A step below half an ulp of the time would leave the clock
+                # where it is, and the run would never end.
+                t_next = time + dt
+                if t_next == time:
+                    raise DegenerateState(
+                        f"step dt = {dt!r} does not advance the time t = {time!r}"
+                    )
             if dt != settled_dt:
                 settled_dt = None
                 if dt != diffusion_dt:
                     diffusion, diffusion_dt = get_operator(grid, 1.0 / dt, block), dt
-                    step_size = read_only_scalar(dt)
+                    dt_operand = read_only_scalar(dt)
                 u_in = u
-                u, v, clipped, u_min, u_max = step(u, drifts, time, params, grid, dt, cfg,
-                                                   diffusion, signal, step_size)
+                u, v, clipped, u_min, u_max = step(u, drifts, time, params, grid, dt_operand,
+                                                   cfg, diffusion, signal)
                 integrated += 1
             clips += clipped
             steps += 1
             # Under fixed, time comes from the step counter, never from a
             # running sum of dt.
-            time = min(t0 + steps * cfg_dt, t_end) if fixed else time + dt
+            time = min(t0 + steps * cfg_dt, t_end) if fixed else t_next
             if steps % stride == 0:
                 state = FieldState(time=time, u=u, v=v)
                 if settled_dt is None:

@@ -13,7 +13,9 @@ The critical sensitivity chi* is the exact positive chi0 at which the
 largest sigma over the nonzero modes crosses zero: the infimum over them of
 a per-mode candidate that is convex in lambda, least at sqrt(a alpha mu).
 So the two modes that bracket that point give chi*, and a table that
-reaches it proves the infimum over the whole spectrum.
+reaches it proves the infimum over the whole spectrum. Likewise for chi0 > 0
+sigma is concave in lambda, greatest at sqrt(chi0 g mu) - mu (g the
+feedback gain), so a table that reaches that point proves sigma's maximum.
 
 `discrete_spectrum_check` ties this formula to the scheme: it applies the
 linearisation at (u*, v*) of the code that steps (`integrator.face_drift`,
@@ -24,6 +26,7 @@ rate sigma of its own grid eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -35,7 +38,8 @@ from .integrator import chemotactic_face_flux, face_drift, flux_divergence
 
 
 class SpectrumTooShort(ValueError):
-    """The eigenvalue table ends below sqrt(a alpha mu), so it cannot prove chi*."""
+    """The eigenvalue table ends below sqrt(a alpha mu), so it cannot prove
+    chi*, or below the peak of sigma, so it cannot prove sigma's maximum."""
 
 
 class EigsolverFailure(RuntimeError):
@@ -175,8 +179,26 @@ def classify_equilibrium(
     params: ModelParams, eq: Equilibrium, spectrum: SpectrumTable
 ) -> StabilityReport:
     """Dichotomy verdict: stable iff chi0 < chi*, with a relative band of
-    1e-12 around chi* reported as critical."""
+    1e-12 around chi* reported as critical.
+
+    `sigma_max` and `fastest_mode` are the maximum of sigma over the table's
+    nonzero modes, and it is the whole spectrum's: where chi0 g > mu, sigma
+    is concave in lambda with its peak at lambda_p = sqrt(chi0 g mu) - mu,
+    so it falls after the table once the table reaches lambda_p; elsewhere
+    sigma is decreasing. A table whose last eigenvalue lies below lambda_p
+    raises SpectrumTooShort, as does one below sqrt(a alpha mu) (see
+    `critical_sensitivity`).
+    """
     chi_star, argmin_mode = critical_sensitivity(params, eq, spectrum)
+    drive = params.chi0 * _feedback_gain(params, eq)
+    if drive > params.mu:
+        peak = math.sqrt(drive * params.mu) - params.mu
+        last = float(spectrum.eigenvalues[-1])
+        if last < peak:
+            raise SpectrumTooShort(
+                f"the peak of sigma at lambda = {peak!r} lies above the last "
+                f"eigenvalue {last!r} of the table; supply more eigenvalues"
+            )
     rates = np.asarray(sigma_n(params, eq, spectrum.eigenvalues))
     fastest = 1 + int(np.argmax(rates[1:]))
     if abs(params.chi0 - chi_star) <= CRITICAL_BAND * max(1.0, abs(chi_star)):

@@ -392,6 +392,21 @@ class TestAnalysisCommands:
             outputs.append((payload["chi_star"], payload["verdict"]))
         assert outputs[0] == outputs[1] == (2.5, "stable")
 
+    @pytest.mark.parametrize("command", ["stability", "sweep"])
+    def test_a_table_short_of_the_peak_of_sigma_exits_2(self, tmp_path, capsys, command):
+        # chi0 = 4000, beta = 1: sigma peaks between modes 6 and 7 of [0, pi].
+        # Four eigenvalues would report mode 3's sigma as the maximum.
+        text = BASE_CFG.format(**{**REFERENCE, "chi0": 4000.0, "beta": 1.0})
+        text += "sweep.parameter = chi0\nsweep.values = 1, 4000\n"
+        cfg = write_cfg(tmp_path, text=text)
+        code, payload, error = run_cli(capsys, command, "--config", cfg, "--n-max", "3")
+        assert (code, payload) == (2, None)
+        assert error["error"] == "SpectrumTooShort"
+        code, payload, _ = run_cli(capsys, command, "--config", cfg, "--n-max", "7")
+        assert code == 0
+        report = payload if command == "stability" else payload["rows"][1]
+        assert report["sigma_max"] == 1910.0
+
     def test_stability_discrete_check(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         code, payload, _ = run_cli(
@@ -492,6 +507,43 @@ class TestAnalysisCommands:
         assert (code, payload) == (2, None)
         assert error["error"] == "ConfigError"
         assert "'run.t_end'" in error["message"]
+
+    def test_thresholds_minimal_calibration_needs_init_kind(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The converse: a horizon with no initial density to run from. A
+        # typed error that names the key before any work, not "minimal": null.
+        text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
+        text = text.replace("init.kind = perturbation\ninit.amplitude = 0.01\ninit.mode = 1\n",
+                            "init.u_star = 1.0\n")
+        text = text.replace("run.t_end = 0.2\nrun.dt = 1e-3\n", "run.t_end = 0.5\nrun.dt = 5e-3\n")
+        assert "init.kind" not in text and "run.t_end = 0.5" in text
+        cfg = write_cfg(tmp_path, text=text)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(chemostab.cli, "run", no_work)
+        monkeypatch.setattr(chemostab.cli, "neumann_eigenvalues", no_work)
+        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
+        assert (code, payload) == (2, None)
+        assert error["error"] == "ConfigError"
+        assert "'init.kind'" in error["message"]
+
+    def test_thresholds_minimal_without_run_keys_is_not_refused(self, tmp_path, capsys):
+        # No run.t_end asks for no calibration run. With init.u_star the
+        # report is made without one; with no init key at all u* is missing,
+        # and the error names the key that would give it.
+        text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
+        bare = text.split("init.kind")[0]
+        assert "init." not in bare and "run." not in bare
+        cfg = write_cfg(tmp_path, text=bare + "init.u_star = 1.0\n")
+        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
+        assert (code, error) == (0, None)
+        assert payload["minimal"] is None
+        cfg = write_cfg(tmp_path, name="bare.cfg", text=bare)
+        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
+        assert (code, payload) == (2, None)
+        assert error == {"error": "ConfigError", "message": "missing required key 'init.kind'"}
 
     def test_thresholds_calibration_grid_budget_enforced(self, tmp_path, capsys):
         text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})

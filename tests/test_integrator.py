@@ -28,7 +28,7 @@ from chemostab import (
     step,
 )
 import chemostab
-from chemostab.core import mass_average
+from chemostab.core import ModelParams, mass_average, read_only_scalar
 from chemostab.helmholtz import (
     RESIDUAL_RTOL,
     NonFiniteInput,
@@ -137,14 +137,6 @@ class TestStepConfig:
         with pytest.raises(ValueError, match="t_end / dt"):
             StepConfig(t_end=t_end, dt=dt)
         assert StepConfig(t_end=t_end, dt=dt, dt_policy="cfl").dt == dt
-
-    def test_dt_array_is_dt_read_only_and_follows_replace(self):
-        cfg = StepConfig(t_end=1.0, dt=2e-3)
-        assert cfg.dt_array is cfg.dt_array  # made once per config
-        assert cfg.dt_array.shape == () and cfg.dt_array.dtype == np.float64
-        assert not cfg.dt_array.flags.writeable and float(cfg.dt_array) == 2e-3
-        assert float(dataclasses.replace(cfg, dt=5e-3).dt_array) == 5e-3
-        assert cfg == StepConfig(t_end=1.0, dt=2e-3)
 
     def test_infinite_blowup_cap_means_no_cap(self):
         assert StepConfig(t_end=1.0, blowup_cap=math.inf).blowup_cap == math.inf
@@ -299,6 +291,43 @@ class TestKernelsMatchOracles:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2:] == want[2:]
+
+
+def branched_face_flux(u, drifts, params, grid):
+    """chemotactic_face_flux as once written with a one-axis branch and a
+    per-axis helper: the reference for the bits of the single loop."""
+    def upwind(faces, drift):
+        flux = np.where(drift > 0.0, u[faces.low], u[faces.high])
+        if params.m != 1.0:
+            flux **= params.scalars.m
+        flux *= drift
+        return flux
+
+    u = np.asarray(u, dtype=float)
+    if grid.dimension == 1:
+        return [upwind(grid.faces[0], drifts[0])]
+    return [upwind(faces, drift) for faces, drift in zip(grid.faces, drifts)]
+
+
+class TestFluxLoop:
+    @pytest.mark.parametrize("m", [1.0, 1.5])
+    @pytest.mark.parametrize("name", KERNEL_GRIDS)
+    def test_bitwise_the_branched_kernel(self, name, m, rng):
+        # Drifts of both signs and exact zeros, where the donor is the high
+        # cell; densities with zero cells.
+        grid, stack = KERNEL_GRIDS[name]
+        p = make_params(chi0=-1.9, beta=0.5, m=m)
+        u = rng.uniform(0.0, 2.0, size=grid.shape + stack)
+        u[rng.uniform(size=u.shape) < 0.2] = 0.0
+        v = rng.uniform(0.1, 1.0, size=grid.shape + stack)
+        v[rng.uniform(size=v.shape) < 0.3] = 0.5
+        drifts = face_drift(v, p, grid)
+        assert all((d == 0.0).any() and (d > 0.0).any() and (d < 0.0).any() for d in drifts)
+        fluxes = chemotactic_face_flux(u, drifts, p, grid)
+        assert len(fluxes) == grid.dimension
+        assert [f.tobytes() for f in fluxes] == [
+            f.tobytes() for f in branched_face_flux(u, drifts, p, grid)]
+        assert [f.shape for f in fluxes] == [d.shape for d in drifts]
 
 
 def input_forms(field, rng):
@@ -687,10 +716,45 @@ class TestExplicitStageInPlace:
         assert (u_min, u_max) == (float(u_new.min()), float(u_new.max()))
         # The in-place stage leaves the state it started from untouched.
         assert state.u.tobytes() == u_bytes
-        # A step of another dt than the configured one (a cfl step, a final
-        # partial step) makes its own 0-d dt: the same floats.
+        # The configured dt plays no part in the stage: a step of another dt
+        # (a cfl step, a final partial step) gives the same floats.
         other = step_at(state.u, state.v, state.time, p, grid, dt, StepConfig(t_end=1.0, dt=1.0))
         assert other[0].tobytes() == got_u.tobytes() and other[1].tobytes() == got_v.tobytes()
+
+
+class TestStepDtOperand:
+    """`step` takes its dt as a Python float or as the read-only 0-d array
+    that `run` makes once per dt; both must give the same bits, counts and
+    errors."""
+
+    GRIDS = {"1d": GridDomain.interval(math.pi, 64),
+             "2d": GridDomain.rectangle(math.pi, 2.0, 16, 12)}
+
+    @staticmethod
+    def outcome(u, v, time, p, grid, dt, cfg):
+        try:
+            u_new, v_new, clipped, u_min, u_max = step_at(u, v, time, p, grid, dt, cfg)
+        except BlowupDetected as exc:
+            return ("blowup", str(exc), type(exc.time), exc.time, exc.max_u, exc.cell)
+        return (u_new.tobytes(), v_new.tobytes(), clipped, u_min, u_max)
+
+    @pytest.mark.parametrize("cap", [1e6, 1.3], ids=["step", "blowup"])
+    @pytest.mark.parametrize("dt", [1e-3, 0.07])
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_float_and_0d_dt_step_alike(self, name, dt, cap, rng):
+        grid = self.GRIDS[name]
+        p = make_params(chi0=2.5, beta=0.5, m=1.5, a=2.0, b=0.5)
+        u = rng.uniform(0.2, 2.0, size=grid.shape)
+        v = chemostab.chemical_field(p, u, get_operator(grid, p.mu))
+        # A floor above some cells, so the clip count is not zero; the cap
+        # of 1.3 lies below max(u) after either step.
+        cfg = StepConfig(t_end=1.0, dt=1e-2, positivity_floor=1.2, blowup_cap=cap)
+        got = self.outcome(u, v, 0.37, p, grid, read_only_scalar(dt), cfg)
+        assert got == self.outcome(u, v, 0.37, p, grid, dt, cfg)
+        if cap == 1.3:
+            assert got[0] == "blowup" and got[2] is float and got[3] == 0.37 + dt
+        else:
+            assert got[2] > 0
 
 
 class TestDriftOncePerStep:
@@ -1002,7 +1066,8 @@ class TestRunMatchesReferenceLoop:
         # The signal operator comes first; every later build is a diffusion's.
         assert builds[0] == p.mu
         assert builds[1:] == [1.0 / dt for dt in made]
-        assert len(set(dts)) == len(made) >= 2
+        # `run` passes each 0-d dt on to `step`, and 0-d arrays do not hash.
+        assert len({float(dt) for dt in dts}) == len(made) >= 2
 
     # A fast logistic source (a = b = 20) takes rough data to a state that
     # `step` returns bit for bit after about 150 steps. The fixed run ends
@@ -1103,6 +1168,77 @@ class TestStepsAtAFixedPoint:
         got = run(p, grid, init, cfg)
         assert run_outcome(lambda: got) == expected
         assert (got.steps_taken, got.steps_integrated, len(dts)) == (100, calls, calls)
+
+
+def sample_guard(monkeypatch, limit):
+    """Stop `run` with AssertionError at its (limit + 1)-th FieldState, which
+    it builds at every sample whether it integrates or replays a fixed
+    point: a run that would never end fails instead of hanging."""
+    made = []
+    inner = chemostab.integrator.FieldState
+
+    def counting(*args, **kwargs):
+        made.append(None)
+        if len(made) > limit:
+            raise AssertionError(f"run built more than {limit} samples")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(chemostab.integrator, "FieldState", counting)
+    return made
+
+
+class TestStalledClock:
+    """A cfl step below half an ulp of the time leaves the clock where it
+    is; `run` refuses it with DegenerateState instead of never ending."""
+
+    @staticmethod
+    def spike(chi0):
+        """u = 1 with 1e5 in cell 32 of 64, moved to t = 10, and its config."""
+        p = ModelParams(chi0=chi0, beta=0.0, m=3.0, alpha=1.0, gamma=1.0, a=1.0, b=1.0,
+                        mu=1.0, nu=1.0)
+        grid = GridDomain.interval(math.pi, 64)
+        u0 = np.ones(64)
+        u0[32] = 1e5
+        s = init_state(grid, InitSpec.from_array(u0), p)
+        cfg = StepConfig(t_end=10.001, dt=1e-3, dt_policy="cfl")
+        return p, grid, FieldState(10.0, s.u, s.v), cfg
+
+    def test_a_step_below_half_an_ulp_raises_before_it_is_taken(self, monkeypatch):
+        p, grid, init, cfg = self.spike(10.0)
+        # The bound is about 1.84e-16, below half an ulp of 10 (8.9e-16), so
+        # t + dt is t: without the check every step would leave t at 10.
+        dt = bound_at(init, p, grid, cfg)
+        assert 10.0 + dt == 10.0 and 0.0 < dt < math.ulp(10.0) / 2
+        made = sample_guard(monkeypatch, 200)
+        _, dts = counting_builds(monkeypatch)
+        with pytest.raises(DegenerateState, match=re.escape(f"dt = {dt!r}") + ".*t = 10.0"):
+            run(p, grid, init, cfg)
+        assert dts == [] and len(made) == 0
+
+    def test_a_step_of_one_ulp_still_runs(self, monkeypatch):
+        # chi0 = 1 gives a bound ten times larger, which moves the clock one
+        # ulp per step: slow, but not stalled, so it is not refused. The
+        # guard stops it after 20 samples.
+        p, grid, init, cfg = self.spike(1.0)
+        assert bound_at(init, p, grid, cfg) > math.ulp(10.0) / 2
+        sample_guard(monkeypatch, 20)
+        with pytest.raises(AssertionError, match="more than 20 samples"):
+            run(p, grid, init, cfg)
+
+    def test_a_settled_run_raises_where_the_ulp_doubles(self, monkeypatch):
+        # dt = 1e-10 is 0.86 ulp below 2^20 and 0.43 ulp above it. From u = 1
+        # the run settles at its first sample, step 5, and replays the fixed
+        # point; step 31 would leave t at 2^20.
+        p = make_params(chi0=1.0)
+        grid = GridDomain.interval(math.pi, 64)
+        s = init_state(grid, InitSpec.constant(1.0), p)
+        init = FieldState(2.0**20 - 30 * 2.0**-33, s.u, s.v)
+        cfg = StepConfig(t_end=2.0**20 + 1e-3, dt=1e-10, dt_policy="cfl", output_stride=5)
+        made = sample_guard(monkeypatch, 200)
+        _, dts = counting_builds(monkeypatch)
+        with pytest.raises(DegenerateState, match=r"dt = 1e-10 .* t = 1048576\.0"):
+            run(p, grid, init, cfg)
+        assert len(dts) == 5 and len(made) == 6
 
 
 @contextmanager

@@ -182,6 +182,53 @@ class TestClassification:
         assert report.sigma_max == sigma_n(make_params(chi0=6.0), reference_eq,
                                            spectrum_pi.eigenvalues[1:]).max()
 
+    def test_a_table_short_of_the_peak_of_sigma_raises(self):
+        # chi0 = 4000 and beta = 1, so g = 1/2: sigma peaks at lambda_p =
+        # sqrt(2000) - 1 = 43.7, between modes 6 and 7 of [0, pi]. A table to
+        # mode 3 would report mode 3's 1790 as the maximum; it raises. From
+        # mode 7 on the table gives what a thousand modes give.
+        p = make_params(chi0=4000.0, beta=1.0)
+        eq = equilibrium(p)
+        interval = GridDomain.interval(math.pi, 64)
+        for n_max in (3, 6):
+            with pytest.raises(SpectrumTooShort, match="peak of sigma at lambda = 43.72"):
+                classify_equilibrium(p, eq, neumann_eigenvalues(interval, n_max))
+        for n_max in (7, 1000):
+            report = classify_equilibrium(p, eq, neumann_eigenvalues(interval, n_max))
+            assert (report.sigma_max, report.fastest_mode) == (1910.0, 7)
+
+    @pytest.mark.parametrize("lengths", [(math.pi,), (math.pi, 2.0)], ids=["1d", "2d"])
+    @given(
+        chi0=st.floats(-50.0, 300.0),
+        a=st.floats(0.2, 5.0),
+        alpha=st.floats(0.25, 3.0),
+        mu=st.floats(0.2, 5.0),
+        nu=st.floats(0.2, 5.0),
+        beta=st.floats(0.0, 2.0),
+        scale=st.floats(0.5, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_table_that_reaches_the_peak_gives_the_spectrum_maximum(
+        self, lengths, chi0, a, alpha, mu, nu, beta, scale
+    ):
+        # The shortest table whose last eigenvalue reaches both sqrt(a alpha mu)
+        # and the peak of sigma gives the sigma_max and fastest_mode of a table
+        # ten times longer; one entry fewer raises.
+        p = make_params(chi0=chi0, a=a, alpha=alpha, mu=mu, nu=nu, beta=beta)
+        eq = equilibrium(p)
+        cells = (64,) if len(lengths) == 1 else (16, 12)
+        grid = GridDomain(len(lengths), tuple(scale * x for x in lengths), cells)
+        drive = chi0 * stability._feedback_gain(p, eq)
+        peak = math.sqrt(drive * mu) - mu if drive > mu else 0.0
+        reach = max(peak, math.sqrt(a * alpha * mu))
+        n_max = max(1, int(np.searchsorted(neumann_eigenvalues(grid, 4000).eigenvalues, reach)))
+        short = classify_equilibrium(p, eq, neumann_eigenvalues(grid, n_max))
+        long = classify_equilibrium(p, eq, neumann_eigenvalues(grid, 10 * n_max))
+        assert (short.sigma_max, short.fastest_mode) == (long.sigma_max, long.fastest_mode)
+        if n_max > 1:
+            with pytest.raises(SpectrumTooShort):
+                classify_equilibrium(p, eq, neumann_eigenvalues(grid, n_max - 1))
+
     @given(chi0=st.floats(-6.0, 12.0))
     @settings(max_examples=150, deadline=None)
     def test_dichotomy_against_modewise_signs(self, chi0):
