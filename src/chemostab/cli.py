@@ -56,7 +56,7 @@ from .diagnostics import check_power_diff_inequality
 from .integrator import BlowupDetected, run
 from .rectangle import integrate_rectangle, normalize
 from .scenarios import SCENARIOS, run_scenario
-from .stability import DENSE_EIG_CELL_LIMIT, classify_equilibrium, discrete_spectrum_check
+from .stability import SWEEP_CELL_LIMIT, classify_equilibrium, discrete_spectrum_check
 from .thresholds import (
     MissingCZConstant,
     c_star_from_table,
@@ -121,6 +121,10 @@ def _setup(cfg, params: ModelParams, simulate: bool = False
     u_star = cfg.get("init.u_star") if params.minimal else None
     state = u0 = None
     if params.minimal and u_star is None:
+        # Without a run, init.u_star alone gives u*, so the error names both.
+        if not simulate and "init.kind" not in cfg:
+            raise ConfigError("the minimal model's u* needs 'init.u_star' or an initial "
+                              "density: the config sets neither 'init.u_star' nor 'init.kind'")
         spec = init_from_config(cfg)
         state = init_state(grid, spec, params) if simulate else None
         u0 = state.u if simulate else initial_density(grid, spec)
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--n-max", type=int, default=1000)
     p_stab.add_argument("--discrete-check", action="store_true",
                         help="check the scheme's linearization on every DCT basis field "
-                             f"(at most {DENSE_EIG_CELL_LIMIT} cells); adds discrete_check "
+                             f"(at most {SWEEP_CELL_LIMIT} cells); adds discrete_check "
                              "with grid_eigenvalues, predicted and residuals of the first "
                              "--modes + 1 modes, max_spectrum_residual over all n, n_modes")
     p_stab.add_argument("--modes", type=int, default=5,
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="gradient-estimate constant of the domain")
     m0_choice.add_argument("--discrete-m0", action="store_true",
                            help="use the grid's exact discrete constant "
-                                f"(an O(n^2) sweep, at most {DENSE_EIG_CELL_LIMIT} cells)")
+                                f"(an O(n^2) sweep, at most {SWEEP_CELL_LIMIT} cells)")
     p_thr.add_argument("--c-star-table", default=None,
                        help="CSV of p,C* rows for the regularity constant")
     p_thr.add_argument("--stub-c-star", action="store_true",

@@ -16,9 +16,12 @@ constants are worked out once, by the records that hold them: the face
 geometry per grid (`GridDomain.faces`), the coefficients as read-only 0-d
 float64 arrays per parameter record (`ModelParams.scalars`), and dt as
 one 0-d array per dt, made by `run` where it builds that dt's diffusion
-operator (a cfl run makes one per new dt, not one per step) and passed to
-`step` as its dt. On float64 fields a 0-d operand gives the floats of the
-Python float, so `step` takes either as its dt. The kernels,
+operator and passed to `step` as its dt. A cfl run takes its steps from a
+fixed ladder, cfg.dt 2^(-k/16) (see `stable_dt`), so it builds a
+diffusion operator and a 0-d dt only where its step moves to another rung
+(or takes up the remaining time), not on every step whose bound moves. On
+float64 fields a 0-d operand gives the floats of the Python float, so
+`step` takes either as its dt. The kernels,
 `chemical_field` and `HelmholtzOperator.solve` use a float64 ndarray, as
 every field of a run is, as it is, and convert any other input with
 np.asarray as before. `step` and the kernels stay module-level functions
@@ -101,6 +104,10 @@ class DegenerateState(RuntimeError):
 # allowed values of the config key run.dt_policy.
 DtPolicy = Literal["fixed", "cfl"]
 
+# Rungs per octave of the cfl step ladder (see `stable_dt`): a step is at
+# most 2^(1/16), about 4.4%, below its bound.
+LADDER_RUNGS = 16
+
 
 @dataclass(frozen=True)
 class StepConfig:
@@ -108,9 +115,11 @@ class StepConfig:
 
     `dt` is the fixed step under the "fixed" policy and the hard cap under
     the "cfl" policy, where each step also respects the advective and
-    reaction limits scaled by `sigma_cfl`. `t_end`, `dt` and
-    `positivity_floor` must be finite, and so must the step count t_end / dt
-    under "fixed"; `blowup_cap` may be infinite (no cap) but not NaN.
+    reaction limits scaled by `sigma_cfl`: it is the largest rung
+    dt 2^(-k/16), k >= 0, of a fixed ladder at or below that bound (see
+    `stable_dt`). `t_end`, `dt` and `positivity_floor` must be finite, and
+    so must the step count t_end / dt under "fixed"; `blowup_cap` may be
+    infinite (no cap) but not NaN.
     """
 
     t_end: float
@@ -309,18 +318,49 @@ def flux_divergence(fluxes: list[np.ndarray], grid: GridDomain) -> np.ndarray:
     return div
 
 
+def _rung(cap: float, k: int) -> float:
+    """Rung k of the step ladder under cap: cap 2^(-k / LADDER_RUNGS)."""
+    return cap * 2.0 ** (-k / LADDER_RUNGS)
+
+
+def _ladder_step(cap: float, bound: float) -> float:
+    """The largest rung of the step ladder under cap at or below bound:
+    cap itself when bound >= cap, else _rung(cap, k) for some k >= 1."""
+    if bound >= cap:
+        return cap
+    if bound == 0.0:
+        # An underflowed limit; `run` refuses the step, as it cannot advance the time.
+        return bound
+    # The difference of logs does not overflow where cap / bound would.
+    # Where log2's rounding puts k one rung off, as it often does for a
+    # bound on or next to a rung, the rungs themselves move it back.
+    k = math.ceil(LADDER_RUNGS * (math.log2(cap) - math.log2(bound)))
+    if _rung(cap, k) > bound:
+        k += 1
+    elif _rung(cap, k - 1) <= bound:
+        k -= 1
+    return _rung(cap, k)
+
+
 def stable_dt(u_min: float, u_max: float, drifts: list[np.ndarray], params: ModelParams,
               grid: GridDomain, cfg: StepConfig) -> float:
     """Largest step respecting the advective CFL and reaction limits.
 
-    Diffusion is implicit and imposes no limit. Returns sigma_cfl times
-    the binding limit, capped at cfg.dt. The bound is taken at the
-    extrema u_min, u_max of the density, as `core.array_min(u)` and
-    `core.array_max(u)` give them, and at the face drifts
-    face_drift(v, params, grid), whose largest speed is `core.max_abs` of
-    each drift. Each is read by index and is bitwise the ufunc reduction's.
-    `run` finds the initial state's extrema once, and after that carries the
-    extrema that each `step` returns.
+    Diffusion is implicit and imposes no limit. The bound is sigma_cfl
+    times the binding limit. At or above cfg.dt it returns cfg.dt; below,
+    the largest rung cfg.dt 2^(-k / LADDER_RUNGS), k >= 1, of the step
+    ladder at or below the bound, which is within a factor 2^(-1/16) of
+    it. Each rung is one float, built by one expression, so the dt of a
+    run changes only where its bound crosses a rung, and `run` builds a
+    diffusion operator per change of rung, not per step. Any limit that a
+    later term adds enters the bound before the ladder.
+
+    The bound is taken at the extrema u_min, u_max of the density, as
+    `core.array_min(u)` and `core.array_max(u)` give them, and at the face
+    drifts face_drift(v, params, grid), whose largest speed is
+    `core.max_abs` of each drift. Each is read by index and is bitwise the
+    ufunc reduction's. `run` finds the initial state's extrema once, and
+    after that carries the extrema that each `step` returns.
 
     Raises DegenerateState for a non-finite state, read off the values the
     bound takes anyway: NaN or +inf in u shows in u_max, -inf in u_min.
@@ -342,7 +382,7 @@ def stable_dt(u_min: float, u_max: float, drifts: list[np.ndarray], params: Mode
         reaction = params.a + params.b * (1.0 + params.alpha) * u_max**params.alpha
         if reaction > 0.0:
             limit = min(limit, 1.0 / reaction)
-    return min(cfg.dt, cfg.sigma_cfl * limit)
+    return _ladder_step(cfg.dt, cfg.sigma_cfl * limit)
 
 
 def step(

@@ -42,25 +42,25 @@ class SpectrumTooShort(ValueError):
     chi*, or below the peak of sigma, so it cannot prove sigma's maximum."""
 
 
-class EigsolverFailure(RuntimeError):
-    """The grid is above DENSE_EIG_CELL_LIMIT cells, the bound on the O(n^2)
+class SweepTooLarge(RuntimeError):
+    """The grid is above SWEEP_CELL_LIMIT cells, the bound on the O(n^2)
     work of the discrete check's mode sweep and of the gradient constant's
     sweep over the unit fields."""
 
 
-DENSE_EIG_CELL_LIMIT = 4096
+SWEEP_CELL_LIMIT = 4096
 # Fields that discrete_spectrum_check and thresholds.gradient_constant sweep at once.
 SWEEP_COLUMNS = 128
 CRITICAL_BAND = 1e-12
 
 
 def _sweep_cells(grid: GridDomain) -> int:
-    """grid.total_cells; EigsolverFailure above DENSE_EIG_CELL_LIMIT, before
+    """grid.total_cells; SweepTooLarge above SWEEP_CELL_LIMIT, before
     any O(n^2) sweep starts."""
     n = grid.total_cells
-    if n > DENSE_EIG_CELL_LIMIT:
-        raise EigsolverFailure(
-            f"{n} cells exceeds the cell limit {DENSE_EIG_CELL_LIMIT} of an O(n^2) sweep"
+    if n > SWEEP_CELL_LIMIT:
+        raise SweepTooLarge(
+            f"{n} cells exceeds the cell limit {SWEEP_CELL_LIMIT} of an O(n^2) sweep"
         )
     return n
 
@@ -297,8 +297,8 @@ def discrete_spectrum_check(
     the maximum in the 2-norm, and by Weyl's inequality so does each sorted
     eigenvalue of J from the sorted sigma(lambda_h,k).
 
-    The sweep costs O(n^2), so above DENSE_EIG_CELL_LIMIT cells it raises
-    EigsolverFailure before any solve. A solve that misses the residual
+    The sweep costs O(n^2), so above SWEEP_CELL_LIMIT cells it raises
+    SweepTooLarge before any solve. A solve that misses the residual
     contract raises SolverFailure.
     """
     n = grid.total_cells

@@ -535,8 +535,8 @@ def gradient_constant(grid: GridDomain, mu: float) -> float:
     certified `HelmholtzOperator.solve` of the stacked unit fields, and the
     rows' l1 norms are summed over the blocks, so no n^2 array is held. A
     mu that is not positive raises SingularOperator, and a grid above
-    DENSE_EIG_CELL_LIMIT cells (the sweep costs O(n^2)) raises
-    EigsolverFailure.
+    SWEEP_CELL_LIMIT cells (the sweep costs O(n^2)) raises
+    SweepTooLarge.
     """
     n = _sweep_cells(grid)
     op = get_operator(grid, mu)

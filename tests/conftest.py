@@ -44,7 +44,7 @@ def scanned_minimum(unit, scale, a_alpha, mu, gain):
 
 def dense_laplacian(grid):
     """lap_h as a dense (n, n) matrix: the stencil applied to every unit
-    field. Above DENSE_EIG_CELL_LIMIT cells EigsolverFailure, before the
+    field. Above SWEEP_CELL_LIMIT cells SweepTooLarge, before the
     n x n identity is built."""
     n = _sweep_cells(grid)
     return laplacian(np.eye(n).reshape(*grid.shape, n), grid).reshape(n, n)

@@ -28,7 +28,7 @@ from chemostab.config import (
 )
 from chemostab.core import PARAM_FIELDS, Equilibrium
 from chemostab.integrator import StepConfig
-from chemostab.stability import DENSE_EIG_CELL_LIMIT
+from chemostab.stability import SWEEP_CELL_LIMIT
 from chemostab.thresholds import c_star_from_table, default_c_star_stub
 from conftest import REFERENCE, make_params
 
@@ -532,7 +532,8 @@ class TestAnalysisCommands:
     def test_thresholds_minimal_without_run_keys_is_not_refused(self, tmp_path, capsys):
         # No run.t_end asks for no calibration run. With init.u_star the
         # report is made without one; with no init key at all u* is missing,
-        # and the error names the key that would give it.
+        # and the error names both keys that would give it: init.u_star, or
+        # init.kind for an initial density whose mean is u*.
         text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
         bare = text.split("init.kind")[0]
         assert "init." not in bare and "run." not in bare
@@ -541,9 +542,12 @@ class TestAnalysisCommands:
         assert (code, error) == (0, None)
         assert payload["minimal"] is None
         cfg = write_cfg(tmp_path, name="bare.cfg", text=bare)
-        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
-        assert (code, payload) == (2, None)
-        assert error == {"error": "ConfigError", "message": "missing required key 'init.kind'"}
+        message = ("the minimal model's u* needs 'init.u_star' or an initial density: "
+                   "the config sets neither 'init.u_star' nor 'init.kind'")
+        for command in ("thresholds", "stability"):
+            code, payload, error = run_cli(capsys, command, "--config", cfg)
+            assert (code, payload) == (2, None)
+            assert error == {"error": "ConfigError", "message": message}
 
     def test_thresholds_calibration_grid_budget_enforced(self, tmp_path, capsys):
         text = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0})
@@ -576,11 +580,11 @@ class TestAnalysisCommands:
                                          ("stability", "--discrete-check")], ids=lambda c: c[0])
     def test_dense_check_cell_limit(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path, text=BASE_CFG.format(**REFERENCE).replace(
-            "domain.cells = 64", f"domain.cells = {DENSE_EIG_CELL_LIMIT + 1}"))
+            "domain.cells = 64", f"domain.cells = {SWEEP_CELL_LIMIT + 1}"))
         code, payload, error = run_cli(capsys, command[0], "--config", cfg, command[1])
         assert code == 2
         assert payload is None
-        assert error["error"] == "EigsolverFailure"
+        assert error["error"] == "SweepTooLarge"
 
     @pytest.mark.parametrize("command", ["thresholds", "rectangle"])
     @pytest.mark.parametrize("m0", ["-1", "nan", "inf"])

@@ -36,7 +36,7 @@ from chemostab.helmholtz import (
     laplacian,
     solve_block,
 )
-from chemostab.stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure
+from chemostab.stability import SWEEP_CELL_LIMIT, SweepTooLarge
 from conftest import dense_laplacian, make_params
 
 
@@ -76,8 +76,8 @@ class TestLaplacian:
 
     def test_dense_laplacian_cell_limit(self):
         big = GridDomain.rectangle(1.0, 1.0, 128, 128)
-        assert big.total_cells > DENSE_EIG_CELL_LIMIT
-        with pytest.raises(EigsolverFailure):
+        assert big.total_cells > SWEEP_CELL_LIMIT
+        with pytest.raises(SweepTooLarge):
             dense_laplacian(big)
 
     def test_constant_in_kernel_2d(self):

@@ -43,6 +43,7 @@ from chemostab.integrator import (
     TRAJECTORY_CSV_HEADER,
     DegenerateState,
     _fixed_steps,
+    _ladder_step,
     _record,
     chemotactic_face_flux,
     face_drift,
@@ -73,6 +74,17 @@ def bound_at(state, p, grid, cfg):
     """stable_dt at a state: its u extrema and its drift computed afresh."""
     return stable_dt(float(state.u.min()), float(state.u.max()), face_drift(state.v, p, grid),
                      p, grid, cfg)
+
+
+def ladder(cap):
+    """The rungs cap 2^(-k/16) of the cfl step ladder, k = 0, 1, ..., as a
+    plain list down to 2^-64 cap."""
+    return [cap * 2.0 ** (-k / 16) for k in range(64 * 16 + 1)]
+
+
+def largest_rung(cap, bound):
+    """The largest rung of the ladder under cap at or below bound."""
+    return next(rung for rung in ladder(cap) if rung <= bound)
 
 
 def logistic_exact(u0: float, t: float) -> float:
@@ -209,12 +221,14 @@ class TestFlux:
             assert drift.tobytes() == expected.tobytes()
             donor = np.where(drift > 0.0, u[lo], u[hi])
             assert flux.tobytes() == (donor**p.m * drift).tobytes()
-        # No reaction limit (a = b = 0) and a loose cap: the advective limit binds.
+        # No reaction limit (a = b = 0) and a loose cap: the advective limit
+        # binds, and the step is the ladder's rung at or just below it.
         cfg = StepConfig(t_end=1.0, dt=10.0, dt_policy="cfl")
         scale = float(u.max()) ** (p.m - 1.0)
         limit = min(h / (float(np.abs(drift).max()) * scale)
                     for h, drift in zip(grid.spacing, drifts))
-        assert bound_at(FieldState(0.0, u, v), p, grid, cfg) == cfg.sigma_cfl * limit
+        assert (bound_at(FieldState(0.0, u, v), p, grid, cfg)
+                == largest_rung(cfg.dt, cfg.sigma_cfl * limit))
 
 
 # The kernels' grids: 1D, a non-square 2D grid, and both with a trailing
@@ -615,11 +629,64 @@ class TestStableDt:
         assert bound_at(state, p, interval_pi, cfg) == 0.05
 
     def test_reaction_limit(self, interval_pi):
-        # a + b (1 + alpha) u^alpha = 3 at u = 1, so dt = 0.9 / 3.
+        # a + b (1 + alpha) u^alpha = 3 at u = 1, so the bound is 0.9 / 3,
+        # and the largest rung at or below it is 2^(-28/16) = 0.297.
         p = make_params(chi0=0.0)
         state = init_state(interval_pi, InitSpec.constant(1.0), p)
         cfg = StepConfig(t_end=1.0, dt=1.0, dt_policy="cfl")
-        assert bound_at(state, p, interval_pi, cfg) == pytest.approx(0.3)
+        assert (bound_at(state, p, interval_pi, cfg)
+                == largest_rung(cfg.dt, cfg.sigma_cfl * (1.0 / 3.0)) == 2.0 ** (-28 / 16))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridDomain.interval(math.pi, 64), GridDomain.rectangle(1.0, 2.5, 12, 20)],
+        ids=["1d", "2d"],
+    )
+    @given(seed=st.integers(0, 2**32 - 1), chi0=st.floats(0.0, 20.0),
+           beta=st.sampled_from([0.0, 0.5, 1.5]), m=st.sampled_from([1.0, 1.5, 2.0]),
+           reaction=st.booleans(), cap=st.floats(1e-6, 10.0), sigma=st.floats(0.01, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_the_step_is_a_rung_just_below_the_bound(self, grid, seed, chi0, beta, m,
+                                                     reaction, cap, sigma):
+        p = make_params(chi0=chi0, beta=beta, m=m, **({} if reaction else dict(a=0.0, b=0.0)))
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.1, 3.0, grid.shape)
+        v = rng.uniform(0.0, 2.0, grid.shape)
+        cfg = StepConfig(t_end=1.0, dt=cap, dt_policy="cfl", sigma_cfl=sigma)
+        dt = bound_at(FieldState(0.0, u, v), p, grid, cfg)
+        # The bound written out: sigma_cfl times the least of the advective
+        # limit on each axis and the reaction limit.
+        u_max = float(u.max())
+        limits = [h / (float(np.abs(drift).max()) * u_max ** (m - 1.0))
+                  for h, drift in zip(grid.spacing, face_drift(v, p, grid))
+                  if np.abs(drift).max() > 0.0]
+        if reaction:
+            limits.append(1.0 / (p.a + p.b * (1.0 + p.alpha) * u_max**p.alpha))
+        bound = sigma * min(limits, default=math.inf)
+        assert dt in ladder(cap)
+        assert dt <= bound
+        assert dt == cap or dt > bound * 2.0 ** (-1 / 16)
+        assert dt == largest_rung(cap, bound)
+
+    @pytest.mark.parametrize("cap", [1.0, 10.0, 0.0145, 5e-3, 1e-3, 7e-7])
+    def test_a_bound_on_or_next_to_a_rung(self, cap):
+        # log2's rounding puts k one rung off on many of these bounds, each
+        # way, and the rungs move it back: a bound on a rung takes that
+        # rung, and one an ulp below it the next one down.
+        rungs = ladder(cap)
+        for k, rung in enumerate(rungs[:-1]):
+            assert _ladder_step(cap, rung) == rung
+            assert _ladder_step(cap, math.nextafter(rung, 0.0)) == rungs[k + 1]
+            assert _ladder_step(cap, math.nextafter(rung, math.inf)) == (cap if k == 0 else rung)
+
+    def test_a_bound_that_underflows_is_zero(self, interval_pi):
+        # sigma_cfl times a subnormal advective limit rounds to 0, which has
+        # no log; the step is 0, as it was before the ladder, and `run`
+        # refuses it because it cannot advance the time.
+        p = make_params(chi0=1.0, a=0.0, b=0.0, m=1.0)
+        cfg = StepConfig(t_end=1.0, dt=1e-3, dt_policy="cfl", sigma_cfl=1e-20)
+        drift = np.full(63, 1e308)
+        assert stable_dt(1.0, 1.0, [drift], p, interval_pi, cfg) == 0.0
 
     @pytest.mark.parametrize("via", ["stable_dt", "run"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
@@ -986,8 +1053,9 @@ class TestRunMatchesReferenceLoop:
         assert builds == [p.mu, 1.0 / cfg.dt] + partial
 
     # With no binding cap, a fast logistic source makes the reaction limit
-    # bind: dt follows max u and changes on every step. With a cap just
-    # below that limit, the cap binds on most steps.
+    # bind: the bound follows max u and moves on every step, and dt follows
+    # it down the ladder. With a cap just below that limit, the cap binds on
+    # most steps.
     @pytest.mark.parametrize("cap", [1.0, 0.0145], ids=["varying", "capped"])
     def test_a_run_costs_no_extra_builds(self, cap, monkeypatch):
         # A cfl run builds the signal operator once and a diffusion operator
@@ -1002,7 +1070,12 @@ class TestRunMatchesReferenceLoop:
         changed = [dt for k, dt in enumerate(dts) if k == 0 or dt != dts[k - 1]]
         assert builds == [p.mu] + [1.0 / dt for dt in changed]
         if cap == 1.0:
-            assert len(changed) == len(dts) > 64
+            # Every step but the last, which takes up the remaining time, is
+            # a rung below the cap, so dt changes only where the rung
+            # changes, and fewer times than there are steps.
+            below_cap = ladder(cap)[1:]
+            assert all(dt in below_cap for dt in dts[:-1])
+            assert len(dts) > len(changed) > 1 and len(dts) > 64
         else:
             assert len(dts) > 10 * len(changed) > 10
 

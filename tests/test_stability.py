@@ -21,7 +21,7 @@ from chemostab import (
 from chemostab import stability
 from chemostab.helmholtz import chemical_field, get_operator, laplacian
 from chemostab.integrator import StepConfig, face_drift, step
-from chemostab.stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure, SpectrumTooShort
+from chemostab.stability import SWEEP_CELL_LIMIT, SpectrumTooShort, SweepTooLarge
 from conftest import make_params, scanned_minimum
 
 
@@ -251,8 +251,8 @@ class TestDiscreteOperator:
             raise AssertionError("solve on an over-limit grid")
 
         monkeypatch.setattr(stability, "get_operator", no_solve)
-        big = GridDomain.interval(math.pi, DENSE_EIG_CELL_LIMIT + 1)
-        with pytest.raises(EigsolverFailure):
+        big = GridDomain.interval(math.pi, SWEEP_CELL_LIMIT + 1)
+        with pytest.raises(SweepTooLarge):
             discrete_spectrum_check(make_params(), reference_eq, big, n_modes=5)
 
     def test_rates_match_dispersion_on_grid(self, reference_eq, interval_pi):

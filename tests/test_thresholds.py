@@ -28,7 +28,7 @@ from chemostab import (
     verify_orderings,
 )
 from chemostab.helmholtz import SingularOperator, SolverFailure, certify, face_gradients
-from chemostab.stability import DENSE_EIG_CELL_LIMIT, EigsolverFailure
+from chemostab.stability import SWEEP_CELL_LIMIT, SweepTooLarge
 from chemostab.thresholds import (
     BetaBelowOne,
     CStarSource,
@@ -541,8 +541,8 @@ class TestGradientConstant:
             assert report.max_spectrum_residual < 1e-9
 
     def test_dense_cell_limit(self):
-        grid = GridDomain.interval(math.pi, DENSE_EIG_CELL_LIMIT + 1)
-        with pytest.raises(EigsolverFailure):
+        grid = GridDomain.interval(math.pi, SWEEP_CELL_LIMIT + 1)
+        with pytest.raises(SweepTooLarge):
             gradient_constant(grid, 1.0)
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
