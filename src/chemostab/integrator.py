@@ -366,22 +366,26 @@ def stable_dt(u_min: float, u_max: float, drifts: list[np.ndarray], params: Mode
     bound takes anyway: NaN or +inf in u shows in u_max, -inf in u_min.
     NaN or an infinity in v makes the drift speed non-finite, since every
     cell touches an interior face and even chi0 = 0 times an infinite
-    difference is NaN; so does a drift that overflows.
+    difference is NaN; so does a drift that overflows. A finite u_max whose
+    power u_max^(m - 1) or u_max^alpha overflows a float raises it too.
     """
     if not (math.isfinite(u_max) and math.isfinite(u_min)):
         raise DegenerateState("density contains non-finite values")
     limit = math.inf
-    fluxes_scale = max(u_max, 0.0) ** (params.m - 1.0)
-    for h, drift in zip(grid.spacing, drifts):
-        speed = max_abs(drift) * fluxes_scale
-        if not math.isfinite(speed):
-            raise DegenerateState("chemotactic drift is non-finite")
-        if speed > 0.0:
-            limit = min(limit, h / speed)
-    if params.a > 0.0 or params.b > 0.0:
-        reaction = params.a + params.b * (1.0 + params.alpha) * u_max**params.alpha
-        if reaction > 0.0:
-            limit = min(limit, 1.0 / reaction)
+    try:
+        fluxes_scale = max(u_max, 0.0) ** (params.m - 1.0)
+        for h, drift in zip(grid.spacing, drifts):
+            speed = max_abs(drift) * fluxes_scale
+            if not math.isfinite(speed):
+                raise DegenerateState("chemotactic drift is non-finite")
+            if speed > 0.0:
+                limit = min(limit, h / speed)
+        if params.a > 0.0 or params.b > 0.0:
+            reaction = params.a + params.b * (1.0 + params.alpha) * u_max**params.alpha
+            if reaction > 0.0:
+                limit = min(limit, 1.0 / reaction)
+    except OverflowError:
+        raise DegenerateState(f"the step bound overflows at max(u) = {u_max!r}") from None
     return _ladder_step(cfg.dt, cfg.sigma_cfl * limit)
 
 

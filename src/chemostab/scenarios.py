@@ -1,30 +1,43 @@
-"""Canned experiments with machine-checkable verdicts.
+"""Theorem checks, and the table of points the 12 packaged scenarios run them at.
 
-Each scenario pins a parameter set whose closed-form thresholds are known
-exactly, runs the relevant computation (PDE integration, comparison ODE,
-or pure threshold evaluation), and returns a verdict mapping with the
-claim label, the hypothesis gates that were checked, measured quantities,
-expected bounds, and a pass flag. Presets violating their own a-priori
-gates raise HypothesisNotMet; measured shortfalls only set pass = false.
-No scenario draws random numbers, so repeated runs are byte-identical.
+A check `check_<theorem>(name, params, grid, init, cfg)` tests one result at
+the point its arguments give: the coefficients, the grid, the start (an
+InitSpec) and the run's StepConfig; `name` labels the verdict. It gates the
+hypotheses on its arguments first. A point outside them, or of the other
+model (a minimal point, a = b = 0, given to a check of the logistic model, or
+the reverse), raises HypothesisNotMet naming each failed gate, before any
+work the gates protect: the equilibrium, a threshold, a run. The verdict's
+`hypotheses_checked` lists the theorem's gates; the model gate is listed
+where a verdict names it (`negative-sensitivity`, `thresholds-only`,
+`sweep`). A check then runs through the module-level `run` and `init_state`,
+measures, and returns a verdict with the claim, the gates, the measured
+values, the expected bounds and a pass flag; a measured shortfall only sets
+pass = false. No check draws random numbers, so repeated runs are
+byte-identical.
+
+`PRESETS` is the table of scenarios, each a check and its point. Every
+preset PDE run starts from the mode-1 perturbation about u* on the 64-cell
+interval [0, pi]. `thresholds-only` and `sweep` run nothing, and their
+targets are the exact values of the pinned point. `SCENARIOS` maps each name
+to a zero-argument callable that runs its preset.
 
 `pass` checks every `_max`/`_min` entry of `expected` (see `_meets`) and the
-other entries a scenario names as equalities, so each checked bound is
-written once, in the verdict that reports it. The few checks that do not fit
-its naming, such as the rectangle's sandwich, are written out where a
-scenario computes `ok`, from the values it reports.
+other entries a check names as equalities, so each checked bound is written
+once, in the verdict that reports it. The few checks that do not fit its
+naming, such as the rectangle's sandwich, are written out where a check
+computes `ok`, from the values it reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
-    Equilibrium,
     GridDomain,
     InitSpec,
     ModelParams,
@@ -47,6 +60,7 @@ from .rectangle import (
 )
 from .stability import classify_equilibrium, sigma_n
 from .thresholds import (
+    chi_beta_threshold,
     chi_double_star,
     theta,
     threshold_report,
@@ -92,10 +106,22 @@ def _meets(measured: dict, expected: dict, *keys: str) -> bool:
     return all(holds(key) for key in keys)
 
 
-def _require(hypotheses: dict[str, bool], name: str) -> None:
+def _require(hypotheses: dict[str, bool], name: str) -> dict[str, bool]:
+    """`hypotheses`, if every gate holds; else HypothesisNotMet naming each
+    gate that fails."""
     blocked = [key for key, ok in hypotheses.items() if not ok]
     if blocked:
         raise HypothesisNotMet(f"scenario {name}: gate(s) failed: {', '.join(blocked)}")
+    return hypotheses
+
+
+def _logistic(params: ModelParams, name: str) -> dict[str, bool]:
+    return _require({"logistic_source": not params.minimal}, name)
+
+
+def _minimal(params: ModelParams, name: str) -> None:
+    """Refuse a logistic point; a minimal check does not report this gate."""
+    _require({"minimal_model": params.minimal}, name)
 
 
 def _max_tolerated_increase(values: np.ndarray, tol_scale: float = 1e-8) -> float:
@@ -109,39 +135,16 @@ def _max_tolerated_increase(values: np.ndarray, tol_scale: float = 1e-8) -> floa
     return float(np.max(diffs - allowance))
 
 
-# Parameter set whose thresholds are exact in floating point:
-# u* = v* = 1, chi* = 4 at the first mode, chi**_1 = 4, chi**_3 = 1/2.
-_PINNED = dict(beta=0.0, m=1.0, alpha=1.0, gamma=1.0, a=1.0, b=1.0, mu=1.0, nu=1.0)
-
-
-def _interval() -> GridDomain:
-    return GridDomain.interval(math.pi, 64)
-
-
-def _perturbed_run(params: ModelParams, eq: Equilibrium | None, amplitude: float,
-                   **cfg) -> Trajectory:
-    """Run from the mode-1 perturbation of `amplitude` on the 64-cell interval,
-    about u* of `eq`, or about 1 with `eq` None (the minimal model, whose run
-    takes its equilibrium from the initial mass), with StepConfig(**cfg)."""
-    grid = _interval()
-    level = 1.0 if eq is None else eq.u_star
-    init = init_state(grid, InitSpec.perturbation(level, amplitude, 1), params)
-    return run(params, grid, init, StepConfig(**cfg), eq=eq)
-
-
-def scenario_persistence() -> ScenarioResult:
-    params = ModelParams(chi0=1.0, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
-                         a=2.0, b=1.0, mu=1.0, nu=1.0)
-    eq = equilibrium(params)
-    hypotheses = {
+def check_persistence(name, params, grid, init, cfg) -> ScenarioResult:
+    _logistic(params, name)
+    beta_ok = params.beta >= 1.0
+    hypotheses = _require({
         "positive_sensitivity": params.chi0 > 0.0,
-        "beta_at_least_one": params.beta >= 1.0,
-        "chi0_below_persistence_gate": params.chi0
-        < params.a / (params.mu * theta(params.beta - 1.0)),
-    }
-    _require(hypotheses, "persistence")
-    traj = _perturbed_run(params, eq, 0.5, t_end=20.0, dt=1e-2, dt_policy="cfl",
-                          output_stride=10)
+        "beta_at_least_one": beta_ok,
+        "chi0_below_persistence_gate": beta_ok
+        and params.chi0 < params.a / (params.mu * theta(params.beta - 1.0)),
+    }, name)
+    traj = run(params, grid, init_state(grid, init, params), cfg, eq=equilibrium(params))
     slack = 0.05
     report = persistence_metrics(traj, params, slack=slack)
     measured = {
@@ -154,27 +157,19 @@ def scenario_persistence() -> ScenarioResult:
         "v_floor": report.v_bound,
         "slack": slack,
     }
-    return _result(
-        "persistence", "eventual density floor under weakly saturated sensitivity",
-        hypotheses, measured, expected, report.all_met, trajectory=traj,
-    )
+    return _result(name, "eventual density floor under weakly saturated sensitivity",
+                   hypotheses, measured, expected, report.all_met, trajectory=traj)
 
 
-def scenario_negative_sensitivity() -> ScenarioResult:
-    params = ModelParams(chi0=-1.0, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
-                         a=1.0, b=1.0, mu=1.0, nu=1.0)
+def check_negative_sensitivity(name, params, grid, init, cfg) -> ScenarioResult:
+    hypotheses = _require({"non_positive_sensitivity": params.chi0 <= 0.0,
+                           "logistic_source": not params.minimal}, name)
     eq = equilibrium(params)
-    hypotheses = {"non_positive_sensitivity": params.chi0 <= 0.0,
-                  "logistic_source": not params.minimal}
-    _require(hypotheses, "negative-sensitivity")
-    traj = _perturbed_run(params, eq, 0.3, t_end=50.0, dt=1e-2, output_stride=50)
-    spectrum = neumann_eigenvalues(traj.grid, 200)
-    verdict = classify_equilibrium(params, eq, spectrum).verdict
+    traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
+    verdict = classify_equilibrium(params, eq, neumann_eigenvalues(grid, 200)).verdict
     # The maximum principle pins the peak only while it exceeds u*; below
     # u* the source is free to push it back up, so check max(peak, u*).
-    peak_excess = _max_tolerated_increase(
-        np.maximum(traj.u_max, eq.u_star), 1e-10
-    )
+    peak_excess = _max_tolerated_increase(np.maximum(traj.u_max, eq.u_star), 1e-10)
     measured = {
         "final_error": float(traj.err_inf[-1]),
         "peak_monotonicity_excess": peak_excess,
@@ -185,26 +180,18 @@ def scenario_negative_sensitivity() -> ScenarioResult:
         "peak_monotonicity_excess_max": 0.0,
         "stability_verdict": "stable",
     }
-    return _result(
-        "negative-sensitivity", "monotone spatial maximum under repulsive sensitivity",
-        hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj,
-    )
+    return _result(name, "monotone spatial maximum under repulsive sensitivity",
+                   hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj)
 
 
-def _dichotomy_common(chi0: float):
-    params = ModelParams(chi0=chi0, **_PINNED)
+def check_stable_dichotomy(name, params, grid, init, cfg) -> ScenarioResult:
+    _logistic(params, name)
     eq = equilibrium(params)
-    spectrum = neumann_eigenvalues(_interval(), 200)
+    spectrum = neumann_eigenvalues(grid, 200)
     report = classify_equilibrium(params, eq, spectrum)
-    return params, eq, spectrum, report
-
-
-def scenario_stable_dichotomy() -> ScenarioResult:
-    params, eq, spectrum, report = _dichotomy_common(chi0=3.2)
-    hypotheses = {"chi0_below_chi_star": params.chi0 < report.chi_star}
-    _require(hypotheses, "stable-dichotomy")
+    hypotheses = _require({"chi0_below_chi_star": params.chi0 < report.chi_star}, name)
     rate_predicted = -sigma_n(params, eq, spectrum.lambda_star)
-    traj = _perturbed_run(params, eq, 0.01, t_end=25.0, dt=5e-3, output_stride=20)
+    traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
     fit = fit_decay_rate(traj.times, traj.err_inf)
     rate_error = abs(fit.rate - rate_predicted) / rate_predicted
     measured = {
@@ -218,20 +205,18 @@ def scenario_stable_dichotomy() -> ScenarioResult:
         "decay_rate": float(rate_predicted),
         "relative_rate_error_max": 0.20,
         "stability_verdict": "stable",
-        "chi_star": 4.0,
+        "chi_star": report.chi_star,
     }
-    return _result(
-        "stable-dichotomy", "exponential mode decay below the critical sensitivity",
-        hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj,
-    )
+    return _result(name, "exponential mode decay below the critical sensitivity",
+                   hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj)
 
 
-def scenario_unstable_dichotomy() -> ScenarioResult:
-    params, eq, _, report = _dichotomy_common(chi0=4.8)
-    hypotheses = {"chi0_above_chi_star": params.chi0 > report.chi_star}
-    _require(hypotheses, "unstable-dichotomy")
-    traj = _perturbed_run(params, eq, 0.01, t_end=12.0, dt=5e-3, dt_policy="cfl",
-                          output_stride=20)
+def check_unstable_dichotomy(name, params, grid, init, cfg) -> ScenarioResult:
+    _logistic(params, name)
+    eq = equilibrium(params)
+    report = classify_equilibrium(params, eq, neumann_eigenvalues(grid, 200))
+    hypotheses = _require({"chi0_above_chi_star": params.chi0 > report.chi_star}, name)
+    traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
     growth = float(np.max(traj.err_inf) / traj.err_inf[0])
     measured = {
         "amplification": growth,
@@ -242,24 +227,21 @@ def scenario_unstable_dichotomy() -> ScenarioResult:
     expected = {
         "amplification_min": 10.0,
         "stability_verdict": "unstable",
-        "chi_star": 4.0,
+        "chi_star": report.chi_star,
     }
-    return _result(
-        "unstable-dichotomy", "perturbation amplification above the critical sensitivity",
-        hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj,
-    )
+    return _result(name, "perturbation amplification above the critical sensitivity",
+                   hypotheses, measured, expected, equal=("stability_verdict",), trajectory=traj)
 
 
-def scenario_lyapunov_i() -> ScenarioResult:
-    params = ModelParams(chi0=1.0, **_PINNED)
+def check_lyapunov_i(name, params, grid, init, cfg) -> ScenarioResult:
+    _logistic(params, name)
     eq = equilibrium(params)
     chi_ss1 = chi_double_star(params, eq, m0=0.0)[0]
-    hypotheses = {
+    hypotheses = _require({
         "power_balance": chi_ss1.applicable,
         "chi0_below_chi_ss1": chi_ss1.value is not None and params.chi0 < chi_ss1.value,
-    }
-    _require(hypotheses, "lyapunov-i")
-    traj = _perturbed_run(params, eq, 0.3, t_end=20.0, dt=2e-3, output_stride=50)
+    }, name)
+    traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
     excess = _max_tolerated_increase(traj.lyapunov)
     budget_factor = params.b * (1.0 - (params.chi0 / chi_ss1.value) ** 2)
     budget_lhs = budget_factor * float(np.trapezoid(traj.dissipation, traj.times))
@@ -275,25 +257,21 @@ def scenario_lyapunov_i() -> ScenarioResult:
         "monotonicity_excess_max": 0.0,
         "dissipation_budget_max": 1.10 * budget_rhs,
     }
-    return _result(
-        "lyapunov-i",
-        "energy descent and dissipation budget below the first smallness threshold",
-        hypotheses, measured, expected, trajectory=traj,
-    )
+    return _result(name,
+                   "energy descent and dissipation budget below the first smallness threshold",
+                   hypotheses, measured, expected, trajectory=traj)
 
 
-def scenario_lyapunov_ii() -> ScenarioResult:
-    params = ModelParams(chi0=0.3, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
-                         a=1.0, b=1.0, mu=1.0, nu=1.0)
+def check_lyapunov_ii(name, params, grid, init, cfg) -> ScenarioResult:
+    _logistic(params, name)
     eq = equilibrium(params)
     chi_ss2 = chi_double_star(params, eq, m0=0.0)[1]
-    hypotheses = {
+    hypotheses = _require({
         "beta_at_least_one": params.beta >= 1.0,
         "power_balance": chi_ss2.applicable,
         "chi0_below_chi_ss2": chi_ss2.value is not None and params.chi0 < chi_ss2.value,
-    }
-    _require(hypotheses, "lyapunov-ii")
-    traj = _perturbed_run(params, eq, 0.3, t_end=30.0, dt=2e-3, output_stride=50)
+    }, name)
+    traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
     half = len(traj.lyapunov) // 2
     tail_excess = _max_tolerated_increase(traj.lyapunov[half:])
     measured = {
@@ -306,39 +284,36 @@ def scenario_lyapunov_ii() -> ScenarioResult:
         "tail_monotonicity_excess_max": 0.0,
         "final_error_max": 1e-6,
     }
-    return _result(
-        "lyapunov-ii", "eventual energy descent below the saturation-improved threshold",
-        hypotheses, measured, expected, trajectory=traj,
-    )
+    return _result(name, "eventual energy descent below the saturation-improved threshold",
+                   hypotheses, measured, expected, trajectory=traj)
 
 
-def _rectangle_scenario(
-    name: str,
-    theorem: str,
-    params: ModelParams,
-    m0: float,
-    mode: str,
-    index: int,
-    extra_hypotheses: dict[str, bool],
-    check_v_floor: float | None = None,
-) -> ScenarioResult:
-    """Sandwich and envelope contraction below chi**_{index + 1}, the entry
-    `index` of `chi_double_star`."""
+def check_rectangle(name, params, grid, init, cfg, m0: float, mode: str) -> ScenarioResult:
+    """Sandwich and envelope contraction of the comparison pair of `normalize`
+    with gradient constant `m0`: below chi**_3 in mode "plain"; below
+    chi**_4 in mode "signal-floor", which also needs beta >= 1 and checks the
+    run's signal against its eventual floor. The envelope starts at
+    1 +- amplitude, so `init` must be a perturbation about u*; any other
+    start raises ValueError before the run."""
+    _logistic(params, name)
+    floor = mode == "signal-floor"
     eq = equilibrium(params)
+    index = 3 if floor else 2
     chi_ss = chi_double_star(params, eq, m0=m0)[index]
     gate = f"chi0_below_chi_ss{index + 1}"
-    hypotheses = {
-        gate: params.chi0 < chi_ss.value,
-        **extra_hypotheses,
+    hypotheses = _require({
+        gate: chi_ss.value is not None and params.chi0 < chi_ss.value,
+        **({"beta_at_least_one": params.beta >= 1.0} if floor else {}),
         "power_balance": chi_ss.applicable,
-    }
-    _require(hypotheses, name)
+    }, name)
+    if init.kind != "perturbation" or init.u_star != eq.u_star:
+        raise ValueError(f"scenario {name}: the envelope starts at 1 +- amplitude, so the "
+                         f"run must start from a perturbation about u* = {eq.u_star}")
     rp = normalize(params, eq, m0=m0, mode=mode)
-    amplitude, t_end = 0.25, 45.0
-    traj = _perturbed_run(params, eq, amplitude, t_end=t_end, dt=1e-3, output_stride=100)
+    traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
     rect = integrate_rectangle(
-        rp, ubar0=1.0 + amplitude, ulow0=1.0 - amplitude,
-        tau_end=params.a * t_end, dt=1e-3,
+        rp, ubar0=1.0 + init.amplitude, ulow0=1.0 - init.amplitude,
+        tau_end=params.a * cfg.t_end, dt=cfg.dt,
     )
     h = max(traj.grid.spacing)
     slack = 5.0 * h**2 + 1e-8
@@ -359,56 +334,34 @@ def _rectangle_scenario(
         gate: chi_ss.value,
     }
     ok = sandwich.ok and gap_monotone
-    if check_v_floor is not None:
+    if floor:
+        v_floor = v_lower_ab(params)
         v_min_run = float(np.min(traj.v_min))
         measured["signal_minimum"] = v_min_run
-        expected["signal_floor"] = check_v_floor
-        ok = ok and v_min_run >= check_v_floor
+        expected["signal_floor"] = v_floor
+        ok = ok and v_min_run >= v_floor
+    theorem = ("envelope contraction with signal-floor gain on the sensitivity" if floor
+               else "envelope contraction of the extremal comparison pair")
     return _result(name, theorem, hypotheses, measured, expected, ok,
                    equal=("contraction",), trajectory=traj)
 
 
-def scenario_rectangle_iii() -> ScenarioResult:
-    return _rectangle_scenario(
-        "rectangle-iii", "envelope contraction of the extremal comparison pair",
-        ModelParams(chi0=0.3, **_PINNED), m0=0.0, mode="plain", index=2,
-        extra_hypotheses={},
-    )
-
-
-def scenario_rectangle_iv() -> ScenarioResult:
-    params = ModelParams(chi0=0.35, beta=1.0, m=1.0, alpha=2.0, gamma=1.0,
-                         a=1.0, b=1.0, mu=1.0, nu=1.0)
-    return _rectangle_scenario(
-        "rectangle-iv", "envelope contraction with signal-floor gain on the sensitivity",
-        # m0 is an illustrative gradient-estimate constant, fixed for determinism.
-        params, m0=1.0, mode="signal-floor", index=3,
-        extra_hypotheses={"beta_at_least_one": params.beta >= 1.0},
-        check_v_floor=v_lower_ab(params),
-    )
-
-
-def _minimal_common(chi0: float, store_snapshots: bool = False):
-    params = ModelParams(chi0=chi0, beta=1.0, m=1.0, alpha=1.0, gamma=1.0,
-                         a=0.0, b=0.0, mu=1.0, nu=1.0)
-    traj = _perturbed_run(params, None, 0.3, t_end=20.0, dt=2e-3, output_stride=50,
-                          store_snapshots=store_snapshots)
-    eq, grid = traj.eq, traj.grid
-    report = threshold_report(params, eq, neumann_eigenvalues(grid, 200), grid.dimension,
-                              calibration=traj)
-    chi_b, mins = report.chi_beta.value, report.minimal
-    return params, traj, eq, chi_b, mins
-
-
-def scenario_minimal_entropy() -> ScenarioResult:
-    params, traj, eq, chi_b, mins = _minimal_common(chi0=0.3)
-    hypotheses = {
-        "beta_at_least_one": params.beta >= 1.0,
+def check_minimal_entropy(name, params, grid, init, cfg) -> ScenarioResult:
+    _minimal(params, name)
+    beta_ok = params.beta >= 1.0
+    chi_b = chi_beta_threshold(params.beta, params.gamma, grid.dimension) if beta_ok else math.nan
+    # The gate on the calibrated chi**_1 waits for the run; these come first.
+    gates = _require({
+        "beta_at_least_one": beta_ok,
         "chi0_below_half_chi_beta": params.chi0 < chi_b / 2.0,
         "chi0_below_sqrt_chi_beta": params.chi0 < math.sqrt(chi_b),
-        "chi0_below_chi_ss1_min_empirical": params.chi0 < mins.chi_ss1_min,
-    }
-    _require(hypotheses, "minimal-entropy")
+    }, name)
+    traj = run(params, grid, init_state(grid, init, params), cfg)
+    mins = threshold_report(params, traj.eq, neumann_eigenvalues(grid, 200), grid.dimension,
+                            calibration=traj).minimal
+    hypotheses = _require({
+        **gates, "chi0_below_chi_ss1_min_empirical": params.chi0 < mins.chi_ss1_min,
+    }, name)
     excess = _max_tolerated_increase(traj.lyapunov)
     measured = {
         "entropy_monotonicity_excess": excess,
@@ -421,26 +374,28 @@ def scenario_minimal_entropy() -> ScenarioResult:
         "final_error_max": 1e-6,
         "mass_drift_max": 1e-8,
     }
-    return _result(
-        "minimal-entropy", "entropy descent for the mass-conserving model",
-        hypotheses, measured, expected, trajectory=traj,
-    )
+    return _result(name, "entropy descent for the mass-conserving model",
+                   hypotheses, measured, expected, trajectory=traj)
 
 
-def scenario_minimal_akl() -> ScenarioResult:
-    params, traj, eq, chi_b, mins = _minimal_common(chi0=0.3, store_snapshots=True)
-    hypotheses = {
+def check_minimal_akl(name, params, grid, init, cfg) -> ScenarioResult:
+    """The signal energy is read off the run's snapshots, so the run stores
+    them whatever `cfg` says."""
+    _minimal(params, name)
+    gates = _require({
         "gamma_is_one": params.gamma == 1.0,
         "beta_at_least_one": params.beta >= 1.0,
-        "chi0_below_chi_ss2_min_empirical": mins.chi_ss2_min is not None
+    }, name)
+    traj = run(params, grid, init_state(grid, init, params), replace(cfg, store_snapshots=True))
+    eq = traj.eq
+    mins = threshold_report(params, eq, neumann_eigenvalues(grid, 200), grid.dimension,
+                            calibration=traj).minimal
+    hypotheses = _require({
+        **gates, "chi0_below_chi_ss2_min_empirical": mins.chi_ss2_min is not None
         and params.chi0 < mins.chi_ss2_min,
-    }
-    _require(hypotheses, "minimal-akl")
-    grid = traj.grid
-    energies = np.asarray(
-        [signal_energy(state.v, eq.v_star, grid, params.mu)
-         for state in traj.snapshots]
-    )
+    }, name)
+    energies = np.asarray([signal_energy(state.v, eq.v_star, grid, params.mu)
+                           for state in traj.snapshots])
     excess = _max_tolerated_increase(energies)
     measured = {
         "signal_energy_initial": float(energies[0]),
@@ -449,15 +404,14 @@ def scenario_minimal_akl() -> ScenarioResult:
         "chi_ss2_min": mins.chi_ss2_min,
     }
     expected = {"signal_energy_monotonicity_excess_max": 0.0}
-    return _result(
-        "minimal-akl", "signal-energy descent for the mass-conserving model",
-        hypotheses, measured, expected, trajectory=traj,
-    )
+    return _result(name, "signal-energy descent for the mass-conserving model",
+                   hypotheses, measured, expected, trajectory=traj)
 
 
-def scenario_thresholds_only() -> ScenarioResult:
-    params = ModelParams(chi0=1.0, **_PINNED)
-    grid = _interval()
+def check_thresholds(name, params, grid, init, cfg) -> ScenarioResult:
+    """The closed-form thresholds against the exact values they take at the
+    pinned point of `PRESETS`; it runs nothing and reads no `init` or `cfg`."""
+    hypotheses = _logistic(params, name)
     eq = equilibrium(params)
     spectrum = neumann_eigenvalues(grid, 1000)
     report = threshold_report(params, eq, spectrum, grid.dimension, m0=0.0)
@@ -476,44 +430,87 @@ def scenario_thresholds_only() -> ScenarioResult:
     expected["tolerance"] = tol
     ok = all(value is not None and abs(value - target) <= tol
              for value, target in checks.values())
-    return _result(
-        "thresholds-only", "closed-form threshold evaluation at an exactly representable point",
-        {"logistic_source": not params.minimal}, measured, expected, ok,
-        equal=("argmin_mode",),
-    )
+    return _result(name, "closed-form threshold evaluation at an exactly representable point",
+                   hypotheses, measured, expected, ok, equal=("argmin_mode",))
 
 
-def scenario_sweep() -> ScenarioResult:
-    grid = _interval()
+def check_sweep(name, params, grid, init, cfg) -> ScenarioResult:
+    """The dichotomy verdict of `params` at each chi0 of a fixed list about
+    chi* = 4, the pinned point's; it runs nothing and reads no `init` or `cfg`."""
+    hypotheses = _logistic(params, name)
     spectrum = neumann_eigenvalues(grid, 1000)
     rows = []
     for chi0 in (0.5, 2.0, 3.9, 4.0, 4.1, 6.0):
-        params = ModelParams(chi0=chi0, **_PINNED)
-        report = classify_equilibrium(params, equilibrium(params), spectrum)
+        point = replace(params, chi0=chi0)
+        report = classify_equilibrium(point, equilibrium(point), spectrum)
         rows.append({"chi0": chi0, "verdict": report.verdict,
                      "chi_star": report.chi_star, "sigma_max": report.sigma_max})
     measured = {"verdicts": [row["verdict"] for row in rows], "rows": rows}
     expected = {"verdicts": ["stable", "stable", "stable", "critical",
                              "unstable", "unstable"]}
-    return _result(
-        "sweep", "stability verdicts across a sensitivity sweep",
-        {"logistic_source": True}, measured, expected, equal=("verdicts",),
-    )
+    return _result(name, "stability verdicts across a sensitivity sweep",
+                   hypotheses, measured, expected, equal=("verdicts",))
 
+
+class Preset(NamedTuple):
+    """A check and its point; `init` and `cfg` are None where it runs nothing."""
+
+    check: Callable[..., ScenarioResult]
+    params: ModelParams
+    grid: GridDomain
+    init: InitSpec | None
+    cfg: StepConfig | None
+
+
+# The pinned point: u* = v* = 1, chi* = 4 at the first mode of [0, pi],
+# chi**_1 = 4 and chi**_3 = 1/2, all exact in floating point.
+_POINT = ModelParams(chi0=1.0, beta=0.0, m=1.0, alpha=1.0, gamma=1.0,
+                     a=1.0, b=1.0, mu=1.0, nu=1.0)
+_GRID = GridDomain.interval(math.pi, 64)
+_MINIMAL_RUN = StepConfig(t_end=20.0, dt=2e-3, output_stride=50)
+
+PRESETS: dict[str, Preset] = {
+    "persistence": Preset(
+        check_persistence, replace(_POINT, chi0=1.0, beta=1.0, a=2.0), _GRID,
+        InitSpec.perturbation(2.0, 0.5),
+        StepConfig(t_end=20.0, dt=1e-2, dt_policy="cfl", output_stride=10)),
+    "negative-sensitivity": Preset(
+        check_negative_sensitivity, replace(_POINT, chi0=-1.0, beta=1.0), _GRID,
+        InitSpec.perturbation(1.0, 0.3), StepConfig(t_end=50.0, dt=1e-2, output_stride=50)),
+    "stable-dichotomy": Preset(
+        check_stable_dichotomy, replace(_POINT, chi0=3.2), _GRID,
+        InitSpec.perturbation(1.0, 0.01), StepConfig(t_end=25.0, dt=5e-3, output_stride=20)),
+    "unstable-dichotomy": Preset(
+        check_unstable_dichotomy, replace(_POINT, chi0=4.8), _GRID,
+        InitSpec.perturbation(1.0, 0.01),
+        StepConfig(t_end=12.0, dt=5e-3, dt_policy="cfl", output_stride=20)),
+    "lyapunov-i": Preset(
+        check_lyapunov_i, _POINT, _GRID,
+        InitSpec.perturbation(1.0, 0.3), StepConfig(t_end=20.0, dt=2e-3, output_stride=50)),
+    "lyapunov-ii": Preset(
+        check_lyapunov_ii, replace(_POINT, chi0=0.3, beta=1.0), _GRID,
+        InitSpec.perturbation(1.0, 0.3), StepConfig(t_end=30.0, dt=2e-3, output_stride=50)),
+    "rectangle-iii": Preset(
+        partial(check_rectangle, m0=0.0, mode="plain"), replace(_POINT, chi0=0.3), _GRID,
+        InitSpec.perturbation(1.0, 0.25), StepConfig(t_end=45.0, dt=1e-3, output_stride=100)),
+    # m0 is an illustrative gradient-estimate constant, fixed for determinism.
+    "rectangle-iv": Preset(
+        partial(check_rectangle, m0=1.0, mode="signal-floor"),
+        replace(_POINT, chi0=0.35, beta=1.0, alpha=2.0), _GRID,
+        InitSpec.perturbation(1.0, 0.25), StepConfig(t_end=45.0, dt=1e-3, output_stride=100)),
+    "minimal-entropy": Preset(
+        check_minimal_entropy, replace(_POINT, chi0=0.3, beta=1.0, a=0.0, b=0.0), _GRID,
+        InitSpec.perturbation(1.0, 0.3), _MINIMAL_RUN),
+    "minimal-akl": Preset(
+        check_minimal_akl, replace(_POINT, chi0=0.3, beta=1.0, a=0.0, b=0.0), _GRID,
+        InitSpec.perturbation(1.0, 0.3), _MINIMAL_RUN),
+    "thresholds-only": Preset(check_thresholds, _POINT, _GRID, None, None),
+    "sweep": Preset(check_sweep, _POINT, _GRID, None, None),
+}
 
 SCENARIOS: dict[str, Callable[[], ScenarioResult]] = {
-    "persistence": scenario_persistence,
-    "negative-sensitivity": scenario_negative_sensitivity,
-    "stable-dichotomy": scenario_stable_dichotomy,
-    "unstable-dichotomy": scenario_unstable_dichotomy,
-    "lyapunov-i": scenario_lyapunov_i,
-    "lyapunov-ii": scenario_lyapunov_ii,
-    "rectangle-iii": scenario_rectangle_iii,
-    "rectangle-iv": scenario_rectangle_iv,
-    "minimal-entropy": scenario_minimal_entropy,
-    "minimal-akl": scenario_minimal_akl,
-    "thresholds-only": scenario_thresholds_only,
-    "sweep": scenario_sweep,
+    name: partial(p.check, name, p.params, p.grid, p.init, p.cfg)
+    for name, p in PRESETS.items()
 }
 
 

@@ -261,6 +261,24 @@ class TestSimulateCommand:
         assert payload["cap"] == 0.95
         assert 0.0 < payload["time"] < 5.0
 
+    @pytest.mark.parametrize("m, alpha", [(1, 2), (3, 1)], ids=["u_max^alpha", "u_max^(m-1)"])
+    def test_a_step_bound_that_overflows_exits_2(self, tmp_path, capsys, m, alpha):
+        # A finite density whose power overflows in the cfl bound is a
+        # degenerate state, with the default blow-up cap too.
+        u0 = np.ones(64)
+        u0[10] = 1e200
+        np.save(tmp_path / "u0.npy", u0)
+        text = BASE_CFG.format(**{**REFERENCE, "m": m, "alpha": alpha}).replace(
+            "init.kind = perturbation", "init.kind = array").replace(
+            "init.amplitude = 0.01", f"init.path = {tmp_path / 'u0.npy'}")
+        cfg = write_cfg(tmp_path, text=text + "run.dt_policy = cfl\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, payload, error = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert payload is None
+        assert error["error"] == "DegenerateState"
+        assert "overflows" in error["message"]
+
     def test_blowup_names_the_cell(self, tmp_path, capsys):
         # Without chemotaxis the mode-1 start keeps its peak in cell 0.
         text = BASE_CFG.format(**{**REFERENCE, "chi0": 0.0}).replace(

@@ -727,6 +727,24 @@ class TestStableDt:
         with pytest.raises(DegenerateState):
             bound_at(FieldState(0.0, u, bad.v), p, interval_pi, cfg)
 
+    @pytest.mark.parametrize("m, alpha", [(1.0, 2.0), (3.0, 1.0)],
+                             ids=["u_max^alpha", "u_max^(m-1)"])
+    def test_a_power_that_overflows_is_degenerate(self, interval_pi, m, alpha):
+        # One cell at 1e200 is finite, but its square is not a float, and a
+        # Python float power raises OverflowError rather than give inf. A
+        # cfl run takes the bound before its first step, so it must stop
+        # there whatever its blow-up cap.
+        p = make_params(m=m, alpha=alpha)
+        u = np.ones(64)
+        u[10] = 1e200
+        state = init_state(interval_pi, InitSpec.from_array(u), p)
+        cfg = StepConfig(t_end=1.0, dt=1e-2, dt_policy="cfl")
+        with pytest.raises(DegenerateState, match=r"overflows at max\(u\) = 1e\+200"):
+            bound_at(state, p, interval_pi, cfg)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateState, match="overflows"):
+            run(p, interval_pi, state, cfg)
+
     def test_cfl_run_reaches_t_end(self, interval_pi):
         p = make_params(chi0=3.0)
         spec = InitSpec.perturbation(u_star=1.0, amplitude=0.3)

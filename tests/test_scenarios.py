@@ -1,13 +1,20 @@
-"""Every packaged scenario must run clean and report a passing verdict."""
+"""Every packaged scenario must run clean and report a passing verdict, and
+each check must refuse a point outside its gates and pass at a second point."""
 
+import contextlib
 import functools
 import math
+from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from chemostab import scenarios
-from chemostab.scenarios import SCENARIOS, _meets, _result, run_scenario
+from chemostab.core import GridDomain, InitSpec
+from chemostab.diagnostics import HypothesisNotMet
+from chemostab.integrator import StepConfig
+from chemostab.scenarios import PRESETS, SCENARIOS, _meets, _result, run_scenario
 
 EXPECTED_NAMES = {
     "persistence",
@@ -80,6 +87,126 @@ class TestRuns:
         trajectory, so a run that bypassed it would go unchecked."""
         count = 1 if name in PDE_NAMES else 0
         assert recorded_run(name)[1] == (count, count)
+
+
+# For each gate of each check, a change to its preset point that breaks it:
+# coefficients, or the grid under the key "grid". A minimal point given to a
+# logistic check, and the reverse, is refused by the model gate
+# (`logistic_source` or `minimal_model`).
+MINIMAL = {"a": 0.0, "b": 0.0}
+LOGISTIC = {"a": 1.0, "b": 1.0}
+REFUSALS = [
+    ("persistence", MINIMAL, "logistic_source"),
+    ("persistence", {"chi0": -1.0}, "positive_sensitivity"),
+    ("persistence", {"beta": 0.5}, "beta_at_least_one"),
+    ("persistence", {"chi0": 3.0}, "chi0_below_persistence_gate"),
+    ("negative-sensitivity", {"chi0": 1.0}, "non_positive_sensitivity"),
+    ("negative-sensitivity", MINIMAL, "logistic_source"),
+    ("stable-dichotomy", MINIMAL, "logistic_source"),
+    ("stable-dichotomy", {"chi0": 5.0}, "chi0_below_chi_star"),
+    ("unstable-dichotomy", MINIMAL, "logistic_source"),
+    ("unstable-dichotomy", {"chi0": 3.0}, "chi0_above_chi_star"),
+    ("lyapunov-i", MINIMAL, "logistic_source"),
+    ("lyapunov-i", {"gamma": 1.5}, "power_balance"),
+    ("lyapunov-i", {"chi0": 5.0}, "chi0_below_chi_ss1"),
+    ("lyapunov-ii", MINIMAL, "logistic_source"),
+    ("lyapunov-ii", {"beta": 0.5}, "beta_at_least_one"),
+    ("lyapunov-ii", {"gamma": 1.5}, "power_balance"),
+    ("lyapunov-ii", {"chi0": 5.0}, "chi0_below_chi_ss2"),
+    ("rectangle-iii", MINIMAL, "logistic_source"),
+    ("rectangle-iii", {"chi0": 1.0}, "chi0_below_chi_ss3"),
+    ("rectangle-iii", {"gamma": 0.5}, "power_balance"),
+    ("rectangle-iv", MINIMAL, "logistic_source"),
+    ("rectangle-iv", {"chi0": 5.0}, "chi0_below_chi_ss4"),
+    ("rectangle-iv", {"beta": 0.5}, "beta_at_least_one"),
+    ("rectangle-iv", {"gamma": 1.2}, "power_balance"),
+    ("minimal-entropy", LOGISTIC, "minimal_model"),
+    ("minimal-entropy", {"beta": 0.5}, "beta_at_least_one"),
+    ("minimal-entropy", {"chi0": 0.7}, "chi0_below_half_chi_beta"),
+    # chi_beta = 5 at beta = 3: sqrt(5) < 2.3 < 5 / 2.
+    ("minimal-entropy", {"chi0": 2.3, "beta": 3.0}, "chi0_below_sqrt_chi_beta"),
+    # On [0, 10 pi] the first eigenvalue is 1/100, which lowers chi**_1.
+    ("minimal-entropy", {"chi0": 0.4, "grid": GridDomain.interval(10 * math.pi, 64)},
+     "chi0_below_chi_ss1_min_empirical"),
+    ("minimal-akl", LOGISTIC, "minimal_model"),
+    ("minimal-akl", {"gamma": 0.5}, "gamma_is_one"),
+    ("minimal-akl", {"beta": 0.5}, "beta_at_least_one"),
+    ("minimal-akl", {"chi0": 0.6}, "chi0_below_chi_ss2_min_empirical"),
+    ("thresholds-only", MINIMAL, "logistic_source"),
+    ("sweep", MINIMAL, "logistic_source"),
+]
+
+# Gates on the thresholds calibrated on the check's own run.
+CALIBRATED = {"chi0_below_chi_ss1_min_empirical", "chi0_below_chi_ss2_min_empirical"}
+MODEL_GATES = {"logistic_source", "minimal_model"}
+# The minimal checks' gates read a calibration run; a short one will do.
+SHORT_RUN = StepConfig(t_end=0.1, dt=1e-2, output_stride=5)
+
+# A second point inside each PDE check's gates: changes to the preset's
+# coefficients, and for lyapunov-i a smaller start.
+SECOND_POINTS = {
+    "persistence": {"chi0": 0.8, "beta": 1.5},
+    "negative-sensitivity": {"chi0": -2.0, "beta": 0.5},
+    "stable-dichotomy": {"chi0": 3.5},
+    "unstable-dichotomy": {"chi0": 4.5},
+    "lyapunov-i": {"chi0": 2.0},
+    "lyapunov-ii": {"chi0": 0.2},
+    "rectangle-iii": {"chi0": 0.2},
+    "rectangle-iv": {"chi0": 0.3},
+    "minimal-entropy": {"chi0": 0.2},
+    "minimal-akl": {"chi0": 0.2},
+}
+SECOND_STARTS = {"lyapunov-i": InitSpec.perturbation(1.0, 0.2)}
+
+
+class TestChecks:
+    def test_each_scenario_runs_its_preset(self):
+        assert list(SCENARIOS) == list(PRESETS)
+        for name, preset in PRESETS.items():
+            call = SCENARIOS[name]
+            assert call.args == (name, preset.params, preset.grid, preset.init, preset.cfg)
+
+    @pytest.mark.parametrize("name, changes, gate", REFUSALS,
+                             ids=[f"{name}-{gate}" for name, _, gate in REFUSALS])
+    def test_a_point_that_breaks_a_gate_is_refused_naming_it(self, name, changes, gate):
+        """Refused before any work the gate protects: no run unless the gate
+        reads the run, and for a model gate no equilibrium or threshold."""
+        preset = PRESETS[name]
+        changes = dict(changes)
+        grid = changes.pop("grid", preset.grid)
+        cfg = SHORT_RUN if name.startswith("minimal") else preset.cfg
+        watched = ("run", "equilibrium", "chi_double_star", "threshold_report")
+        with contextlib.ExitStack() as stack:
+            calls = {fn: stack.enter_context(
+                mock.patch.object(scenarios, fn, wraps=getattr(scenarios, fn)))
+                for fn in watched}
+            with pytest.raises(HypothesisNotMet, match=rf"gate\(s\) failed: .*\b{gate}\b"):
+                preset.check(name, replace(preset.params, **changes), grid, preset.init, cfg)
+        assert calls["run"].call_count == (gate in CALIBRATED)
+        if gate in MODEL_GATES:
+            assert all(call.call_count == 0 for call in calls.values())
+
+    @pytest.mark.parametrize("init", [
+        InitSpec.constant(1.0),
+        InitSpec.perturbation(2.0, 0.25),
+        InitSpec.from_array(np.full(64, 1.0)),
+    ], ids=["constant", "about-2", "array"])
+    def test_the_rectangle_needs_a_perturbation_about_u_star(self, init):
+        preset = PRESETS["rectangle-iii"]
+        with mock.patch.object(scenarios, "run") as run, \
+                pytest.raises(ValueError, match="perturbation about u\\* = 1.0") as raised:
+            preset.check("rectangle-iii", preset.params, preset.grid, init, preset.cfg)
+        assert raised.type is ValueError
+        run.assert_not_called()
+
+    @pytest.mark.parametrize("name", sorted(PDE_NAMES))
+    def test_each_pde_check_passes_at_a_second_point(self, name):
+        preset = PRESETS[name]
+        params = replace(preset.params, **SECOND_POINTS[name])
+        init = SECOND_STARTS.get(name, preset.init)
+        result = preset.check(name, params, GridDomain.interval(math.pi, 128), init, preset.cfg)
+        assert result.trajectory.grid.cells == (128,)
+        assert result.verdict["pass"] is True, result.verdict["measured"]
 
 
 class TestPassRule:
