@@ -18,7 +18,7 @@ trial count. A negative trial count is an error (exit 2), and so is
 
 Exit codes: 0 success, 1 failed verdict or detected violation, 2 error.
 All reports are JSON on stdout; infinities are encoded as the strings
-"inf" / "-inf".
+"inf" / "-inf". An error (exit 2) is one JSON document on stderr.
 """
 
 from __future__ import annotations
@@ -390,7 +390,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # No numpy warning prints ahead of an error's JSON on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

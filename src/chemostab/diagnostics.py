@@ -202,21 +202,50 @@ class PersistenceReport:
 PERSISTENCE_TAIL = 0.25
 
 
+def persistence_floor(params: ModelParams) -> tuple[str | None, float | None, str | None]:
+    """The eventual density floor at `params`, from the coefficients alone:
+    (case, u_bound, None) with case "m=1" or "m>1", else (None, None, why).
+
+    Both need beta >= 1 and a, b > 0. The m = 1 floor
+    ((a - chi0 mu Theta_{beta-1}) / b)^(1/alpha) needs
+    0 <= chi0 < a / (mu Theta_{beta-1}); the m > 1 floor
+    min{1, (a / (b + chi0 mu Theta_{beta-1}))^max{1/(m-1), 1/alpha}}
+    needs chi0 > 0.
+    """
+    # thresholds -> stability -> integrator -> diagnostics: a top-level import cycles.
+    from .thresholds import _density_floor, theta
+
+    if params.minimal:
+        return None, None, "a = b = 0: no explicit eventual lower bound is computed here"
+    if params.beta < 1.0:
+        return None, None, f"beta >= 1 required for the eventual bounds, got beta = {params.beta}"
+    th = theta(params.beta - 1.0)
+    if params.m == 1.0:
+        cap = params.a / (params.mu * th)
+        if params.chi0 < 0.0:
+            return None, None, f"chi0 >= 0 required for the m = 1 bound, got chi0 = {params.chi0}"
+        if params.chi0 >= cap:
+            return None, None, (f"chi0 < a / (mu Theta_(beta-1)) required, "
+                                f"got chi0 = {params.chi0} >= {cap}")
+        top = params.a - params.chi0 * params.mu * th
+        return "m=1", (top / params.b) ** (1.0 / params.alpha), None
+    if params.chi0 <= 0.0:
+        return None, None, f"chi0 > 0 required for the m > 1 bound, got chi0 = {params.chi0}"
+    ratio = params.a / (params.b + params.chi0 * params.mu * th)
+    return "m>1", float(_density_floor(ratio, params.m, params.alpha)), None
+
+
 def persistence_metrics(
     traj: Trajectory, params: ModelParams, slack: float = 0.05
 ) -> PersistenceReport:
     """Compare tail infima of u and v against the eventual lower bounds.
 
-    The m = 1 bound ((a - chi0 mu Theta_{beta-1}) / b)^(1/alpha) applies
-    when beta >= 1 and 0 <= chi0 < a / (mu Theta_{beta-1}); the m > 1
-    bound min{1, (a / (b + chi0 mu Theta_{beta-1}))^max{1/(m-1), 1/alpha}}
-    applies when beta >= 1 and chi0 > 0. The generic signal bound
+    The density floor, for any m >= 1, is `persistence_floor(params)`'s,
+    with its signal floor (nu/mu) u_bound^gamma; where none applies,
+    `hypothesis_failure` says why. The generic signal bound
     (nu/mu) (tail inf u)^gamma is checked in every case. Bounds carry a
     multiplicative slack because the proofs are asymptotic statements.
     """
-    # thresholds -> stability -> integrator -> diagnostics: a top-level import cycles.
-    from .thresholds import _density_floor, theta
-
     n = len(traj.times)
     if n < 4:
         raise ValueError("trajectory too short for a tail window")
@@ -224,39 +253,8 @@ def persistence_metrics(
     tail_inf_u = float(traj.u_min[start:].min())
     tail_inf_v = float(traj.v_min[start:].min())
 
-    u_bound = None
-    v_bound = None
-    case = None
-    failure = None
-    if params.minimal:
-        failure = "a = b = 0: no explicit eventual lower bound is computed here"
-    elif params.beta < 1.0:
-        failure = f"beta >= 1 required for the eventual bounds, got beta = {params.beta}"
-    elif params.m == 1.0:
-        cap = params.a / (params.mu * theta(params.beta - 1.0))
-        if params.chi0 < 0.0:
-            failure = f"chi0 >= 0 required for the m = 1 bound, got chi0 = {params.chi0}"
-        elif params.chi0 >= cap:
-            failure = (
-                f"chi0 < a / (mu Theta_(beta-1)) required, "
-                f"got chi0 = {params.chi0} >= {cap}"
-            )
-        else:
-            case = "m=1"
-            top = params.a - params.chi0 * params.mu * theta(params.beta - 1.0)
-            u_bound = (top / params.b) ** (1.0 / params.alpha)
-    else:
-        if params.chi0 <= 0.0:
-            failure = f"chi0 > 0 required for the m > 1 bound, got chi0 = {params.chi0}"
-        else:
-            case = "m>1"
-            ratio = params.a / (
-                params.b + params.chi0 * params.mu * theta(params.beta - 1.0)
-            )
-            u_bound = float(_density_floor(ratio, params.m, params.alpha))
-    if u_bound is not None:
-        v_bound = (params.nu / params.mu) * u_bound**params.gamma
-
+    case, u_bound, failure = persistence_floor(params)
+    v_bound = None if u_bound is None else (params.nu / params.mu) * u_bound**params.gamma
     generic_v_bound = (params.nu / params.mu) * tail_inf_u**params.gamma
     return PersistenceReport(
         tail_inf_u=tail_inf_u,

@@ -310,10 +310,9 @@ def chemical_field(params: ModelParams, u: np.ndarray, signal: HelmholtzOperator
 
     `signal` is get_operator(grid, params.mu).
     """
-    if u.__class__ is not np.ndarray or u.dtype is not FLOAT64:
-        u = np.asarray(u, dtype=float)
     # With gamma = 1, u**gamma is u itself, and with nu = 1, nu * source is
-    # source itself; both are skipped. `solve` only reads its rhs.
+    # source itself; both are skipped. `solve` only reads its rhs, and
+    # converts one that is not float64, as u**gamma and nu * u are.
     source = u if params.gamma == 1.0 else u**params.scalars.gamma
     if params.nu != 1.0:
         source = params.scalars.nu * source

@@ -48,6 +48,7 @@ from .core import (
 from .diagnostics import (
     HypothesisNotMet,
     fit_decay_rate,
+    persistence_floor,
     persistence_metrics,
     signal_energy,
 )
@@ -137,12 +138,10 @@ def _max_tolerated_increase(values: np.ndarray, tol_scale: float = 1e-8) -> floa
 
 def check_persistence(name, params, grid, init, cfg) -> ScenarioResult:
     _logistic(params, name)
-    beta_ok = params.beta >= 1.0
     hypotheses = _require({
         "positive_sensitivity": params.chi0 > 0.0,
-        "beta_at_least_one": beta_ok,
-        "chi0_below_persistence_gate": beta_ok
-        and params.chi0 < params.a / (params.mu * theta(params.beta - 1.0)),
+        "beta_at_least_one": params.beta >= 1.0,
+        "chi0_below_persistence_gate": persistence_floor(params)[0] is not None,
     }, name)
     traj = run(params, grid, init_state(grid, init, params), cfg, eq=equilibrium(params))
     slack = 0.05

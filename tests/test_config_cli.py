@@ -261,23 +261,41 @@ class TestSimulateCommand:
         assert payload["cap"] == 0.95
         assert 0.0 < payload["time"] < 5.0
 
-    @pytest.mark.parametrize("m, alpha", [(1, 2), (3, 1)], ids=["u_max^alpha", "u_max^(m-1)"])
-    def test_a_step_bound_that_overflows_exits_2(self, tmp_path, capsys, m, alpha):
-        # A finite density whose power overflows in the cfl bound is a
-        # degenerate state, with the default blow-up cap too.
+    @staticmethod
+    def overflow_cfg(tmp_path, m, alpha):
+        """A cfl run from a density with one cell at 1e200, whose power
+        overflows in the step bound before the first step."""
         u0 = np.ones(64)
         u0[10] = 1e200
         np.save(tmp_path / "u0.npy", u0)
         text = BASE_CFG.format(**{**REFERENCE, "m": m, "alpha": alpha}).replace(
             "init.kind = perturbation", "init.kind = array").replace(
             "init.amplitude = 0.01", f"init.path = {tmp_path / 'u0.npy'}")
-        cfg = write_cfg(tmp_path, text=text + "run.dt_policy = cfl\n")
+        return write_cfg(tmp_path, text=text + "run.dt_policy = cfl\n")
+
+    @pytest.mark.parametrize("m, alpha", [(1, 2), (3, 1)], ids=["u_max^alpha", "u_max^(m-1)"])
+    def test_a_step_bound_that_overflows_exits_2(self, tmp_path, capsys, m, alpha):
+        # A finite density whose power overflows in the cfl bound is a
+        # degenerate state, with the default blow-up cap too.
+        cfg = self.overflow_cfg(tmp_path, m, alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             code, payload, error = run_cli(capsys, "simulate", "--config", cfg)
         assert code == 2
         assert payload is None
         assert error["error"] == "DegenerateState"
         assert "overflows" in error["message"]
+
+    def test_an_overflow_leaves_one_json_document_on_stderr(self, tmp_path):
+        """numpy's overflow warning would print ahead of the error's JSON.
+        pytest captures warnings in its own process, so the command runs in
+        a child process."""
+        cfg = self.overflow_cfg(tmp_path, 1, 2)
+        src = str(Path(chemostab.cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "chemostab.cli", "simulate", "--config", cfg],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert json.loads(done.stderr)["error"] == "DegenerateState"
 
     def test_blowup_names_the_cell(self, tmp_path, capsys):
         # Without chemotaxis the mode-1 start keeps its peak in cell 0.

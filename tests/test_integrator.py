@@ -365,11 +365,11 @@ def input_forms(field, rng):
 
 
 class TestKernelInputs:
-    """face_drift, chemotactic_face_flux and chemical_field skip
-    `np.asarray` for a float64 ndarray, the fields of a run; every other
-    input is converted as before, so each must give bitwise what its
-    float64 C-contiguous copy gives; so must flux_divergence on each
-    axis's flux, and HelmholtzOperator.solve."""
+    """face_drift and chemotactic_face_flux skip `np.asarray` for a
+    float64 ndarray, the fields of a run, and convert every other input;
+    chemical_field leaves the conversion to u**gamma, nu * u and solve.
+    Each must give bitwise what its float64 C-contiguous copy gives; so
+    must flux_divergence on each axis's flux, and HelmholtzOperator.solve."""
 
     GRIDS = {"1d": GridDomain.interval(math.pi, 64),
              "2d": GridDomain.rectangle(1.0, 2.5, 12, 20)}

@@ -3,6 +3,7 @@ each check must refuse a point outside its gates and pass at a second point."""
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 
 from chemostab import scenarios
-from chemostab.core import GridDomain, InitSpec
-from chemostab.diagnostics import HypothesisNotMet
-from chemostab.integrator import StepConfig
+from chemostab.core import GridDomain, InitSpec, equilibrium
+from chemostab.diagnostics import HypothesisNotMet, persistence_metrics
+from chemostab.integrator import StepConfig, Trajectory
 from chemostab.scenarios import PRESETS, SCENARIOS, _meets, _result, run_scenario
 
 EXPECTED_NAMES = {
@@ -100,6 +101,8 @@ REFUSALS = [
     ("persistence", {"chi0": -1.0}, "positive_sensitivity"),
     ("persistence", {"beta": 0.5}, "beta_at_least_one"),
     ("persistence", {"chi0": 3.0}, "chi0_below_persistence_gate"),
+    # The m > 1 floor needs chi0 > 0, where the m = 1 floor takes chi0 = 0.
+    ("persistence", {"m": 2.0, "chi0": 0.0}, "chi0_below_persistence_gate"),
     ("negative-sensitivity", {"chi0": 1.0}, "non_positive_sensitivity"),
     ("negative-sensitivity", MINIMAL, "logistic_source"),
     ("stable-dichotomy", MINIMAL, "logistic_source"),
@@ -159,6 +162,10 @@ SECOND_POINTS = {
 SECOND_STARTS = {"lyapunov-i": InitSpec.perturbation(1.0, 0.2)}
 
 
+class ReachedRun(Exception):
+    """Raised in place of a check's PDE run, to see which points reach it."""
+
+
 class TestChecks:
     def test_each_scenario_runs_its_preset(self):
         assert list(SCENARIOS) == list(PRESETS)
@@ -166,8 +173,9 @@ class TestChecks:
             call = SCENARIOS[name]
             assert call.args == (name, preset.params, preset.grid, preset.init, preset.cfg)
 
-    @pytest.mark.parametrize("name, changes, gate", REFUSALS,
-                             ids=[f"{name}-{gate}" for name, _, gate in REFUSALS])
+    @pytest.mark.parametrize("name, changes, gate", REFUSALS, ids=[
+        f"{name}-{gate}" + (f"-m{changes['m']}" if "m" in changes else "")
+        for name, changes, gate in REFUSALS])
     def test_a_point_that_breaks_a_gate_is_refused_naming_it(self, name, changes, gate):
         """Refused before any work the gate protects: no run unless the gate
         reads the run, and for a model gate no equilibrium or threshold."""
@@ -185,6 +193,39 @@ class TestChecks:
         assert calls["run"].call_count == (gate in CALIBRATED)
         if gate in MODEL_GATES:
             assert all(call.call_count == 0 for call in calls.values())
+
+    def test_the_persistence_gate_is_the_floor_the_report_applies(self):
+        """The check reaches its run exactly where chi0 > 0, beta >= 1 and
+        `persistence_metrics` applies a density floor, at m = 1 and m > 1."""
+        preset = PRESETS["persistence"]
+        mismatches = []
+        for m, beta, chi0 in itertools.product(
+                (1.0, 1.5, 3.0), (0.0, 0.99, 1.0, 2.0), (-1.0, 0.0, 0.5, 1.99, 2.0, 2.5, 10.0)):
+            params = replace(preset.params, m=m, beta=beta, chi0=chi0)
+            stub = Trajectory(params=params, grid=preset.grid, eq=equilibrium(params),
+                              times=np.arange(4.0), u_min=np.ones(4), v_min=np.ones(4))
+            floor = persistence_metrics(stub, params).bound_case is not None
+            with mock.patch.object(scenarios, "run", side_effect=ReachedRun):
+                try:
+                    preset.check("persistence", params, preset.grid, preset.init, preset.cfg)
+                except ReachedRun:
+                    reached = True
+                except HypothesisNotMet:
+                    reached = False
+            if reached != (chi0 > 0.0 and beta >= 1.0 and floor):
+                mismatches.append((m, beta, chi0, reached))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("m, floor", [(1.5, 0.25), (2.0, 0.5)])
+    def test_persistence_passes_past_the_m_1_cap_at_m_above_1(self, m, floor):
+        # chi0 = 3 is past the m = 1 cap a / (mu Theta_0) = 2; the m > 1
+        # floor (a / (b + chi0 mu Theta_0))^max{1/(m-1), 1/alpha} applies.
+        preset = PRESETS["persistence"]
+        params = replace(preset.params, m=m, chi0=3.0)
+        verdict = preset.check("persistence", params, preset.grid, preset.init,
+                               preset.cfg).verdict
+        assert verdict["expected"]["u_floor"] == floor
+        assert verdict["pass"] is True, verdict["measured"]
 
     @pytest.mark.parametrize("init", [
         InitSpec.constant(1.0),
