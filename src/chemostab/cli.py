@@ -13,7 +13,7 @@
 
 `fuzz` draws its trials in blocks, one generator call per variable, and
 checks each block with array operations, so memory stays bounded at any
-trial count. A negative trial count is an error (exit 2), and so is
+trial count. A negative trial count or seed is an error (exit 2), and so is
 `scenario --csv` for a scenario with no trajectory (thresholds-only, sweep).
 
 Exit codes: 0 success, 1 failed verdict or detected violation, 2 error.
@@ -301,6 +301,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     power_violations = check_power_diff_inequality(args.trials, rng)
     ordering = verify_orderings(args.ordering_trials, rng)

@@ -17,6 +17,7 @@ always returned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -65,21 +66,25 @@ def _where(cond, then, *args, otherwise=None):
 
     Each side sees only its own entries, so a formula is never evaluated
     outside its gate: no overflow, division by zero or negative base comes
-    from entries it does not apply to. A scalar `cond` takes a plain
-    branch, so float inputs give exactly the floats of straight-line code.
+    from entries it does not apply to, and a side with no entries is not
+    called at all. A scalar `cond` takes a plain branch, so float inputs
+    give exactly the floats of straight-line code. Arguments are broadcast
+    against `cond` unless every one already is an array of its shape.
     """
     if not isinstance(cond, np.ndarray) or cond.ndim == 0:
         if cond:
             return then(*args)
         return math.nan if otherwise is None else otherwise(*args)
-    cond, *args = np.broadcast_arrays(cond, *args)
+    if not all(isinstance(x, np.ndarray) and x.shape == cond.shape for x in args):
+        cond, *args = np.broadcast_arrays(cond, *args)
     out = np.full(cond.shape, math.nan)
     for side, func in ((cond, then), (~cond, otherwise)):
         if func is not None:
             # Integer indices gather and scatter several times faster than
             # a boolean mask with scattered entries.
             at = np.nonzero(side)
-            out[at] = func(*(x[at] for x in args))
+            if at[0].size:
+                out[at] = func(*(x[at] for x in args))
     return out
 
 
@@ -415,35 +420,48 @@ def require_m0(m0: float) -> None:
         raise HypothesisViolated(f"m0 must be finite and >= 0, got {m0}")
 
 
-def _chi_double_star_values(a, b, m, alpha, gamma, beta, mu, nu, u, v, m0):
+def _chi_double_star_values(
+    a, b, m, alpha, gamma, beta, mu, nu, u, v, m0, wanted=(1, 2, 3, 4)
+):
     """(value, applicable) of chi**_1..4 from raw coefficients; elementwise.
 
     A value is NaN where it cannot be evaluated. The constants that need a
     gate (C_{alpha,gamma}, bar chi, v_lower_ab) are evaluated only where
     it holds, and their NaN carries through the thresholds built on them.
+
+    `wanted` names the thresholds to evaluate (default all four); an entry
+    not in it is None, so the result is always four entries. Each shared
+    intermediate is computed only for a wanted threshold that reads it:
+    C_{alpha,gamma} for 1 and 2, bar chi and v_lower_ab for 2 and 4, the
+    chi**_3 base for 3 and 4. A wanted entry's floats do not depend on
+    what else is wanted.
     """
     two_gamma_ok = alpha + 1.0 >= 2.0 * gamma
     beta_ok = beta >= 1.0
-    c_ag = _where(two_gamma_ok, power_diff_constant, alpha, gamma)
-    bar = _where(beta_ok, _bar_chi, a, b, m, mu, beta)
-    floor = _where(beta_ok, _v_lower_ab, a, b, m, alpha, gamma, mu, nu)
-    u_power = u ** (2.0 * gamma - alpha + 2.0 * m - 2.0)
-    denominator = (2.0 * m - 1.0) * nu**2 * c_ag * u_power
+    if 1 in wanted or 2 in wanted:
+        c_ag = _where(two_gamma_ok, power_diff_constant, alpha, gamma)
+        u_power = u ** (2.0 * gamma - alpha + 2.0 * m - 2.0)
+        denominator = (2.0 * m - 1.0) * nu**2 * c_ag * u_power
+    if 2 in wanted or 4 in wanted:
+        bar = _where(beta_ok, _bar_chi, a, b, m, mu, beta)
+        floor = _where(beta_ok, _v_lower_ab, a, b, m, alpha, gamma, mu, nu)
+    if 3 in wanted or 4 in wanted:
+        value3 = (a / (nu * u ** (m + gamma - 1.0))) / (2.0 + beta * v * m0**2)
 
-    value1 = np.sqrt(b * 16.0 * (1.0 + tilde_beta(beta) * v) * mu / denominator)
-    improved = np.sqrt(b * 16.0 * (1.0 + floor) ** (2.0 * beta) * mu / denominator)
-    value2 = np.minimum(bar, improved)
-    value3 = (a / (nu * u ** (m + gamma - 1.0))) / (2.0 + beta * v * m0**2)
-    value4 = np.minimum(bar, (1.0 + floor) ** beta * value3)
-
-    ok3 = (gamma >= 1.0) & (alpha + 1.0 >= m + gamma + np.sign(beta) * gamma)
-    ok4 = beta_ok & (gamma >= 1.0) & (alpha + 1.0 >= m + 2.0 * gamma)
-    return (
-        (value1, two_gamma_ok),
-        (value2, two_gamma_ok & beta_ok),
-        (value3, ok3),
-        (value4, ok4),
-    )
+    entries = [None] * 4
+    if 1 in wanted:
+        value1 = np.sqrt(b * 16.0 * (1.0 + tilde_beta(beta) * v) * mu / denominator)
+        entries[0] = (value1, two_gamma_ok)
+    if 2 in wanted:
+        improved = np.sqrt(b * 16.0 * (1.0 + floor) ** (2.0 * beta) * mu / denominator)
+        entries[1] = (np.minimum(bar, improved), two_gamma_ok & beta_ok)
+    if 3 in wanted:
+        ok3 = (gamma >= 1.0) & (alpha + 1.0 >= m + gamma + np.sign(beta) * gamma)
+        entries[2] = (value3, ok3)
+    if 4 in wanted:
+        ok4 = beta_ok & (gamma >= 1.0) & (alpha + 1.0 >= m + 2.0 * gamma)
+        entries[3] = (np.minimum(bar, (1.0 + floor) ** beta * value3), ok4)
+    return tuple(entries)
 
 
 def gamma_cap_minimal(u_star, gamma, ubar0):
@@ -504,19 +522,29 @@ def minimal_thresholds(
 
 
 def _minimal_values(
-    u_star, gamma, beta, mu, nu, lambda_star, ubar0, vlower0, dimension
+    u_star, gamma, beta, mu, nu, lambda_star, ubar0, vlower0, dimension, wanted=(1, 2)
 ):
     """chi**_1_min, chi**_2_min (NaN unless gamma = 1), chi_beta and
-    Gamma_gamma(u*); elementwise."""
+    Gamma_gamma(u*); elementwise.
+
+    `wanted` names the thresholds to evaluate (default both): without 1,
+    chi**_1_min and the Gamma_gamma it reads are None; without 2,
+    chi**_2_min is None. chi_beta is always evaluated.
+    """
     cb = chi_beta_threshold(beta, gamma, dimension)
-    cap = gamma_cap_minimal(u_star, gamma, ubar0)
     amplification = (1.0 + vlower0) ** beta
     floor = np.minimum(cb / 2.0, np.sqrt(cb))
-    chi1 = np.minimum(floor, 2.0 * np.sqrt(mu * lambda_star) * amplification / (nu * cap))
-    chi2 = _where(
-        gamma == 1.0, lambda f, mu, amp, nu, ub: np.minimum(f, mu * amp / (nu * ub)),
-        floor, mu, amplification, nu, ubar0,
-    )
+    chi1 = chi2 = cap = None
+    if 1 in wanted:
+        cap = gamma_cap_minimal(u_star, gamma, ubar0)
+        chi1 = np.minimum(
+            floor, 2.0 * np.sqrt(mu * lambda_star) * amplification / (nu * cap)
+        )
+    if 2 in wanted:
+        chi2 = _where(
+            gamma == 1.0, lambda f, mu, amp, nu, ub: np.minimum(f, mu * amp / (nu * ub)),
+            floor, mu, amplification, nu, ubar0,
+        )
     return chi1, chi2, cb, cap
 
 
@@ -585,6 +613,13 @@ ORDERING_BLOCK = 1 << 12
 ORDERING_MODES = 200
 
 
+@functools.cache
+def _unit_spectrum() -> np.ndarray:
+    """The first ORDERING_MODES + 1 Neumann eigenvalues of [0, pi], one
+    read-only array per process."""
+    return neumann_eigenvalues(GridDomain.interval(math.pi, 8), ORDERING_MODES).eigenvalues
+
+
 def verify_orderings(
     trials: int,
     rng: np.random.Generator,
@@ -597,11 +632,14 @@ def verify_orderings(
     whose chi**_i fails its applicability gate is counted in `skipped` and
     not checked; nothing is re-drawn, so checked + skipped = trials per
     part. chi* is exact on the first ORDERING_MODES Neumann eigenvalues
-    of an interval of random length.
+    of an interval of random length, scaled from the unit table that one
+    process builds once (`_unit_spectrum`).
 
     Each part draws its tuples in blocks of ORDERING_BLOCK, one rng call
-    per variable, and checks a block with array operations. A negative
-    trial count raises ValueError; zero trials check nothing.
+    per variable, and checks a block with array operations, evaluating
+    only the threshold that the part compares. A negative trial count, an
+    unknown part or a part given twice raises ValueError before anything
+    is drawn; zero trials check nothing.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -610,7 +648,10 @@ def verify_orderings(
         raise ValueError(
             f"unknown ordering parts {unknown}; choose from {', '.join(_ORDERING_PARTS)}"
         )
-    unit = neumann_eigenvalues(GridDomain.interval(math.pi, 8), ORDERING_MODES).eigenvalues
+    repeated = sorted({part for part in parts if parts.count(part) > 1})
+    if repeated:
+        raise ValueError(f"ordering parts {repeated} are given more than once")
+    unit = _unit_spectrum()
     checked = {p: 0 for p in parts}
     skipped = {p: 0 for p in parts}
     violations: list[OrderingViolation] = []
@@ -692,7 +733,10 @@ def _ordering_checks(part: str, sample: dict[str, np.ndarray], unit: np.ndarray)
     `unit` is the Neumann spectrum of [0, pi]; an interval of length L has
     it scaled by (pi/L)^2. chi* is taken, as critical_sensitivity takes
     it, from the four modes around lam0 = sqrt(a alpha mu), where the
-    convex per-mode candidate is least (see _bracketed_minimum).
+    convex per-mode candidate is least (see _bracketed_minimum). Only the
+    threshold the part compares is evaluated; the two value functions are
+    looked up at call time and get every argument, the selector included,
+    by position, so a wrapper put in their place sees the call whole.
     Returns the (lhs_name, lhs, rhs_name, rhs) array checks and the mask
     of rows whose applicability gate holds.
     """
@@ -701,24 +745,23 @@ def _ordering_checks(part: str, sample: dict[str, np.ndarray], unit: np.ndarray)
     gain = _gain(s["nu"], s["gamma"], s["m"], s["beta"], s["u_star"], s["v_star"])
     chi_star, _ = _bracketed_minimum(unit, scale, s["a"] * s["alpha"], s["mu"], gain)
     if part.startswith("minimal"):
-        chi1, chi2, cb, _ = _minimal_values(
+        index = int(part[-1])
+        values = _minimal_values(
             s["u_star"], s["gamma"], s["beta"], s["mu"], s["nu"], unit[1] * scale,
-            s["ubar0"], s["vlower0"], dimension=1,
+            s["ubar0"], s["vlower0"], 1, (index,),
         )
-        if part == "minimal-2":
-            lhs_name, lhs = "chi**_2_min", chi2
-        else:
-            lhs_name, lhs = "chi**_1_min", chi1
+        lhs_name, lhs, cb = f"chi**_{index}_min", values[index - 1], values[2]
         checks = [
             (lhs_name, lhs, "chi*", chi_star),
             (lhs_name, lhs, "chi_beta", cb),
             ("chi_beta", cb, "2 chi*", 2.0 * chi_star),
         ]
         return checks, np.ones(chi_star.shape, dtype=bool)
+    index = int(part)
     value, applicable = _chi_double_star_values(
         s["a"], s["b"], s["m"], s["alpha"], s["gamma"], s["beta"], s["mu"], s["nu"],
-        s["u_star"], s["v_star"], s["m0"],
-    )[int(part) - 1]
+        s["u_star"], s["v_star"], s["m0"], (index,),
+    )[index - 1]
     return [(f"chi**_{part}", value, "chi*", chi_star)], applicable & ~np.isnan(value)
 
 

@@ -458,3 +458,210 @@ class TestNoFloatingPointWarnings:
         assert payload["ordering_skipped"] == {part: 0 for part in PARTS}
         assert payload["ordering_violations"] == []
 
+
+def selected_block(part, size, seed):
+    """A drawn block of `size` rows; parts 1-4 take m = 1 on every other row,
+    as drawn_block does."""
+    sample = thresholds._draw_ordering_block(part, size, np.random.default_rng(seed))
+    if not part.startswith("minimal"):
+        sample["m"][::2] = 1.0
+    return sample
+
+
+def check_bytes(checks, gated):
+    pairs = [(ln, lhs.tobytes(), rn, rhs.tobytes()) for ln, lhs, rn, rhs in checks]
+    return pairs, gated.tobytes()
+
+
+def chi_ss_columns(sample):
+    return tuple(sample[k] for k in (
+        "a", "b", "m", "alpha", "gamma", "beta", "mu", "nu", "u_star", "v_star", "m0",
+    ))
+
+
+def minimal_columns(sample):
+    lam_star = (math.pi / sample["length"]) ** 2 * unit_spectrum()[1]
+    return (sample["u_star"], sample["gamma"], sample["beta"], sample["mu"], sample["nu"],
+            lam_star, sample["ubar0"], sample["vlower0"], 1)
+
+
+class TestPartSelection:
+    """Each part evaluates only the threshold it compares, with the floats
+    of the evaluation of all of them."""
+
+    @pytest.mark.parametrize("size", (1, 7, 200, 4096))
+    @pytest.mark.parametrize("part", PARTS)
+    def test_checks_match_the_evaluation_of_every_threshold(self, monkeypatch, part, size):
+        sample = selected_block(part, size, 12)
+        unit = unit_spectrum()
+        selected = check_bytes(*thresholds._ordering_checks(part, sample, unit))
+        selectors = []
+
+        def every_threshold(original, columns):
+            def wrapper(*args):
+                selectors.append(args[columns:])
+                return original(*args[:columns])
+            return wrapper
+
+        monkeypatch.setattr(thresholds, "_chi_double_star_values",
+                            every_threshold(thresholds._chi_double_star_values, 11))
+        monkeypatch.setattr(thresholds, "_minimal_values",
+                            every_threshold(thresholds._minimal_values, 9))
+        assert check_bytes(*thresholds._ordering_checks(part, sample, unit)) == selected
+        assert selectors == [((int(part[-1]),),)]
+
+    @pytest.mark.parametrize("size", (1, 7, 200, 4096))
+    @pytest.mark.parametrize("part", ("1", "2", "3", "4"))
+    def test_chi_ss_entries_match_all_four(self, part, size):
+        columns = chi_ss_columns(selected_block(part, size, 13))
+        every = thresholds._chi_double_star_values(*columns)
+        for k in (1, 2, 3, 4):
+            entries = thresholds._chi_double_star_values(*columns, (k,))
+            assert [e is None for e in entries] == [j != k for j in (1, 2, 3, 4)]
+            (value, ok), (ref_value, ref_ok) = entries[k - 1], every[k - 1]
+            assert value.tobytes() == ref_value.tobytes()
+            assert ok.tobytes() == ref_ok.tobytes()
+
+    @pytest.mark.parametrize("size", (1, 7, 200, 4096))
+    @pytest.mark.parametrize("part", ("minimal-1", "minimal-2"))
+    def test_minimal_values_match_both(self, part, size):
+        columns = minimal_columns(selected_block(part, size, 14))
+        chi1, chi2, cb, cap = thresholds._minimal_values(*columns)
+        only1 = thresholds._minimal_values(*columns, (1,))
+        only2 = thresholds._minimal_values(*columns, (2,))
+        assert [x.tobytes() for x in (only1[0], only1[2], only1[3])] == [
+            x.tobytes() for x in (chi1, cb, cap)
+        ]
+        assert only1[1] is None
+        assert [x.tobytes() for x in (only2[1], only2[2])] == [
+            x.tobytes() for x in (chi2, cb)
+        ]
+        assert only2[0] is None and only2[3] is None
+
+
+class TestSkippedWork:
+    """The constants a part's threshold does not read are never computed."""
+
+    REACHED = {
+        "1": {"power_diff_constant"},
+        "2": {"power_diff_constant", "_bar_chi", "_v_lower_ab"},
+        "3": set(),
+        "4": {"_bar_chi", "_v_lower_ab"},
+        "minimal-1": {"gamma_cap_minimal"},
+        "minimal-2": set(),
+    }
+
+    @pytest.mark.parametrize("part", PARTS)
+    def test_part_reaches_only_what_it_reads(self, monkeypatch, part):
+        calls = {name: 0 for name in
+                 ("power_diff_constant", "_bar_chi", "_v_lower_ab", "gamma_cap_minimal")}
+        for name in calls:
+            original = getattr(thresholds, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(thresholds, name, counted)
+        report = verify_orderings(50, np.random.default_rng(15), parts=(part,))
+        assert report.ok and report.checked[part] + report.skipped[part] == 50
+        assert {name for name, count in calls.items() if count} == self.REACHED[part]
+
+
+class TestRepeatedParts:
+    @pytest.mark.parametrize("parts", [("1", "1"), ("3", "minimal-2", "3", "minimal-2")])
+    def test_repeated_parts_are_refused_before_any_draw(self, parts):
+        rng = np.random.default_rng(16)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="more than once") as info:
+            verify_orderings(10, rng, parts=parts)
+        for part in set(parts):
+            assert repr(part) in str(info.value)
+        assert rng.bit_generator.state == state
+
+
+class TestUnitSpectrum:
+    def test_table_is_read_only_and_the_analytic_one(self):
+        table = thresholds._unit_spectrum()
+        with pytest.raises(ValueError):
+            table[1] = 2.0
+        expected = neumann_eigenvalues(
+            GridDomain.interval(math.pi, 8), thresholds.ORDERING_MODES
+        ).eigenvalues
+        assert table.tobytes() == expected.tobytes()
+        assert thresholds._unit_spectrum() is table
+
+    def test_orderings_build_no_spectrum(self, monkeypatch):
+        report = verify_orderings(20, np.random.default_rng(17))
+
+        def refused(*args):
+            raise AssertionError("neumann_eigenvalues called")
+
+        monkeypatch.setattr(thresholds, "neumann_eigenvalues", refused)
+        assert verify_orderings(20, np.random.default_rng(17)) == report
+
+
+def broadcast_where(cond, then, *args, otherwise=None):
+    """`_where` written straight through: broadcast everything, then fill
+    each side from its gathered entries."""
+    cond, *args = np.broadcast_arrays(cond, *args)
+    out = np.full(cond.shape, math.nan)
+    for side, func in ((cond, then), (~cond, otherwise)):
+        if func is not None:
+            at = np.nonzero(side)
+            out[at] = func(*(x[at] for x in args))
+    return out
+
+
+class TestWhere:
+    X = np.linspace(0.5, 3.0, 6)
+
+    @staticmethod
+    def same(cond, then, *args, otherwise=None):
+        out = thresholds._where(cond, then, *args, otherwise=otherwise)
+        ref = broadcast_where(cond, then, *args, otherwise=otherwise)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        return out
+
+    def test_scalar_with_array(self):
+        out = self.same(self.X > 1.0, lambda s, x: s * x**0.5, 2.0, self.X,
+                        otherwise=lambda s, x: -s)
+        assert out[0] == -2.0 and out[-1] == 2.0 * 3.0**0.5
+
+    def test_column_with_row(self):
+        column = self.X[:, None]
+        out = self.same(column > 1.5, lambda c, r: c / r, column, self.X)
+        assert out.shape == (6, 6)
+        assert np.isnan(out[0]).all() and not np.isnan(out[-1]).any()
+
+    @pytest.mark.parametrize("held", (True, False))
+    def test_uniform_condition_evaluates_one_side(self, held):
+        def never(*args):
+            raise AssertionError("a side with no entries was evaluated")
+
+        def power(x, y):
+            return x**y
+
+        def difference(x, y):
+            return x - y
+
+        cond = np.full(self.X.shape, held)
+        args = (self.X, self.X[::-1])
+        for otherwise in (difference, None):
+            ref = broadcast_where(cond, power, *args, otherwise=otherwise)
+            if held:
+                out = thresholds._where(cond, power, *args, otherwise=never)
+            else:
+                out = thresholds._where(cond, never, *args, otherwise=otherwise)
+            assert out.tobytes() == ref.tobytes()
+
+
+class TestSeedRefusal:
+    def test_cli_names_a_negative_seed(self, capsys):
+        code = main(["fuzz", "--seed", "-1", "--trials", "10", "--ordering-trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ValueError"
+        assert "--seed" in error["message"]
