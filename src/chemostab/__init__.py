@@ -32,7 +32,15 @@ from .diagnostics import (
     signal_energy,
 )
 from .helmholtz import chemical_field, get_operator
-from .integrator import BlowupDetected, StepConfig, Trajectory, run, stable_dt, step
+from .integrator import (
+    BlowupDetected,
+    StepConfig,
+    Trajectory,
+    discrete_spectrum_check,
+    run,
+    stable_dt,
+    step,
+)
 from .rectangle import (
     RectangleParams,
     integrate_rectangle,
@@ -44,7 +52,6 @@ from .stability import (
     StabilityReport,
     classify_equilibrium,
     critical_sensitivity,
-    discrete_spectrum_check,
     sigma_n,
     sigma_zero,
 )

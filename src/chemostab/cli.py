@@ -53,10 +53,10 @@ from .core import (
     reference_equilibrium,
 )
 from .diagnostics import check_power_diff_inequality
-from .integrator import BlowupDetected, run
+from .integrator import BlowupDetected, discrete_spectrum_check, run
 from .rectangle import integrate_rectangle, normalize
 from .scenarios import SCENARIOS, run_scenario
-from .stability import SWEEP_CELL_LIMIT, classify_equilibrium, discrete_spectrum_check
+from .stability import SWEEP_CELL_LIMIT, classify_equilibrium
 from .thresholds import (
     MissingCZConstant,
     c_star_from_table,
@@ -395,7 +395,9 @@ def main(argv=None) -> int:
         # No numpy warning prints ahead of an error's JSON on stderr.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+    # ArithmeticError: a closed form whose float power overflows (u* =
+    # (a/b)^(1/alpha), Theta_beta, M*) is an error of its inputs too.
+    except (ConfigError, ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -497,16 +496,14 @@ class InitSpec:
     def perturbation(
         cls, u_star: float, amplitude: float, mode: int | Sequence[int] = 1
     ) -> InitSpec:
-        # Any integer, numpy's included, is one mode; anything else a sequence.
-        try:
-            modes = (operator.index(mode),)
-        except TypeError:
-            modes = tuple(int(k) for k in mode)
+        # A number, numpy's included, is one mode; anything else a sequence.
+        # Each mode is whole, as a cell count is: 2.0 is mode 2, 1.7 an error.
+        modes = (mode,) if isinstance(mode, numbers.Number) else mode
         return cls(
             kind="perturbation",
             u_star=float(u_star),
             amplitude=float(amplitude),
-            mode=modes,
+            mode=tuple(_whole(k, "perturbation mode") for k in modes),
         )
 
     @classmethod

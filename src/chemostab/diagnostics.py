@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import thresholds
 from .core import GridDomain, ModelParams
 from .helmholtz import face_gradients
 
@@ -149,9 +150,6 @@ def check_power_diff_inequality(trials: int, rng: np.random.Generator) -> int:
     and the rounding headroom of `thresholds._violates`. A negative trial
     count raises ValueError; zero trials check nothing.
     """
-    # thresholds -> stability -> integrator -> diagnostics: a top-level import cycles.
-    from .thresholds import _violates, power_diff_constant
-
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     violations = 0
@@ -162,12 +160,12 @@ def check_power_diff_inequality(trials: int, rng: np.random.Generator) -> int:
         gamma[gamma == 0.0] = 1e-6
         u_star = 10.0 ** rng.uniform(-3.0, 3.0, size)
         u = 10.0 ** rng.uniform(-3.0, 3.0, size)
-        c = power_diff_constant(alpha, gamma)
+        c = thresholds.power_diff_constant(alpha, gamma)
         lhs = (u**gamma - u_star**gamma) ** 2
         rhs = c * u_star ** (2.0 * gamma - alpha - 1.0) * (u - u_star) * (
             u**alpha - u_star**alpha
         )
-        violated = _violates(lhs, rhs) & (u != u_star)
+        violated = thresholds._violates(lhs, rhs) & (u != u_star)
         violations += int(np.count_nonzero(violated))
     return violations
 
@@ -212,14 +210,11 @@ def persistence_floor(params: ModelParams) -> tuple[str | None, float | None, st
     min{1, (a / (b + chi0 mu Theta_{beta-1}))^max{1/(m-1), 1/alpha}}
     needs chi0 > 0.
     """
-    # thresholds -> stability -> integrator -> diagnostics: a top-level import cycles.
-    from .thresholds import _density_floor, theta
-
     if params.minimal:
         return None, None, "a = b = 0: no explicit eventual lower bound is computed here"
     if params.beta < 1.0:
         return None, None, f"beta >= 1 required for the eventual bounds, got beta = {params.beta}"
-    th = theta(params.beta - 1.0)
+    th = thresholds.theta(params.beta - 1.0)
     if params.m == 1.0:
         cap = params.a / (params.mu * th)
         if params.chi0 < 0.0:
@@ -232,7 +227,7 @@ def persistence_floor(params: ModelParams) -> tuple[str | None, float | None, st
     if params.chi0 <= 0.0:
         return None, None, f"chi0 > 0 required for the m > 1 bound, got chi0 = {params.chi0}"
     ratio = params.a / (params.b + params.chi0 * params.mu * th)
-    return "m>1", float(_density_floor(ratio, params.m, params.alpha)), None
+    return "m>1", float(thresholds._density_floor(ratio, params.m, params.alpha)), None
 
 
 def persistence_metrics(

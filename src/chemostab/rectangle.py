@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Equilibrium, ModelParams
 from .integrator import Trajectory, _fixed_steps
-from .thresholds import require_m0, v_lower_ab
+from .thresholds import HypothesisViolated, bar_chi, require_m0, v_lower_ab
 
 
 class MinimalModelUnsupported(ValueError):
@@ -82,7 +82,9 @@ def normalize(
 
     `mode` selects the plain reduction or the signal-floor variant that
     divides the coupling by (1 + v_lb)^beta using the eventual signal
-    floor of the logistic dynamics.
+    floor v_lower_ab of the logistic dynamics. That is the floor only for
+    beta >= 1 and chi0 <= bar chi, so outside them the variant raises
+    HypothesisViolated.
     """
     if params.minimal:
         raise MinimalModelUnsupported(
@@ -100,6 +102,11 @@ def normalize(
     )
     quad0 = params.beta * eq.v_star * m0**2
     if mode == "signal-floor":
+        cap = bar_chi(params)  # refuses beta < 1
+        if params.chi0 > cap:
+            raise HypothesisViolated(
+                f"the signal floor needs chi0 <= bar chi = {cap!r}, got chi0 = {params.chi0!r}"
+            )
         floor = v_lower_ab(params)
         kappa = kappa0 / (1.0 + floor) ** params.beta
         quad = quad0 / (1.0 + floor)

@@ -17,24 +17,20 @@ reaches it proves the infimum over the whole spectrum. Likewise for chi0 > 0
 sigma is concave in lambda, greatest at sqrt(chi0 g mu) - mu (g the
 feedback gain), so a table that reaches that point proves sigma's maximum.
 
-`discrete_spectrum_check` ties this formula to the scheme: it applies the
-linearisation at (u*, v*) of the code that steps (`integrator.face_drift`,
-`chemotactic_face_flux`, `flux_divergence` and the logistic source) to the
-grid's DCT basis fields, and checks that each is an eigenvector with the
-rate sigma of its own grid eigenvalue.
+Everything here is a closed form in the coefficients and an eigenvalue
+table; nothing reads a grid field. The check that ties sigma to the scheme,
+`integrator.discrete_spectrum_check`, linearises the stepping code, so it
+lives beside that code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Equilibrium, GridDomain, ModelParams, SpectrumTable
-from .helmholtz import _dct_eigenvalues, get_operator, laplacian
-from .integrator import chemotactic_face_flux, face_drift, flux_divergence
 
 
 class SpectrumTooShort(ValueError):
@@ -49,7 +45,8 @@ class SweepTooLarge(RuntimeError):
 
 
 SWEEP_CELL_LIMIT = 4096
-# Fields that discrete_spectrum_check and thresholds.gradient_constant sweep at once.
+# Fields that integrator.discrete_spectrum_check and thresholds.gradient_constant
+# sweep at once.
 SWEEP_COLUMNS = 128
 CRITICAL_BAND = 1e-12
 
@@ -214,116 +211,4 @@ def classify_equilibrium(
         sigma_zero=sigma_zero(params),
         sigma_max=float(rates[fastest]),
         fastest_mode=fastest,
-    )
-
-
-def _dct_fields(grid: GridDomain, modes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The DCT-II basis fields of the given modes, stacked on a trailing
-    axis. Along an axis of n cells mode k is cos(pi (2i + 1) k / (2n)) in
-    cell i; the phase (2i + 1) k is reduced mod 4n in integers first, so
-    the argument of cos rounds once, whatever k. A rectangle's field is
-    the product of its two axes' fields.
-    """
-    fields = 1.0
-    for axis, (n, k) in enumerate(zip(grid.cells, modes)):
-        phase = (2 * np.arange(n)[:, None] + 1) * k % (4 * n)
-        shape = [1] * grid.dimension + [len(k)]
-        shape[axis] = n
-        fields = fields * np.cos(np.pi * phase / (2 * n)).reshape(shape)
-    return fields
-
-
-def _equilibrium_jacobian(
-    params: ModelParams, eq: Equilibrium, grid: GridDomain, fields: np.ndarray
-) -> np.ndarray:
-    """J w for each field w of a stack (*grid.shape, k): J is the Jacobian
-    at (u*, v*) of the right-hand side that `step` takes,
-
-        G(u) = lap_h u - div_h(flux(u, v(u))) + a u - b u^(1+alpha),
-        v(u) = (mu I - lap_h)^{-1} nu u^gamma,
-
-    applied, never formed. The signal's response goes through one stacked,
-    certified `HelmholtzOperator.solve`, the flux's through the stepping
-    code's face_drift, chemotactic_face_flux and flux_divergence.
-    """
-    # The signal response (mu I - lap_h)^{-1} nu gamma u*^(gamma-1) w.
-    gain = params.nu * params.gamma * eq.u_star ** (params.gamma - 1.0)
-    response = get_operator(grid, params.mu).solve(gain * fields)
-    # At the constant v* the derivative of (1 + v_face)^(-beta) (v_hi - v_lo) / h
-    # is (1 + v*)^(-beta) (dv_hi - dv_lo) / h, since the factor's own derivative
-    # multiplies v_hi - v_lo = 0. So face_drift with that factor folded into
-    # chi0 and beta = 0 gives the drift's derivative exactly.
-    frozen = replace(params, chi0=params.chi0 * (1.0 + eq.v_star) ** (-params.beta), beta=0.0)
-    drifts = face_drift(response, frozen, grid)
-    # The drift at (u*, v*) is 0, so the donor choice and the derivative of
-    # the donor density drop out: the flux's derivative is u*^m times the
-    # drift's, which is the flux of the constant u*.
-    flux = chemotactic_face_flux(np.full((*grid.shape, 1), eq.u_star), drifts, params, grid)
-    reaction = params.a - params.b * (1.0 + params.alpha) * eq.u_star**params.alpha
-    return laplacian(fields, grid) - flux_divergence(flux, grid) + reaction * fields
-
-
-@dataclass(frozen=True)
-class DiscreteSpectrumReport:
-    """Agreement between the discrete linearization and the dispersion relation."""
-
-    grid_eigenvalues: tuple[float, ...]      # lambda_h of the reported modes, ascending
-    predicted: tuple[float, ...]             # sigma on those eigenvalues
-    residuals: tuple[float, ...]             # |J q_k - sigma q_k|_inf of those modes
-    max_spectrum_residual: float             # the same, over all n modes
-    n_modes: int
-
-
-def discrete_spectrum_check(
-    params: ModelParams,
-    eq: Equilibrium,
-    grid: GridDomain,
-    n_modes: int,
-) -> DiscreteSpectrumReport:
-    """Verify that the scheme's linearization reproduces sigma on the grid
-    eigenvalues, mode by mode.
-
-    lap_h is diagonal in the grid's DCT-II basis, and at (u*, v*) J (see
-    `_equilibrium_jacobian`) is a rational function of lap_h. So each basis
-    field q_k, its entries of modulus at most 1, is an eigenvector of J with
-    eigenvalue sigma(lambda_h,k). The check applies J through the stepping
-    code to every q_k, SWEEP_COLUMNS at a time, and reports
-    |J q_k - sigma(lambda_h,k) q_k|_inf for the first n_modes + 1 modes in
-    ascending lambda_h, and its maximum over all n modes.
-
-    That maximum bounds the whole spectrum: J is symmetric and
-    |q_k|_2^2 >= n / 2^d on a d-dimensional grid, so J differs from
-    Q diag(sigma) Q^T, Q the normalised basis, by at most sqrt(2^d n) times
-    the maximum in the 2-norm, and by Weyl's inequality so does each sorted
-    eigenvalue of J from the sorted sigma(lambda_h,k).
-
-    The sweep costs O(n^2), so above SWEEP_CELL_LIMIT cells it raises
-    SweepTooLarge before any solve. A solve that misses the residual
-    contract raises SolverFailure.
-    """
-    n = grid.total_cells
-    if n_modes < 1 or n_modes >= n:
-        raise ValueError(f"n_modes must be in [1, {n - 1}], got {n_modes}")
-    _sweep_cells(grid)
-    # lambda_h of every mode, ascending, and its DCT-II index on each axis; on
-    # a rectangle lambda_x + lambda_y, sorted stably over the index pairs.
-    lam = reduce(np.add.outer, [_dct_eigenvalues(m, h) for m, h in zip(grid.cells, grid.spacing)])
-    order = np.argsort(lam, axis=None, kind="stable")
-    lam, modes = lam.ravel()[order], np.unravel_index(order, grid.shape)
-    predicted = np.asarray(sigma_n(params, eq, lam))
-    residuals = np.empty(n)
-    grid_axes = tuple(range(grid.dimension))
-    for start in range(0, n, SWEEP_COLUMNS):
-        block = slice(start, start + SWEEP_COLUMNS)
-        fields = _dct_fields(grid, tuple(k[block] for k in modes))
-        misfit = _equilibrium_jacobian(params, eq, grid, fields) - predicted[block] * fields
-        residuals[block] = np.abs(misfit).max(axis=grid_axes)
-
-    keep = n_modes + 1
-    return DiscreteSpectrumReport(
-        grid_eigenvalues=tuple(float(x) for x in lam[:keep]),
-        predicted=tuple(float(x) for x in predicted[:keep]),
-        residuals=tuple(float(x) for x in residuals[:keep]),
-        max_spectrum_residual=float(residuals.max()),
-        n_modes=n_modes,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .core import (
     neumann_eigenvalues,
 )
 from .helmholtz import face_gradients, get_operator
-from .integrator import Trajectory
 from .stability import (
     SWEEP_COLUMNS,
     _bracketed_minimum,
@@ -42,6 +41,9 @@ from .stability import (
     _sweep_cells,
     critical_sensitivity,
 )
+
+if TYPE_CHECKING:
+    from .integrator import Trajectory
 
 
 class HypothesisViolated(ValueError):

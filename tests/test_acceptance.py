@@ -30,13 +30,14 @@ from chemostab import (
 from chemostab.cli import jsonable
 from chemostab.diagnostics import check_power_diff_inequality
 from chemostab.helmholtz import get_operator
+from chemostab.integrator import discrete_spectrum_check
 from chemostab.rectangle import (
     contraction_tail,
     integrate_rectangle,
     normalize,
     verify_sandwich,
 )
-from chemostab.stability import critical_sensitivity, discrete_spectrum_check
+from chemostab.stability import critical_sensitivity
 from chemostab.thresholds import chi_double_star, verify_orderings
 from conftest import make_params, tau_grid_for
 

@@ -729,6 +729,35 @@ class TestAnalysisCommands:
         assert error["error"] == "ConfigError"
         assert "'sweep.values'" in error["message"]
 
+    @pytest.mark.parametrize("command, overrides", [
+        # m_star's 8^p at p = 400.
+        (("thresholds", "--stub-c-star"), {"alpha": 400.0}),
+        # Theta_beta's beta^beta.
+        (("thresholds",), {"beta": 200.0}),
+        # u* = (a/b)^(1/alpha), before any command's own work.
+        (("stability",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}),
+        (("thresholds",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}),
+        (("simulate",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}),
+    ], ids=["m_star", "theta", "u_star-stability", "u_star-thresholds", "u_star-simulate"])
+    def test_a_closed_form_that_overflows_exits_2(self, tmp_path, capsys, command, overrides):
+        cfg = write_cfg(tmp_path, **{"chi0": 0.3, "beta": 1.0, **overrides})
+        code, payload, error = run_cli(capsys, command[0], "--config", cfg, *command[1:])
+        assert (code, payload) == (2, None)
+        assert error["error"] == "OverflowError"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"beta": 0.5}, "beta >= 1"),
+        ({"chi0": 0.6}, "chi0 <= bar chi = 0.5"),
+    ], ids=["beta-below-one", "chi0-above-bar-chi"])
+    def test_signal_floor_outside_its_hypotheses_exits_2(self, tmp_path, capsys, overrides,
+                                                         message):
+        cfg = write_cfg(tmp_path, **{"chi0": 0.3, "beta": 1.0, **overrides})
+        code, payload, error = run_cli(capsys, "rectangle", "--config", cfg,
+                                       "--mode", "signal-floor")
+        assert (code, payload) == (2, None)
+        assert error["error"] == "HypothesisViolated"
+        assert message in error["message"]
+
 
 MINIMAL_CONSTANT_CFG = BASE_CFG.format(**{**REFERENCE, "a": 0.0, "b": 0.0, "beta": 1.0}).replace(
     "init.kind = perturbation", "init.kind = constant"

@@ -542,6 +542,20 @@ class TestInitialData:
         assert spec.mode == expected
         assert all(type(k) is int for k in spec.mode)
 
+    @pytest.mark.parametrize("mode, expected", [(2.0, (2,)), ((1.0, np.float64(3.0)), (1, 3))],
+                             ids=["float", "tuple"])
+    def test_perturbation_takes_whole_floats(self, mode, expected):
+        spec = InitSpec.perturbation(u_star=1.0, amplitude=0.1, mode=mode)
+        assert spec.mode == expected
+        assert all(type(k) is int for k in spec.mode)
+
+    @pytest.mark.parametrize("mode, named", [((1.7,), "1.7"), (1.5, "1.5"), ((2, 0.5), "0.5")],
+                             ids=["tuple", "number", "second-entry"])
+    def test_perturbation_refuses_fractional_modes(self, mode, named):
+        with pytest.raises(ValueError, match=f"perturbation mode must be a whole number, "
+                                             f"got {re.escape(named)}"):
+            InitSpec.perturbation(u_star=1.0, amplitude=0.1, mode=mode)
+
     @pytest.mark.parametrize("grid, mode", [
         (GridDomain.interval(math.pi, 16), (1, 2)),
         (GridDomain.rectangle(math.pi, 2.0, 16, 12), (1, 0, 3)),

@@ -1,6 +1,8 @@
 """Comparison ODE pair: normalization, integration, and PDE containment."""
 
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,7 @@ from chemostab.rectangle import (
     TooManySteps,
     contraction_tail,
 )
+from chemostab.thresholds import HypothesisViolated, v_lower_ab
 from conftest import make_params, tau_grid_for
 
 
@@ -70,6 +73,19 @@ class TestNormalize:
         for m0 in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="m0"):
                 normalize(make_params(), reference_eq, m0=m0)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"chi0": 0.3, "beta": 0.5}, "beta >= 1"),
+        # bar chi = a / (2 mu Theta_0) = 0.5 at m = 1.
+        ({"chi0": 0.6, "beta": 1.0}, "chi0 <= bar chi = 0.5"),
+    ], ids=["beta-below-one", "chi0-above-bar-chi"])
+    def test_signal_floor_refused_outside_its_hypotheses(self, overrides, message):
+        # v_lower_ab is the eventual signal floor only for beta >= 1 and
+        # chi0 <= bar chi; the plain mode takes the same parameters.
+        p = make_params(**overrides)
+        with pytest.raises(HypothesisViolated, match=re.escape(message)):
+            normalize(p, equilibrium(p), m0=0.0, mode="signal-floor")
+        assert normalize(p, equilibrium(p), m0=0.0).mode == "plain"
 
 
 def rectangle_rhs(state: np.ndarray, rp) -> np.ndarray:
@@ -198,6 +214,17 @@ class TestIntegration:
             integrate_rectangle(rp, 1.2, 0.8, tau_end=1.0, dt=-1e-3)
 
 
+def ungated_floor_pair(p, m0):
+    """The pair of normalize's signal-floor mode, by its arithmetic, also at
+    parameters outside that mode's hypotheses (beta >= 1, chi0 <= bar chi),
+    where normalize refuses it. There it bounds no PDE, but it is still an
+    ODE pair whose broken ordering both loops must report alike."""
+    plain = normalize(p, equilibrium(p), m0=m0)
+    floor = v_lower_ab(p)
+    return dataclasses.replace(plain, kappa=plain.kappa0 / (1.0 + floor) ** p.beta,
+                               quad=plain.quad / (1.0 + floor), mode="signal-floor")
+
+
 def array_rk4(rp, ubar0, ulow0, tau_end, dt):
     """The RK4 loop that integrate_rectangle once ran: (ubar, ulow) as a
     length-2 array through rectangle_rhs. The reference for the float loop."""
@@ -288,8 +315,7 @@ class TestFloatLoopMatchesArrayLoop:
         ids=["ordering", "negative-stage", "complex-overflow", "float-overflow"],
     )
     def test_broken_order_raises_at_the_same_tau(self, overrides, pair, dt):
-        p = make_params(**overrides)
-        rp = normalize(p, equilibrium(p), m0=1.0, mode="signal-floor")
+        rp = ungated_floor_pair(make_params(**overrides), m0=1.0)
         with np.errstate(all="ignore"), pytest.raises(OrderViolation) as reference:
             array_rk4(rp, *pair, 40.0, dt)
         with pytest.raises(OrderViolation) as excinfo:

@@ -18,7 +18,7 @@ from chemostab import (
     sigma_n,
     sigma_zero,
 )
-from chemostab import stability
+from chemostab import integrator, stability
 from chemostab.helmholtz import chemical_field, get_operator, laplacian
 from chemostab.integrator import StepConfig, face_drift, step
 from chemostab.stability import SWEEP_CELL_LIMIT, SpectrumTooShort, SweepTooLarge
@@ -250,7 +250,7 @@ class TestDiscreteOperator:
         def no_solve(*args):
             raise AssertionError("solve on an over-limit grid")
 
-        monkeypatch.setattr(stability, "get_operator", no_solve)
+        monkeypatch.setattr(integrator, "get_operator", no_solve)
         big = GridDomain.interval(math.pi, SWEEP_CELL_LIMIT + 1)
         with pytest.raises(SweepTooLarge):
             discrete_spectrum_check(make_params(), reference_eq, big, n_modes=5)
@@ -311,7 +311,7 @@ class TestJacobianOfTheSteppingCode:
         u_star = np.full(grid.shape, eq.u_star)
         central = (stepping_rhs(u_star + eps * w, params, grid)
                    - stepping_rhs(u_star - eps * w, params, grid)) / (2.0 * eps)
-        predicted = stability._equilibrium_jacobian(params, eq, grid, w[..., None])[..., 0]
+        predicted = integrator._equilibrium_jacobian(params, eq, grid, w[..., None])[..., 0]
         assert np.abs(central - predicted).max() <= 1e-6 * np.abs(predicted).max()
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -336,7 +336,7 @@ class TestJacobianOfTheSteppingCode:
         params = make_params(**GENERAL)
         eq = equilibrium(params)
         report = discrete_spectrum_check(params, eq, grid, n_modes=1)
-        jac = stability._equilibrium_jacobian(
+        jac = integrator._equilibrium_jacobian(
             params, eq, grid, np.eye(n).reshape(*grid.shape, n)).reshape(n, n)
         spectrum = np.linalg.eigvalsh(0.5 * (jac + jac.T))
         rates = np.sort(sigma_n(params, eq, all_grid_eigenvalues(grid)))
@@ -369,9 +369,9 @@ class TestJacobianOfTheSteppingCode:
             pairs.extend(zip(*(k.tolist() for k in modes)))
             return dct_fields(grid, modes)
 
-        jacobian, dct_fields = stability._equilibrium_jacobian, stability._dct_fields
-        monkeypatch.setattr(stability, "_equilibrium_jacobian", recorded)
-        monkeypatch.setattr(stability, "_dct_fields", fields_of)
+        jacobian, dct_fields = integrator._equilibrium_jacobian, integrator._dct_fields
+        monkeypatch.setattr(integrator, "_equilibrium_jacobian", recorded)
+        monkeypatch.setattr(integrator, "_dct_fields", fields_of)
         params = make_params(**GENERAL)
         discrete_spectrum_check(params, equilibrium(params), grid, n_modes=5)
         assert sum(widths) == grid.total_cells
@@ -392,7 +392,7 @@ class TestJacobianOfTheSteppingCode:
     def test_scaled_face_drift_fails_the_check(self, monkeypatch):
         params = make_params(**GENERAL)
         grid = GRIDS["1d"]
-        monkeypatch.setattr(stability, "face_drift",
+        monkeypatch.setattr(integrator, "face_drift",
                             lambda v, p, g: [1.1 * d for d in face_drift(v, p, g)])
         report = discrete_spectrum_check(params, equilibrium(params), grid, n_modes=5)
         assert max(report.residuals) > 1e-9
