@@ -52,6 +52,7 @@ from .stability import (
     StabilityReport,
     classify_equilibrium,
     critical_sensitivity,
+    proving_spectrum,
     sigma_n,
     sigma_zero,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "StabilityReport",
     "classify_equilibrium",
     "critical_sensitivity",
+    "proving_spectrum",
     "discrete_spectrum_check",
     "sigma_n",
     "sigma_zero",

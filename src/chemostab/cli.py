@@ -1,20 +1,24 @@
 """Command-line front end.
 
     chemostab simulate  --config FILE [--csv PATH]
-    chemostab stability --config FILE [--n-max N] [--discrete-check] [--modes K]
+    chemostab stability --config FILE [--discrete-check] [--modes K]
     chemostab thresholds --config FILE [--m0 X | --discrete-m0]
-                         [--c-star-table FILE] [--stub-c-star] [--n-max N]
+                         [--c-star-table FILE] [--stub-c-star]
     chemostab rectangle --config FILE [--m0 X] [--mode plain|signal-floor]
                         [--tau-end T] [--ode-dt DT] [--ubar0 X] [--ulow0 X]
                         [--csv PATH]
     chemostab scenario  NAME [--csv PATH]
-    chemostab sweep     --config FILE [--n-max N]
+    chemostab sweep     --config FILE
     chemostab fuzz      [--trials N] [--ordering-trials N] [--seed S]
 
 `fuzz` draws its trials in blocks, one generator call per variable, and
 checks each block with array operations, so memory stays bounded at any
 trial count. A negative trial count or seed is an error (exit 2), and so is
 `scenario --csv` for a scenario with no trajectory (thresholds-only, sweep).
+`stability` and `sweep` take the shortest Neumann eigenvalue table that
+proves chi* and sigma's maximum at each point (`stability.proving_spectrum`),
+and `thresholds` the shortest that proves chi*; a point that needs more than
+PROVING_MODES_CAP modes is an error (exit 2).
 
 Exit codes: 0 success, 1 failed verdict or detected violation, 2 error.
 All reports are JSON on stdout; infinities are encoded as the strings
@@ -49,14 +53,13 @@ from .core import (
     equilibrium,
     init_state,
     initial_density,
-    neumann_eigenvalues,
     reference_equilibrium,
 )
 from .diagnostics import check_power_diff_inequality
 from .integrator import BlowupDetected, discrete_spectrum_check, run
 from .rectangle import integrate_rectangle, normalize
 from .scenarios import SCENARIOS, run_scenario
-from .stability import SWEEP_CELL_LIMIT, classify_equilibrium
+from .stability import SWEEP_CELL_LIMIT, classify_equilibrium, proving_spectrum
 from .thresholds import (
     MissingCZConstant,
     c_star_from_table,
@@ -172,8 +175,7 @@ def cmd_stability(args) -> int:
     cfg = read_config(args.config)
     params = params_from_config(cfg)
     grid, eq, _ = _setup(cfg, params)
-    spectrum = neumann_eigenvalues(grid, args.n_max)
-    report = classify_equilibrium(params, eq, spectrum)
+    report = classify_equilibrium(params, eq, proving_spectrum(params, eq, grid))
     payload = {"equilibrium": eq, **jsonable(report)}
     if args.discrete_check:
         check = discrete_spectrum_check(params, eq, grid, args.modes)
@@ -212,7 +214,9 @@ def cmd_thresholds(args) -> int:
         raise ConfigError(f"the minimal model's calibration run needs {missing}: "
                           f"the config sets {given} but not '{missing}'")
     grid, eq, state = _setup(cfg, params, simulate=calibrate)
-    spectrum = neumann_eigenvalues(grid, args.n_max)
+    # The report prints chi*, which does not depend on chi0, and no sigma:
+    # its table need reach sqrt(a alpha mu) only, as at chi0 = 0.
+    spectrum = proving_spectrum(dataclasses.replace(params, chi0=0.0), eq, grid)
 
     if args.discrete_m0:
         m0, m0_source = gradient_constant(grid, params.mu), "discrete"
@@ -280,7 +284,6 @@ def cmd_sweep(args) -> int:
     parameter = required(cfg, "sweep.parameter")
     values = required(cfg, "sweep.values")
     grid = grid_from_config(cfg)  # a missing domain key is named before a coefficient
-    spectrum = neumann_eigenvalues(grid, args.n_max)
     first = params_from_config({**cfg, parameter: values[0]})
     # The minimal model's u* depends on no coefficient: it is taken once.
     u_star = _setup(cfg, first)[1].u_star if first.minimal else None
@@ -288,7 +291,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         params = params_from_config({**cfg, parameter: value})
         eq = equilibrium(params, u_star=u_star)
-        report = classify_equilibrium(params, eq, spectrum)
+        report = classify_equilibrium(params, eq, proving_spectrum(params, eq, grid))
         rows.append({
             parameter: value,
             "chi_star": report.chi_star,
@@ -333,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", help="classify the uniform steady state")
     p_stab.add_argument("--config", required=True)
-    p_stab.add_argument("--n-max", type=int, default=1000)
     p_stab.add_argument("--discrete-check", action="store_true",
                         help="check the scheme's linearization on every DCT basis field "
                              f"(at most {SWEEP_CELL_LIMIT} cells); adds discrete_check "
@@ -345,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thr = sub.add_parser("thresholds", help="evaluate all closed-form thresholds")
     p_thr.add_argument("--config", required=True)
-    p_thr.add_argument("--n-max", type=int, default=1000)
     m0_choice = p_thr.add_mutually_exclusive_group()
     m0_choice.add_argument("--m0", type=float, default=0.0,
                            help="gradient-estimate constant of the domain")
@@ -376,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="classify along a parameter sweep")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--n-max", type=int, default=1000)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized inequality checks")

@@ -360,7 +360,13 @@ def equilibrium(params: ModelParams, u_star: float | None = None) -> Equilibrium
     else:
         if u_star is not None:
             raise ValueError("u_star is determined by (a/b)^(1/alpha); do not pass it")
-        u = _logistic_density(params.a, params.b, params.alpha)
+        try:
+            u = _logistic_density(params.a, params.b, params.alpha)
+        except OverflowError:
+            raise OverflowError(
+                f"u* = (a/b)^(1/alpha) overflows a float at a = {params.a!r}, "
+                f"b = {params.b!r}, alpha = {params.alpha!r}"
+            ) from None
     return Equilibrium(u, _signal_level(u, params.gamma, params.mu, params.nu))
 
 

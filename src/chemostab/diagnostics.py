@@ -49,12 +49,6 @@ def lyapunov_F(u: np.ndarray, u_star: float, m: float, cell_volume: float = 1.0)
     u = np.asarray(u, dtype=float)
     if float(u.min()) <= 0.0:
         raise NonPositiveDensity(f"density must be positive, min is {u.min()}")
-    return _lyapunov_sum(u, u_star, m, cell_volume)
-
-
-def _lyapunov_sum(u: np.ndarray, u_star: float, m: float, cell_volume: float) -> float:
-    """`lyapunov_F` of a float array u whose cells the caller knows to be
-    positive, without the check."""
     if m == 1.0:
         h = u - u_star - u_star * np.log(u / u_star)
     else:

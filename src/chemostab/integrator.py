@@ -79,7 +79,7 @@ import numpy as np
 
 from .core import (FLOAT64, Equilibrium, FieldState, GridDomain, ModelParams,
                    array_max, array_min, max_abs, read_only_scalar, reference_equilibrium)
-from .diagnostics import _lyapunov_sum, dissipation_D
+from .diagnostics import dissipation_D, lyapunov_F
 from .helmholtz import (HelmholtzOperator, _dct_eigenvalues, chemical_field, get_operator,
                         laplacian, solve_block)
 from .stability import SWEEP_COLUMNS, _sweep_cells, sigma_n
@@ -593,7 +593,7 @@ def _record(traj: Trajectory, state: FieldState, u_min: float, u_max: float,
         # round-to-nearest, so the largest |fl(u_i - u*)| is at u_max or
         # u_min, bit for bit; NaN in u makes both extrema NaN.
         max(abs(u_max - u_star), abs(u_min - u_star)),
-        _lyapunov_sum(u, u_star, traj.params.m, vol) if u_min > 0.0 else math.nan,
+        lyapunov_F(u, u_star, traj.params.m, vol) if u_min > 0.0 else math.nan,
         dissipation_D(u, u_star, traj.params.alpha, vol),
     ))
     if traj.snapshots is not None:

@@ -16,6 +16,8 @@ So the two modes that bracket that point give chi*, and a table that
 reaches it proves the infimum over the whole spectrum. Likewise for chi0 > 0
 sigma is concave in lambda, greatest at sqrt(chi0 g mu) - mu (g the
 feedback gain), so a table that reaches that point proves sigma's maximum.
+The coefficients fix both points, so `proving_spectrum` builds the shortest
+table that reaches them; the CLI and the scenarios take their tables from it.
 
 Everything here is a closed form in the coefficients and an eigenvalue
 table; nothing reads a grid field. The check that ties sigma to the scheme,
@@ -30,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Equilibrium, GridDomain, ModelParams, SpectrumTable
+from .core import Equilibrium, GridDomain, ModelParams, SpectrumTable, neumann_eigenvalues
 
 
 class SpectrumTooShort(ValueError):
     """The eigenvalue table ends below sqrt(a alpha mu), so it cannot prove
-    chi*, or below the peak of sigma, so it cannot prove sigma's maximum."""
+    chi*, or below the peak of sigma, so it cannot prove sigma's maximum;
+    or a table that reaches them would be longer than PROVING_MODES_CAP."""
 
 
 class SweepTooLarge(RuntimeError):
@@ -49,6 +52,12 @@ SWEEP_CELL_LIMIT = 4096
 # sweep at once.
 SWEEP_COLUMNS = 128
 CRITICAL_BAND = 1e-12
+# Eigenvalues within this relative distance are one eigenvalue up to
+# rounding: a square's (i^2 + j^2)(pi/L)^2 summed as i^2 + j^2 and as
+# j^2 + i^2, or as 1 + 64 and 16 + 49, differ by a few ulp.
+RUN_RTOL = 64 * np.finfo(float).eps
+# The longest table proving_spectrum builds, in modes.
+PROVING_MODES_CAP = 1 << 20
 
 
 def _sweep_cells(grid: GridDomain) -> int:
@@ -86,6 +95,41 @@ def sigma_n(
     if rate.ndim == 0:
         return float(rate)
     return rate
+
+
+def _sigma_peak(params: ModelParams, eq: Equilibrium) -> float:
+    """lambda_p = sqrt(chi0 g mu) - mu, where sigma peaks when chi0 g > mu;
+    0 otherwise, where sigma decreases in lambda."""
+    drive = params.chi0 * _feedback_gain(params, eq)
+    return math.sqrt(drive * params.mu) - params.mu if drive > params.mu else 0.0
+
+
+def proving_spectrum(
+    params: ModelParams, eq: Equilibrium, grid: GridDomain
+) -> SpectrumTable:
+    """The shortest Neumann table of `grid` that proves chi* and sigma's
+    maximum: the window that _bracketed_minimum takes about the reach
+    max(sqrt(a alpha mu), lambda_p), and one entry past it. Tables of 4, 8,
+    16, ... modes are built until one holds that entry.
+
+    The window about sqrt(a alpha mu) ends no later, so chi* and its mode
+    are those of any longer table. Every eigenvalue past the table lies
+    more than RUN_RTOL above two that reach lambda_p, where sigma falls, so
+    sigma's maximum and its mode are too. A table that would need more than
+    PROVING_MODES_CAP modes raises SpectrumTooShort.
+    """
+    reach = max(math.sqrt(params.a * params.alpha * params.mu), _sigma_peak(params, eq))
+    n_max = 4
+    while n_max <= PROVING_MODES_CAP:
+        lam = neumann_eigenvalues(grid, n_max).eigenvalues
+        last = _window(lam, np.searchsorted(lam, [reach]))[0, -1]
+        if last < n_max:
+            return SpectrumTable(lam[: last + 2])
+        n_max *= 2
+    raise SpectrumTooShort(
+        f"sqrt(a alpha mu) or the peak of sigma, lambda = {reach!r}, lies beyond "
+        f"the first {PROVING_MODES_CAP} Neumann modes of the domain"
+    )
 
 
 def sigma_zero(params: ModelParams) -> float:
@@ -134,12 +178,12 @@ def _bracketed_minimum(unit, scale, a_alpha, mu, gain):
     modes) wide and shifted to stay in the table, holds it, even when
     rounding puts the search one index off.
 
-    The window's candidates are the floats a scan of the table computes.
-    Where neighbouring eigenvalues lie apart, as on intervals, those
-    outside the window exceed one inside by far more than rounding, so the
-    value and mode are the scan's. Where eigenvalues are equal up to
-    rounding (rectangles: 65 = 1^2 + 8^2 = 4^2 + 7^2), the mode may move
-    among them and the value by 1 ulp.
+    Where eigenvalues are equal up to rounding (rectangles: 65 = 1^2 + 8^2
+    = 4^2 + 7^2), the window widens to every entry within RUN_RTOL of its
+    first and its last, so it never splits such a run. Its candidates are
+    the floats a scan of the table computes, and those of the entries
+    outside it exceed one inside by far more than rounding; so the value
+    and mode are the scan's.
     """
     modes = unit.size - 1
     lam0 = np.sqrt(a_alpha * mu)
@@ -151,13 +195,28 @@ def _bracketed_minimum(unit, scale, a_alpha, mu, gain):
             f"eigenvalue {float(unit[-1] * scale[i])!r} of the table; "
             "supply more eigenvalues"
         )
-    width = min(4, modes)
-    start = np.minimum(np.maximum(bracket - 2, 1), modes - width + 1)
-    at = start[:, None] + np.arange(width)
+    at = _window(unit, bracket)
     window = _candidates(
         unit[at] * scale[:, None], a_alpha[:, None], mu[:, None], gain[:, None]
     )
     return window.min(axis=1), at[np.arange(at.shape[0]), window.argmin(axis=1)]
+
+
+def _window(unit, bracket):
+    """The indices of the window about each (B,) `bracket`, one row each:
+    k-2 .. k+1, min(4, modes) wide and shifted to stay in the table, then
+    widened to every entry within RUN_RTOL of its first and its last."""
+    modes = unit.size - 1
+    width = min(4, modes)
+    start = np.minimum(np.maximum(bracket - 2, 1), modes - width + 1)
+    at = start[:, None] + np.arange(width)
+    if (unit[2:] > unit[1:-1] * (1.0 + RUN_RTOL)).all():
+        return at  # no two eigenvalues are equal up to rounding
+    first = np.searchsorted(unit, unit[at[:, 0]] * (1.0 - RUN_RTOL))
+    last = np.searchsorted(unit, unit[at[:, -1]] * (1.0 + RUN_RTOL), "right") - 1
+    # Rows narrower than the widest repeat their last entry, which moves
+    # neither the minimum nor its first index.
+    return np.minimum(first[:, None] + np.arange((last - first).max() + 1), last[:, None])
 
 
 @dataclass(frozen=True)
@@ -187,15 +246,13 @@ def classify_equilibrium(
     `critical_sensitivity`).
     """
     chi_star, argmin_mode = critical_sensitivity(params, eq, spectrum)
-    drive = params.chi0 * _feedback_gain(params, eq)
-    if drive > params.mu:
-        peak = math.sqrt(drive * params.mu) - params.mu
-        last = float(spectrum.eigenvalues[-1])
-        if last < peak:
-            raise SpectrumTooShort(
-                f"the peak of sigma at lambda = {peak!r} lies above the last "
-                f"eigenvalue {last!r} of the table; supply more eigenvalues"
-            )
+    peak = _sigma_peak(params, eq)
+    last = float(spectrum.eigenvalues[-1])
+    if last < peak:
+        raise SpectrumTooShort(
+            f"the peak of sigma at lambda = {peak!r} lies above the last "
+            f"eigenvalue {last!r} of the table; supply more eigenvalues"
+        )
     rates = np.asarray(sigma_n(params, eq, spectrum.eigenvalues))
     fastest = 1 + int(np.argmax(rates[1:]))
     if abs(params.chi0 - chi_star) <= CRITICAL_BAND * max(1.0, abs(chi_star)):

@@ -105,7 +105,13 @@ def theta(beta):
     s / (1+s)^(1+beta) over s > 0. Theta_0 = 1 (the limit value)."""
     if _any(beta < 0.0):
         raise HypothesisViolated(f"theta needs beta >= 0, got {beta}")
-    return beta**beta * (1.0 + beta) ** (-(1.0 + beta))
+    try:
+        return beta**beta * (1.0 + beta) ** (-(1.0 + beta))
+    except OverflowError:
+        raise OverflowError(
+            f"Theta_s = s^s (1+s)^-(1+s) overflows a float at s = {beta!r} (the "
+            "thresholds take s = beta, beta - 1 and 2 beta - 1)"
+        ) from None
 
 
 def tilde_beta(beta):
@@ -203,10 +209,16 @@ def m_star(p: float, mu: float, nu: float, c_star_np: CStarSource | None) -> flo
     if c_star_np is None:
         raise MissingCZConstant("m_star needs the C*_{N,p} constant")
     c = float(c_star_np(p))
-    return nu**p * (
-        (8.0**p / p) * c * (2.0**p + mu ** (-p))
-        + 2.0 ** (2.0 * p) / ((p - 1.0) * p**p)
-    )
+    try:
+        return nu**p * (
+            (8.0**p / p) * c * (2.0**p + mu ** (-p))
+            + 2.0 ** (2.0 * p) / ((p - 1.0) * p**p)
+        )
+    except OverflowError:
+        raise OverflowError(
+            f"M* = nu^p [(8^p / p) C* (2^p + mu^-p) + 4^p / ((p-1) p^p)] overflows a "
+            f"float at p = {p!r}, mu = {mu!r}, nu = {nu!r}, C* = {c!r}"
+        ) from None
 
 
 @dataclass(frozen=True)

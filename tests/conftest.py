@@ -9,10 +9,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chemostab import GridDomain, ModelParams, equilibrium, neumann_eigenvalues
 from chemostab.helmholtz import laplacian
 from chemostab.stability import _candidates, _sweep_cells
+
+# Every run of the suite draws the same Hypothesis examples, so a failure
+# is a property of the tree. `pytest --hypothesis-profile explore` draws
+# fresh examples and replays failures from the local example database.
+settings.register_profile("explore", settings.get_profile("default"))
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 REFERENCE = dict(
     chi0=1.0, beta=0.0, m=1.0, alpha=1.0, gamma=1.0,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import chemostab.cli
-from chemostab import GridDomain, gradient_constant
+from chemostab import GridDomain, equilibrium, gradient_constant, proving_spectrum
 from chemostab.cli import jsonable, main
 from chemostab.config import (
     KEYS,
@@ -28,7 +28,7 @@ from chemostab.config import (
 )
 from chemostab.core import PARAM_FIELDS, Equilibrium
 from chemostab.integrator import StepConfig
-from chemostab.stability import SWEEP_CELL_LIMIT
+from chemostab.stability import PROVING_MODES_CAP, SWEEP_CELL_LIMIT
 from chemostab.thresholds import c_star_from_table, default_c_star_stub
 from conftest import REFERENCE, make_params
 
@@ -419,29 +419,64 @@ class TestAnalysisCommands:
 
     def test_stability_needs_only_the_modes_up_to_lam0(self, tmp_path, capsys):
         # a = 4: lam0 = sqrt(a alpha mu) = 2 lies between modes 1 and 2 of
-        # [0, pi], so four eigenvalues give what a thousand give.
+        # [0, pi], so the command's table holds five modes, the window of
+        # four about lam0 and one past it, and gives what a thousand give.
         cfg = write_cfg(tmp_path, a=4.0)
-        outputs = []
-        for n_max in ("3", "1000"):
-            code, payload, _ = run_cli(capsys, "stability", "--config", cfg, "--n-max", n_max)
-            assert code == 0
-            outputs.append((payload["chi_star"], payload["verdict"]))
-        assert outputs[0] == outputs[1] == (2.5, "stable")
+        code, payload, _ = run_cli(capsys, "stability", "--config", cfg)
+        assert code == 0
+        assert (payload["chi_star"], payload["verdict"]) == (2.5, "stable")
+        params = make_params(a=4.0)
+        eq = equilibrium(params)
+        assert len(proving_spectrum(params, eq, GridDomain.interval(math.pi, 64))) == 6
 
     @pytest.mark.parametrize("command", ["stability", "sweep"])
-    def test_a_table_short_of_the_peak_of_sigma_exits_2(self, tmp_path, capsys, command):
+    def test_the_table_reaches_the_peak_of_sigma(self, tmp_path, capsys, command):
         # chi0 = 4000, beta = 1: sigma peaks between modes 6 and 7 of [0, pi].
-        # Four eigenvalues would report mode 3's sigma as the maximum.
+        # A table of four modes would report mode 3's sigma as the maximum.
         text = BASE_CFG.format(**{**REFERENCE, "chi0": 4000.0, "beta": 1.0})
         text += "sweep.parameter = chi0\nsweep.values = 1, 4000\n"
         cfg = write_cfg(tmp_path, text=text)
-        code, payload, error = run_cli(capsys, command, "--config", cfg, "--n-max", "3")
-        assert (code, payload) == (2, None)
-        assert error["error"] == "SpectrumTooShort"
-        code, payload, _ = run_cli(capsys, command, "--config", cfg, "--n-max", "7")
+        code, payload, _ = run_cli(capsys, command, "--config", cfg)
         assert code == 0
         report = payload if command == "stability" else payload["rows"][1]
         assert report["sigma_max"] == 1910.0
+        if command == "stability":
+            assert payload["fastest_mode"] == 7
+
+    @pytest.mark.parametrize("dimension, lengths, cells, chi0, mode", [
+        (1, "3.141592653589793", "64", "1e13", 1495),
+        (2, "3.141592653589793, 2", "16, 12", "1e7", 1156),
+    ], ids=["interval", "rectangle"])
+    def test_a_large_chi0_takes_the_modes_it_needs(self, tmp_path, capsys, dimension,
+                                                   lengths, cells, chi0, mode):
+        # sigma peaks beyond mode 1000, which the CLI's fixed table ended at.
+        cfg = write_cfg(tmp_path, text=self.large_chi0_cfg(dimension, lengths, cells, chi0))
+        code, payload, error = run_cli(capsys, "stability", "--config", cfg)
+        assert (code, error) == (0, None)
+        assert payload["fastest_mode"] == mode
+        assert payload["verdict"] == "unstable"
+
+    def test_a_peak_beyond_the_cap_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, text=self.large_chi0_cfg(1, "3.141592653589793", "64", "1e300"))
+        code, payload, error = run_cli(capsys, "stability", "--config", cfg)
+        assert (code, payload) == (2, None)
+        assert error["error"] == "SpectrumTooShort"
+        assert "lambda = 7.071067811865476e+149" in error["message"]
+        assert f"first {PROVING_MODES_CAP} Neumann modes" in error["message"]
+
+    def test_thresholds_reads_no_peak_of_sigma(self, tmp_path, capsys):
+        # The report prints chi* and no sigma, so a peak beyond the cap is
+        # no reason to refuse it.
+        cfg = write_cfg(tmp_path, text=self.large_chi0_cfg(1, "3.141592653589793", "64", "1e300"))
+        code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
+        assert (code, error) == (0, None)
+        assert (payload["chi_star"], payload["argmin_mode"]) == (8.0, 1)
+
+    @staticmethod
+    def large_chi0_cfg(dimension, lengths, cells, chi0):
+        return (f"chi0 = {chi0}\nbeta = 1\nm = 1\nalpha = 1\ngamma = 1\na = 1\nb = 1\n"
+                f"mu = 1\nnu = 1\ndomain.dimension = {dimension}\n"
+                f"domain.lengths = {lengths}\ndomain.cells = {cells}\n")
 
     def test_stability_discrete_check(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -559,7 +594,7 @@ class TestAnalysisCommands:
             raise AssertionError("work started")
 
         monkeypatch.setattr(chemostab.cli, "run", no_work)
-        monkeypatch.setattr(chemostab.cli, "neumann_eigenvalues", no_work)
+        monkeypatch.setattr(chemostab.cli, "proving_spectrum", no_work)
         code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
         assert (code, payload) == (2, None)
         assert error["error"] == "ConfigError"
@@ -729,21 +764,28 @@ class TestAnalysisCommands:
         assert error["error"] == "ConfigError"
         assert "'sweep.values'" in error["message"]
 
-    @pytest.mark.parametrize("command, overrides", [
+    @pytest.mark.parametrize("command, overrides, quantity", [
         # m_star's 8^p at p = 400.
-        (("thresholds", "--stub-c-star"), {"alpha": 400.0}),
-        # Theta_beta's beta^beta.
-        (("thresholds",), {"beta": 200.0}),
+        (("thresholds", "--stub-c-star"), {"alpha": 400.0}, "M* = nu^p"),
+        # Theta_beta's beta^beta, first taken at beta - 1.
+        (("thresholds",), {"beta": 200.0}, "Theta_s = s^s (1+s)^-(1+s) overflows a float "
+                                           "at s = 199.0"),
         # u* = (a/b)^(1/alpha), before any command's own work.
-        (("stability",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}),
-        (("thresholds",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}),
-        (("simulate",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}),
+        (("stability",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}, "u* = (a/b)^(1/alpha)"),
+        (("thresholds",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}, "u* = (a/b)^(1/alpha)"),
+        (("simulate",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}, "u* = (a/b)^(1/alpha)"),
     ], ids=["m_star", "theta", "u_star-stability", "u_star-thresholds", "u_star-simulate"])
-    def test_a_closed_form_that_overflows_exits_2(self, tmp_path, capsys, command, overrides):
+    def test_a_closed_form_that_overflows_exits_2(self, tmp_path, capsys, command, overrides,
+                                                  quantity):
+        # The same class as Python's own, with a message that names the
+        # quantity, where Python's names only the errno text.
         cfg = write_cfg(tmp_path, **{"chi0": 0.3, "beta": 1.0, **overrides})
         code, payload, error = run_cli(capsys, command[0], "--config", cfg, *command[1:])
         assert (code, payload) == (2, None)
         assert error["error"] == "OverflowError"
+        assert quantity in error["message"]
+        if quantity.startswith("u*"):
+            assert "a = 1000.0, b = 0.001, alpha = 0.01" in error["message"]
 
     @pytest.mark.parametrize("overrides, message", [
         ({"beta": 0.5}, "beta >= 1"),

@@ -1668,8 +1668,8 @@ class TestTrajectoryOutput:
 
     @pytest.mark.parametrize("m", [1.0, 1.7])
     def test_lyapunov_is_bitwise_lyapunov_F_or_nan(self, m):
-        # _record sums the functional without lyapunov_F's positivity check,
-        # on the u_min it holds: the same float where u > 0, NaN elsewhere.
+        # _record calls lyapunov_F where the u_min it holds is positive, and
+        # records NaN elsewhere.
         grid = GridDomain.interval(1.0, 16)
         p = make_params(m=m)
         traj = Trajectory(p, grid, Equilibrium(1.3, 1.0))

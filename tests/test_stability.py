@@ -245,6 +245,54 @@ class TestClassification:
             assert np.abs(rates).min() <= 1e-10
 
 
+class TestProvingSpectrum:
+    @pytest.mark.parametrize("lengths", [
+        (math.pi,), (2.0,), (math.pi, 2.0), (7.0, 7.0), (math.pi, math.pi),
+    ], ids=["pi", "two", "pi-by-two", "square-7", "square-pi"])
+    @given(
+        chi0=st.floats(-1e3, 1e3),
+        a=st.floats(0.2, 5.0),
+        alpha=st.floats(0.25, 3.0),
+        mu=st.floats(0.2, 5.0),
+        nu=st.floats(0.2, 5.0),
+        beta=st.floats(0.0, 2.0),
+        m=st.floats(1.0, 3.0),
+        gamma=st.floats(0.5, 2.0),
+        u_star=st.none() | st.floats(0.1, 10.0),
+        scale=st.floats(0.5, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gives_what_a_long_table_gives(self, lengths, chi0, a, alpha, mu, nu, beta, m,
+                                           gamma, u_star, scale):
+        # The derived table and one of at least 2,000 modes, and twice its
+        # length, give the same floats and modes: chi* and its mode, and
+        # sigma's maximum and its mode. A u_star draws the minimal model.
+        if u_star is not None:
+            a = 0.0
+        p = make_params(chi0=chi0, a=a, b=1.0 if u_star is None else 0.0, alpha=alpha, mu=mu,
+                        nu=nu, beta=beta, m=m, gamma=gamma)
+        eq = equilibrium(p, u_star=u_star)
+        cells = (64,) if len(lengths) == 1 else (16, 12)
+        grid = GridDomain(len(lengths), tuple(scale * x for x in lengths), cells)
+        spectrum = stability.proving_spectrum(p, eq, grid)
+        long = neumann_eigenvalues(grid, max(2000, 2 * len(spectrum)))
+        assert critical_sensitivity(p, eq, spectrum) == critical_sensitivity(p, eq, long)
+        assert classify_equilibrium(p, eq, spectrum) == classify_equilibrium(p, eq, long)
+
+    def test_refuses_a_reach_beyond_the_cap(self, monkeypatch):
+        # beta = 0 at the reference point: g = 1 and lambda_p = sqrt(chi0) - 1.
+        # With a cap of 64 modes of [0, pi] the third-last eigenvalue is
+        # 62^2 = 3844: a peak there is proved by the cap's table, one past it
+        # is refused, naming the peak.
+        monkeypatch.setattr(stability, "PROVING_MODES_CAP", 64)
+        interval = GridDomain.interval(math.pi, 64)
+        p = make_params(chi0=3845.0**2)
+        assert len(stability.proving_spectrum(p, equilibrium(p), interval)) == 65
+        p = make_params(chi0=3846.0**2)
+        with pytest.raises(SpectrumTooShort, match="lambda = 3845.0, lies beyond the first 64 "):
+            stability.proving_spectrum(p, equilibrium(p), interval)
+
+
 class TestDiscreteOperator:
     def test_cell_limit_checked_before_any_solve(self, reference_eq, monkeypatch):
         def no_solve(*args):
