@@ -214,9 +214,8 @@ def cmd_thresholds(args) -> int:
         raise ConfigError(f"the minimal model's calibration run needs {missing}: "
                           f"the config sets {given} but not '{missing}'")
     grid, eq, state = _setup(cfg, params, simulate=calibrate)
-    # The report prints chi*, which does not depend on chi0, and no sigma:
-    # its table need reach sqrt(a alpha mu) only, as at chi0 = 0.
-    spectrum = proving_spectrum(dataclasses.replace(params, chi0=0.0), eq, grid)
+    # The report prints chi* and no sigma.
+    spectrum = proving_spectrum(params, eq, grid, sigma=False)
 
     if args.discrete_m0:
         m0, m0_source = gradient_constant(grid, params.mu), "discrete"

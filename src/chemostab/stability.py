@@ -105,12 +105,14 @@ def _sigma_peak(params: ModelParams, eq: Equilibrium) -> float:
 
 
 def proving_spectrum(
-    params: ModelParams, eq: Equilibrium, grid: GridDomain
+    params: ModelParams, eq: Equilibrium, grid: GridDomain, *, sigma: bool = True
 ) -> SpectrumTable:
     """The shortest Neumann table of `grid` that proves chi* and sigma's
     maximum: the window that _bracketed_minimum takes about the reach
     max(sqrt(a alpha mu), lambda_p), and one entry past it. Tables of 4, 8,
-    16, ... modes are built until one holds that entry.
+    16, ... modes are built until one holds that entry. With sigma=False
+    the table proves chi* alone, for a caller that reports no sigma; chi*
+    does not depend on chi0, and neither does that table.
 
     The window about sqrt(a alpha mu) ends no later, so chi* and its mode
     are those of any longer table. Every eigenvalue past the table lies
@@ -118,7 +120,9 @@ def proving_spectrum(
     sigma's maximum and its mode are too. A table that would need more than
     PROVING_MODES_CAP modes raises SpectrumTooShort.
     """
-    reach = max(math.sqrt(params.a * params.alpha * params.mu), _sigma_peak(params, eq))
+    reach = math.sqrt(params.a * params.alpha * params.mu)
+    if sigma:
+        reach = max(reach, _sigma_peak(params, eq))
     n_max = 4
     while n_max <= PROVING_MODES_CAP:
         lam = neumann_eigenvalues(grid, n_max).eigenvalues
@@ -209,11 +213,8 @@ def _window(unit, bracket):
     modes = unit.size - 1
     width = min(4, modes)
     start = np.minimum(np.maximum(bracket - 2, 1), modes - width + 1)
-    at = start[:, None] + np.arange(width)
-    if (unit[2:] > unit[1:-1] * (1.0 + RUN_RTOL)).all():
-        return at  # no two eigenvalues are equal up to rounding
-    first = np.searchsorted(unit, unit[at[:, 0]] * (1.0 - RUN_RTOL))
-    last = np.searchsorted(unit, unit[at[:, -1]] * (1.0 + RUN_RTOL), "right") - 1
+    first = np.searchsorted(unit, unit[start] * (1.0 - RUN_RTOL))
+    last = np.searchsorted(unit, unit[start + width - 1] * (1.0 + RUN_RTOL), "right") - 1
     # Rows narrower than the widest repeat their last entry, which moves
     # neither the minimum nor its first index.
     return np.minimum(first[:, None] + np.arange((last - first).max() + 1), last[:, None])

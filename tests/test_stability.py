@@ -292,6 +292,19 @@ class TestProvingSpectrum:
         with pytest.raises(SpectrumTooShort, match="lambda = 3845.0, lies beyond the first 64 "):
             stability.proving_spectrum(p, equilibrium(p), interval)
 
+    @pytest.mark.parametrize("chi0", [0.0, 4000.0, 1e300])
+    def test_a_chi_star_table_does_not_depend_on_chi0(self, chi0):
+        # sigma=False proves chi* alone: the table is the one at chi0 = 0
+        # for every chi0, even where sigma's peak lies past the cap.
+        interval = GridDomain.interval(math.pi, 64)
+        p = make_params(chi0=chi0)
+        eq = equilibrium(p)
+        spectrum = stability.proving_spectrum(p, eq, interval, sigma=False)
+        at_zero = stability.proving_spectrum(make_params(chi0=0.0), eq, interval)
+        assert np.array_equal(spectrum.eigenvalues, at_zero.eigenvalues)
+        assert critical_sensitivity(p, eq, spectrum) == critical_sensitivity(
+            p, eq, neumann_eigenvalues(interval, 1000))
+
 
 class TestDiscreteOperator:
     def test_cell_limit_checked_before_any_solve(self, reference_eq, monkeypatch):
