@@ -18,7 +18,6 @@ from .core import (
     GridDomain,
     InitSpec,
     ModelParams,
-    SpectrumTable,
     equilibrium,
     init_state,
     neumann_eigenvalues,
@@ -52,7 +51,6 @@ from .stability import (
     StabilityReport,
     classify_equilibrium,
     critical_sensitivity,
-    proving_spectrum,
     sigma_n,
     sigma_zero,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "GridDomain",
     "InitSpec",
     "ModelParams",
-    "SpectrumTable",
     "equilibrium",
     "init_state",
     "neumann_eigenvalues",
@@ -105,7 +102,6 @@ __all__ = [
     "StabilityReport",
     "classify_equilibrium",
     "critical_sensitivity",
-    "proving_spectrum",
     "discrete_spectrum_check",
     "sigma_n",
     "sigma_zero",

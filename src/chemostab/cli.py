@@ -15,10 +15,10 @@
 checks each block with array operations, so memory stays bounded at any
 trial count. A negative trial count or seed is an error (exit 2), and so is
 `scenario --csv` for a scenario with no trajectory (thresholds-only, sweep).
-`stability` and `sweep` take the shortest Neumann eigenvalue table that
-proves chi* and sigma's maximum at each point (`stability.proving_spectrum`),
-and `thresholds` the shortest that proves chi*; a point that needs more than
-PROVING_MODES_CAP modes is an error (exit 2).
+`stability`, `sweep` and `thresholds` report chi* and sigma over the whole
+Neumann spectrum of the configured domain, which `stability` proves from
+the shortest eigenvalue table that reaches what each point reports; a point
+that needs more than PROVING_MODES_CAP modes is an error (exit 2).
 
 Exit codes: 0 success, 1 failed verdict or detected violation, 2 error.
 All reports are JSON on stdout; infinities are encoded as the strings
@@ -59,7 +59,7 @@ from .diagnostics import check_power_diff_inequality
 from .integrator import BlowupDetected, discrete_spectrum_check, run
 from .rectangle import integrate_rectangle, normalize
 from .scenarios import SCENARIOS, run_scenario
-from .stability import SWEEP_CELL_LIMIT, classify_equilibrium, proving_spectrum
+from .stability import SWEEP_CELL_LIMIT, classify_equilibrium
 from .thresholds import (
     MissingCZConstant,
     c_star_from_table,
@@ -175,7 +175,7 @@ def cmd_stability(args) -> int:
     cfg = read_config(args.config)
     params = params_from_config(cfg)
     grid, eq, _ = _setup(cfg, params)
-    report = classify_equilibrium(params, eq, proving_spectrum(params, eq, grid))
+    report = classify_equilibrium(params, eq, grid)
     payload = {"equilibrium": eq, **jsonable(report)}
     if args.discrete_check:
         check = discrete_spectrum_check(params, eq, grid, args.modes)
@@ -214,8 +214,6 @@ def cmd_thresholds(args) -> int:
         raise ConfigError(f"the minimal model's calibration run needs {missing}: "
                           f"the config sets {given} but not '{missing}'")
     grid, eq, state = _setup(cfg, params, simulate=calibrate)
-    # The report prints chi* and no sigma.
-    spectrum = proving_spectrum(params, eq, grid, sigma=False)
 
     if args.discrete_m0:
         m0, m0_source = gradient_constant(grid, params.mu), "discrete"
@@ -231,7 +229,7 @@ def cmd_thresholds(args) -> int:
     calibration = (run(params, grid, state, step_config_from_config(cfg), eq=eq)
                    if calibrate else None)
     report = threshold_report(
-        params, eq, spectrum, grid.dimension,
+        params, eq, grid,
         m0=m0, m0_source=m0_source, c_star=c_star, calibration=calibration,
     )
     _emit(report)
@@ -290,7 +288,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         params = params_from_config({**cfg, parameter: value})
         eq = equilibrium(params, u_star=u_star)
-        report = classify_equilibrium(params, eq, proving_spectrum(params, eq, grid))
+        report = classify_equilibrium(params, eq, grid)
         rows.append({
             parameter: value,
             "chi_star": report.chi_star,

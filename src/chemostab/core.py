@@ -8,8 +8,8 @@ interval or an axis-aligned rectangle with zero-flux boundary conditions:
 
 This module owns the coefficient record (`ModelParams`), the grid
 description (`GridDomain`), constant equilibria (`Equilibrium`), the
-analytic Neumann Laplacian spectrum (`SpectrumTable`), and initial-state
-construction (`init_state`).
+analytic Neumann Laplacian spectrum (`neumann_eigenvalues`), and
+initial-state construction (`init_state`).
 """
 
 from __future__ import annotations
@@ -390,41 +390,13 @@ def _signal_level(u_star, gamma, mu, nu):
     return (nu / mu) * u_star**gamma
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumTable:
-    """Leading eigenvalues of the negative Neumann Laplacian, ascending, as
-    one read-only float64 array, a copy of the caller's. Entry 0 is exactly
-    0 (the constant mode); `lambda_star` is the first nonzero eigenvalue.
-    """
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self) -> None:
-        array = np.array(self.eigenvalues, dtype=float)
-        if len(array) < 2:
-            raise ValueError("spectrum needs at least the constant mode and one more")
-        if array[0] != 0.0:
-            raise ValueError(f"lowest eigenvalue must be exactly 0, got {array[0]}")
-        if np.any(array[:-1] > array[1:]):
-            raise ValueError("eigenvalues must be sorted ascending")
-        if array[1] <= 0.0:
-            raise ValueError("all eigenvalues after the first must be positive")
-        # A NaN after entry 0 passes the checks above, so finiteness is tested by name.
-        if not np.isfinite(array).all():
-            raise ValueError("eigenvalues must be finite")
-        array.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", array)
-
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
-    def lambda_star(self) -> float:
-        return float(self.eigenvalues[1])
-
-
-def neumann_eigenvalues(domain: GridDomain, n_max: int) -> SpectrumTable:
-    """First n_max + 1 analytic Neumann eigenvalues of the domain.
+def neumann_eigenvalues(domain: GridDomain, n_max: int) -> np.ndarray:
+    """First n_max + 1 analytic Neumann eigenvalues of the domain, ascending,
+    as one read-only float64 array whose entry 0 is exactly 0 (the constant
+    mode) and whose other entries are positive and finite. Each entry is the
+    same float in a table of any length. A side so short that (pi / L)^2
+    overflows, or so long that it underflows to 0, raises ValueError
+    (OverflowError, from Python's float power, on a short interval).
 
     Interval of length L: (n pi / L)^2 for n = 0..n_max. Rectangle
     Lx x Ly: the merged, sorted values of (j pi / Lx)^2 + (k pi / Ly)^2.
@@ -449,8 +421,17 @@ def neumann_eigenvalues(domain: GridDomain, n_max: int) -> SpectrumTable:
         bound = np.partition((gx[:nx, None] + gy[None, :ny]).ravel(), n_max)[n_max]
         nx, ny = np.searchsorted(gx, bound, "right"), np.searchsorted(gy, bound, "right")
         values = np.sort((gx[:nx, None] + gy[None, :ny]).ravel())[: n_max + 1]
-    values[0] = 0.0
-    return SpectrumTable(values)
+    table = np.array(values, dtype=float)
+    table[0] = 0.0
+    # A 0 past entry 0 divides chi*'s candidates by 0, and a table that ends
+    # in inf never ends past a reach, however long it is built.
+    if not (table[1] > 0.0 and table[-1] < math.inf):
+        raise ValueError(
+            f"the Neumann eigenvalues of a domain with lengths {domain.lengths!r} "
+            "overflow or underflow a float"
+        )
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

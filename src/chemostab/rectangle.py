@@ -94,12 +94,19 @@ def normalize(
     if mode not in ("plain", "signal-floor"):
         raise ValueError(f"unknown mode {mode!r}")
     require_m0(m0)
-    kappa0 = (
-        params.chi0
-        * params.nu
-        * eq.u_star ** (params.m + params.gamma - 1.0)
-        / params.a
-    )
+    try:
+        kappa0 = (
+            params.chi0
+            * params.nu
+            * eq.u_star ** (params.m + params.gamma - 1.0)
+            / params.a
+        )
+    except OverflowError:
+        raise OverflowError(
+            f"kappa0 = chi0 nu u*^(m+gamma-1) / a overflows a float at chi0 = "
+            f"{params.chi0!r}, nu = {params.nu!r}, u* = {eq.u_star!r}, m = {params.m!r}, "
+            f"gamma = {params.gamma!r}, a = {params.a!r}"
+        ) from None
     quad0 = params.beta * eq.v_star * m0**2
     if mode == "signal-floor":
         cap = bar_chi(params)  # refuses beta < 1

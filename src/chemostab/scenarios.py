@@ -43,6 +43,7 @@ from .core import (
     ModelParams,
     equilibrium,
     init_state,
+    neumann_eigenvalues,
 )
 from .diagnostics import (
     HypothesisNotMet,
@@ -58,7 +59,7 @@ from .rectangle import (
     normalize,
     verify_sandwich,
 )
-from .stability import classify_equilibrium, proving_spectrum, sigma_n
+from .stability import classify_equilibrium, sigma_n
 from .thresholds import (
     chi_beta_threshold,
     chi_double_star,
@@ -164,7 +165,7 @@ def check_negative_sensitivity(name, params, grid, init, cfg) -> ScenarioResult:
                            "logistic_source": not params.minimal}, name)
     eq = equilibrium(params)
     traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
-    verdict = classify_equilibrium(params, eq, proving_spectrum(params, eq, grid)).verdict
+    verdict = classify_equilibrium(params, eq, grid).verdict
     # The maximum principle pins the peak only while it exceeds u*; below
     # u* the source is free to push it back up, so check max(peak, u*).
     peak_excess = _max_tolerated_increase(np.maximum(traj.u_max, eq.u_star), 1e-10)
@@ -185,10 +186,9 @@ def check_negative_sensitivity(name, params, grid, init, cfg) -> ScenarioResult:
 def check_stable_dichotomy(name, params, grid, init, cfg) -> ScenarioResult:
     _logistic(params, name)
     eq = equilibrium(params)
-    spectrum = proving_spectrum(params, eq, grid)
-    report = classify_equilibrium(params, eq, spectrum)
+    report = classify_equilibrium(params, eq, grid)
     hypotheses = _require({"chi0_below_chi_star": params.chi0 < report.chi_star}, name)
-    rate_predicted = -sigma_n(params, eq, spectrum.lambda_star)
+    rate_predicted = -sigma_n(params, eq, neumann_eigenvalues(grid, 1)[1])
     traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
     fit = fit_decay_rate(traj.times, traj.err_inf)
     rate_error = abs(fit.rate - rate_predicted) / rate_predicted
@@ -212,7 +212,7 @@ def check_stable_dichotomy(name, params, grid, init, cfg) -> ScenarioResult:
 def check_unstable_dichotomy(name, params, grid, init, cfg) -> ScenarioResult:
     _logistic(params, name)
     eq = equilibrium(params)
-    report = classify_equilibrium(params, eq, proving_spectrum(params, eq, grid))
+    report = classify_equilibrium(params, eq, grid)
     hypotheses = _require({"chi0_above_chi_star": params.chi0 > report.chi_star}, name)
     traj = run(params, grid, init_state(grid, init, params), cfg, eq=eq)
     growth = float(np.max(traj.err_inf) / traj.err_inf[0])
@@ -355,8 +355,7 @@ def check_minimal_entropy(name, params, grid, init, cfg) -> ScenarioResult:
         "chi0_below_sqrt_chi_beta": params.chi0 < math.sqrt(chi_b),
     }, name)
     traj = run(params, grid, init_state(grid, init, params), cfg)
-    mins = threshold_report(params, traj.eq, proving_spectrum(params, traj.eq, grid),
-                            grid.dimension, calibration=traj).minimal
+    mins = threshold_report(params, traj.eq, grid, calibration=traj).minimal
     hypotheses = _require({
         **gates, "chi0_below_chi_ss1_min_empirical": params.chi0 < mins.chi_ss1_min,
     }, name)
@@ -386,8 +385,7 @@ def check_minimal_akl(name, params, grid, init, cfg) -> ScenarioResult:
     }, name)
     traj = run(params, grid, init_state(grid, init, params), replace(cfg, store_snapshots=True))
     eq = traj.eq
-    mins = threshold_report(params, eq, proving_spectrum(params, eq, grid), grid.dimension,
-                            calibration=traj).minimal
+    mins = threshold_report(params, eq, grid, calibration=traj).minimal
     hypotheses = _require({
         **gates, "chi0_below_chi_ss2_min_empirical": mins.chi_ss2_min is not None
         and params.chi0 < mins.chi_ss2_min,
@@ -411,8 +409,7 @@ def check_thresholds(name, params, grid, init, cfg) -> ScenarioResult:
     pinned point of `PRESETS`; it runs nothing and reads no `init` or `cfg`."""
     hypotheses = _logistic(params, name)
     eq = equilibrium(params)
-    report = threshold_report(params, eq, proving_spectrum(params, eq, grid), grid.dimension,
-                              m0=0.0)
+    report = threshold_report(params, eq, grid, m0=0.0)
     tol = 1e-14
     checks = {
         "chi_star": (report.chi_star, 4.0),
@@ -440,7 +437,7 @@ def check_sweep(name, params, grid, init, cfg) -> ScenarioResult:
     for chi0 in (0.5, 2.0, 3.9, 4.0, 4.1, 6.0):
         point = replace(params, chi0=chi0)
         eq = equilibrium(point)
-        report = classify_equilibrium(point, eq, proving_spectrum(point, eq, grid))
+        report = classify_equilibrium(point, eq, grid)
         rows.append({"chi0": chi0, "verdict": report.verdict,
                      "chi_star": report.chi_star, "sigma_max": report.sigma_max})
     measured = {"verdicts": [row["verdict"] for row in rows], "rows": rows}

@@ -16,13 +16,14 @@ So the two modes that bracket that point give chi*, and a table that
 reaches it proves the infimum over the whole spectrum. Likewise for chi0 > 0
 sigma is concave in lambda, greatest at sqrt(chi0 g mu) - mu (g the
 feedback gain), so a table that reaches that point proves sigma's maximum.
-The coefficients fix both points, so `proving_spectrum` builds the shortest
-table that reaches them; the CLI and the scenarios take their tables from it.
+The coefficients fix both points, so `critical_sensitivity` and
+`classify_equilibrium` take the domain and build the shortest table of its
+Neumann eigenvalues that reaches the points they report on.
 
-Everything here is a closed form in the coefficients and an eigenvalue
-table; nothing reads a grid field. The check that ties sigma to the scheme,
-`integrator.discrete_spectrum_check`, linearises the stepping code, so it
-lives beside that code.
+Everything here is a closed form in the coefficients and the domain's
+eigenvalues; nothing reads a grid field. The check that ties sigma to the
+scheme, `integrator.discrete_spectrum_check`, linearises the stepping code,
+so it lives beside that code.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Equilibrium, GridDomain, ModelParams, SpectrumTable, neumann_eigenvalues
+from .core import Equilibrium, GridDomain, ModelParams, neumann_eigenvalues
 
 
 class SpectrumTooShort(ValueError):
-    """The eigenvalue table ends below sqrt(a alpha mu), so it cannot prove
-    chi*, or below the peak of sigma, so it cannot prove sigma's maximum;
-    or a table that reaches them would be longer than PROVING_MODES_CAP."""
+    """A table that reaches sqrt(a alpha mu), or the peak of sigma, would be
+    longer than PROVING_MODES_CAP; or a batch's table ends below some row's
+    sqrt(a alpha mu), so it cannot prove that row's chi*."""
 
 
 class SweepTooLarge(RuntimeError):
@@ -56,7 +57,7 @@ CRITICAL_BAND = 1e-12
 # rounding: a square's (i^2 + j^2)(pi/L)^2 summed as i^2 + j^2 and as
 # j^2 + i^2, or as 1 + 64 and 16 + 49, differ by a few ulp.
 RUN_RTOL = 64 * np.finfo(float).eps
-# The longest table proving_spectrum builds, in modes.
+# The longest table _proving_table builds, in modes.
 PROVING_MODES_CAP = 1 << 20
 
 
@@ -73,7 +74,14 @@ def _sweep_cells(grid: GridDomain) -> int:
 
 def _feedback_gain(params: ModelParams, eq: Equilibrium) -> float:
     """chi0-independent factor nu gamma u*^(m+gamma-1) / (1+v*)^beta."""
-    return _gain(params.nu, params.gamma, params.m, params.beta, eq.u_star, eq.v_star)
+    try:
+        return _gain(params.nu, params.gamma, params.m, params.beta, eq.u_star, eq.v_star)
+    except OverflowError:
+        raise OverflowError(
+            f"the feedback gain g = nu gamma u*^(m+gamma-1) / (1+v*)^beta overflows a "
+            f"float at u* = {eq.u_star!r}, v* = {eq.v_star!r}, m = {params.m!r}, "
+            f"gamma = {params.gamma!r}, beta = {params.beta!r}"
+        ) from None
 
 
 def _gain(nu, gamma, m, beta, u_star, v_star):
@@ -104,32 +112,29 @@ def _sigma_peak(params: ModelParams, eq: Equilibrium) -> float:
     return math.sqrt(drive * params.mu) - params.mu if drive > params.mu else 0.0
 
 
-def proving_spectrum(
-    params: ModelParams, eq: Equilibrium, grid: GridDomain, *, sigma: bool = True
-) -> SpectrumTable:
-    """The shortest Neumann table of `grid` that proves chi* and sigma's
-    maximum: the window that _bracketed_minimum takes about the reach
-    max(sqrt(a alpha mu), lambda_p), and one entry past it. Tables of 4, 8,
-    16, ... modes are built until one holds that entry. With sigma=False
-    the table proves chi* alone, for a caller that reports no sigma; chi*
-    does not depend on chi0, and neither does that table.
+def _proving_table(grid: GridDomain, reach: float) -> np.ndarray:
+    """The shortest Neumann table of `grid` that holds the window
+    _bracketed_minimum takes about `reach` and one entry past it, from
+    tables of 4, 8, 16, ... modes.
 
-    The window about sqrt(a alpha mu) ends no later, so chi* and its mode
-    are those of any longer table. Every eigenvalue past the table lies
-    more than RUN_RTOL above two that reach lambda_p, where sigma falls, so
-    sigma's maximum and its mode are too. A table that would need more than
-    PROVING_MODES_CAP modes raises SpectrumTooShort.
+    About sqrt(a alpha mu) it proves chi* and its mode, which no longer
+    table moves. About a reach at or past lambda_p it proves sigma's
+    maximum and its mode too: every eigenvalue past it lies more than
+    RUN_RTOL above two that reach lambda_p, where sigma falls. A table of
+    more than PROVING_MODES_CAP modes raises SpectrumTooShort, before any
+    table is built where reach > 2 (PROVING_MODES_CAP pi / L)^2, L the
+    longest side: the cap's table holds that side's own modes, so it ends
+    at or below half that.
     """
-    reach = math.sqrt(params.a * params.alpha * params.mu)
-    if sigma:
-        reach = max(reach, _sigma_peak(params, eq))
-    n_max = 4
-    while n_max <= PROVING_MODES_CAP:
-        lam = neumann_eigenvalues(grid, n_max).eigenvalues
-        last = _window(lam, np.searchsorted(lam, [reach]))[0, -1]
-        if last < n_max:
-            return SpectrumTable(lam[: last + 2])
-        n_max *= 2
+    # reach <= 2 (PROVING_MODES_CAP pi / L)^2, in a form that no length overflows.
+    if math.sqrt(reach / 2.0) * max(grid.lengths) <= PROVING_MODES_CAP * math.pi:
+        n_max = 4
+        while n_max <= PROVING_MODES_CAP:
+            lam = neumann_eigenvalues(grid, n_max)
+            last = _window(lam, np.searchsorted(lam, [reach]))[0, -1]
+            if last < n_max:
+                return lam[: last + 2]
+            n_max *= 2
     raise SpectrumTooShort(
         f"sqrt(a alpha mu) or the peak of sigma, lambda = {reach!r}, lies beyond "
         f"the first {PROVING_MODES_CAP} Neumann modes of the domain"
@@ -148,17 +153,23 @@ def _candidates(lam, a_alpha, mu, gain):
 
 
 def critical_sensitivity(
-    params: ModelParams, eq: Equilibrium, spectrum: SpectrumTable
+    params: ModelParams, eq: Equilibrium, grid: GridDomain
 ) -> tuple[float, int]:
     """Exact instability threshold chi* and the mode index attaining it.
 
     chi* is the infimum of the per-mode candidates over the whole Neumann
-    spectrum, taken by _bracketed_minimum from the modes of the table that
-    bracket sqrt(a alpha mu). A table whose last eigenvalue lies below that
-    point cannot prove the infimum and raises SpectrumTooShort.
+    spectrum of the domain. _bracketed_minimum takes it from the modes
+    that bracket sqrt(a alpha mu), in the shortest table that reaches that
+    point; chi0 does not enter it.
     """
+    lam = _proving_table(grid, math.sqrt(params.a * params.alpha * params.mu))
+    return _chi_star(params, eq, lam)
+
+
+def _chi_star(params: ModelParams, eq: Equilibrium, lam: np.ndarray) -> tuple[float, int]:
+    """chi* and its mode from a table `lam` that reaches sqrt(a alpha mu)."""
     value, mode = _bracketed_minimum(
-        spectrum.eigenvalues, np.ones(1), np.array([params.a * params.alpha]),
+        lam, np.ones(1), np.array([params.a * params.alpha]),
         np.array([params.mu]), np.array([_feedback_gain(params, eq)]),
     )
     return float(value[0]), int(mode[0])
@@ -222,7 +233,8 @@ def _window(unit, bracket):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Verdict on one (parameters, equilibrium, spectrum) triple."""
+    """Verdict on one (parameters, equilibrium, domain) triple: chi*, sigma's
+    maximum and their modes over the domain's whole Neumann spectrum."""
 
     chi_star: float
     argmin_mode: int
@@ -233,28 +245,22 @@ class StabilityReport:
 
 
 def classify_equilibrium(
-    params: ModelParams, eq: Equilibrium, spectrum: SpectrumTable
+    params: ModelParams, eq: Equilibrium, grid: GridDomain
 ) -> StabilityReport:
     """Dichotomy verdict: stable iff chi0 < chi*, with a relative band of
     1e-12 around chi* reported as critical.
 
-    `sigma_max` and `fastest_mode` are the maximum of sigma over the table's
-    nonzero modes, and it is the whole spectrum's: where chi0 g > mu, sigma
-    is concave in lambda with its peak at lambda_p = sqrt(chi0 g mu) - mu,
-    so it falls after the table once the table reaches lambda_p; elsewhere
-    sigma is decreasing. A table whose last eigenvalue lies below lambda_p
-    raises SpectrumTooShort, as does one below sqrt(a alpha mu) (see
-    `critical_sensitivity`).
+    `sigma_max` and `fastest_mode` are the maximum of sigma over the nonzero
+    modes of the whole spectrum: where chi0 g > mu, sigma is concave in
+    lambda with its peak at lambda_p = sqrt(chi0 g mu) - mu, elsewhere it is
+    decreasing. One table, the shortest that reaches both sqrt(a alpha mu)
+    and lambda_p, proves chi* (see `critical_sensitivity`) and that maximum.
     """
-    chi_star, argmin_mode = critical_sensitivity(params, eq, spectrum)
-    peak = _sigma_peak(params, eq)
-    last = float(spectrum.eigenvalues[-1])
-    if last < peak:
-        raise SpectrumTooShort(
-            f"the peak of sigma at lambda = {peak!r} lies above the last "
-            f"eigenvalue {last!r} of the table; supply more eigenvalues"
-        )
-    rates = np.asarray(sigma_n(params, eq, spectrum.eigenvalues))
+    lam = _proving_table(
+        grid, max(math.sqrt(params.a * params.alpha * params.mu), _sigma_peak(params, eq))
+    )
+    chi_star, argmin_mode = _chi_star(params, eq, lam)
+    rates = sigma_n(params, eq, lam)
     fastest = 1 + int(np.argmax(rates[1:]))
     if abs(params.chi0 - chi_star) <= CRITICAL_BAND * max(1.0, abs(chi_star)):
         verdict = "critical"

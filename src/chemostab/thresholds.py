@@ -28,7 +28,6 @@ from .core import (
     Equilibrium,
     GridDomain,
     ModelParams,
-    SpectrumTable,
     _logistic_density,
     _signal_level,
     neumann_eigenvalues,
@@ -631,7 +630,7 @@ ORDERING_MODES = 200
 def _unit_spectrum() -> np.ndarray:
     """The first ORDERING_MODES + 1 Neumann eigenvalues of [0, pi], one
     read-only array per process."""
-    return neumann_eigenvalues(GridDomain.interval(math.pi, 8), ORDERING_MODES).eigenvalues
+    return neumann_eigenvalues(GridDomain.interval(math.pi, 8), ORDERING_MODES)
 
 
 def verify_orderings(
@@ -797,8 +796,7 @@ class AuxConstants:
 
 def build_aux_constants(
     params: ModelParams,
-    spectrum: SpectrumTable,
-    dimension: int,
+    grid: GridDomain,
     m0: float,
     m0_source: str,
     c_star: CStarSource | None,
@@ -813,7 +811,7 @@ def build_aux_constants(
     if c_star is not None:
         try:
             ks = k_star(
-                dimension, params.alpha, params.gamma, params.mu, params.nu, c_star
+                grid.dimension, params.alpha, params.gamma, params.mu, params.nu, c_star
             )
         except HypothesisViolated:
             ks = None
@@ -829,7 +827,7 @@ def build_aux_constants(
         bar_chi=bc,
         m0=m0,
         m0_source=m0_source,
-        lambda_star=spectrum.lambda_star,
+        lambda_star=float(neumann_eigenvalues(grid, 1)[1]),
         c_star=c_star,
         k_star=ks,
     )
@@ -852,8 +850,7 @@ class ThresholdReport:
 def threshold_report(
     params: ModelParams,
     eq: Equilibrium,
-    spectrum: SpectrumTable,
-    dimension: int,
+    grid: GridDomain,
     m0: float = 0.0,
     m0_source: str = "user",
     c_star: CStarSource | None = None,
@@ -862,13 +859,13 @@ def threshold_report(
     """Assemble the full threshold report for one parameter point. The
     minimal model's thresholds read ubar0 = max u_max and vlower0 = min v_min
     off the `calibration` run ("empirical"); without one there are none."""
-    aux = build_aux_constants(params, spectrum, dimension, m0, m0_source, c_star)
-    chi_star_value, argmin_mode = critical_sensitivity(params, eq, spectrum)
+    aux = build_aux_constants(params, grid, m0, m0_source, c_star)
+    chi_star_value, argmin_mode = critical_sensitivity(params, eq, grid)
 
     if params.beta >= 1.0:
         cb = ThresholdEntry(
             "chi_beta",
-            chi_beta_threshold(params.beta, params.gamma, dimension),
+            chi_beta_threshold(params.beta, params.gamma, grid.dimension),
             True,
             "beta >= 1",
         )
@@ -879,7 +876,7 @@ def threshold_report(
     chi_ab_note = None
     try:
         chi_ab = chi_ab_beta(
-            params, dimension,
+            params, grid.dimension,
             k_star_value=aux.k_star.value if aux.k_star is not None else None,
         )
     except MissingKStar as exc:
@@ -891,8 +888,8 @@ def threshold_report(
         if calibration is not None:
             minimal = minimal_thresholds(
                 eq.u_star, params.gamma, params.beta, params.mu, params.nu,
-                spectrum.lambda_star, float(np.max(calibration.u_max)),
-                float(np.min(calibration.v_min)), dimension, inputs_source="empirical",
+                aux.lambda_star, float(np.max(calibration.u_max)),
+                float(np.min(calibration.v_min)), grid.dimension, inputs_source="empirical",
             )
     else:
         chi_ss = chi_double_star(params, eq, m0=m0)

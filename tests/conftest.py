@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from chemostab import GridDomain, ModelParams, equilibrium, neumann_eigenvalues
+from chemostab import GridDomain, ModelParams, equilibrium
 from chemostab.helmholtz import laplacian
 from chemostab.stability import _candidates, _sweep_cells
 
@@ -133,11 +133,6 @@ def reference_eq(reference_params):
 @pytest.fixture
 def interval_pi() -> GridDomain:
     return GridDomain.interval(math.pi, 64)
-
-
-@pytest.fixture
-def spectrum_pi(interval_pi):
-    return neumann_eigenvalues(interval_pi, 50)
 
 
 @pytest.fixture

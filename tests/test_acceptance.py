@@ -39,7 +39,7 @@ from chemostab.rectangle import (
 )
 from chemostab.stability import critical_sensitivity
 from chemostab.thresholds import chi_double_star, verify_orderings
-from conftest import make_params, tau_grid_for
+from conftest import make_params, scanned_minimum, tau_grid_for
 
 WALL_CLOCK_BUDGET = 60.0  # seconds per individual run
 
@@ -68,18 +68,21 @@ class TestSpectralDichotomy:
     def test_threshold_scan_over_thousand_modes(self, interval_pi):
         params = make_params()
         eq = equilibrium(params)
-        table = neumann_eigenvalues(interval_pi, 1000)
-        chi_star, mode = critical_sensitivity(params, eq, table)
+        chi_star, mode = critical_sensitivity(params, eq, interval_pi)
         assert chi_star == pytest.approx(4.0, rel=1e-12)
         assert mode == 1
+        # g = 1 at the reference point.
+        value, scan_mode = scanned_minimum(neumann_eigenvalues(interval_pi, 1000),
+                                           *[np.ones(1)] * 4)
+        assert (chi_star, mode) == (value[0], scan_mode[0])
 
-    def test_subcritical_perturbation_decays_at_slowest_rate(self, spectrum_pi):
+    def test_subcritical_perturbation_decays_at_slowest_rate(self, interval_pi):
         params = make_params(chi0=3.5)
         eq = equilibrium(params)
-        rates = sigma_n(params, eq, spectrum_pi.eigenvalues)
+        rates = sigma_n(params, eq, neumann_eigenvalues(interval_pi, 50))
         predicted = min(params.a * params.alpha, float(np.min(-rates[1:])))
         assert predicted == pytest.approx(0.25, rel=1e-12)
-        assert classify_equilibrium(params, eq, spectrum_pi).verdict == "stable"
+        assert classify_equilibrium(params, eq, interval_pi).verdict == "stable"
 
         traj, _, _ = reference_run(3.5, amplitude=0.01, t_end=20.0)
         assert traj.err_inf[-1] < traj.err_inf[0]
@@ -87,10 +90,10 @@ class TestSpectralDichotomy:
         assert fit.rate == pytest.approx(predicted, rel=0.20)
         assert fit.r_squared > 0.999
 
-    def test_supercritical_perturbation_grows_tenfold(self, spectrum_pi):
+    def test_supercritical_perturbation_grows_tenfold(self, interval_pi):
         params = make_params(chi0=4.5)
         eq = equilibrium(params)
-        assert classify_equilibrium(params, eq, spectrum_pi).verdict == "unstable"
+        assert classify_equilibrium(params, eq, interval_pi).verdict == "unstable"
 
         traj, _, _ = reference_run(4.5, amplitude=0.01, t_end=16.0)
         growth = float(np.max(traj.err_inf)) / traj.err_inf[0]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import chemostab.cli
-from chemostab import GridDomain, equilibrium, gradient_constant, proving_spectrum
+from chemostab import GridDomain, gradient_constant, stability
 from chemostab.cli import jsonable, main
 from chemostab.config import (
     KEYS,
@@ -419,15 +419,14 @@ class TestAnalysisCommands:
 
     def test_stability_needs_only_the_modes_up_to_lam0(self, tmp_path, capsys):
         # a = 4: lam0 = sqrt(a alpha mu) = 2 lies between modes 1 and 2 of
-        # [0, pi], so the command's table holds five modes, the window of
-        # four about lam0 and one past it, and gives what a thousand give.
+        # [0, pi], so the table stability proves it from holds five modes,
+        # the window of four about lam0 and one past it, and gives what a
+        # thousand give.
         cfg = write_cfg(tmp_path, a=4.0)
         code, payload, _ = run_cli(capsys, "stability", "--config", cfg)
         assert code == 0
         assert (payload["chi_star"], payload["verdict"]) == (2.5, "stable")
-        params = make_params(a=4.0)
-        eq = equilibrium(params)
-        assert len(proving_spectrum(params, eq, GridDomain.interval(math.pi, 64))) == 6
+        assert len(stability._proving_table(GridDomain.interval(math.pi, 64), 2.0)) == 6
 
     @pytest.mark.parametrize("command", ["stability", "sweep"])
     def test_the_table_reaches_the_peak_of_sigma(self, tmp_path, capsys, command):
@@ -594,7 +593,7 @@ class TestAnalysisCommands:
             raise AssertionError("work started")
 
         monkeypatch.setattr(chemostab.cli, "run", no_work)
-        monkeypatch.setattr(chemostab.cli, "proving_spectrum", no_work)
+        monkeypatch.setattr(stability, "_proving_table", no_work)
         code, payload, error = run_cli(capsys, "thresholds", "--config", cfg)
         assert (code, payload) == (2, None)
         assert error["error"] == "ConfigError"
@@ -774,18 +773,29 @@ class TestAnalysisCommands:
         (("stability",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}, "u* = (a/b)^(1/alpha)"),
         (("thresholds",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}, "u* = (a/b)^(1/alpha)"),
         (("simulate",), {"a": 1000.0, "b": 0.001, "alpha": 0.01}, "u* = (a/b)^(1/alpha)"),
-    ], ids=["m_star", "theta", "u_star-stability", "u_star-thresholds", "u_star-simulate"])
+        # u* = 1e200, so u*^(m+gamma-1) = u*^2 in the feedback gain and in kappa0.
+        (("stability",), {"b": 1e-200, "m": 2.0}, "the feedback gain g = "),
+        (("sweep",), {"b": 1e-200, "m": 2.0}, "the feedback gain g = "),
+        (("thresholds",), {"b": 1e-200, "m": 2.0}, "the feedback gain g = "),
+        (("rectangle",), {"b": 1e-200, "m": 2.0}, "kappa0 = chi0 nu u*^(m+gamma-1) / a"),
+    ], ids=["m_star", "theta", "u_star-stability", "u_star-thresholds", "u_star-simulate",
+            "gain-stability", "gain-sweep", "gain-thresholds", "kappa0-rectangle"])
     def test_a_closed_form_that_overflows_exits_2(self, tmp_path, capsys, command, overrides,
                                                   quantity):
         # The same class as Python's own, with a message that names the
         # quantity, where Python's names only the errno text.
-        cfg = write_cfg(tmp_path, **{"chi0": 0.3, "beta": 1.0, **overrides})
+        text = BASE_CFG.format(**{**REFERENCE, "chi0": 0.3, "beta": 1.0, **overrides})
+        if command[0] == "sweep":
+            text += "sweep.parameter = chi0\nsweep.values = 0.3\n"
+        cfg = write_cfg(tmp_path, text=text)
         code, payload, error = run_cli(capsys, command[0], "--config", cfg, *command[1:])
         assert (code, payload) == (2, None)
         assert error["error"] == "OverflowError"
         assert quantity in error["message"]
         if quantity.startswith("u*"):
             assert "a = 1000.0, b = 0.001, alpha = 0.01" in error["message"]
+        if overrides.get("m") == 2.0:
+            assert "u* = 1e+200" in error["message"] and "m = 2.0" in error["message"]
 
     @pytest.mark.parametrize("overrides, message", [
         ({"beta": 0.5}, "beta >= 1"),

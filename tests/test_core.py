@@ -17,7 +17,6 @@ from chemostab import (
     FieldState,
     GridDomain,
     InitSpec,
-    SpectrumTable,
     equilibrium,
     init_state,
     neumann_eigenvalues,
@@ -401,26 +400,24 @@ class TestGridDomain:
 class TestSpectrum:
     def test_interval_pi_eigenvalues(self):
         table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 3)
-        assert table.eigenvalues.tolist() == [0.0, 1.0, 4.0, 9.0]
-        assert table.lambda_star == 1.0
-        assert type(table.lambda_star) is float
+        assert table.tolist() == [0.0, 1.0, 4.0, 9.0]
         assert len(table) == 4
 
     def test_interval_2pi_eigenvalues(self):
         table = neumann_eigenvalues(GridDomain.interval(2.0 * math.pi, 64), 2)
-        assert table.eigenvalues == pytest.approx([0.0, 0.25, 1.0], rel=1e-14)
+        assert table == pytest.approx([0.0, 0.25, 1.0], rel=1e-14)
 
     def test_square_eigenvalues_merge_sorted(self):
         g = GridDomain.rectangle(math.pi, math.pi, 8, 8)
         table = neumann_eigenvalues(g, 4)
         # (j^2 + k^2): 0, 1, 1, 2, 4
-        assert table.eigenvalues == pytest.approx([0.0, 1.0, 1.0, 2.0, 4.0], rel=1e-13)
+        assert table == pytest.approx([0.0, 1.0, 1.0, 2.0, 4.0], rel=1e-13)
 
     def test_rectangle_anisotropic(self):
         g = GridDomain.rectangle(math.pi, 2.0 * math.pi, 8, 8)
         table = neumann_eigenvalues(g, 4)
         # (j^2 + (k/2)^2): 0, 1/4, 1 (j=1 and k=2), 5/4
-        assert table.eigenvalues == pytest.approx(
+        assert table == pytest.approx(
             [0.0, 0.25, 1.0, 1.0, 1.25], rel=1e-13
         )
 
@@ -439,13 +436,13 @@ class TestSpectrum:
         table = neumann_eigenvalues(GridDomain.rectangle(lx, ly, 8, 8), n_max)
         expected = full_sort_eigenvalues(lx, ly, n_max, indices)
         assert expected[-1] < min((indices * math.pi / lx) ** 2, (indices * math.pi / ly) ** 2)
-        assert table.eigenvalues.tobytes() == expected.tobytes()
+        assert table.tobytes() == expected.tobytes()
 
     @given(lx=st.floats(1e-2, 1e2), ly=st.floats(1e-2, 1e2), n_max=st.integers(1, 600))
     @settings(max_examples=100, deadline=None)
     def test_random_rectangle_table_is_the_full_sort(self, lx, ly, n_max):
         table = neumann_eigenvalues(GridDomain.rectangle(lx, ly, 8, 8), n_max)
-        assert table.eigenvalues.tobytes() == full_sort_eigenvalues(lx, ly, n_max).tobytes()
+        assert table.tobytes() == full_sort_eigenvalues(lx, ly, n_max).tobytes()
 
     def test_a_large_rectangle_table_sorts_about_n_sums(self, monkeypatch):
         # 100,000 modes of the full sort would be 10^10 sums; the box sorts
@@ -463,23 +460,27 @@ class TestSpectrum:
             assert len(table) == 100_001
         assert max(sorted_sizes) < 3 * 100_001
 
-    def test_eigenvalues_are_one_read_only_array(self):
-        table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 3)
-        first = table.eigenvalues
-        assert table.eigenvalues is first
-        assert first.dtype == np.float64
-        assert not first.flags.writeable
-        assert first.tolist() == [0.0, 1.0, 4.0, 9.0]
+    @pytest.mark.parametrize("grid", [
+        GridDomain.interval(math.pi, 64), GridDomain.rectangle(math.pi, 2.0, 8, 8),
+    ], ids=["interval", "rectangle"])
+    def test_eigenvalues_are_one_read_only_array(self, grid):
+        table = neumann_eigenvalues(grid, 3)
+        assert type(table) is np.ndarray
+        assert table.dtype == np.float64
+        assert not table.flags.writeable
+        assert table[0] == 0.0 and len(table) == 4
         with pytest.raises(ValueError):
-            first[1] = 2.0
+            table[1] = 2.0
 
-    def test_table_copies_the_callers_array(self):
-        given = np.array([0.0, 1.0, 4.0])
-        table = SpectrumTable(given)
-        assert given.flags.writeable
-        assert table.eigenvalues is not given
-        given[1] = 2.0
-        assert table.eigenvalues.tolist() == [0.0, 1.0, 4.0]
+    @pytest.mark.parametrize("grid", [
+        GridDomain.interval(math.pi, 64), GridDomain.rectangle(math.pi, 2.0, 8, 8),
+        GridDomain.rectangle(7.0, 7.0, 8, 8),
+    ], ids=["interval", "rectangle", "square"])
+    def test_an_entry_does_not_depend_on_the_table_length(self, grid):
+        # lambda_1 is read off the one-mode table.
+        long = neumann_eigenvalues(grid, 1000)
+        for n_max in (1, 2, 7, 500):
+            assert neumann_eigenvalues(grid, n_max).tobytes() == long[: n_max + 1].tobytes()
 
     @pytest.mark.parametrize("n_max", [200, 1000, 100_000])
     @pytest.mark.parametrize("length", [math.pi, 2.5])
@@ -488,27 +489,19 @@ class TestSpectrum:
         # it in the last bit on some of these entries.
         table = neumann_eigenvalues(GridDomain.interval(length, 8), n_max)
         expected = [(n * math.pi / length) ** 2 for n in range(n_max + 1)]
-        assert table.eigenvalues.tobytes() == np.array(expected).tobytes()
+        assert table.tobytes() == np.array(expected).tobytes()
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
             neumann_eigenvalues(GridDomain.interval(1.0, 8), 0)
 
-    def test_table_validation(self):
-        with pytest.raises(ValueError, match="exactly 0"):
-            SpectrumTable((0.5, 1.0))
-        with pytest.raises(ValueError, match="ascending"):
-            SpectrumTable((0.0, 4.0, 1.0))
-        with pytest.raises(ValueError):
-            SpectrumTable((0.0,))
-        with pytest.raises(ValueError, match="positive"):
-            SpectrumTable((0.0, 0.0, 1.0))
-
-    @pytest.mark.parametrize("eigenvalues", [(0.0, math.nan, 4.0, 9.0), (0.0, 1.0, math.inf)])
-    def test_table_rejects_non_finite(self, eigenvalues):
-        # NaN passes the order checks; left in, it made chi* NaN.
-        with pytest.raises(ValueError, match="finite"):
-            SpectrumTable(eigenvalues)
+    @pytest.mark.parametrize("lengths", [(1e-200, 1e-200), (1e170, 1e170), (1e170,)],
+                             ids=["overflow", "underflow", "interval-underflow"])
+    def test_a_table_that_overflows_or_underflows_is_refused(self, lengths):
+        # (pi / L)^2 is inf or 0, which no chi* can be proved from.
+        grid = GridDomain(len(lengths), lengths, (8,) * len(lengths))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="or underflow a float"):
+            neumann_eigenvalues(grid, 4)
 
 
 class TestInitialData:

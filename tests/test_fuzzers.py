@@ -54,18 +54,17 @@ def close(x, y):
 @functools.lru_cache(maxsize=None)
 def unit_spectrum(modes=200):
     """The first modes + 1 Neumann eigenvalues of [0, pi], read-only."""
-    return neumann_eigenvalues(GridDomain.interval(math.pi, 8), modes).eigenvalues
+    return neumann_eigenvalues(GridDomain.interval(math.pi, 8), modes)
 
 
 def point(row):
-    """ModelParams, Equilibrium and 200-mode spectrum of one sample row."""
+    """ModelParams, Equilibrium and interval of one sample row."""
     params = ModelParams(chi0=0.0, **{k: row[k] for k in PARAM_KEYS if k != "chi0"})
     if params.minimal:
         eq = equilibrium(params, u_star=row["u_star"])
     else:
         eq = equilibrium(params)
-    spectrum = neumann_eigenvalues(GridDomain.interval(row["length"], 8), 200)
-    return params, eq, spectrum
+    return params, eq, GridDomain.interval(row["length"], 8)
 
 
 def rows(sample):
@@ -91,8 +90,8 @@ class TestBlockAgreement:
         checks, _ = thresholds._ordering_checks(part, sample, unit_spectrum())
         chi_star = next(rhs for _, _, name, rhs in checks if name == "chi*")
         for i, row in enumerate(rows(sample)):
-            params, eq, spectrum = point(row)
-            assert close(float(chi_star[i]), critical_sensitivity(params, eq, spectrum)[0])
+            params, eq, interval = point(row)
+            assert close(float(chi_star[i]), critical_sensitivity(params, eq, interval)[0])
 
     @pytest.mark.parametrize("part", ("1", "2", "3", "4"))
     def test_all_four_entries_match_chi_double_star(self, part):
@@ -133,10 +132,10 @@ class TestBlockAgreement:
             lam_star, sample["ubar0"], sample["vlower0"], 1,
         )
         for i, row in enumerate(rows(sample)):
-            params, eq, spectrum = point(row)
+            params, eq, interval = point(row)
             ref = minimal_thresholds(
                 eq.u_star, params.gamma, params.beta, params.mu, params.nu,
-                spectrum.lambda_star, row["ubar0"], row["vlower0"], 1,
+                neumann_eigenvalues(interval, 1)[1], row["ubar0"], row["vlower0"], 1,
             )
             assert close(float(chi1[i]), ref.chi_ss1_min)
             assert close(float(cb[i]), ref.chi_beta)
@@ -248,8 +247,7 @@ class TestBracketedMinimum:
         # hold floats 3 ulp apart. On the 7 x 7 square modes 189-191 are one
         # eigenvalue, and 191, outside the unwidened window 187..190, gives
         # the least candidate, 2 ulp below the others.
-        table = neumann_eigenvalues(GridDomain.rectangle(*lengths, 8, 8), size - 1)
-        unit = table.eigenvalues
+        unit = neumann_eigenvalues(GridDomain.rectangle(*lengths, 8, 8), size - 1)
         columns = [np.array([x]) for x in row]
         if not reaches_lam0(unit, *columns)[0]:
             with pytest.raises(SpectrumTooShort):
@@ -357,10 +355,10 @@ class TestPlantedFaults:
             assert (violation.part, violation.lhs_name, violation.rhs_name) == (
                 "3", "chi**_3", "chi*",
             )
-            params, eq, spectrum = point(violation.sample)
+            params, eq, interval = point(violation.sample)
             entry = chi_double_star(params, eq, m0=violation.sample["m0"])[2]
             assert close(violation.lhs, 1e3 * entry.value)
-            assert close(violation.rhs, critical_sensitivity(params, eq, spectrum)[0])
+            assert close(violation.rhs, critical_sensitivity(params, eq, interval)[0])
             assert violation.lhs > violation.rhs
 
     def test_ordering_fuzzer_reports_inflated_minimal_threshold(self, monkeypatch):
@@ -375,15 +373,15 @@ class TestPlantedFaults:
         monkeypatch.undo()
         assert report.violations
         for violation in report.violations:
-            params, eq, spectrum = point(violation.sample)
+            params, eq, interval = point(violation.sample)
             ref = minimal_thresholds(
                 eq.u_star, params.gamma, params.beta, params.mu, params.nu,
-                spectrum.lambda_star, violation.sample["ubar0"],
+                neumann_eigenvalues(interval, 1)[1], violation.sample["ubar0"],
                 violation.sample["vlower0"], 1,
             )
             assert violation.lhs_name == "chi**_1_min"
             assert close(violation.lhs, 1e3 * ref.chi_ss1_min)
-            rhs = {"chi*": critical_sensitivity(params, eq, spectrum)[0],
+            rhs = {"chi*": critical_sensitivity(params, eq, interval)[0],
                    "chi_beta": ref.chi_beta}[violation.rhs_name]
             assert close(violation.rhs, rhs)
 
@@ -588,9 +586,7 @@ class TestUnitSpectrum:
         table = thresholds._unit_spectrum()
         with pytest.raises(ValueError):
             table[1] = 2.0
-        expected = neumann_eigenvalues(
-            GridDomain.interval(math.pi, 8), thresholds.ORDERING_MODES
-        ).eigenvalues
+        expected = neumann_eigenvalues(GridDomain.interval(math.pi, 8), thresholds.ORDERING_MODES)
         assert table.tobytes() == expected.tobytes()
         assert thresholds._unit_spectrum() is table
 

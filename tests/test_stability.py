@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from chemostab import (
     GridDomain,
-    SpectrumTable,
     classify_equilibrium,
     critical_sensitivity,
     discrete_spectrum_check,
@@ -71,27 +70,26 @@ class TestDispersion:
 
 
 class TestCriticalSensitivity:
-    def test_reference_threshold_and_mode(self, reference_eq, spectrum_pi):
+    def test_reference_threshold_and_mode(self, reference_eq, interval_pi):
         p = make_params()
-        chi_star, mode = critical_sensitivity(p, reference_eq, spectrum_pi)
+        chi_star, mode = critical_sensitivity(p, reference_eq, interval_pi)
         assert chi_star == pytest.approx(4.0, rel=1e-14)
         assert mode == 1
 
-    def test_candidate_table_oracle(self, reference_eq, spectrum_pi):
+    def test_candidate_table_oracle(self, reference_eq, interval_pi):
         p = make_params()
-        cands = stability._candidates(spectrum_pi.eigenvalues[1:], 1.0, 1.0, 1.0)
+        cands = stability._candidates(neumann_eigenvalues(interval_pi, 50)[1:], 1.0, 1.0, 1.0)
         # (lam+1)(1+lam)/lam at lam = 1, 4, 9.
         assert cands[0] == pytest.approx(4.0, rel=1e-15)
         assert cands[1] == pytest.approx(6.25, rel=1e-15)
         assert cands[2] == pytest.approx(100.0 / 9.0, rel=1e-14)
 
-    def test_threshold_scales_with_saturation(self):
+    def test_threshold_scales_with_saturation(self, interval_pi):
         # Raising beta rescales every candidate by (1 + v*)^beta = 2^beta.
         for beta in (0.0, 0.5, 1.0, 2.0):
             p = make_params(beta=beta)
             eq = equilibrium(p)
-            spectrum = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 50)
-            chi_star, mode = critical_sensitivity(p, eq, spectrum)
+            chi_star, mode = critical_sensitivity(p, eq, interval_pi)
             assert chi_star == pytest.approx(4.0 * 2.0**beta, rel=1e-13)
             assert mode == 1
 
@@ -100,33 +98,31 @@ class TestCriticalSensitivity:
         # lam0 = sqrt(a alpha mu) = 1 is mode 1 of [0, pi], so even the
         # two-entry table proves the infimum.
         table = neumann_eigenvalues(GridDomain.interval(math.pi, 64), n_max)
-        assert critical_sensitivity(make_params(), reference_eq, table) == (4.0, 1)
+        assert stability._chi_star(make_params(), reference_eq, table) == (4.0, 1)
 
     def test_long_interval_needs_only_the_modes_up_to_lam0(self, reference_eq):
         # On [0, 10 pi] the eigenvalues are (n/10)^2, so lam0 = 1 is mode 10.
-        # Tables that reach it give the scan of a table 20 times longer; one
-        # that stops at mode 9 raises and names both numbers.
+        # The domain, and tables that reach it, give the scan of a table 20
+        # times longer; one that stops at mode 9 raises and names both numbers.
         p = make_params()
         interval = GridDomain.interval(10.0 * math.pi, 64)
-        value, mode = scanned_minimum(
-            neumann_eigenvalues(interval, 240).eigenvalues, *[np.ones(1)] * 4
-        )
+        value, mode = scanned_minimum(neumann_eigenvalues(interval, 240), *[np.ones(1)] * 4)
+        assert critical_sensitivity(p, reference_eq, interval) == (value[0], mode[0])
         for n_max in (10, 12):
             table = neumann_eigenvalues(interval, n_max)
-            assert critical_sensitivity(p, reference_eq, table) == (value[0], mode[0])
+            assert stability._chi_star(p, reference_eq, table) == (value[0], mode[0])
         assert mode[0] == 10
         table = neumann_eigenvalues(interval, 9)
-        last = float(table.eigenvalues[-1])
-        with pytest.raises(SpectrumTooShort, match=f"= 1.0 lies above .* {last!r} "):
-            critical_sensitivity(p, reference_eq, table)
+        with pytest.raises(SpectrumTooShort, match=f"= 1.0 lies above .* {float(table[-1])!r} "):
+            stability._chi_star(p, reference_eq, table)
 
     @pytest.mark.parametrize("ubar, expected", [(0.5, 6.0), (1.0, 4.0), (2.0, 3.0)])
-    def test_minimal_model_threshold_family(self, spectrum_pi, ubar, expected):
+    def test_minimal_model_threshold_family(self, interval_pi, ubar, expected):
         # beta = 1, m = alpha = gamma = mu = nu = 1 and a = b = 0 on [0, pi]:
         # u* = v* = ubar, so the candidate is (1 + lam)(1 + ubar) / ubar and
         # chi*(ubar) = 2 (1 + ubar) / ubar, at mode 1.
         p = make_params(a=0.0, b=0.0, beta=1.0)
-        chi_star, mode = critical_sensitivity(p, equilibrium(p, u_star=ubar), spectrum_pi)
+        chi_star, mode = critical_sensitivity(p, equilibrium(p, u_star=ubar), interval_pi)
         assert chi_star == pytest.approx(expected, rel=1e-15)
         assert mode == 1
 
@@ -145,16 +141,15 @@ class TestCriticalSensitivity:
         # lam = sqrt(a alpha mu); the discrete minimum cannot be lower.
         p = make_params(a=a, b=1.0, alpha=alpha, mu=mu, nu=nu, gamma=gamma, beta=beta)
         eq = equilibrium(p)
-        spectrum = neumann_eigenvalues(GridDomain.interval(length, 64), 400)
-        chi_star, _ = critical_sensitivity(p, eq, spectrum)
+        chi_star, _ = critical_sensitivity(p, eq, GridDomain.interval(length, 64))
         gain = nu * gamma * eq.u_star ** (p.m + gamma - 1.0) / (1.0 + eq.v_star) ** beta
         bound = (math.sqrt(a * alpha) + math.sqrt(mu)) ** 2 / gain
         assert chi_star >= bound * (1.0 - 1e-12)
 
-    def test_bound_attained_on_reference_interval(self, reference_eq, spectrum_pi):
+    def test_bound_attained_on_reference_interval(self, reference_eq, interval_pi):
         # lam* = sqrt(a alpha mu) = 1 is itself an eigenvalue of [0, pi].
         p = make_params()
-        chi_star, _ = critical_sensitivity(p, reference_eq, spectrum_pi)
+        chi_star, _ = critical_sensitivity(p, reference_eq, interval_pi)
         assert chi_star == pytest.approx(4.0, rel=1e-15)
 
 
@@ -163,39 +158,37 @@ class TestClassification:
         "chi0,verdict",
         [(3.9, "stable"), (4.1, "unstable"), (4.0, "critical"), (-2.0, "stable")],
     )
-    def test_verdicts(self, chi0, verdict, reference_eq, spectrum_pi):
-        report = classify_equilibrium(make_params(chi0=chi0), reference_eq, spectrum_pi)
+    def test_verdicts(self, chi0, verdict, reference_eq, interval_pi):
+        report = classify_equilibrium(make_params(chi0=chi0), reference_eq, interval_pi)
         assert report.verdict == verdict
         assert report.chi_star == pytest.approx(4.0, rel=1e-14)
 
-    def test_near_critical_band(self, reference_eq, spectrum_pi):
+    def test_near_critical_band(self, reference_eq, interval_pi):
         p = make_params(chi0=4.0 * (1.0 + 1e-14))
-        report = classify_equilibrium(p, reference_eq, spectrum_pi)
+        report = classify_equilibrium(p, reference_eq, interval_pi)
         assert report.verdict == "critical"
 
-    def test_fastest_mode_oracle(self, reference_eq, spectrum_pi):
+    def test_fastest_mode_oracle(self, reference_eq, interval_pi):
         # chi0 = 6: sigma_1 = 1, sigma_2 = -0.2, so mode 1 leads.
-        report = classify_equilibrium(make_params(chi0=6.0), reference_eq, spectrum_pi)
+        report = classify_equilibrium(make_params(chi0=6.0), reference_eq, interval_pi)
         assert report.fastest_mode == 1
         assert report.sigma_max == pytest.approx(1.0, rel=1e-14)
         assert report.sigma_zero == -1.0
         assert report.sigma_max == sigma_n(make_params(chi0=6.0), reference_eq,
-                                           spectrum_pi.eigenvalues[1:]).max()
+                                           neumann_eigenvalues(interval_pi, 50)[1:]).max()
 
-    def test_a_table_short_of_the_peak_of_sigma_raises(self):
+    def test_a_peak_of_sigma_past_lam0_is_reached(self, interval_pi):
         # chi0 = 4000 and beta = 1, so g = 1/2: sigma peaks at lambda_p =
-        # sqrt(2000) - 1 = 43.7, between modes 6 and 7 of [0, pi]. A table to
-        # mode 3 would report mode 3's 1790 as the maximum; it raises. From
-        # mode 7 on the table gives what a thousand modes give.
+        # sqrt(2000) - 1 = 43.7, between modes 6 and 7 of [0, pi], past
+        # lam0 = 1. A table to mode 3 would report mode 3's 1790 as the
+        # maximum; the domain gives what a thousand modes give.
         p = make_params(chi0=4000.0, beta=1.0)
         eq = equilibrium(p)
-        interval = GridDomain.interval(math.pi, 64)
-        for n_max in (3, 6):
-            with pytest.raises(SpectrumTooShort, match="peak of sigma at lambda = 43.72"):
-                classify_equilibrium(p, eq, neumann_eigenvalues(interval, n_max))
-        for n_max in (7, 1000):
-            report = classify_equilibrium(p, eq, neumann_eigenvalues(interval, n_max))
-            assert (report.sigma_max, report.fastest_mode) == (1910.0, 7)
+        report = classify_equilibrium(p, eq, interval_pi)
+        assert (report.sigma_max, report.fastest_mode) == (1910.0, 7)
+        rates = sigma_n(p, eq, neumann_eigenvalues(interval_pi, 1000))
+        assert (report.sigma_max, report.fastest_mode) == (rates[1:].max(),
+                                                           1 + rates[1:].argmax())
 
     @pytest.mark.parametrize("lengths", [(math.pi,), (math.pi, 2.0)], ids=["1d", "2d"])
     @given(
@@ -208,12 +201,12 @@ class TestClassification:
         scale=st.floats(0.5, 3.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_a_table_that_reaches_the_peak_gives_the_spectrum_maximum(
+    def test_the_domain_gives_the_spectrum_maximum(
         self, lengths, chi0, a, alpha, mu, nu, beta, scale
     ):
-        # The shortest table whose last eigenvalue reaches both sqrt(a alpha mu)
-        # and the peak of sigma gives the sigma_max and fastest_mode of a table
-        # ten times longer; one entry fewer raises.
+        # sigma_max and fastest_mode are those of a table ten times longer
+        # than the shortest whose last eigenvalue reaches both
+        # sqrt(a alpha mu) and the peak of sigma.
         p = make_params(chi0=chi0, a=a, alpha=alpha, mu=mu, nu=nu, beta=beta)
         eq = equilibrium(p)
         cells = (64,) if len(lengths) == 1 else (16, 12)
@@ -221,22 +214,20 @@ class TestClassification:
         drive = chi0 * stability._feedback_gain(p, eq)
         peak = math.sqrt(drive * mu) - mu if drive > mu else 0.0
         reach = max(peak, math.sqrt(a * alpha * mu))
-        n_max = max(1, int(np.searchsorted(neumann_eigenvalues(grid, 4000).eigenvalues, reach)))
-        short = classify_equilibrium(p, eq, neumann_eigenvalues(grid, n_max))
-        long = classify_equilibrium(p, eq, neumann_eigenvalues(grid, 10 * n_max))
-        assert (short.sigma_max, short.fastest_mode) == (long.sigma_max, long.fastest_mode)
-        if n_max > 1:
-            with pytest.raises(SpectrumTooShort):
-                classify_equilibrium(p, eq, neumann_eigenvalues(grid, n_max - 1))
+        n_max = max(1, int(np.searchsorted(neumann_eigenvalues(grid, 4000), reach)))
+        rates = sigma_n(p, eq, neumann_eigenvalues(grid, 10 * n_max))
+        report = classify_equilibrium(p, eq, grid)
+        assert (report.sigma_max, report.fastest_mode) == (rates[1:].max(),
+                                                           1 + rates[1:].argmax())
 
     @given(chi0=st.floats(-6.0, 12.0))
     @settings(max_examples=150, deadline=None)
     def test_dichotomy_against_modewise_signs(self, chi0):
         p = make_params(chi0=chi0)
         eq = equilibrium(p)
-        spectrum = neumann_eigenvalues(GridDomain.interval(math.pi, 64), 50)
-        report = classify_equilibrium(p, eq, spectrum)
-        rates = sigma_n(p, eq, spectrum.eigenvalues[1:])
+        interval = GridDomain.interval(math.pi, 64)
+        report = classify_equilibrium(p, eq, interval)
+        rates = sigma_n(p, eq, neumann_eigenvalues(interval, 50)[1:])
         if report.verdict == "stable":
             assert np.all(rates < 0.0)
         elif report.verdict == "unstable":
@@ -264,9 +255,10 @@ class TestProvingSpectrum:
     @settings(max_examples=60, deadline=None)
     def test_gives_what_a_long_table_gives(self, lengths, chi0, a, alpha, mu, nu, beta, m,
                                            gamma, u_star, scale):
-        # The derived table and one of at least 2,000 modes, and twice its
-        # length, give the same floats and modes: chi* and its mode, and
-        # sigma's maximum and its mode. A u_star draws the minimal model.
+        # The domain gives what a scan of a table of at least 2,000 modes,
+        # and twice the length of the one stability proves from, gives: chi*
+        # and its mode, and sigma's maximum and its mode. A u_star draws the
+        # minimal model.
         if u_star is not None:
             a = 0.0
         p = make_params(chi0=chi0, a=a, b=1.0 if u_star is None else 0.0, alpha=alpha, mu=mu,
@@ -274,10 +266,17 @@ class TestProvingSpectrum:
         eq = equilibrium(p, u_star=u_star)
         cells = (64,) if len(lengths) == 1 else (16, 12)
         grid = GridDomain(len(lengths), tuple(scale * x for x in lengths), cells)
-        spectrum = stability.proving_spectrum(p, eq, grid)
-        long = neumann_eigenvalues(grid, max(2000, 2 * len(spectrum)))
-        assert critical_sensitivity(p, eq, spectrum) == critical_sensitivity(p, eq, long)
-        assert classify_equilibrium(p, eq, spectrum) == classify_equilibrium(p, eq, long)
+        reach = max(math.sqrt(a * alpha * mu), stability._sigma_peak(p, eq))
+        long = neumann_eigenvalues(grid, max(2000, 2 * len(stability._proving_table(grid, reach))))
+        value, mode = scanned_minimum(long, np.ones(1), np.array([a * alpha]), np.array([mu]),
+                                      np.array([stability._feedback_gain(p, eq)]))
+        scan = (float(value[0]), int(mode[0]))
+        rates = sigma_n(p, eq, long)
+        report = classify_equilibrium(p, eq, grid)
+        assert critical_sensitivity(p, eq, grid) == scan
+        assert (report.chi_star, report.argmin_mode) == scan
+        assert (report.sigma_max, report.fastest_mode) == (rates[1:].max(),
+                                                           1 + rates[1:].argmax())
 
     def test_refuses_a_reach_beyond_the_cap(self, monkeypatch):
         # beta = 0 at the reference point: g = 1 and lambda_p = sqrt(chi0) - 1.
@@ -286,24 +285,41 @@ class TestProvingSpectrum:
         # is refused, naming the peak.
         monkeypatch.setattr(stability, "PROVING_MODES_CAP", 64)
         interval = GridDomain.interval(math.pi, 64)
+        assert len(stability._proving_table(interval, 3844.0)) == 65
         p = make_params(chi0=3845.0**2)
-        assert len(stability.proving_spectrum(p, equilibrium(p), interval)) == 65
+        assert classify_equilibrium(p, equilibrium(p), interval).fastest_mode == 62
         p = make_params(chi0=3846.0**2)
         with pytest.raises(SpectrumTooShort, match="lambda = 3845.0, lies beyond the first 64 "):
-            stability.proving_spectrum(p, equilibrium(p), interval)
+            classify_equilibrium(p, equilibrium(p), interval)
+
+    @pytest.mark.parametrize("lengths", [(math.pi,), (math.pi, 2.0)], ids=["pi", "pi-by-two"])
+    def test_a_reach_past_the_cap_is_refused_before_any_table(self, monkeypatch, lengths):
+        # chi0 = 1e300 puts sigma's peak at about 1e150, far past the cap's
+        # table: the refusal builds none.
+        calls = []
+
+        def counted(grid, n_max):
+            calls.append(n_max)
+            return neumann_eigenvalues(grid, n_max)
+
+        monkeypatch.setattr(stability, "neumann_eigenvalues", counted)
+        cells = (64,) if len(lengths) == 1 else (16, 12)
+        p = make_params(chi0=1e300)
+        with pytest.raises(SpectrumTooShort, match=f"lambda = 1e\\+150, lies beyond the first "
+                                                   f"{stability.PROVING_MODES_CAP} Neumann"):
+            classify_equilibrium(p, equilibrium(p), GridDomain(len(lengths), lengths, cells))
+        assert calls == []
 
     @pytest.mark.parametrize("chi0", [0.0, 4000.0, 1e300])
-    def test_a_chi_star_table_does_not_depend_on_chi0(self, chi0):
-        # sigma=False proves chi* alone: the table is the one at chi0 = 0
-        # for every chi0, even where sigma's peak lies past the cap.
-        interval = GridDomain.interval(math.pi, 64)
+    def test_a_chi_star_table_does_not_depend_on_chi0(self, chi0, interval_pi):
+        # chi* is proved from the table about sqrt(a alpha mu) alone: the
+        # same for every chi0, even where sigma's peak lies past the cap.
         p = make_params(chi0=chi0)
         eq = equilibrium(p)
-        spectrum = stability.proving_spectrum(p, eq, interval, sigma=False)
-        at_zero = stability.proving_spectrum(make_params(chi0=0.0), eq, interval)
-        assert np.array_equal(spectrum.eigenvalues, at_zero.eigenvalues)
-        assert critical_sensitivity(p, eq, spectrum) == critical_sensitivity(
-            p, eq, neumann_eigenvalues(interval, 1000))
+        value, mode = scanned_minimum(neumann_eigenvalues(interval_pi, 1000),
+                                      *[np.ones(1)] * 4)
+        assert critical_sensitivity(p, eq, interval_pi) == critical_sensitivity(
+            make_params(chi0=0.0), eq, interval_pi) == (value[0], mode[0])
 
 
 class TestDiscreteOperator:

@@ -356,11 +356,11 @@ class TestChiDoubleStar:
         with pytest.raises(HypothesisViolated, match="m0"):
             chi_double_star(make_params(beta=1.0), reference_eq, m0=m0)
 
-    def test_report_checks_m0_for_the_minimal_model(self, spectrum_pi):
+    def test_report_checks_m0_for_the_minimal_model(self, interval_pi):
         # Nothing reads m0 there, but the report would carry a bare NaN.
         p = make_params(a=0.0, b=0.0)
         with pytest.raises(HypothesisViolated, match="m0"):
-            threshold_report(p, equilibrium(p, u_star=1.0), spectrum_pi, 1, m0=math.nan)
+            threshold_report(p, equilibrium(p, u_star=1.0), interval_pi, m0=math.nan)
 
 
 class TestMinimalThresholds:
@@ -567,8 +567,8 @@ class TestOrderings:
 
 
 class TestThresholdReport:
-    def test_reference_report(self, reference_eq, spectrum_pi):
-        report = threshold_report(make_params(), reference_eq, spectrum_pi, 1)
+    def test_reference_report(self, reference_eq, interval_pi):
+        report = threshold_report(make_params(), reference_eq, interval_pi)
         assert report.chi_star == pytest.approx(4.0, rel=1e-14)
         assert report.argmin_mode == 1
         assert report.chi_beta.value is None and not report.chi_beta.applicable
@@ -579,37 +579,37 @@ class TestThresholdReport:
         assert report.aux.theta_beta == 1.0
         assert report.aux.lambda_star == 1.0
 
-    def test_minimal_report(self, spectrum_pi, interval_pi):
+    def test_minimal_report(self, interval_pi):
         p = make_params(a=0.0, b=0.0, beta=1.0)
         eq = equilibrium(p, u_star=1.0)
         # The bounds ubar0 = 1.3 and vlower0 = 0.7 come from the calibration run.
         calibration = Trajectory(p, interval_pi, eq, u_max=np.array([1.3]),
                                  v_min=np.array([0.7]))
-        report = threshold_report(p, eq, spectrum_pi, 1, calibration=calibration)
+        report = threshold_report(p, eq, interval_pi, calibration=calibration)
         assert report.chi_ss is None
         assert report.minimal.chi_ss1_min == 0.5
         assert report.minimal.inputs_source == "empirical"
         assert report.chi_beta.value == 1.0
 
-    def test_constants_outside_their_hypotheses_are_none(self, spectrum_pi):
+    def test_constants_outside_their_hypotheses_are_none(self, interval_pi):
         # alpha = 0.5, gamma = 5: C_{alpha,gamma} is undefined, and K* needs p > 1.
         p = make_params(alpha=0.5, gamma=5.0)
-        report = threshold_report(p, equilibrium(p), spectrum_pi, 1,
+        report = threshold_report(p, equilibrium(p), interval_pi,
                                   c_star=default_c_star_stub())
         assert report.aux.c_alpha_gamma is None
         assert report.aux.k_star is None
         assert report.aux.c_star is not None
 
-    def test_missing_k_star_becomes_note(self, spectrum_pi):
+    def test_missing_k_star_becomes_note(self, interval_pi):
         p = make_params(m=2.0, gamma=2.0, alpha=3.0, beta=1.0)
-        report = threshold_report(p, equilibrium(p), spectrum_pi, 1)
+        report = threshold_report(p, equilibrium(p), interval_pi)
         assert report.chi_ab is None
         assert "K*" in report.chi_ab_note
 
-    def test_k_star_fills_in_with_stub(self, spectrum_pi):
+    def test_k_star_fills_in_with_stub(self, interval_pi):
         p = make_params(m=2.0, gamma=2.0, alpha=3.0, beta=1.0)
         report = threshold_report(
-            p, equilibrium(p), spectrum_pi, 1, c_star=default_c_star_stub()
+            p, equilibrium(p), interval_pi, c_star=default_c_star_stub()
         )
         assert report.chi_ab is not None
         assert report.chi_ab_note is None
